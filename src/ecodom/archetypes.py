@@ -3,24 +3,33 @@
 A mid-size island flat (64 m2 floor, heavy construction) in two flavours:
 fully compliant solar protection, and the typical uninsulated dwelling it
 replaces.  Used by the experiment scripts and the calibration test suite.
+
+Both flats are building descriptions passed through
+:func:`thermal.zone_from_building`, the route the CLI takes, so the
+calibrated zones and simulated buildings share one set of physics.
 """
 
 from __future__ import annotations
 
-from .building import ColorClass
-from .thermal import (
-    MASS_CLASS_CAPACITANCE,
-    SurfaceModel,
-    VentilationApertures,
-    ZoneModel,
+import dataclasses
+
+from .building import (
+    NO_INSULATION,
+    AtticRegime,
+    BuildingDescription,
+    ColorClass,
+    InsulationLayer,
+    RoofSpec,
+    WallConstruction,
+    WallSpec,
+    WaterHeaterKind,
+    WaterHeaterSpec,
+    WindowSpec,
 )
+from .thermal import VentilationApertures, ZoneModel, zone_from_building
 
 FLOOR_AREA_M2 = 64.0
 VOLUME_M3 = FLOOR_AREA_M2 * 2.5
-_FILMS = 1.0 / 25.0 + 1.0 / 8.0  # exterior + interior film resistance
-
-#: Bare roof construction (sheet, air space, ceiling board), m2.K/W.
-ROOF_DECK_RESISTANCE = 0.2
 
 #: Leakage-only apertures of a closed dwelling (shutters down).
 CLOSED_APERTURES = VentilationApertures(inlet_area_m2=0.02, outlet_area_m2=0.02)
@@ -32,23 +41,37 @@ LIVED_IN_APERTURES = VentilationApertures(inlet_area_m2=1.0, outlet_area_m2=1.0)
 #: facades per axis, openings at a quarter of the mean facade area.
 POROSITY_25_APERTURES = VentilationApertures(inlet_area_m2=4.0, outlet_area_m2=4.0)
 
+_CARDINALS = ((0.0, "north"), (90.0, "east"), (180.0, "south"), (270.0, "west"))
+_WINDOW_HEIGHT_M = 1.2
 
-def _wall(name: str, azimuth: float, area: float, *, alpha: float,
-          resistance: float) -> SurfaceModel:
-    return SurfaceModel(
-        name=name, kind="wall", area_m2=area, azimuth_deg=azimuth,
-        tilt_deg=90.0, absorptivity=alpha, resistance_m2k_w=resistance,
+
+def _polystyrene(thickness_cm: float) -> InsulationLayer:
+    return InsulationLayer("polystyrene", 0.041, thickness_cm)
+
+
+def _flat(name: str, roof: RoofSpec, wall: dict, window_area_m2: float,
+          overhang_ratios: dict[str, float], roof_exposed: bool,
+          apertures: VentilationApertures) -> ZoneModel:
+    """Zone of a flat with one wall (``WallSpec`` fields in ``wall``) and
+    one window per cardinal, each window under an overhang of depth
+    ``ratio * height``.  The description carries only what the zone model
+    reads (no rooms or facade pairs), so the explicit apertures replace
+    the porosity-derived ones."""
+    building = BuildingDescription(
+        name=name, latitude=-21.1, longitude=55.5, dwelling_type=3,
+        roof=roof,
+        walls=tuple(WallSpec(id=label, azimuth_deg=azimuth, **wall)
+                    for azimuth, label in _CARDINALS),
+        windows=tuple(WindowSpec(
+            id=label, azimuth_deg=azimuth, glazed_area_m2=window_area_m2,
+            height_m=_WINDOW_HEIGHT_M,
+            overhang_depth_m=overhang_ratios.get(label, 0.0) * _WINDOW_HEIGHT_M)
+            for azimuth, label in _CARDINALS),
+        rooms=(), facade_pairs=(),
+        water_heater=WaterHeaterSpec(WaterHeaterKind.ELECTRIC),
     )
-
-
-def _window(name: str, azimuth: float, area: float, *,
-            overhang_depth: float, height: float = 1.2) -> SurfaceModel:
-    return SurfaceModel(
-        name=name, kind="window", area_m2=area, azimuth_deg=azimuth,
-        tilt_deg=90.0, absorptivity=0.1, resistance_m2k_w=_FILMS + 0.003,
-        overhang_depth_m=overhang_depth, overhang_height_m=height,
-        solar_transmittance=0.85,
-    )
+    zone = zone_from_building(building, {"roof_exposed": roof_exposed})
+    return dataclasses.replace(zone, apertures=apertures)
 
 
 def compliant_zone(name: str = "compliant",
@@ -61,71 +84,25 @@ def compliant_zone(name: str = "compliant",
     (no sun-struck roof).  ``degraded_roof=True`` swaps in a dark,
     uninsulated roof while keeping everything else identical.
     """
-    surfaces: list[SurfaceModel] = []
-    if roof_exposed:
-        if degraded_roof:
-            roof = SurfaceModel(
-                name="roof", kind="roof", area_m2=FLOOR_AREA_M2,
-                azimuth_deg=0.0, tilt_deg=0.0,
-                absorptivity=ColorClass.DARK.absorptivity,
-                resistance_m2k_w=_FILMS + ROOF_DECK_RESISTANCE)
-        else:
-            # medium colour, 8 cm polystyrene
-            roof = SurfaceModel(
-                name="roof", kind="roof", area_m2=FLOOR_AREA_M2,
-                azimuth_deg=0.0, tilt_deg=0.0,
-                absorptivity=ColorClass.MEDIUM.absorptivity,
-                resistance_m2k_w=_FILMS + ROOF_DECK_RESISTANCE + 0.08 / 0.041)
-        surfaces.append(roof)
-
-    # light hollow block walls with 1 cm polystyrene
-    wall_r = _FILMS + 0.2 + 0.01 / 0.041
-    alpha = ColorClass.LIGHT.absorptivity
-    for azimuth, label in ((0.0, "north"), (90.0, "east"),
-                           (180.0, "south"), (270.0, "west")):
-        surfaces.append(_wall(f"wall_{label}", azimuth, 18.0,
-                              alpha=alpha, resistance=wall_r))
-    # windows with overhangs at the required d/h per orientation
-    for azimuth, label, ratio in ((0.0, "north", 0.6), (90.0, "east", 0.8),
-                                  (180.0, "south", 0.3), (270.0, "west", 1.0)):
-        surfaces.append(_window(f"window_{label}", azimuth, 2.0,
-                                overhang_depth=ratio * 1.2))
-
-    return ZoneModel(
-        name=name,
-        latitude=-21.1, longitude=55.5,
-        volume_m3=VOLUME_M3,
-        capacitance_j_k=MASS_CLASS_CAPACITANCE["heavy"] * FLOOR_AREA_M2,
-        surfaces=tuple(surfaces),
-        apertures=apertures,
-        mass_class="heavy",
-    )
+    if degraded_roof:
+        roof = RoofSpec(ColorClass.DARK, AtticRegime.NONE, NO_INSULATION, FLOOR_AREA_M2)
+    else:
+        roof = RoofSpec(ColorClass.MEDIUM, AtticRegime.NONE, _polystyrene(8.0),
+                        FLOOR_AREA_M2)
+    # light hollow block walls with 1 cm polystyrene; windows shaded at
+    # the required d/h per orientation
+    wall = dict(construction=WallConstruction.HOLLOW_CONCRETE_BLOCK,
+                color=ColorClass.LIGHT, area_m2=18.0, insulation=_polystyrene(1.0))
+    return _flat(name, roof, wall, 2.0,
+                 {"north": 0.6, "east": 0.8, "south": 0.3, "west": 1.0},
+                 roof_exposed, apertures)
 
 
 def uninsulated_zone(name: str = "uninsulated",
                      apertures: VentilationApertures = LIVED_IN_APERTURES) -> ZoneModel:
     """The typical pre-standard dwelling: dark bare roof, unprotected
     medium-colour concrete walls, unshaded single glazing."""
-    surfaces = [SurfaceModel(
-        name="roof", kind="roof", area_m2=FLOOR_AREA_M2,
-        azimuth_deg=0.0, tilt_deg=0.0,
-        absorptivity=ColorClass.DARK.absorptivity,
-        resistance_m2k_w=_FILMS + ROOF_DECK_RESISTANCE)]
-    wall_r = _FILMS + 0.1
-    alpha = ColorClass.MEDIUM.absorptivity
-    for azimuth, label in ((0.0, "north"), (90.0, "east"),
-                           (180.0, "south"), (270.0, "west")):
-        surfaces.append(_wall(f"wall_{label}", azimuth, 24.0,
-                              alpha=alpha, resistance=wall_r))
-    for azimuth, label in ((0.0, "north"), (90.0, "east"),
-                           (180.0, "south"), (270.0, "west")):
-        surfaces.append(_window(f"window_{label}", azimuth, 1.8, overhang_depth=0.0))
-    return ZoneModel(
-        name=name,
-        latitude=-21.1, longitude=55.5,
-        volume_m3=VOLUME_M3,
-        capacitance_j_k=MASS_CLASS_CAPACITANCE["heavy"] * FLOOR_AREA_M2,
-        surfaces=tuple(surfaces),
-        apertures=apertures,
-        mass_class="heavy",
-    )
+    roof = RoofSpec(ColorClass.DARK, AtticRegime.NONE, NO_INSULATION, FLOOR_AREA_M2)
+    wall = dict(construction=WallConstruction.CONCRETE_20, color=ColorClass.MEDIUM,
+                area_m2=24.0)
+    return _flat(name, roof, wall, 1.8, {}, True, apertures)

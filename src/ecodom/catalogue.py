@@ -19,6 +19,7 @@ Known catalogue quirks, kept as published:
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -173,21 +174,22 @@ def load_catalogue(path: str | os.PathLike | None = None) -> RuleCatalogue:
     """Load a catalogue file; with no path, honour $ECODOM_CATALOGUE then
     fall back to the bundled tables."""
     if path is None:
-        env = os.environ.get(CATALOGUE_ENV_VAR)
-        if env:
-            path = env
+        path = os.environ.get(CATALOGUE_ENV_VAR) or None
     if path is None:
-        text = resources.files("ecodom.data").joinpath(_BUNDLED).read_text("utf-8")
-    else:
-        text = Path(path).read_text("utf-8")
+        return default_catalogue()
     try:
-        doc = json.loads(text)
+        doc = json.loads(Path(path).read_text("utf-8"))
     except json.JSONDecodeError as exc:
         raise CatalogueError(f"catalogue is not valid JSON: {exc}") from exc
     return catalogue_from_dict(doc)
 
 
+@functools.cache
 def default_catalogue() -> RuleCatalogue:
-    """The bundled catalogue, ignoring any environment override."""
+    """The bundled catalogue, ignoring any environment override.
+
+    Parsed once per process; every caller shares the returned object, so
+    its tables must not be mutated.
+    """
     text = resources.files("ecodom.data").joinpath(_BUNDLED).read_text("utf-8")
     return catalogue_from_dict(json.loads(text))

@@ -46,10 +46,14 @@ def _parse_timestamp(text: str, line_no: int) -> datetime:
 
 def _parse_float(text: str, column: str, line_no: int) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError as exc:
         raise SeriesFormatError(
             f"line {line_no}: column {column!r} is not a number: {text!r}") from exc
+    if not math.isfinite(value):
+        raise SeriesFormatError(
+            f"line {line_no}: column {column!r} is not a finite number: {text!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -78,13 +82,6 @@ class WeatherSeries:
     def __len__(self) -> int:
         return len(self.records)
 
-    @property
-    def step_seconds(self) -> float:
-        if len(self.records) < 2:
-            raise ValueError("series needs at least two records")
-        return min((b.timestamp - a.timestamp).total_seconds()
-                   for a, b in zip(self.records, self.records[1:]))
-
 
 def _check_weather_ranges(rec: WeatherRecord, line_no: int | None) -> None:
     where = f"line {line_no}: " if line_no is not None else f"{rec.timestamp}: "
@@ -96,23 +93,34 @@ def _check_weather_ranges(rec: WeatherRecord, line_no: int | None) -> None:
         raise SeriesFormatError(where + "wind speed must be >= 0")
 
 
-def _detect_gaps(timestamps: list[datetime]) -> tuple[datetime, ...]:
+def weather_grid(timestamps: list[datetime]) -> tuple[float, tuple[datetime, ...]]:
+    """Base step of increasing timestamps and the grid instants missing
+    between them.
+
+    The base step is the smallest spacing, in seconds; every spacing must
+    be a whole multiple of it, else ValueError.
+    """
     if len(timestamps) < 2:
-        return ()
-    step = min((b - a).total_seconds() for a, b in zip(timestamps, timestamps[1:]))
-    have = set(timestamps)
-    gaps = []
-    t = timestamps[0]
-    while t < timestamps[-1]:
-        if t not in have:
-            gaps.append(t)
-        t += timedelta(seconds=step)
-    return tuple(gaps)
+        raise ValueError("weather series too short")
+    spans = [(b - a).total_seconds() for a, b in zip(timestamps, timestamps[1:])]
+    step_s = min(spans)
+    step = timedelta(seconds=step_s)
+    missing = []
+    for a, b, span in zip(timestamps, timestamps[1:], spans):
+        steps = round(span / step_s)
+        if abs(span / step_s - steps) > 1e-6:
+            raise ValueError(
+                f"weather spacing at {b} is not a multiple of "
+                f"the {step_s:.0f}s base step")
+        for k in range(1, steps):
+            missing.append(a + k * step)
+    return step_s, tuple(missing)
 
 
 def load_weather(path: str | Path) -> WeatherSeries:
     """Parse and validate a weather CSV; missing grid instants are
-    reported in ``series.gaps`` rather than raised."""
+    reported in ``series.gaps`` rather than raised, a spacing that is not
+    a whole multiple of the base step is raised."""
     lines = Path(path).read_text("utf-8").splitlines()
     if not lines or tuple(lines[0].split(",")) != WEATHER_COLUMNS:
         raise SeriesFormatError(
@@ -143,7 +151,12 @@ def load_weather(path: str | Path) -> WeatherSeries:
         )
         _check_weather_ranges(rec, line_no)
         records.append(rec)
-    gaps = _detect_gaps([r.timestamp for r in records])
+    gaps: tuple[datetime, ...] = ()
+    if len(records) > 1:
+        try:
+            _, gaps = weather_grid([r.timestamp for r in records])
+        except ValueError as exc:
+            raise SeriesFormatError(str(exc)) from exc
     return WeatherSeries(records=tuple(records), gaps=gaps)
 
 
@@ -252,38 +265,6 @@ def write_indoor(series: IndoorSeries, path: str | Path) -> None:
             "" if r.air_speed_m_s is None else repr(r.air_speed_m_s),
         )))
     Path(path).write_text("\n".join(lines) + "\n", "utf-8")
-
-
-def resample_hourly(records: list[IndoorRecord]) -> list[IndoorRecord]:
-    """Average sub-hourly records of one zone onto the hourly grid.
-
-    Each output hour is the mean of its samples; optional fields are
-    averaged over the samples that carry them.  Raw resolution should be
-    kept for comfort statistics, this is for driving simulations.
-    """
-    if not records:
-        return []
-    zone = records[0].zone
-    buckets: dict[datetime, list[IndoorRecord]] = {}
-    for rec in records:
-        if rec.zone != zone:
-            raise ValueError("resample_hourly expects records of a single zone")
-        hour = rec.timestamp.replace(minute=0, second=0, microsecond=0)
-        buckets.setdefault(hour, []).append(rec)
-    out = []
-    for hour in sorted(buckets):
-        group = buckets[hour]
-        resultants = [r.temp_resultant_c for r in group if r.temp_resultant_c is not None]
-        speeds = [r.air_speed_m_s for r in group if r.air_speed_m_s is not None]
-        out.append(IndoorRecord(
-            timestamp=hour,
-            zone=zone,
-            temp_air_c=sum(r.temp_air_c for r in group) / len(group),
-            temp_resultant_c=sum(resultants) / len(resultants) if resultants else None,
-            rh_pct=sum(r.rh_pct for r in group) / len(group),
-            air_speed_m_s=sum(speeds) / len(speeds) if speeds else None,
-        ))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -456,15 +437,30 @@ def building_to_dict(b: bm.BuildingDescription) -> dict:
     }
 
 
+def _finite_json_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"number {text} is out of range")
+    return value
+
+
+def _reject_json_constant(name: str):
+    raise ValueError(f"non-finite number {name} is not allowed")
+
+
 def load_building(path: str | Path) -> bm.BuildingDescription:
     """Load and validate a building description file."""
+    text = Path(path).read_text("utf-8")
     try:
-        doc = json.loads(Path(path).read_text("utf-8"))
-    except json.JSONDecodeError as exc:
+        doc = json.loads(text, parse_float=_finite_json_float,
+                         parse_constant=_reject_json_constant)
+    except ValueError as exc:
         raise SeriesFormatError(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise SeriesFormatError(f"{path}: expected a JSON object at the top level")
     try:
         description = building_from_dict(doc)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise SeriesFormatError(f"{path}: missing or malformed field: {exc}") from exc
     issues = bm.validate(description)
     if issues:

@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from datetime import timedelta
 
 from .building import BuildingDescription, facade_porosities
-from .dataio import WeatherSeries
+from .dataio import WeatherSeries, weather_grid
 from .solar import (
     SolarPosition,
     overhang_shading_fraction,
@@ -43,6 +42,10 @@ MASS_CLASS_CAPACITANCE = {
     "light": 80e3,
     "heavy": 260e3,
 }
+
+#: Bare roof construction (sheet, air space, ceiling board), m2.K/W,
+#: added to every roof under its insulation.
+ROOF_DECK_RESISTANCE = 0.2
 
 
 @dataclass(frozen=True)
@@ -210,24 +213,7 @@ def simulate(zone: ZoneModel, weather: WeatherSeries) -> SimulationResult:
     listing the missing instants.
     """
     records = weather.records
-    if len(records) < 2:
-        raise ValueError("weather series too short")
-    if weather.gaps:
-        raise WeatherGapError(weather.gaps)
-    dt = min((b.timestamp - a.timestamp).total_seconds()
-             for a, b in zip(records, records[1:]))
-    step = timedelta(seconds=dt)
-    missing = []
-    for a, b in zip(records, records[1:]):
-        span = (b.timestamp - a.timestamp).total_seconds()
-        if abs(span / dt - round(span / dt)) > 1e-6:
-            raise ValueError(
-                f"weather spacing at {b.timestamp} is not a multiple of "
-                f"the {dt:.0f}s base step")
-        t = a.timestamp + step
-        while t < b.timestamp:
-            missing.append(t)
-            t += step
+    dt, missing = weather_grid([r.timestamp for r in records])
     if missing:
         raise WeatherGapError(missing)
     if dt > 3600.0 + 1e-6:
@@ -392,7 +378,7 @@ def zone_from_building(building: BuildingDescription,
             name="roof", kind="roof", area_m2=roof.area_m2,
             azimuth_deg=0.0, tilt_deg=0.0,
             absorptivity=roof.color.absorptivity,
-            resistance_m2k_w=films + roof.insulation.resistance,
+            resistance_m2k_w=films + ROOF_DECK_RESISTANCE + roof.insulation.resistance,
         ))
     for wall in building.walls:
         surfaces.append(SurfaceModel(

@@ -145,3 +145,9 @@ def test_env_var_override(tmp_path, monkeypatch, catalogue):
     monkeypatch.setenv(CATALOGUE_ENV_VAR, str(path))
     assert load_catalogue().version == "env-override"
     assert default_catalogue().version == catalogue.version
+
+
+def test_bundled_catalogue_parsed_once(monkeypatch):
+    from ecodom.catalogue import CATALOGUE_ENV_VAR
+    monkeypatch.delenv(CATALOGUE_ENV_VAR, raising=False)
+    assert load_catalogue() is default_catalogue()

@@ -39,6 +39,15 @@ class TestCheck:
         assert main(["check", "/nonexistent/building.json"]) == EXIT_INPUT_ERROR
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["[1, 2]", '"x"', "null"])
+    def test_non_object_building_exits_two(self, tmp_path, capsys, text):
+        path = tmp_path / "building.json"
+        path.write_text(text)
+        assert main(["check", str(path)]) == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_json_format_to_file(self, tmp_path):
         out = tmp_path / "report.json"
         code = main(["check", str(INITIAL_FIXTURE), "--format", "json",

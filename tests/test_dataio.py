@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from datetime import datetime, timedelta, timezone
 
@@ -10,11 +11,11 @@ from ecodom.dataio import (
     SchemaVersionError,
     SeriesFormatError,
     SyntheticWeatherParams,
+    WeatherSeries,
     building_to_dict,
     load_building,
     load_indoor,
     load_weather,
-    resample_hourly,
     synthetic_weather,
     write_indoor,
     write_weather,
@@ -66,6 +67,20 @@ class TestWeatherIO:
         with pytest.raises(SeriesFormatError, match="line 6.*wind_speed"):
             load_weather(bad)
 
+    @pytest.mark.parametrize("column,index,token", [
+        ("temp_air_c", 1, "nan"), ("wind_speed_m_s", 5, "inf")])
+    def test_non_finite_value_reports_line_and_column(self, clean_week, tmp_path,
+                                                      column, index, token):
+        _, path = clean_week
+        lines = path.read_text().splitlines()
+        parts = lines[7].split(",")
+        parts[index] = token
+        lines[7] = ",".join(parts)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SeriesFormatError, match=f"line 8.*{column}.*finite"):
+            load_weather(bad)
+
     def test_nonmonotonic_timestamps(self, clean_week, tmp_path):
         _, path = clean_week
         lines = path.read_text().splitlines()
@@ -85,6 +100,17 @@ class TestWeatherIO:
         gappy.write_text("\n".join(lines) + "\n")
         loaded = load_weather(gappy)
         assert len(loaded.gaps) == 3
+
+    def test_spacing_not_a_multiple_of_the_step_rejected(self, clean_week, tmp_path):
+        series, _ = clean_week
+        # one 90-minute spacing among hourly rows
+        records = series.records[:40] + tuple(
+            dataclasses.replace(r, timestamp=r.timestamp + timedelta(minutes=30))
+            for r in series.records[40:])
+        path = tmp_path / "skewed.csv"
+        write_weather(WeatherSeries(records=records), path)
+        with pytest.raises(SeriesFormatError, match="multiple"):
+            load_weather(path)
 
     def test_wrong_header(self, tmp_path):
         path = tmp_path / "nope.csv"
@@ -165,18 +191,14 @@ class TestIndoorIO:
             _indoor(30, zone="a"), _indoor(30, zone="b")))
         assert len(series.for_zone("a")) == 2
 
-    def test_resample_halfhour_to_hourly_means(self):
-        records = [
-            _indoor(0, temp=28.0, rh=60.0),
-            _indoor(30, temp=29.0, rh=62.0),
-            _indoor(60, temp=30.0, rh=64.0),
-        ]
-        hourly = resample_hourly(records)
-        assert len(hourly) == 2
-        # hand-computed means of each pair
-        assert hourly[0].temp_air_c == pytest.approx(28.5)
-        assert hourly[0].rh_pct == pytest.approx(61.0)
-        assert hourly[1].temp_air_c == pytest.approx(30.0)
+    def test_non_finite_value_reports_line_and_column(self, tmp_path):
+        path = tmp_path / "indoor.csv"
+        path.write_text(
+            "timestamp,zone,temp_air_c,temp_resultant_c,rh_pct,air_speed_m_s\n"
+            "2026-02-01T00:00:00+00:00,z1,28.0,,60.0,\n"
+            "2026-02-01T00:30:00+00:00,z1,nan,,60.0,\n")
+        with pytest.raises(SeriesFormatError, match="line 3.*temp_air_c"):
+            load_indoor(path)
 
 
 class TestBuildingIO:
@@ -211,6 +233,18 @@ class TestBuildingIO:
         path = tmp_path / "b.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(SeriesFormatError, match="roof"):
+            load_building(path)
+
+    @pytest.mark.parametrize("token,message", [
+        ("NaN", "NaN"), ("Infinity", "Infinity"), ("-Infinity", "Infinity"),
+        ("1e999", "1e999"), ("1" + "0" * 400, "too large")],
+        ids=["nan", "inf", "minus-inf", "float-overflow", "int-overflow"])
+    def test_non_finite_number_rejected(self, tmp_path, final_building, token, message):
+        doc = building_to_dict(final_building)
+        doc["roof"]["insulation"]["thickness_cm"] = "THICKNESS"
+        path = tmp_path / "b.json"
+        path.write_text(json.dumps(doc).replace('"THICKNESS"', token))
+        with pytest.raises(SeriesFormatError, match=message):
             load_building(path)
 
     def test_not_json(self, tmp_path):

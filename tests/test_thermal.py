@@ -12,6 +12,7 @@ from ecodom.archetypes import (
 )
 from ecodom.dataio import SyntheticWeatherParams, WeatherSeries, synthetic_weather
 from ecodom.thermal import (
+    ROOF_DECK_RESISTANCE,
     ScenarioError,
     VentilationApertures,
     WeatherGapError,
@@ -217,6 +218,13 @@ class TestZoneFromBuilding:
         zone = zone_from_building(final_building)
         assert zone.apertures.inlet_area_m2 == pytest.approx(4.0)
         assert zone.apertures.outlet_area_m2 == pytest.approx(4.0)
+
+    def test_roof_carries_the_deck_under_its_insulation(self, final_building):
+        roof = zone_from_building(final_building).surfaces[0]
+        assert roof.kind == "roof"
+        assert roof.resistance_m2k_w == (
+            1 / 25 + 1 / 8 + ROOF_DECK_RESISTANCE
+            + final_building.roof.insulation.resistance)
 
     def test_roof_exposed_flag(self, final_building):
         intermediate = zone_from_building(final_building, {"roof_exposed": False})
