@@ -10,7 +10,7 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from ecodom.comfort import PsychroPoint, discomfort_fraction, psychro_scatter_export
+from ecodom.comfort import PsychroPoint, discomfort_fraction, psychro_scatter_rows
 from ecodom.dataio import SyntheticWeatherParams, load_building, synthetic_weather
 from ecodom.thermal import simulate, zone_from_building
 
@@ -33,7 +33,7 @@ def main() -> None:
           f"{stats.max_exceedance_c:.2f} C")
 
     scatter = out_dir / "psychro_scatter.csv"
-    psychro_scatter_export(points, scatter)
+    scatter.write_text(psychro_scatter_rows(points), "utf-8")
     print(f"wrote {scatter}")
 
 

@@ -11,7 +11,9 @@ All types are immutable after construction; every function here is pure.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+from .errors import InputError
 
 
 class Orientation(enum.Enum):
@@ -342,7 +344,7 @@ class ValidationIssue:
         return f"{self.entity}.{self.field}: {self.message}"
 
 
-class BuildingValidationError(ValueError):
+class BuildingValidationError(InputError):
     """Raised when a description with validation issues is used anyway."""
 
     def __init__(self, issues: list[ValidationIssue]):
@@ -365,6 +367,12 @@ def validate(building: BuildingDescription) -> list[ValidationIssue]:
         err("building", "dwelling_type", "must be >= 1")
     if not -90.0 <= building.latitude <= 90.0:
         err("building", "latitude", "must be in [-90, 90]")
+    if not -180.0 <= building.longitude <= 180.0:
+        err("building", "longitude", "must be in [-180, 180]")
+    for entity, surface in ([(f"wall {w.id}", w) for w in building.walls]
+                            + [(f"window {w.id}", w) for w in building.windows]):
+        if not 0.0 <= surface.azimuth_deg < 360.0:
+            err(entity, "azimuth_deg", "must be in [0, 360)")
 
     facade_ids = building.declared_facade_ids()
     opening_ids: set[str] = set()

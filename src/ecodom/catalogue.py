@@ -25,9 +25,9 @@ import json
 import os
 from dataclasses import dataclass
 from importlib import resources
-from pathlib import Path
 
 from .building import ColorClass, Orientation, WallConstruction
+from .errors import InputError, field, number, read_json
 
 #: Environment variable naming a catalogue file to use instead of the bundled one.
 CATALOGUE_ENV_VAR = "ECODOM_CATALOGUE"
@@ -49,7 +49,7 @@ _OVERHANG_ROW = {
 }
 
 
-class CatalogueError(ValueError):
+class CatalogueError(InputError):
     """Malformed, incomplete or corrupted catalogue file."""
 
 
@@ -105,12 +105,6 @@ def tables_checksum(tables: dict) -> str:
     return "sha256:" + hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _require(tables: dict, key: str):
-    if key not in tables:
-        raise CatalogueError(f"catalogue tables missing {key!r}")
-    return tables[key]
-
-
 def catalogue_from_dict(doc: dict) -> RuleCatalogue:
     for key in ("catalogue_version", "checksum", "tables"):
         if key not in doc:
@@ -121,53 +115,57 @@ def catalogue_from_dict(doc: dict) -> RuleCatalogue:
         raise CatalogueError(
             f"catalogue checksum mismatch: file says {doc['checksum']}, "
             f"tables hash to {expected}")
-
-    collector = {int(k): float(v)
-                 for k, v in _require(tables, "solar_collector_area_m2").items()}
-    bounds = _require(tables, "tank_volume_per_collector_l_m2")
-    cat = RuleCatalogue(
-        version=str(doc["catalogue_version"]),
-        porosity_threshold=float(_require(tables, "porosity_threshold")),
-        reference_conductivities={
-            k: float(v)
-            for k, v in _require(tables, "reference_conductivities_w_mk").items()},
-        roof_insulation_cm=_require(tables, "roof_insulation_cm"),
-        wall_overhang_ratio=_require(tables, "wall_overhang_ratio"),
-        wall_insulation_cm=_require(tables, "wall_insulation_cm"),
-        window_shading_ratio=_require(tables, "window_shading_ratio"),
-        solar_collector_area_m2=collector,
-        tank_volume_bounds_l_m2=(float(bounds["min"]), float(bounds["max"])),
-        solar_productivity_floor_kwh_m2=float(
-            _require(tables, "solar_productivity_floor_kwh_m2")),
-    )
+    try:
+        bounds = field(tables, "tank_volume_per_collector_l_m2", dict)
+        cat = RuleCatalogue(
+            version=str(doc["catalogue_version"]),
+            porosity_threshold=field(tables, "porosity_threshold", float),
+            reference_conductivities={
+                k: number(v)
+                for k, v in field(tables, "reference_conductivities_w_mk", dict).items()},
+            roof_insulation_cm=field(tables, "roof_insulation_cm", dict),
+            wall_overhang_ratio=field(tables, "wall_overhang_ratio", dict),
+            wall_insulation_cm=field(tables, "wall_insulation_cm", dict),
+            window_shading_ratio=field(tables, "window_shading_ratio", dict),
+            solar_collector_area_m2={
+                int(k): number(v)
+                for k, v in field(tables, "solar_collector_area_m2", dict).items()},
+            tank_volume_bounds_l_m2=(field(bounds, "min", float),
+                                     field(bounds, "max", float)),
+            solar_productivity_floor_kwh_m2=field(
+                tables, "solar_productivity_floor_kwh_m2", float),
+        )
+    except (TypeError, ValueError) as exc:
+        raise CatalogueError(f"catalogue tables malformed: {exc}") from exc
     _check_complete(cat)
     return cat
 
 
 def _check_complete(cat: RuleCatalogue) -> None:
-    for regime in ("simple", "well_ventilated_attic"):
-        for color in ColorClass:
-            for ref in ("polystyrene", "polyurethane"):
-                try:
-                    cat.roof_cm(regime, color, ref)
-                except KeyError as exc:
-                    raise CatalogueError(
-                        f"roof table incomplete: {regime}/{color.value}/{ref}") from exc
+    """Every cell the rules can look up must hold a finite number."""
+    lookups = [("roof", cat.roof_cm, (regime, color, ref))
+               for regime in ("simple", "well_ventilated_attic")
+               for color in ColorClass
+               for ref in ("polystyrene", "polyurethane")]
     for construction in WallConstruction:
         for color in (ColorClass.LIGHT, ColorClass.MEDIUM):
             for orientation in Orientation:
-                try:
-                    cat.overhang_ratio(construction, color, orientation)
-                    cat.insulation_cm(construction, color, orientation)
-                except KeyError as exc:
-                    raise CatalogueError(
-                        f"wall tables incomplete: {construction.value}/"
-                        f"{color.value}/{orientation.value}") from exc
-    for orientation in Orientation:
-        if orientation.value not in cat.window_shading_ratio:
-            raise CatalogueError(f"window table incomplete: {orientation.value}")
-    if not cat.solar_collector_area_m2:
-        raise CatalogueError("solar collector table is empty")
+                args = (construction, color, orientation)
+                lookups += [("wall overhang", cat.overhang_ratio, args),
+                            ("wall insulation", cat.insulation_cm, args)]
+    lookups += [("window", cat.window_ratio, (o,)) for o in Orientation]
+    for table, lookup, args in lookups:
+        try:
+            number(lookup(*args))
+        except (KeyError, TypeError) as exc:
+            where = "/".join(getattr(a, "value", a) for a in args)
+            raise CatalogueError(f"{table} table incomplete or malformed: {where}") from exc
+    for ref in ("polystyrene", "polyurethane"):
+        if not cat.reference_conductivities.get(ref, 0.0) > 0:
+            raise CatalogueError(f"reference conductivity of {ref} must be > 0")
+    collector = sorted(cat.solar_collector_area_m2)
+    if not collector or collector != list(range(1, len(collector) + 1)):
+        raise CatalogueError("solar collector table must list dwelling types 1 to N")
 
 
 def load_catalogue(path: str | os.PathLike | None = None) -> RuleCatalogue:
@@ -177,11 +175,11 @@ def load_catalogue(path: str | os.PathLike | None = None) -> RuleCatalogue:
         path = os.environ.get(CATALOGUE_ENV_VAR) or None
     if path is None:
         return default_catalogue()
+    doc = read_json(path, CatalogueError)
     try:
-        doc = json.loads(Path(path).read_text("utf-8"))
-    except json.JSONDecodeError as exc:
-        raise CatalogueError(f"catalogue is not valid JSON: {exc}") from exc
-    return catalogue_from_dict(doc)
+        return catalogue_from_dict(doc)
+    except CatalogueError as exc:
+        raise CatalogueError(f"{path}: {exc}") from exc
 
 
 @functools.cache
@@ -191,5 +189,5 @@ def default_catalogue() -> RuleCatalogue:
     Parsed once per process; every caller shares the returned object, so
     its tables must not be mutated.
     """
-    text = resources.files("ecodom.data").joinpath(_BUNDLED).read_text("utf-8")
-    return catalogue_from_dict(json.loads(text))
+    return catalogue_from_dict(
+        read_json(resources.files("ecodom.data").joinpath(_BUNDLED), CatalogueError))

@@ -2,7 +2,9 @@
 
 Linter-style batch tool: edit the building/series files, rerun, read the
 report.  Exit codes are a stable contract: 0 compliant / success,
-1 compliance failure, 2 usage or input error.
+1 compliance failure, 2 usage or input error (one ``error:`` line on
+stderr), 3 internal error (a defect in ecodom, never a verdict on the
+input).
 
 Subcommands:
 
@@ -14,12 +16,10 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
-from .building import BuildingValidationError
-from .catalogue import CatalogueError, load_catalogue
+from .catalogue import load_catalogue
 from .comfort import (
     DEFAULT_ZONE,
     PsychroPoint,
@@ -28,17 +28,11 @@ from .comfort import (
     paired_offset,
     psychro_scatter_rows,
 )
-from .dataio import (
-    SchemaVersionError,
-    SeriesFormatError,
-    load_building,
-    load_indoor,
-    load_weather,
-)
+from .dataio import load_building, load_indoor, load_weather
+from .errors import InputError, read_json
 from .rules import compliance_report
 from .thermal import (
     ScenarioError,
-    WeatherGapError,
     gain_breakdown,
     result_to_csv,
     simulate,
@@ -48,10 +42,7 @@ from .thermal import (
 EXIT_OK = 0
 EXIT_NONCOMPLIANT = 1
 EXIT_INPUT_ERROR = 2
-
-
-class _InputError(Exception):
-    pass
+EXIT_INTERNAL_ERROR = 3
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -92,20 +83,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_scenario(path: str | None) -> dict:
-    if path is None:
-        return {}
-    try:
-        doc = json.loads(Path(path).read_text("utf-8"))
-    except FileNotFoundError as exc:
-        raise _InputError(f"scenario file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise _InputError(f"scenario file {path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise _InputError(f"scenario file {path}: expected a JSON object")
-    return doc
-
-
 def _cmd_check(args) -> int:
     catalogue = load_catalogue(args.catalogue)
     building = load_building(args.building)
@@ -140,7 +117,7 @@ def _print_summary(name: str, result) -> None:
 
 def _cmd_simulate(args) -> int:
     weather = load_weather(args.weather)
-    scenario = _load_scenario(args.scenario)
+    scenario = read_json(args.scenario, ScenarioError) if args.scenario else {}
     building, result = _simulate_one(args.building, weather, scenario, args.out)
     _print_summary(building.name, result)
     if args.paired:
@@ -159,16 +136,8 @@ def _cmd_simulate(args) -> int:
 def _cmd_comfort(args) -> int:
     series = load_indoor(args.indoor)
     if len(series) == 0:
-        raise _InputError(f"indoor series {args.indoor} is empty")
-    if args.zone:
-        if not Path(args.zone).exists():
-            raise _InputError(f"zone file not found: {args.zone}")
-        try:
-            zone = load_zone(args.zone)
-        except (ValueError, KeyError, json.JSONDecodeError) as exc:
-            raise _InputError(f"zone file {args.zone}: {exc}") from exc
-    else:
-        zone = DEFAULT_ZONE
+        raise InputError(f"indoor series {args.indoor} is empty")
+    zone = load_zone(args.zone) if args.zone else DEFAULT_ZONE
 
     points = [
         PsychroPoint(
@@ -187,7 +156,7 @@ def _cmd_comfort(args) -> int:
     zones = series.zones()
     if len(zones) == 2:
         a, b = (series.for_zone(z) for z in zones)
-        if len(a) == len(b):
+        if [r.timestamp for r in a] == [r.timestamp for r in b]:
             offsets = paired_offset(
                 [(r.timestamp, r.comfort_temperature_c) for r in a],
                 [(r.timestamp, r.comfort_temperature_c) for r in b])
@@ -210,14 +179,20 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (FileNotFoundError, IsADirectoryError) as exc:
-        print(f"error: file not found: {exc.filename or exc}", file=sys.stderr)
-    except (_InputError, SeriesFormatError, SchemaVersionError, CatalogueError,
-            BuildingValidationError, WeatherGapError, ScenarioError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, UnicodeError) as exc:
+        _report("error: cannot read or write file", exc)
+    except InputError as exc:
+        _report("error", exc)
+    except Exception as exc:  # a defect in ecodom, not in the input
+        _report(f"internal error: {type(exc).__name__}", exc)
+        return EXIT_INTERNAL_ERROR
     return EXIT_INPUT_ERROR
+
+
+def _report(prefix: str, exc: Exception) -> None:
+    """One line on stderr, whatever newlines the message carries."""
+    message = " ".join(str(exc).splitlines())
+    print(f"{prefix}: {message}", file=sys.stderr)
 
 
 if __name__ == "__main__":

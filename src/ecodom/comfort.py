@@ -11,15 +11,17 @@ from a zone file.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from dataclasses import field as dataclass_field
 from pathlib import Path
+
+from .errors import InputError, field, number, read_json
 
 STANDARD_PRESSURE_PA = 101325.0
 
-_T_MIN_C = -20.0
-_T_MAX_C = 60.0
+T_MIN_C = -20.0
+T_MAX_C = 60.0
 
 
 def saturation_vapor_pressure(t_c: float) -> float:
@@ -28,9 +30,9 @@ def saturation_vapor_pressure(t_c: float) -> float:
     Magnus-form correlation (Alduchov-Eskridge coefficients), good to a
     few tenths of a percent between 0 and 50 degC.
     """
-    if not _T_MIN_C <= t_c <= _T_MAX_C:
+    if not T_MIN_C <= t_c <= T_MAX_C:
         raise ValueError(f"temperature {t_c} degC outside supported range "
-                         f"[{_T_MIN_C}, {_T_MAX_C}]")
+                         f"[{T_MIN_C}, {T_MAX_C}]")
     return 610.94 * math.exp(17.625 * t_c / (t_c + 243.04))
 
 
@@ -57,7 +59,7 @@ class PsychroPoint:
     temperature_c: float
     rh_pct: float
     air_speed_m_s: float = 0.0
-    humidity_ratio_g_kg: float = field(init=False)
+    humidity_ratio_g_kg: float = dataclass_field(init=False)
 
     def __post_init__(self) -> None:
         if self.air_speed_m_s < 0:
@@ -140,16 +142,16 @@ DEFAULT_ZONE = ComfortZone(
 def load_zone(path: str | Path) -> ComfortZone:
     """Read a zone override file: {"vertices": [[T, w], ...],
     "extension_c_per_m_s": k, "max_extended_temp_c": cap}."""
-    doc = json.loads(Path(path).read_text("utf-8"))
+    doc = read_json(path)
     try:
-        vertices = tuple((float(t), float(w)) for t, w in doc["vertices"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"zone file {path}: malformed 'vertices'") from exc
-    return ComfortZone(
-        vertices=vertices,
-        extension_c_per_m_s=float(doc.get("extension_c_per_m_s", 2.0)),
-        max_extended_temp_c=float(doc.get("max_extended_temp_c", 32.0)),
-    )
+        return ComfortZone(
+            vertices=tuple((number(t), number(w))
+                           for t, w in field(doc, "vertices", list)),
+            extension_c_per_m_s=field(doc, "extension_c_per_m_s", float, 2.0),
+            max_extended_temp_c=field(doc, "max_extended_temp_c", float, 32.0),
+        )
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"zone file {path}: {exc}") from exc
 
 
 def _on_segment(px: float, py: float, ax: float, ay: float,
@@ -263,8 +265,3 @@ def psychro_scatter_rows(points: list[PsychroPoint],
     for t, w in zone.vertices:
         lines.append(f"zone_vertex,{t!r},{w!r},")
     return "\n".join(lines) + "\n"
-
-
-def psychro_scatter_export(points: list[PsychroPoint], path: str | Path,
-                           zone: ComfortZone = DEFAULT_ZONE) -> None:
-    Path(path).write_text(psychro_scatter_rows(points, zone), "utf-8")

@@ -16,6 +16,8 @@ from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
 
 from . import building as bm
+from .comfort import T_MAX_C, T_MIN_C
+from .errors import InputError, field, read_json
 from .solar import solar_position
 
 BUILDING_SCHEMA_VERSION = 1
@@ -26,11 +28,11 @@ INDOOR_COLUMNS = ("timestamp", "zone", "temp_air_c", "temp_resultant_c",
                   "rh_pct", "air_speed_m_s")
 
 
-class SeriesFormatError(ValueError):
+class SeriesFormatError(InputError):
     """Malformed series file; the message carries the offending line number."""
 
 
-class SchemaVersionError(ValueError):
+class SchemaVersionError(InputError):
     """Building file declares a schema version this code does not read."""
 
 
@@ -98,10 +100,10 @@ def weather_grid(timestamps: list[datetime]) -> tuple[float, tuple[datetime, ...
     between them.
 
     The base step is the smallest spacing, in seconds; every spacing must
-    be a whole multiple of it, else ValueError.
+    be a whole multiple of it, else SeriesFormatError.
     """
     if len(timestamps) < 2:
-        raise ValueError("weather series too short")
+        raise SeriesFormatError("weather series too short")
     spans = [(b - a).total_seconds() for a, b in zip(timestamps, timestamps[1:])]
     step_s = min(spans)
     step = timedelta(seconds=step_s)
@@ -109,7 +111,7 @@ def weather_grid(timestamps: list[datetime]) -> tuple[float, tuple[datetime, ...
     for a, b, span in zip(timestamps, timestamps[1:], spans):
         steps = round(span / step_s)
         if abs(span / step_s - steps) > 1e-6:
-            raise ValueError(
+            raise SeriesFormatError(
                 f"weather spacing at {b} is not a multiple of "
                 f"the {step_s:.0f}s base step")
         for k in range(1, steps):
@@ -153,10 +155,7 @@ def load_weather(path: str | Path) -> WeatherSeries:
         records.append(rec)
     gaps: tuple[datetime, ...] = ()
     if len(records) > 1:
-        try:
-            _, gaps = weather_grid([r.timestamp for r in records])
-        except ValueError as exc:
-            raise SeriesFormatError(str(exc)) from exc
+        _, gaps = weather_grid([r.timestamp for r in records])
     return WeatherSeries(records=tuple(records), gaps=gaps)
 
 
@@ -239,16 +238,18 @@ def load_indoor(path: str | Path) -> IndoorSeries:
         rh = _parse_float(parts[4], "rh_pct", line_no)
         if not 0.0 <= rh <= 100.0:
             raise SeriesFormatError(f"line {line_no}: rh_pct {rh} outside [0, 100]")
-        records.append(IndoorRecord(
-            timestamp=_parse_timestamp(parts[0], line_no),
-            zone=parts[1],
-            temp_air_c=_parse_float(parts[2], "temp_air_c", line_no),
-            temp_resultant_c=(None if parts[3] == ""
-                              else _parse_float(parts[3], "temp_resultant_c", line_no)),
-            rh_pct=rh,
-            air_speed_m_s=(None if parts[5] == ""
-                           else _parse_float(parts[5], "air_speed_m_s", line_no)),
-        ))
+        timestamp = _parse_timestamp(parts[0], line_no)
+        air = _parse_float(parts[2], "temp_air_c", line_no)
+        resultant = (None if parts[3] == ""
+                     else _parse_float(parts[3], "temp_resultant_c", line_no))
+        speed = None if parts[5] == "" else _parse_float(parts[5], "air_speed_m_s", line_no)
+        if speed is not None and speed < 0:
+            raise SeriesFormatError(f"line {line_no}: air_speed_m_s {speed} must be >= 0")
+        comfort = air if resultant is None else resultant
+        if not T_MIN_C <= comfort <= T_MAX_C:
+            raise SeriesFormatError(f"line {line_no}: comfort temperature {comfort} outside "
+                                    f"the supported [{T_MIN_C}, {T_MAX_C}] degC")
+        records.append(IndoorRecord(timestamp, parts[1], air, resultant, rh, speed))
     try:
         return IndoorSeries(records=tuple(records))
     except ValueError as exc:
@@ -274,10 +275,10 @@ def _insulation_from_dict(doc: dict | None) -> bm.InsulationLayer:
     if doc is None:
         return bm.NO_INSULATION
     return bm.InsulationLayer(
-        material_name=doc["material"],
-        conductivity_w_mk=float(doc["conductivity_w_mk"]),
-        thickness_cm=float(doc["thickness_cm"]),
-        humidity_protected=bool(doc.get("humidity_protected", False)),
+        material_name=field(doc, "material", str),
+        conductivity_w_mk=field(doc, "conductivity_w_mk", float),
+        thickness_cm=field(doc, "thickness_cm", float),
+        humidity_protected=field(doc, "humidity_protected", bool, False),
     )
 
 
@@ -292,84 +293,90 @@ def _insulation_to_dict(layer: bm.InsulationLayer) -> dict:
 
 def _openings(docs: list[dict]) -> tuple[bm.Opening, ...]:
     return tuple(bm.Opening(
-        id=d["id"],
-        net_area_m2=float(d["net_area_m2"]),
-        facade_id=d.get("facade_id"),
+        id=field(d, "id", str),
+        net_area_m2=field(d, "net_area_m2", float),
+        facade_id=None if d.get("facade_id") is None else field(d, "facade_id", str),
     ) for d in docs)
 
 
 def building_from_dict(doc: dict) -> bm.BuildingDescription:
-    """Construct a description from parsed JSON; structural problems raise
-    KeyError/ValueError, semantic ones are left to :func:`building.validate`."""
+    """Construct a description from parsed JSON.
+
+    A missing field or a value of the wrong JSON type raises
+    ValueError/TypeError, as does a value a constructor refuses; semantic
+    problems are left to :func:`building.validate`.
+    """
     version = doc.get("schema_version")
     if version != BUILDING_SCHEMA_VERSION:
         raise SchemaVersionError(
             f"building schema version {version!r} not supported "
             f"(expected {BUILDING_SCHEMA_VERSION})")
-    roof_doc = doc["roof"]
+    roof_doc = field(doc, "roof", dict)
     roof = bm.RoofSpec(
-        color=bm.ColorClass(roof_doc["color"]),
-        attic=bm.AtticRegime(roof_doc.get("attic", "none")),
+        color=bm.ColorClass(field(roof_doc, "color", str)),
+        attic=bm.AtticRegime(field(roof_doc, "attic", str, "none")),
         insulation=_insulation_from_dict(roof_doc.get("insulation")),
-        area_m2=float(roof_doc["area_m2"]),
+        area_m2=field(roof_doc, "area_m2", float),
     )
     walls = tuple(bm.WallSpec(
-        id=w["id"],
-        construction=bm.WallConstruction(w["construction"]),
-        color=bm.ColorClass(w["color"]),
-        azimuth_deg=float(w["azimuth_deg"]),
-        area_m2=float(w["area_m2"]),
-        overhang_depth_m=float(w.get("overhang_depth_m", 0.0)),
-        overhang_height_m=float(w.get("overhang_height_m", 0.0)),
+        id=field(w, "id", str),
+        construction=bm.WallConstruction(field(w, "construction", str)),
+        color=bm.ColorClass(field(w, "color", str)),
+        azimuth_deg=field(w, "azimuth_deg", float),
+        area_m2=field(w, "area_m2", float),
+        overhang_depth_m=field(w, "overhang_depth_m", float, 0.0),
+        overhang_height_m=field(w, "overhang_height_m", float, 0.0),
         insulation=_insulation_from_dict(w.get("insulation")),
-        full_shading=bool(w.get("full_shading", False)),
-    ) for w in doc.get("walls", []))
+        full_shading=field(w, "full_shading", bool, False),
+    ) for w in field(doc, "walls", list, []))
     windows = tuple(bm.WindowSpec(
-        id=w["id"],
-        azimuth_deg=float(w["azimuth_deg"]),
-        glazed_area_m2=float(w["glazed_area_m2"]),
-        height_m=float(w["height_m"]),
-        shading_case=bm.ShadingCase(w.get("shading_case", "case2")),
-        overhang_depth_m=float(w.get("overhang_depth_m", 0.0)),
-        overhang_offset_m=float(w.get("overhang_offset_m", 0.0)),
-        mobile_shading=bool(w.get("mobile_shading", False)),
-    ) for w in doc.get("windows", []))
+        id=field(w, "id", str),
+        azimuth_deg=field(w, "azimuth_deg", float),
+        glazed_area_m2=field(w, "glazed_area_m2", float),
+        height_m=field(w, "height_m", float),
+        shading_case=bm.ShadingCase(field(w, "shading_case", str, "case2")),
+        overhang_depth_m=field(w, "overhang_depth_m", float, 0.0),
+        overhang_offset_m=field(w, "overhang_offset_m", float, 0.0),
+        mobile_shading=field(w, "mobile_shading", bool, False),
+    ) for w in field(doc, "windows", list, []))
     rooms = tuple(bm.Room(
-        id=r["id"],
-        kind=bm.RoomKind(r["kind"]),
-        floor_level=int(r.get("floor_level", 0)),
-        under_roof=bool(r.get("under_roof", False)),
-        facades=tuple(bm.FacadeMembership(m["facade_id"], float(m["gross_area_m2"]))
-                      for m in r.get("facades", [])),
-        external_openings=_openings(r.get("external_openings", [])),
-        internal_openings=_openings(r.get("internal_openings", [])),
-    ) for r in doc.get("rooms", []))
+        id=field(r, "id", str),
+        kind=bm.RoomKind(field(r, "kind", str)),
+        floor_level=field(r, "floor_level", int, 0),
+        under_roof=field(r, "under_roof", bool, False),
+        facades=tuple(bm.FacadeMembership(field(m, "facade_id", str),
+                                          field(m, "gross_area_m2", float))
+                      for m in field(r, "facades", list, [])),
+        external_openings=_openings(field(r, "external_openings", list, [])),
+        internal_openings=_openings(field(r, "internal_openings", list, [])),
+    ) for r in field(doc, "rooms", list, []))
     pairs = tuple(bm.FacadePair(
-        facade_1_id=p["facade_1_id"],
-        facade_2_id=p["facade_2_id"],
-        facade_1_area_m2=float(p["facade_1_area_m2"]),
-        facade_2_area_m2=float(p["facade_2_area_m2"]),
-    ) for p in doc.get("facade_pairs", []))
-    heater_doc = doc["water_heater"]
+        facade_1_id=field(p, "facade_1_id", str),
+        facade_2_id=field(p, "facade_2_id", str),
+        facade_1_area_m2=field(p, "facade_1_area_m2", float),
+        facade_2_area_m2=field(p, "facade_2_area_m2", float),
+    ) for p in field(doc, "facade_pairs", list, []))
+    heater_doc = field(doc, "water_heater", dict)
     heater = bm.WaterHeaterSpec(
-        kind=bm.WaterHeaterKind(heater_doc["kind"]),
-        collector_area_m2=float(heater_doc.get("collector_area_m2", 0.0)),
-        tank_volume_l=float(heater_doc.get("tank_volume_l", 0.0)),
-        annual_productivity_kwh_m2=float(heater_doc.get("annual_productivity_kwh_m2", 0.0)),
-        certified=bool(heater_doc.get("certified", False)),
+        kind=bm.WaterHeaterKind(field(heater_doc, "kind", str)),
+        collector_area_m2=field(heater_doc, "collector_area_m2", float, 0.0),
+        tank_volume_l=field(heater_doc, "tank_volume_l", float, 0.0),
+        annual_productivity_kwh_m2=field(heater_doc, "annual_productivity_kwh_m2",
+                                         float, 0.0),
+        certified=field(heater_doc, "certified", bool, False),
     )
     return bm.BuildingDescription(
-        name=doc["name"],
-        latitude=float(doc["latitude"]),
-        longitude=float(doc["longitude"]),
-        dwelling_type=int(doc["dwelling_type"]),
+        name=field(doc, "name", str),
+        latitude=field(doc, "latitude", float),
+        longitude=field(doc, "longitude", float),
+        dwelling_type=field(doc, "dwelling_type", int),
         roof=roof,
         walls=walls,
         windows=windows,
         rooms=rooms,
         facade_pairs=pairs,
         water_heater=heater,
-        vegetation_note=doc.get("vegetation_note", ""),
+        vegetation_note=field(doc, "vegetation_note", str, ""),
     )
 
 
@@ -437,30 +444,14 @@ def building_to_dict(b: bm.BuildingDescription) -> dict:
     }
 
 
-def _finite_json_float(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"number {text} is out of range")
-    return value
-
-
-def _reject_json_constant(name: str):
-    raise ValueError(f"non-finite number {name} is not allowed")
-
-
 def load_building(path: str | Path) -> bm.BuildingDescription:
     """Load and validate a building description file."""
-    text = Path(path).read_text("utf-8")
-    try:
-        doc = json.loads(text, parse_float=_finite_json_float,
-                         parse_constant=_reject_json_constant)
-    except ValueError as exc:
-        raise SeriesFormatError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise SeriesFormatError(f"{path}: expected a JSON object at the top level")
+    doc = read_json(path, SeriesFormatError)
     try:
         description = building_from_dict(doc)
-    except (KeyError, TypeError, OverflowError) as exc:
+    except InputError:
+        raise
+    except (TypeError, ValueError) as exc:
         raise SeriesFormatError(f"{path}: missing or malformed field: {exc}") from exc
     issues = bm.validate(description)
     if issues:

@@ -14,6 +14,9 @@ from datetime import datetime, timezone
 
 DEG = math.pi / 180.0
 
+#: Ground reflectance seen by tilted surfaces.
+GROUND_ALBEDO = 0.2
+
 
 @dataclass(frozen=True)
 class SolarPosition:
@@ -27,10 +30,6 @@ class SolarPosition:
             raise ValueError("altitude must be in [-90, 90]")
         if not 0.0 <= self.azimuth_deg < 360.0:
             raise ValueError("azimuth must be in [0, 360)")
-
-    @property
-    def above_horizon(self) -> bool:
-        return self.altitude_deg > 0.0
 
 
 def _julian_day(when: datetime) -> float:
@@ -138,12 +137,11 @@ def incidence_cosine(sun: SolarPosition, surface_azimuth_deg: float,
 
 def surface_irradiance(sun: SolarPosition, direct_normal: float,
                        diffuse_horizontal: float, surface_azimuth_deg: float,
-                       surface_tilt_deg: float, ground_albedo: float = 0.2
-                       ) -> tuple[float, float]:
+                       surface_tilt_deg: float) -> tuple[float, float]:
     """(beam, diffuse) irradiance in W/m2 on a tilted surface.
 
-    Diffuse uses the isotropic sky model plus ground reflection of the
-    global horizontal.
+    Diffuse uses the isotropic sky model plus ground reflection
+    (:data:`GROUND_ALBEDO`) of the global horizontal.
     """
     beam = direct_normal * incidence_cosine(sun, surface_azimuth_deg, surface_tilt_deg)
     tilt = surface_tilt_deg * DEG
@@ -151,7 +149,7 @@ def surface_irradiance(sun: SolarPosition, direct_normal: float,
     ghi = diffuse_horizontal
     if sun.altitude_deg > 0:
         ghi += direct_normal * math.sin(sun.altitude_deg * DEG)
-    ground = ground_albedo * ghi * (1.0 - math.cos(tilt)) / 2.0
+    ground = GROUND_ALBEDO * ghi * (1.0 - math.cos(tilt)) / 2.0
     return beam, sky + ground
 
 

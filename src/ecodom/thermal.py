@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 from .building import BuildingDescription, facade_porosities
 from .dataio import WeatherSeries, weather_grid
+from .errors import InputError, is_number
 from .solar import (
     SolarPosition,
     overhang_shading_fraction,
@@ -148,7 +149,6 @@ class ZoneModel:
     surfaces: tuple[SurfaceModel, ...]
     apertures: VentilationApertures
     internal_gains_w: float | tuple[float, ...] = 0.0
-    mass_class: str = "heavy"
     h_exterior: float = DEFAULT_H_EXTERIOR
     h_interior: float = DEFAULT_H_INTERIOR
 
@@ -169,7 +169,7 @@ class ZoneModel:
         return float(self.internal_gains_w)
 
 
-class WeatherGapError(ValueError):
+class WeatherGapError(InputError):
     def __init__(self, missing):
         self.missing = list(missing)
         stamps = ", ".join(str(t) for t in self.missing[:6])
@@ -193,7 +193,6 @@ class SimulationResult:
     internal_gain_w: tuple[float, ...]
     surface_kinds: dict[str, str]
     max_residual_fraction: float
-    step_seconds: float
 
     def __len__(self) -> int:
         return len(self.timestamps)
@@ -217,9 +216,9 @@ def simulate(zone: ZoneModel, weather: WeatherSeries) -> SimulationResult:
     if missing:
         raise WeatherGapError(missing)
     if dt > 3600.0 + 1e-6:
-        raise ValueError("weather step must be one hour or finer")
+        raise InputError("weather step must be one hour or finer")
     if (records[-1].timestamp - records[0].timestamp).total_seconds() + dt < 24 * 3600.0 - 1e-6:
-        raise ValueError("weather must cover at least 24 hours")
+        raise InputError("weather must cover at least 24 hours")
 
     conductances = [s.area_m2 / s.resistance_m2k_w for s in zone.surfaces]
     r_film_in = 1.0 / zone.h_interior
@@ -306,7 +305,6 @@ def simulate(zone: ZoneModel, weather: WeatherSeries) -> SimulationResult:
         internal_gain_w=tuple(out_internal),
         surface_kinds={s.name: s.kind for s in zone.surfaces},
         max_residual_fraction=max_residual,
-        step_seconds=dt,
     )
 
 
@@ -339,10 +337,24 @@ SCENARIO_KEYS = frozenset({
 })
 
 
-class ScenarioError(ValueError):
-    def __init__(self, key: str):
-        self.key = key
-        super().__init__(f"unknown scenario key: {key!r}")
+def _scenario_rule(key: str, value) -> str | None:
+    """The rule a known scenario key's value breaks, or None if it meets it."""
+    if key == "roof_exposed":
+        return None if isinstance(value, bool) else "true or false"
+    if key == "mass_class":
+        known = isinstance(value, str) and value in MASS_CLASS_CAPACITANCE
+        return None if known else "'light' or 'heavy'"
+    if key == "internal_gains_w":
+        schedule = (isinstance(value, (list, tuple)) and len(value) == 24
+                    and all(is_number(g) for g in value))
+        return None if is_number(value) or schedule else "a number or a list of 24 numbers"
+    if key in ("window_transmittance", "window_shade_fraction"):
+        return None if is_number(value) and 0.0 <= value <= 1.0 else "a number in [0, 1]"
+    return None if is_number(value) and value > 0 else "a number > 0"
+
+
+class ScenarioError(InputError):
+    """Unknown scenario key or out-of-rule scenario value."""
 
 
 def zone_from_building(building: BuildingDescription,
@@ -353,12 +365,16 @@ def zone_from_building(building: BuildingDescription,
     supplies (or defaults fill in): floor area (defaults to the roof
     area), volume (floor area times 2.5 m), mass class and gains.
     ``roof_exposed: false`` models an intermediate-level flat whose
-    ceiling faces another dwelling instead of the sun.
+    ceiling faces another dwelling instead of the sun.  Unknown keys and
+    values that break their key's rule raise :class:`ScenarioError`.
     """
     scenario = dict(scenario or {})
-    for key in scenario:
+    for key, value in scenario.items():
         if key not in SCENARIO_KEYS:
-            raise ScenarioError(key)
+            raise ScenarioError(f"unknown scenario key: {key!r}")
+        rule = _scenario_rule(key, value)
+        if rule is not None:
+            raise ScenarioError(f"scenario {key} must be {rule}, got {value!r}")
 
     h_out = float(scenario.get("exterior_film_w_m2k", DEFAULT_H_EXTERIOR))
     h_in = float(scenario.get("interior_film_w_m2k", DEFAULT_H_INTERIOR))
@@ -367,12 +383,10 @@ def zone_from_building(building: BuildingDescription,
 
     floor_area = float(scenario.get("floor_area_m2", building.roof.area_m2))
     volume = float(scenario.get("volume_m3", floor_area * 2.5))
-    mass_class = str(scenario.get("mass_class", "heavy"))
-    if mass_class not in MASS_CLASS_CAPACITANCE:
-        raise ValueError(f"unknown mass class {mass_class!r}")
+    mass_class = scenario.get("mass_class", "heavy")
 
     surfaces: list[SurfaceModel] = []
-    if bool(scenario.get("roof_exposed", True)):
+    if scenario.get("roof_exposed", True):
         roof = building.roof
         surfaces.append(SurfaceModel(
             name="roof", kind="roof", area_m2=roof.area_m2,
@@ -419,9 +433,6 @@ def zone_from_building(building: BuildingDescription,
         delta_cp=float(scenario.get("delta_cp", DEFAULT_DELTA_CP)),
     )
 
-    gains = scenario.get("internal_gains_w", 0.0)
-    if not isinstance(gains, (int, float)):
-        gains = tuple(float(g) for g in gains)  # 24-value daily schedule
     return ZoneModel(
         name=building.name,
         latitude=building.latitude,
@@ -430,8 +441,7 @@ def zone_from_building(building: BuildingDescription,
         capacitance_j_k=MASS_CLASS_CAPACITANCE[mass_class] * floor_area,
         surfaces=tuple(surfaces),
         apertures=apertures,
-        internal_gains_w=gains,
-        mass_class=mass_class,
+        internal_gains_w=scenario.get("internal_gains_w", 0.0),
         h_exterior=h_out,
         h_interior=h_in,
     )

@@ -197,6 +197,17 @@ class TestValidation:
         fields = {i.field for i in validate(b)}
         assert fields == {"dwelling_type", "latitude"}
 
+    def test_azimuths_and_longitude_range_checked(self):
+        from ecodom.building import WallSpec, WindowSpec
+        b = _simple_building()
+        wall = WallSpec(id="w1", construction=WallConstruction.WOOD,
+                        color=ColorClass.LIGHT, azimuth_deg=360.0, area_m2=10.0)
+        window = WindowSpec(id="g1", azimuth_deg=-1.0, glazed_area_m2=1.0, height_m=1.0)
+        issues = validate(dataclasses.replace(b, walls=(wall,), windows=(window,),
+                                              longitude=181.0))
+        assert {str(i).split(":")[0] for i in issues} == {
+            "wall w1.azimuth_deg", "window g1.azimuth_deg", "building.longitude"}
+
     def test_golden_fixtures_are_valid(self, initial_building, final_building):
         assert validate(initial_building) == []
         assert validate(final_building) == []

@@ -151,3 +151,22 @@ def test_bundled_catalogue_parsed_once(monkeypatch):
     from ecodom.catalogue import CATALOGUE_ENV_VAR
     monkeypatch.delenv(CATALOGUE_ENV_VAR, raising=False)
     assert load_catalogue() is default_catalogue()
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda t: t["roof_insulation_cm"]["simple"]["light"].update(polystyrene=None),
+     "roof"),
+    (lambda t: t["wall_overhang_ratio"].update(wood=[]), "wall overhang"),
+    (lambda t: t["reference_conductivities_w_mk"].update(polystyrene=0.0),
+     "polystyrene"),
+    (lambda t: t["solar_collector_area_m2"].pop("3"), "collector"),
+    (lambda t: t["tank_volume_per_collector_l_m2"].pop("max"), "max"),
+], ids=["null-cell", "list-row", "zero-conductivity", "collector-gap", "missing-bound"])
+def test_malformed_tables_rejected(edit, message):
+    from ecodom.catalogue import _BUNDLED
+    from importlib import resources
+    doc = json.loads(resources.files("ecodom.data").joinpath(_BUNDLED).read_text())
+    edit(doc["tables"])
+    doc["checksum"] = tables_checksum(doc["tables"])
+    with pytest.raises(CatalogueError, match=message):
+        catalogue_from_dict(doc)

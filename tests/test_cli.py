@@ -214,3 +214,126 @@ class TestComfort:
         empty.write_text(
             "timestamp,zone,temp_air_c,temp_resultant_c,rh_pct,air_speed_m_s\n")
         assert main(["comfort", str(empty)]) == EXIT_INPUT_ERROR
+
+
+def _bundled_catalogue() -> dict:
+    import importlib.resources as resources
+    return json.loads(resources.files("ecodom.data")
+                      .joinpath("catalogue.json").read_text())
+
+
+def _assert_one_error_line(code, capsys) -> str:
+    assert code == EXIT_INPUT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    return err
+
+
+class TestInputBoundary:
+    """Each input once crashed with a traceback (exit 1) or was silently
+    accepted; all must exit 2 with a single error line."""
+
+    @pytest.mark.parametrize("text", [
+        '{"exterior_film_w_m2k": 0}',
+        '{"internal_gains_w": null}',
+        '{"delta_cp": null}',
+        '{"roof_exposed": "false"}',
+        '{"internal_gains_w": NaN}',
+        '{"window_transmittance": -3}',
+        '{"window_shade_fraction": 5}',
+    ], ids=["zero-film", "null-gains", "null-delta-cp", "string-bool", "nan-gains",
+            "negative-transmittance", "shade-above-one"])
+    def test_bad_scenario_value(self, tmp_path, weather_csv, capsys, text):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(text)
+        code = main(["simulate", str(FINAL_FIXTURE), "--weather", str(weather_csv),
+                     "--scenario", str(scenario)])
+        _assert_one_error_line(code, capsys)
+
+    @pytest.mark.parametrize("text", [
+        '{"vertices": [[20, 3], [24, 3], [24, 15]], "extension_c_per_m_s": null}',
+        '{"vertices": [[20, 3], [24, 3], [24, NaN]]}',
+    ], ids=["null-extension", "nan-vertex"])
+    def test_bad_zone_value(self, tmp_path, capsys, text):
+        zone = tmp_path / "zone.json"
+        zone.write_text(text)
+        code = main(["comfort", str(_indoor_series_csv(tmp_path)), "--zone", str(zone)])
+        _assert_one_error_line(code, capsys)
+
+    def test_malformed_zone_file_named_once(self, tmp_path, capsys):
+        zone = tmp_path / "zone.json"
+        zone.write_text('{"vertices": 5}')
+        code = main(["comfort", str(_indoor_series_csv(tmp_path)), "--zone", str(zone)])
+        err = _assert_one_error_line(code, capsys)
+        assert err.count(str(zone)) == 1
+
+    @pytest.mark.parametrize("table,key,value", [
+        ("porosity_threshold", None, None),
+        ("window_shading_ratio", "east", float("nan")),
+    ], ids=["null-threshold", "nan-window-cell"])
+    def test_bad_rechecksummed_catalogue_cell(self, tmp_path, capsys, table, key, value):
+        from ecodom.catalogue import tables_checksum
+        doc = _bundled_catalogue()
+        if key is None:
+            doc["tables"][table] = value
+        else:
+            doc["tables"][table][key] = value
+        doc["checksum"] = tables_checksum(doc["tables"])
+        path = tmp_path / "catalogue.json"
+        path.write_text(json.dumps(doc))
+        code = main(["check", str(FINAL_FIXTURE), "--catalogue", str(path)])
+        assert str(path) in _assert_one_error_line(code, capsys)
+
+    def test_deeply_nested_building(self, tmp_path, capsys):
+        path = tmp_path / "building.json"
+        path.write_text("[" * 5000)
+        _assert_one_error_line(main(["check", str(path)]), capsys)
+
+    def test_lone_surrogate_in_building_name(self, tmp_path, capsys):
+        doc = json.loads(FINAL_FIXTURE.read_text())
+        doc["name"] = "\udc00"
+        path = tmp_path / "building.json"
+        path.write_text(json.dumps(doc))
+        err = _assert_one_error_line(main(["check", str(path)]), capsys)
+        assert "surrogate" in err
+
+    def test_non_object_catalogue(self, tmp_path, capsys):
+        path = tmp_path / "catalogue.json"
+        path.write_text("5")
+        code = main(["check", str(FINAL_FIXTURE), "--catalogue", str(path)])
+        _assert_one_error_line(code, capsys)
+
+    def test_wall_azimuth_360_through_simulate(self, tmp_path, weather_csv, capsys):
+        from ecodom.dataio import building_to_dict, load_building
+        doc = building_to_dict(load_building(FINAL_FIXTURE))
+        doc["walls"][0]["azimuth_deg"] = 360.0
+        path = tmp_path / "building.json"
+        path.write_text(json.dumps(doc))
+        code = main(["simulate", str(path), "--weather", str(weather_csv)])
+        err = _assert_one_error_line(code, capsys)
+        assert "wall north.azimuth_deg" in err
+
+    def test_misaligned_zones_print_no_offset(self, tmp_path, capsys):
+        base = datetime(2026, 2, 1, tzinfo=timezone.utc)
+        records = [IndoorRecord(base + timedelta(hours=i), "a", 27.0, None, 55.0, None)
+                   for i in range(4)]
+        records += [IndoorRecord(base + timedelta(hours=i, minutes=30), "b", 26.0,
+                                 None, 55.0, None) for i in range(4)]
+        path = tmp_path / "indoor.csv"
+        write_indoor(IndoorSeries(records=tuple(records)), path)
+        assert main(["comfort", str(path)]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert "discomfort" in captured.out and "offset" not in captured.out
+        assert captured.err == ""
+
+    def test_program_defect_exits_three(self, monkeypatch, capsys):
+        import ecodom.cli as cli
+
+        def broken(*args, **kwargs):
+            raise ZeroDivisionError("division by zero")
+
+        monkeypatch.setattr(cli, "compliance_report", broken)
+        assert main(["check", str(FINAL_FIXTURE)]) == cli.EXIT_INTERNAL_ERROR
+        err = capsys.readouterr().err
+        assert err == "internal error: ZeroDivisionError: division by zero\n"

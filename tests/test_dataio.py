@@ -200,6 +200,19 @@ class TestIndoorIO:
         with pytest.raises(SeriesFormatError, match="line 3.*temp_air_c"):
             load_indoor(path)
 
+    @pytest.mark.parametrize("row", [
+        "2026-02-01T00:30:00+00:00,z1,28.0,,60.0,-0.5",
+        "2026-02-01T00:30:00+00:00,z1,28.0,75.0,60.0,",
+        "2026-02-01T00:30:00+00:00,z1,-30.0,,60.0,"],
+        ids=["negative-air-speed", "hot-resultant", "cold-air"])
+    def test_out_of_range_comfort_inputs_report_line(self, tmp_path, row):
+        path = tmp_path / "indoor.csv"
+        path.write_text(
+            "timestamp,zone,temp_air_c,temp_resultant_c,rh_pct,air_speed_m_s\n"
+            "2026-02-01T00:00:00+00:00,z1,28.0,,60.0,\n" + row + "\n")
+        with pytest.raises(SeriesFormatError, match="line 3"):
+            load_indoor(path)
+
 
 class TestBuildingIO:
     def test_fixture_parses_and_validates(self, initial_building):
@@ -251,4 +264,19 @@ class TestBuildingIO:
         path = tmp_path / "b.json"
         path.write_text("{ nope")
         with pytest.raises(SeriesFormatError, match="JSON"):
+            load_building(path)
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("roof", "area_m2", "nan"), ("roof", "area_m2", None), ("roof", "color", 3),
+        ("walls", "id", ["w"]), ("water_heater", "certified", "no"),
+        (None, "dwelling_type", 4.5), (None, "roof", [])],
+        ids=["string-nan", "null-area", "numeric-enum", "list-id", "string-bool",
+             "float-count", "list-section"])
+    def test_wrong_json_type_rejected(self, tmp_path, final_building, section, key, value):
+        doc = building_to_dict(final_building)
+        target = doc if section is None else doc[section]
+        (target[0] if isinstance(target, list) else target)[key] = value
+        path = tmp_path / "b.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SeriesFormatError, match=key):
             load_building(path)

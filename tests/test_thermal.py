@@ -75,6 +75,12 @@ def _calm_weather(days=2, t_out=28.0):
 
 
 class TestSimulate:
+    def test_short_or_coarse_weather_is_an_input_error(self, week):
+        from ecodom.errors import InputError
+        for records in (week.records[:1], week.records[:12], week.records[::2]):
+            with pytest.raises(InputError):
+                simulate(compliant_zone(), WeatherSeries(records=records))
+
     def test_equilibrium_without_forcing(self):
         zone = compliant_zone()
         result = simulate(zone, _calm_weather(days=4, t_out=28.0))
@@ -241,6 +247,20 @@ class TestZoneFromBuilding:
     def test_unknown_scenario_key(self, final_building):
         with pytest.raises(ScenarioError, match="hvac_mode"):
             zone_from_building(final_building, {"hvac_mode": "off"})
+
+    @pytest.mark.parametrize("key,value", [
+        ("floor_area_m2", 0), ("volume_m3", -1.0), ("discharge_coefficient", True),
+        ("delta_cp", "0.5"), ("interior_film_w_m2k", float("inf")),
+        ("mass_class", ["light"]), ("internal_gains_w", [100.0] * 23),
+        ("internal_gains_w", [100.0] * 23 + [float("nan")]),
+        ("window_transmittance", 1.5), ("roof_exposed", 0)])
+    def test_scenario_value_rules(self, final_building, key, value):
+        with pytest.raises(ScenarioError, match=key):
+            zone_from_building(final_building, {key: value})
+
+    def test_scenario_schedule_accepts_24_values(self, final_building):
+        zone = zone_from_building(final_building, {"internal_gains_w": [10] * 24})
+        assert zone.internal_gains_w == (10.0,) * 24
 
     def test_simulates_end_to_end(self, final_building, week):
         result = simulate(zone_from_building(final_building), week)
