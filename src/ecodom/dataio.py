@@ -29,11 +29,32 @@ INDOOR_COLUMNS = ("timestamp", "zone", "temp_air_c", "temp_resultant_c",
 
 
 class SeriesFormatError(InputError):
-    """Malformed series file; the message carries the offending line number."""
+    """Malformed series; the message names the offending line or record."""
 
 
 class SchemaVersionError(InputError):
     """Building file declares a schema version this code does not read."""
+
+
+def _read_rows(path: str | Path, columns: tuple[str, ...]):
+    """Yield ``(line_no, cells)`` for each non-blank row after the header."""
+    lines = Path(path).read_text("utf-8").splitlines()
+    if not lines or tuple(lines[0].split(",")) != columns:
+        raise SeriesFormatError(f"line 1: expected header {','.join(columns)}")
+    for line_no, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        cells = line.split(",")
+        if len(cells) != len(columns):
+            raise SeriesFormatError(
+                f"line {line_no}: expected {len(columns)} columns, got {len(cells)}")
+        yield line_no, cells
+
+
+def _write_rows(path: str | Path, columns: tuple[str, ...], rows) -> None:
+    lines = [",".join(columns)]
+    lines.extend(",".join(cells) for cells in rows)
+    Path(path).write_text("\n".join(lines) + "\n", "utf-8")
 
 
 def _parse_timestamp(text: str, line_no: int) -> datetime:
@@ -74,25 +95,8 @@ class WeatherSeries:
     records: tuple[WeatherRecord, ...]
     gaps: tuple[datetime, ...] = ()
 
-    def __post_init__(self) -> None:
-        for prev, cur in zip(self.records, self.records[1:]):
-            if cur.timestamp <= prev.timestamp:
-                raise ValueError(f"timestamps not strictly increasing at {cur.timestamp}")
-        for rec in self.records:
-            _check_weather_ranges(rec, line_no=None)
-
     def __len__(self) -> int:
         return len(self.records)
-
-
-def _check_weather_ranges(rec: WeatherRecord, line_no: int | None) -> None:
-    where = f"line {line_no}: " if line_no is not None else f"{rec.timestamp}: "
-    if not 0.0 <= rec.rh_pct <= 100.0:
-        raise SeriesFormatError(where + f"rh_pct {rec.rh_pct} outside [0, 100]")
-    if rec.solar_direct_w_m2 < 0 or rec.solar_diffuse_w_m2 < 0:
-        raise SeriesFormatError(where + "solar irradiance must be >= 0")
-    if rec.wind_speed_m_s < 0:
-        raise SeriesFormatError(where + "wind speed must be >= 0")
 
 
 def weather_grid(timestamps: list[datetime]) -> tuple[float, tuple[datetime, ...]]:
@@ -100,58 +104,59 @@ def weather_grid(timestamps: list[datetime]) -> tuple[float, tuple[datetime, ...
     between them.
 
     The base step is the smallest spacing, in seconds; every spacing must
-    be a whole multiple of it, else SeriesFormatError.
+    be a positive whole multiple of it, and no more steps may be missing
+    than there are timestamps, else SeriesFormatError.
     """
     if len(timestamps) < 2:
         raise SeriesFormatError("weather series too short")
     spans = [(b - a).total_seconds() for a, b in zip(timestamps, timestamps[1:])]
     step_s = min(spans)
-    step = timedelta(seconds=step_s)
-    missing = []
-    for a, b, span in zip(timestamps, timestamps[1:], spans):
-        steps = round(span / step_s)
-        if abs(span / step_s - steps) > 1e-6:
+    if step_s <= 0:
+        at = timestamps[spans.index(step_s) + 1]
+        raise SeriesFormatError(f"timestamp {at} not after previous record")
+    multiples = [round(span / step_s) for span in spans]
+    for b, span, n in zip(timestamps[1:], spans, multiples):
+        if abs(span / step_s - n) > 1e-6:
             raise SeriesFormatError(
                 f"weather spacing at {b} is not a multiple of "
                 f"the {step_s:.0f}s base step")
-        for k in range(1, steps):
-            missing.append(a + k * step)
-    return step_s, tuple(missing)
+    n_missing = sum(multiples) - len(spans)
+    if n_missing > len(timestamps):
+        raise SeriesFormatError(
+            f"weather series misses {n_missing} steps of {step_s:.0f}s, "
+            f"more than its {len(timestamps)} records")
+    step = timedelta(seconds=step_s)
+    return step_s, tuple(a + k * step for a, n in zip(timestamps, multiples)
+                         for k in range(1, n))
 
 
 def load_weather(path: str | Path) -> WeatherSeries:
     """Parse and validate a weather CSV; missing grid instants are
     reported in ``series.gaps`` rather than raised, a spacing that is not
     a whole multiple of the base step is raised."""
-    lines = Path(path).read_text("utf-8").splitlines()
-    if not lines or tuple(lines[0].split(",")) != WEATHER_COLUMNS:
-        raise SeriesFormatError(
-            f"line 1: expected header {','.join(WEATHER_COLUMNS)}")
     records = []
     last_ts: datetime | None = None
-    for line_no, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != len(WEATHER_COLUMNS):
-            raise SeriesFormatError(
-                f"line {line_no}: expected {len(WEATHER_COLUMNS)} columns, "
-                f"got {len(parts)}")
-        ts = _parse_timestamp(parts[0], line_no)
+    for line_no, cells in _read_rows(path, WEATHER_COLUMNS):
+        ts = _parse_timestamp(cells[0], line_no)
         if last_ts is not None and ts <= last_ts:
             raise SeriesFormatError(
-                f"line {line_no}: timestamp {parts[0]} not after previous record")
+                f"line {line_no}: timestamp {cells[0]} not after previous record")
         last_ts = ts
         rec = WeatherRecord(
             timestamp=ts,
-            temp_air_c=_parse_float(parts[1], "temp_air_c", line_no),
-            rh_pct=_parse_float(parts[2], "rh_pct", line_no),
-            solar_direct_w_m2=_parse_float(parts[3], "solar_direct_w_m2", line_no),
-            solar_diffuse_w_m2=_parse_float(parts[4], "solar_diffuse_w_m2", line_no),
-            wind_speed_m_s=_parse_float(parts[5], "wind_speed_m_s", line_no),
-            wind_dir_deg=_parse_float(parts[6], "wind_dir_deg", line_no),
+            temp_air_c=_parse_float(cells[1], "temp_air_c", line_no),
+            rh_pct=_parse_float(cells[2], "rh_pct", line_no),
+            solar_direct_w_m2=_parse_float(cells[3], "solar_direct_w_m2", line_no),
+            solar_diffuse_w_m2=_parse_float(cells[4], "solar_diffuse_w_m2", line_no),
+            wind_speed_m_s=_parse_float(cells[5], "wind_speed_m_s", line_no),
+            wind_dir_deg=_parse_float(cells[6], "wind_dir_deg", line_no),
         )
-        _check_weather_ranges(rec, line_no)
+        if not 0.0 <= rec.rh_pct <= 100.0:
+            raise SeriesFormatError(f"line {line_no}: rh_pct {rec.rh_pct} outside [0, 100]")
+        if rec.solar_direct_w_m2 < 0 or rec.solar_diffuse_w_m2 < 0:
+            raise SeriesFormatError(f"line {line_no}: solar irradiance must be >= 0")
+        if rec.wind_speed_m_s < 0:
+            raise SeriesFormatError(f"line {line_no}: wind speed must be >= 0")
         records.append(rec)
     gaps: tuple[datetime, ...] = ()
     if len(records) > 1:
@@ -160,15 +165,12 @@ def load_weather(path: str | Path) -> WeatherSeries:
 
 
 def write_weather(series: WeatherSeries, path: str | Path) -> None:
-    lines = [",".join(WEATHER_COLUMNS)]
-    for r in series.records:
-        lines.append(",".join((
-            r.timestamp.isoformat(),
-            repr(r.temp_air_c), repr(r.rh_pct),
-            repr(r.solar_direct_w_m2), repr(r.solar_diffuse_w_m2),
-            repr(r.wind_speed_m_s), repr(r.wind_dir_deg),
-        )))
-    Path(path).write_text("\n".join(lines) + "\n", "utf-8")
+    _write_rows(path, WEATHER_COLUMNS, (
+        (r.timestamp.isoformat(),
+         repr(r.temp_air_c), repr(r.rh_pct),
+         repr(r.solar_direct_w_m2), repr(r.solar_diffuse_w_m2),
+         repr(r.wind_speed_m_s), repr(r.wind_dir_deg))
+        for r in series.records))
 
 
 # ---------------------------------------------------------------------------
@@ -198,11 +200,9 @@ class IndoorSeries:
     def __post_init__(self) -> None:
         last: dict[str, datetime] = {}
         for rec in self.records:
-            if not 0.0 <= rec.rh_pct <= 100.0:
-                raise ValueError(f"{rec.timestamp} zone {rec.zone}: rh outside [0, 100]")
             prev = last.get(rec.zone)
             if prev is not None and rec.timestamp <= prev:
-                raise ValueError(
+                raise SeriesFormatError(
                     f"zone {rec.zone}: timestamps not strictly increasing "
                     f"at {rec.timestamp}")
             last[rec.zone] = rec.timestamp
@@ -222,19 +222,8 @@ class IndoorSeries:
 
 
 def load_indoor(path: str | Path) -> IndoorSeries:
-    lines = Path(path).read_text("utf-8").splitlines()
-    if not lines or tuple(lines[0].split(",")) != INDOOR_COLUMNS:
-        raise SeriesFormatError(
-            f"line 1: expected header {','.join(INDOOR_COLUMNS)}")
     records = []
-    for line_no, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != len(INDOOR_COLUMNS):
-            raise SeriesFormatError(
-                f"line {line_no}: expected {len(INDOOR_COLUMNS)} columns, "
-                f"got {len(parts)}")
+    for line_no, parts in _read_rows(path, INDOOR_COLUMNS):
         rh = _parse_float(parts[4], "rh_pct", line_no)
         if not 0.0 <= rh <= 100.0:
             raise SeriesFormatError(f"line {line_no}: rh_pct {rh} outside [0, 100]")
@@ -250,22 +239,16 @@ def load_indoor(path: str | Path) -> IndoorSeries:
             raise SeriesFormatError(f"line {line_no}: comfort temperature {comfort} outside "
                                     f"the supported [{T_MIN_C}, {T_MAX_C}] degC")
         records.append(IndoorRecord(timestamp, parts[1], air, resultant, rh, speed))
-    try:
-        return IndoorSeries(records=tuple(records))
-    except ValueError as exc:
-        raise SeriesFormatError(str(exc)) from exc
+    return IndoorSeries(records=tuple(records))
 
 
 def write_indoor(series: IndoorSeries, path: str | Path) -> None:
-    lines = [",".join(INDOOR_COLUMNS)]
-    for r in series.records:
-        lines.append(",".join((
-            r.timestamp.isoformat(), r.zone, repr(r.temp_air_c),
-            "" if r.temp_resultant_c is None else repr(r.temp_resultant_c),
-            repr(r.rh_pct),
-            "" if r.air_speed_m_s is None else repr(r.air_speed_m_s),
-        )))
-    Path(path).write_text("\n".join(lines) + "\n", "utf-8")
+    _write_rows(path, INDOOR_COLUMNS, (
+        (r.timestamp.isoformat(), r.zone, repr(r.temp_air_c),
+         "" if r.temp_resultant_c is None else repr(r.temp_resultant_c),
+         repr(r.rh_pct),
+         "" if r.air_speed_m_s is None else repr(r.air_speed_m_s))
+        for r in series.records))
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 from dataclasses import dataclass
 
 from .building import (
@@ -34,6 +35,7 @@ from .building import (
     validate,
 )
 from .catalogue import RuleCatalogue, default_catalogue
+from .errors import InputError
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -104,7 +106,7 @@ class ComplianceReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2) + "\n"
+        return json.dumps(self.to_json_dict(), indent=2, allow_nan=False) + "\n"
 
     def to_text(self) -> str:
         tag = {
@@ -133,6 +135,15 @@ class ComplianceReport:
 
 def _fmt(value: float) -> str:
     return f"{value:.3g}"
+
+
+def _finite(value: float | None, rule_id: str, subject: str, name: str) -> float | None:
+    """``value`` itself; InputError naming the rule and the subject when it
+    is not finite, as a finite but out-of-scale input can overflow."""
+    if value is not None and not math.isfinite(value):
+        raise InputError(f"{rule_id}[{subject}]: {name} is not finite; "
+                         "an input value is out of scale")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -257,9 +268,10 @@ def check_wall(wall: WallSpec, catalogue: RuleCatalogue) -> Finding:
 
     height = wall.overhang_height_m if wall.overhang_height_m > 0 else 2.5
     depth_needed = ratio_required * height
-    missing_cm = (insulation_required_cm
-                  * wall.insulation.conductivity_w_mk / catalogue.lambda_polystyrene
-                  - wall.insulation.thickness_cm)
+    missing_cm = _finite(insulation_required_cm
+                         * wall.insulation.conductivity_w_mk / catalogue.lambda_polystyrene
+                         - wall.insulation.thickness_cm,
+                         "wall.solar_protection", subject, "insulation shortfall")
     return Finding(
         "wall.solar_protection", subject, Verdict.FAIL,
         measured=ratio, required=ratio_required, unit="d/h",
@@ -498,7 +510,9 @@ def compliance_report(building: BuildingDescription,
     """Run every check on a validated building.
 
     Raises :class:`BuildingValidationError` when the description itself is
-    malformed.  Findings are ordered by (rule id, subject) so identical
+    malformed, and InputError naming the rule and the subject when a
+    finding's number is not finite (a finite but out-of-scale input can
+    overflow).  Findings are ordered by (rule id, subject) so identical
     inputs always produce identical reports.
     """
     issues = validate(building)
@@ -515,6 +529,9 @@ def compliance_report(building: BuildingDescription,
     findings += _moisture_findings(building)
     findings.append(_site_finding(building))
 
+    for f in findings:
+        for name in ("measured", "required", "remediation_quantity"):
+            _finite(getattr(f, name), f.rule_id, f.subject, name)
     findings.sort(key=lambda f: (f.rule_id, f.subject))
     return ComplianceReport(
         building_name=building.name,

@@ -126,7 +126,11 @@ def ventilation_ach(apertures: VentilationApertures, volume_m3: float,
     u_eff = wind_speed_m_s * max(math.cos(math.radians(wind_incidence_deg)), 0.0)
     if u_eff <= 0.0:
         return 0.0
-    a_eq = (a_in ** -2 + a_out ** -2) ** -0.5
+    try:
+        a_eq = (a_in ** -2 + a_out ** -2) ** -0.5
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise InputError(
+            f"aperture areas {a_in} and {a_out} m2 are out of scale") from exc
     flow = (apertures.discharge_coefficient * a_eq * u_eff
             * math.sqrt(apertures.delta_cp))
     return 3600.0 * flow / volume_m3
@@ -138,7 +142,8 @@ class ZoneModel:
 
     ``internal_gains_w`` is either a constant or a daily schedule: a
     sequence of 24 hourly values indexed by the timestamp's UTC hour,
-    cycled over the simulated period.
+    not local time (at Reunion, UTC+4, a 19:00 local peak goes at index
+    15), cycled over the simulated period.
     """
 
     name: str
@@ -209,7 +214,8 @@ def simulate(zone: ZoneModel, weather: WeatherSeries) -> SimulationResult:
 
     The weather must cover at least 24 h on a uniform grid no coarser
     than one hour; a non-uniform grid raises :class:`WeatherGapError`
-    listing the missing instants.
+    listing the missing instants.  A zone or radiant temperature that
+    is not finite raises InputError naming the zone and the timestamp.
     """
     records = weather.records
     dt, missing = weather_grid([r.timestamp for r in records])
@@ -280,11 +286,16 @@ def simulate(zone: ZoneModel, weather: WeatherSeries) -> SimulationResult:
             t_srf = t_new + (q / surface.area_m2) * r_film_in
             t_rad += surface.area_m2 * t_srf
         t_rad = t_rad / total_area if total_area > 0 else t_new
+        t_res = (t_new + t_rad) / 2.0
+        if not math.isfinite(t_res):
+            raise InputError(
+                f"zone {zone.name}: temperature is not finite at {rec.timestamp}; "
+                "an area, volume or conductivity is out of scale")
 
         t_air = t_new
         out_t_air.append(t_new)
         out_t_rad.append(t_rad)
-        out_t_res.append((t_new + t_rad) / 2.0)
+        out_t_res.append(t_res)
         out_ach.append(ach)
         out_vent.append(q_vent)
         out_internal.append(internal)

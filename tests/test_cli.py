@@ -337,3 +337,58 @@ class TestInputBoundary:
         assert main(["check", str(FINAL_FIXTURE)]) == cli.EXIT_INTERNAL_ERROR
         err = capsys.readouterr().err
         assert err == "internal error: ZeroDivisionError: division by zero\n"
+
+
+def _edited_final(tmp_path, path, value):
+    doc = json.loads(FINAL_FIXTURE.read_text())
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    out = tmp_path / "building.json"
+    out.write_text(json.dumps(doc))
+    return out
+
+
+class TestOutOfScale:
+    """Finite but extreme magnitudes once overflowed into nan or Infinity
+    output with exit 0 or 1, or crashed with exit 3; all must exit 2 with
+    one error line."""
+
+    @pytest.mark.parametrize("command,path,value", [
+        ("simulate", ("roof", "area_m2"), 1e308),
+        ("simulate", ("roof", "area_m2"), 5e-324),
+        ("simulate", ("walls", 0, "area_m2"), 1e308),
+        ("check", ("roof", "insulation", "conductivity_w_mk"), 1e308),
+        ("check", ("walls", 2, "insulation", "conductivity_w_mk"), 1e308),
+    ], ids=["roof-area-huge", "roof-area-tiny", "wall-area-huge",
+            "roof-conductivity-huge", "wall-conductivity-huge"])
+    def test_overflow_exits_two(self, tmp_path, weather_csv, capsys,
+                                command, path, value):
+        building = str(_edited_final(tmp_path, path, value))
+        argv = (["simulate", building, "--weather", str(weather_csv)]
+                if command == "simulate" else ["check", building, "--format", "json"])
+        err = _assert_one_error_line(main(argv), capsys)
+        assert "not finite" in err
+
+    @pytest.mark.parametrize("area", [1e308, 1e-200])
+    def test_out_of_scale_apertures_exit_two(self, tmp_path, weather_csv, capsys, area):
+        doc = json.loads(FINAL_FIXTURE.read_text())
+        for room in doc["rooms"]:
+            for opening in room["external_openings"]:
+                opening["net_area_m2"] = area
+        path = tmp_path / "building.json"
+        path.write_text(json.dumps(doc))
+        code = main(["simulate", str(path), "--weather", str(weather_csv)])
+        assert "aperture areas" in _assert_one_error_line(code, capsys)
+
+    def test_far_timestamp_jump_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "jump.csv"
+        path.write_text(
+            "timestamp,temp_air_c,rh_pct,solar_direct_w_m2,solar_diffuse_w_m2,"
+            "wind_speed_m_s,wind_dir_deg\n"
+            "2026-01-01T00:00:00+00:00,25.0,80.0,0.0,0.0,4.0,90.0\n"
+            "2026-01-01T01:00:00+00:00,25.0,80.0,0.0,0.0,4.0,90.0\n"
+            "2046-01-01T01:00:00+00:00,25.0,80.0,0.0,0.0,4.0,90.0\n")
+        code = main(["simulate", str(FINAL_FIXTURE), "--weather", str(path)])
+        assert "more than its 3 records" in _assert_one_error_line(code, capsys)

@@ -118,6 +118,26 @@ class TestWeatherIO:
         with pytest.raises(SeriesFormatError, match="header"):
             load_weather(path)
 
+    def test_written_header_and_first_row_pinned(self, tmp_path):
+        path = tmp_path / "day.csv"
+        write_weather(synthetic_weather(SyntheticWeatherParams(days=1)), path)
+        assert path.read_text("utf-8").splitlines()[:2] == [
+            "timestamp,temp_air_c,rh_pct,solar_direct_w_m2,solar_diffuse_w_m2,"
+            "wind_speed_m_s,wind_dir_deg",
+            "2026-01-04T20:00:00+00:00,25.025126,82.071068,0.0,0.0,4.0,90.0"]
+
+    def test_more_missing_steps_than_records_refused(self, tmp_path):
+        path = tmp_path / "jump.csv"
+        path.write_text(
+            "timestamp,temp_air_c,rh_pct,solar_direct_w_m2,solar_diffuse_w_m2,"
+            "wind_speed_m_s,wind_dir_deg\n"
+            "2026-01-01T00:00:00+00:00,25.0,80.0,0.0,0.0,4.0,90.0\n"
+            "2026-01-01T01:00:00+00:00,25.0,80.0,0.0,0.0,4.0,90.0\n"
+            "2046-01-01T01:00:00+00:00,25.0,80.0,0.0,0.0,4.0,90.0\n")
+        with pytest.raises(SeriesFormatError,
+                           match="misses 175319 steps of 3600s, more than its 3 records"):
+            load_weather(path)
+
 
 class TestSyntheticWeather:
     def test_extremes_sampled_exactly(self):
@@ -176,6 +196,17 @@ class TestIndoorIO:
         assert rec.temp_resultant_c is None
         assert rec.air_speed_m_s is None
         assert rec.comfort_temperature_c == 28.0
+
+    def test_written_rows_pinned(self, tmp_path):
+        series = IndoorSeries(records=(
+            _indoor(0, zone="bedroom", rh=61.5),
+            _indoor(0, zone="living", temp=27.25, resultant=27.5, rh=55.0, speed=0.3)))
+        path = tmp_path / "indoor.csv"
+        write_indoor(series, path)
+        assert path.read_text("utf-8") == (
+            "timestamp,zone,temp_air_c,temp_resultant_c,rh_pct,air_speed_m_s\n"
+            "2026-02-01T00:00:00+00:00,bedroom,28.0,,61.5,\n"
+            "2026-02-01T00:00:00+00:00,living,27.25,27.5,55.0,0.3\n")
 
     def test_resultant_preferred_for_comfort(self):
         rec = _indoor(0, temp=28.0, resultant=29.1)

@@ -1,12 +1,15 @@
 """Fuzz test of the CLI exit-code contract.
 
 Whatever an input file holds, ``ecodom`` exits 0, 1 or 2; on 2 it prints
-exactly one ``error:`` line, and it never prints a traceback or an
-``internal error``.  Every input file kind is covered: building,
-weather, indoor series, scenario, comfort zone and catalogue, each as
-arbitrary JSON or text, as a mutated golden document, or with random CSV
-cells.  The examples are derandomized so the suite stays deterministic;
-raise ``MAX_EXAMPLES`` locally to search further.
+exactly one ``error:`` line, it never prints a traceback or an
+``internal error``, and on 0 or 1 every number in the JSON report and
+the written CSV files is finite.  Every input file kind is covered:
+building, weather, indoor series, scenario, comfort zone and catalogue,
+each as arbitrary JSON or text, as a mutated golden document (values
+replaced, deleted or, for numbers, set to an extreme finite magnitude
+such as 1e308 or 5e-324), or with random CSV cells.  The examples are
+derandomized so the suite stays deterministic; raise ``MAX_EXAMPLES``
+locally to search further.
 """
 
 import contextlib
@@ -14,6 +17,7 @@ import copy
 import importlib.resources as resources
 import io
 import json
+import math
 import tempfile
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -42,6 +46,7 @@ RAW_TEXT = (st.text(max_size=40)
             | st.sampled_from(["", "{", "NaN", "[1, 2]", '{"a": Infinity}', "1e999",
                                '{"x": ' + "9" * 400 + "}", "\ufeff{}", "[" * 5000,
                                '{"name": "\\ud800"}']))
+EXTREMES = st.sampled_from([1e308, -1e308, 5e-324, -5e-324])
 CELLS = (st.text(max_size=8)
          | st.sampled_from(["", "nan", "inf", "-inf", "-1", "1e400", "101", "-300",
                             "2026-13-01T00:00:00", "1,2", "70", "0"]))
@@ -88,21 +93,31 @@ def _paths(doc, prefix=()):
             yield from _paths(value, prefix + (index,))
 
 
-def _mutated(data, doc):
-    """``doc`` with one to three values replaced or deleted."""
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _mutated(data, doc, actions=("replace", "delete", "extreme")):
+    """``doc`` with one to three values replaced or deleted, or numbers set
+    to extreme finite magnitudes."""
     doc = copy.deepcopy(doc)
     for _ in range(data.draw(st.integers(1, 3))):
+        action = data.draw(st.sampled_from(actions))
         paths = list(_paths(doc))[1:]
+        if action == "extreme":
+            paths = [p for p in paths if type(_at(doc, p)) in (int, float)]
         if not paths:
             break
         path = data.draw(st.sampled_from(paths))
-        parent = doc
-        for key in path[:-1]:
-            parent = parent[key]
-        if data.draw(st.booleans()):
+        parent = _at(doc, path[:-1])
+        if action == "replace":
             parent[path[-1]] = data.draw(JSON_VALUES)
-        else:
+        elif action == "delete":
             del parent[path[-1]]
+        else:
+            parent[path[-1]] = data.draw(EXTREMES)
     return doc
 
 
@@ -130,6 +145,23 @@ def _csv_file(data, lines) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8", "surrogatepass")
 
 
+def _refuse_constant(name):
+    raise AssertionError(f"report holds {name}")
+
+
+def _assert_finite_output(stdout: str, csv_paths) -> None:
+    if stdout.startswith("{"):
+        json.loads(stdout, parse_constant=_refuse_constant)
+    for path in csv_paths:
+        for line in path.read_text("utf-8").splitlines()[1:]:
+            for cell in line.split(","):
+                try:
+                    value = float(cell)
+                except ValueError:
+                    continue
+                assert math.isfinite(value), (path.name, line)
+
+
 def _run(files: dict[str, bytes], argv: list[str]) -> None:
     """Write ``files``, run the CLI on ``argv`` (names resolved in the
     temporary directory) and check the exit-code contract."""
@@ -141,6 +173,8 @@ def _run(files: dict[str, bytes], argv: list[str]) -> None:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
+        if code in (0, 1):
+            _assert_finite_output(out.getvalue(), Path(tmp).glob("*.out"))
     stderr = err.getvalue()
     assert code in (0, 1, 2), (code, stderr)
     assert "Traceback" not in stderr and "internal error" not in stderr, stderr
@@ -184,6 +218,22 @@ def test_simulate_building_weather_and_scenario(data):
         files["weather.csv"] = _csv_file(data, WEATHER_LINES)
     else:
         files["scenario.json"] = _json_file(data, SCENARIO)
+    _run(files, ["simulate", "building.json", "--weather", "weather.csv",
+                 "--scenario", "scenario.json", "--out", "result.out"])
+
+
+@FUZZ
+@given(st.data())
+def test_extreme_magnitudes(data):
+    building = _mutated(data, GOLDEN[FINAL_FIXTURE], actions=["extreme"])
+    scenario = (_mutated(data, SCENARIO, actions=["extreme"])
+                if data.draw(st.booleans()) else SCENARIO)
+    files = {
+        "building.json": json.dumps(building).encode("utf-8"),
+        "weather.csv": ("\n".join(WEATHER_LINES) + "\n").encode("utf-8"),
+        "scenario.json": json.dumps(scenario).encode("utf-8"),
+    }
+    _run(files, ["check", "building.json", "--format", "json"])
     _run(files, ["simulate", "building.json", "--weather", "weather.csv",
                  "--scenario", "scenario.json", "--out", "result.out"])
 

@@ -18,7 +18,9 @@ from ecodom.building import (
     WindowSpec,
 )
 from ecodom.rules import (
+    ComplianceReport,
     DarkColorError,
+    Finding,
     Verdict,
     check_roof,
     check_ventilation,
@@ -425,3 +427,10 @@ class TestReport:
         for finding in compliance_report(initial_building, catalogue).failures():
             assert finding.measured is not None
             assert finding.required is not None
+
+
+def test_json_report_refuses_non_finite_numbers():
+    report = ComplianceReport("x", "v1", (
+        Finding("site", "site", Verdict.INFORMATIONAL, measured=float("inf")),))
+    with pytest.raises(ValueError):
+        report.to_json()

@@ -10,7 +10,12 @@ from ecodom.archetypes import (
     compliant_zone,
     uninsulated_zone,
 )
-from ecodom.dataio import SyntheticWeatherParams, WeatherSeries, synthetic_weather
+from ecodom.dataio import (
+    SeriesFormatError,
+    SyntheticWeatherParams,
+    WeatherSeries,
+    synthetic_weather,
+)
 from ecodom.thermal import (
     ROOF_DECK_RESISTANCE,
     ScenarioError,
@@ -149,6 +154,11 @@ class TestSimulate:
         with pytest.raises(WeatherGapError) as err:
             simulate(compliant_zone(), broken)
         assert len(err.value.missing) == 2
+
+    def test_repeated_timestamp_in_code_built_series(self, week):
+        records = week.records[:30] + week.records[29:]
+        with pytest.raises(SeriesFormatError, match="not after previous record"):
+            simulate(compliant_zone(), WeatherSeries(records=records))
 
     def test_too_short_series_rejected(self, week):
         short = WeatherSeries(records=week.records[:12])
