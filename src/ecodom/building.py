@@ -369,10 +369,14 @@ def validate(building: BuildingDescription) -> list[ValidationIssue]:
         err("building", "latitude", "must be in [-90, 90]")
     if not -180.0 <= building.longitude <= 180.0:
         err("building", "longitude", "must be in [-180, 180]")
-    for entity, surface in ([(f"wall {w.id}", w) for w in building.walls]
-                            + [(f"window {w.id}", w) for w in building.windows]):
-        if not 0.0 <= surface.azimuth_deg < 360.0:
-            err(entity, "azimuth_deg", "must be in [0, 360)")
+    for kind, surfaces in (("wall", building.walls), ("window", building.windows)):
+        ids: set[str] = set()
+        for surface in surfaces:
+            if surface.id in ids:
+                err(f"{kind} {surface.id}", "id", f"duplicate {kind} id")
+            ids.add(surface.id)
+            if not 0.0 <= surface.azimuth_deg < 360.0:
+                err(f"{kind} {surface.id}", "azimuth_deg", "must be in [0, 360)")
 
     facade_ids = building.declared_facade_ids()
     opening_ids: set[str] = set()

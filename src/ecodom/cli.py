@@ -101,7 +101,8 @@ def _simulate_one(building_path: str, weather, scenario: dict, out: str | None):
     result = simulate(zone, weather)
     if out:
         Path(out).write_text(result_to_csv(result), "utf-8")
-    return building, result
+    _print_summary(building.name, result)
+    return building.name, result
 
 
 def _print_summary(name: str, result) -> None:
@@ -118,16 +119,15 @@ def _print_summary(name: str, result) -> None:
 def _cmd_simulate(args) -> int:
     weather = load_weather(args.weather)
     scenario = read_json(args.scenario, ScenarioError) if args.scenario else {}
-    building, result = _simulate_one(args.building, weather, scenario, args.out)
-    _print_summary(building.name, result)
+    name, result = _simulate_one(args.building, weather, scenario, args.out)
     if args.paired:
-        other_building, other = _simulate_one(
-            args.paired, weather, scenario, args.paired_out)
-        _print_summary(other_building.name, other)
-        offsets = paired_offset(
-            list(zip(result.timestamps, result.t_resultant_c)),
-            list(zip(other.timestamps, other.t_resultant_c)))
-        print(f"offset ({building.name} - {other_building.name}): "
+        # The offset needs only the resultant series of the first run, so
+        # its result is let go before the paired zone runs.
+        first = list(zip(result.timestamps, result.t_resultant_c))
+        del result
+        other_name, other = _simulate_one(args.paired, weather, scenario, args.paired_out)
+        offsets = paired_offset(first, list(zip(other.timestamps, other.t_resultant_c)))
+        print(f"offset ({name} - {other_name}): "
               f"mean {offsets.mean_offset_c:.2f} C, max {offsets.max_offset_c:.2f} C, "
               f"hours >= 1 C: {offsets.fraction_ge_1c * 100:.0f}%")
     return EXIT_OK

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
@@ -79,7 +80,7 @@ def _parse_float(text: str, column: str, line_no: int) -> float:
     return value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WeatherRecord:
     timestamp: datetime
     temp_air_c: float
@@ -99,7 +100,7 @@ class WeatherSeries:
         return len(self.records)
 
 
-def weather_grid(timestamps: list[datetime]) -> tuple[float, tuple[datetime, ...]]:
+def weather_grid(timestamps: Sequence[datetime]) -> tuple[float, tuple[datetime, ...]]:
     """Base step of increasing timestamps and the grid instants missing
     between them.
 

@@ -18,7 +18,7 @@ DEG = math.pi / 180.0
 GROUND_ALBEDO = 0.2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SolarPosition:
     """Sun altitude and azimuth in degrees (azimuth from North, clockwise)."""
 

@@ -10,12 +10,32 @@ not to reproduce a research-grade multizone code.
 The state update is an unconditionally stable implicit (backward Euler)
 step, exact for the linearised balance, so the per-step energy residual
 is at machine precision.
+
+:func:`simulate` runs in three stages:
+
+1. weather only: the grid checks, the sun track and, filled on first
+   use, one (beam, diffuse) irradiance column per (azimuth, tilt).  It
+   is shared by every zone simulated on the same ``WeatherSeries``
+   object at the same site, so a paired or repeated run computes it
+   once.  The memo is keyed on the identity of the series plus
+   (latitude, longitude), not on its values (series and records are
+   frozen), and holds the series only weakly: an entry lives as long as
+   its series and is dropped when the series is collected;
+2. per zone: shading, sol-air temperature and transmitted solar of each
+   surface, per step;
+3. the backward-Euler recurrence, then the flows, the energy residual
+   and the radiant temperature, with the arithmetic of the per-step
+   balance in the same order.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
+from array import array
 from dataclasses import dataclass
+from itertools import chain, repeat
+from operator import mul
 
 from .building import BuildingDescription, facade_porosities
 from .dataio import WeatherSeries, weather_grid
@@ -81,15 +101,15 @@ class SurfaceModel:
         if self.resistance_m2k_w <= 0:
             raise ValueError(f"surface {self.name}: total resistance must be > 0")
 
-    def beam_shading(self, sun: SolarPosition) -> float:
+    @property
+    def fixed_shading(self) -> float | None:
+        """Beam shading fraction when it does not depend on the sun, else
+        None: the overhang is then evaluated at each step."""
         if self.shade_fraction is not None:
             return min(max(self.shade_fraction, 0.0), 1.0)
         if self.overhang_depth_m <= 0 or self.tilt_deg < 45.0:
             return 0.0
-        height = self.overhang_height_m if self.overhang_height_m > 0 else 1.0
-        return overhang_shading_fraction(
-            self.overhang_depth_m, height, self.overhang_offset_m,
-            sun, self.azimuth_deg)
+        return None
 
 
 @dataclass(frozen=True)
@@ -162,6 +182,8 @@ class ZoneModel:
             raise ValueError("zone volume must be > 0")
         if self.capacitance_j_k <= 0:
             raise ValueError("zone capacitance must be > 0")
+        if len({s.name for s in self.surfaces}) != len(self.surfaces):
+            raise ValueError("zone surface names must be distinct")
         if not isinstance(self.internal_gains_w, (int, float)):
             object.__setattr__(self, "internal_gains_w",
                                tuple(float(g) for g in self.internal_gains_w))
@@ -209,6 +231,102 @@ class SimulationResult:
         return max(self.t_resultant_c)
 
 
+class _SunTrack:
+    """Stage 1: what a run takes from the weather series and the site alone.
+
+    The grid checks and the sun track are made on creation.  The
+    (beam, diffuse) irradiance column of an (azimuth, tilt) is filled the
+    first time a zone has a surface facing that way.
+    """
+
+    # ``series`` is the weak reference whose callback drops the memo entry.
+    __slots__ = ("series", "step_s", "timestamps", "t_out", "altitude", "azimuth",
+                 "irradiance")
+
+    def __init__(self, weather: WeatherSeries, latitude: float, longitude: float):
+        records = weather.records
+        self.timestamps = tuple(r.timestamp for r in records)
+        self.step_s, missing = weather_grid(self.timestamps)
+        if missing:
+            raise WeatherGapError(missing)
+        if self.step_s > 3600.0 + 1e-6:
+            raise InputError("weather step must be one hour or finer")
+        span = (self.timestamps[-1] - self.timestamps[0]).total_seconds()
+        if span + self.step_s < 24 * 3600.0 - 1e-6:
+            raise InputError("weather must cover at least 24 hours")
+        self.t_out = tuple(r.temp_air_c for r in records)
+        self.altitude, self.azimuth = array("d"), array("d")
+        for ts in self.timestamps:
+            sun = solar_position(latitude, longitude, ts)
+            self.altitude.append(sun.altitude_deg)
+            self.azimuth.append(sun.azimuth_deg)
+        self.irradiance: dict[tuple[float, float], tuple[array, array]] = {}
+
+    def suns(self) -> list[SolarPosition]:
+        return list(map(SolarPosition, self.altitude, self.azimuth))
+
+    def fill(self, weather: WeatherSeries, orientations, suns) -> None:
+        """Compute the irradiance columns of ``orientations`` not yet held."""
+        new = {o: (array("d"), array("d")) for o in orientations
+               if o not in self.irradiance}
+        if not new:
+            return
+        for sun, rec in zip(suns, weather.records):
+            direct, diffuse = rec.solar_direct_w_m2, rec.solar_diffuse_w_m2
+            for (azimuth, tilt), (beam_col, diffuse_col) in new.items():
+                beam, sky = surface_irradiance(sun, direct, diffuse, azimuth, tilt)
+                beam_col.append(beam)
+                diffuse_col.append(sky)
+        self.irradiance.update(new)
+
+
+#: Stage-1 tracks by (id of the series, latitude, longitude).  An entry
+#: is dropped when its series is collected, so the memo keeps no series
+#: alive and an id is never matched to a later series.
+_TRACKS: dict[tuple[int, float, float], _SunTrack] = {}
+
+
+def _sun_track(weather: WeatherSeries, latitude: float, longitude: float) -> _SunTrack:
+    key = (id(weather), latitude, longitude)
+    track = _TRACKS.get(key)
+    if track is None:
+        track = _SunTrack(weather, latitude, longitude)
+        track.series = weakref.ref(weather, lambda _, key=key: _TRACKS.pop(key, None))
+        _TRACKS[key] = track
+    return track
+
+
+def _forcing(zone: ZoneModel, weather: WeatherSeries,
+             track: _SunTrack) -> tuple[list[list[float]], list[float]]:
+    """Stage 2: the sol-air temperature of each surface and the solar
+    transmitted through the glazing, per step."""
+    orientations = [(s.azimuth_deg, s.tilt_deg) for s in zone.surfaces]
+    shading = [s.fixed_shading for s in zone.surfaces]
+    needs_sun = None in shading or any(o not in track.irradiance for o in orientations)
+    suns = track.suns() if needs_sun else None
+    track.fill(weather, orientations, suns)
+
+    sol_air = []
+    transmitted = [0.0] * len(track.t_out)
+    for surface, orientation, shade in zip(zone.surfaces, orientations, shading):
+        beam, diffuse = track.irradiance[orientation]
+        if shade is None:
+            height = surface.overhang_height_m if surface.overhang_height_m > 0 else 1.0
+            shades = [overhang_shading_fraction(
+                surface.overhang_depth_m, height, surface.overhang_offset_m,
+                sun, surface.azimuth_deg) for sun in suns]
+            effective = [b * (1.0 - f) + d for b, f, d in zip(beam, shades, diffuse)]
+        else:
+            lit = 1.0 - shade
+            effective = [b * lit + d for b, d in zip(beam, diffuse)]
+        sol_air.append([sol_air_temperature(t, e, surface.absorptivity, zone.h_exterior)
+                        for t, e in zip(track.t_out, effective)])
+        if surface.solar_transmittance > 0:
+            tau, area = surface.solar_transmittance, surface.area_m2
+            transmitted = [acc + tau * e * area for acc, e in zip(transmitted, effective)]
+    return sol_air, transmitted
+
+
 def simulate(zone: ZoneModel, weather: WeatherSeries) -> SimulationResult:
     """Integrate the zone balance over the weather series.
 
@@ -216,104 +334,81 @@ def simulate(zone: ZoneModel, weather: WeatherSeries) -> SimulationResult:
     than one hour; a non-uniform grid raises :class:`WeatherGapError`
     listing the missing instants.  A zone or radiant temperature that
     is not finite raises InputError naming the zone and the timestamp.
+    Zones run on the same series object share its weather-only stage.
     """
-    records = weather.records
-    dt, missing = weather_grid([r.timestamp for r in records])
-    if missing:
-        raise WeatherGapError(missing)
-    if dt > 3600.0 + 1e-6:
-        raise InputError("weather step must be one hour or finer")
-    if (records[-1].timestamp - records[0].timestamp).total_seconds() + dt < 24 * 3600.0 - 1e-6:
-        raise InputError("weather must cover at least 24 hours")
+    track = _sun_track(weather, zone.latitude, zone.longitude)
+    sol_air, transmitted = _forcing(zone, weather, track)
+    timestamps, t_out, dt = track.timestamps, track.t_out, track.step_s
+    n = len(t_out)
 
+    apertures = zone.apertures
+    inlet = apertures.inlet_azimuth_deg
+    ach = [ventilation_ach(apertures, zone.volume_m3, r.wind_speed_m_s,
+                           0.0 if inlet is None else r.wind_dir_deg - inlet)
+           for r in weather.records]
+    rho_cp = AIR_DENSITY * AIR_HEAT_CAPACITY
+    h_vent = [rho_cp * a * zone.volume_m3 / 3600.0 for a in ach]
+    internal = [zone.internal_gains_at(ts) for ts in timestamps]
+    gains_fixed = [q + g for q, g in zip(transmitted, internal)]
+
+    # Stage 3, backward Euler:
+    #   C (T+ - T)/dt = sum K_i (Tsa_i - T+) + Hv (Tout - T+) + G
+    # Only T+ is carried from step to step; every other series follows
+    # from it afterwards, with the arithmetic of the per-step balance.
     conductances = [s.area_m2 / s.resistance_m2k_w for s in zone.surfaces]
-    r_film_in = 1.0 / zone.h_interior
-    total_area = sum(s.area_m2 for s in zone.surfaces)
+    # A zone without surfaces has no sol-air rows to transpose.
+    rows = zip(*sol_air) if sol_air else repeat((), n)
+    k_sol_air = [sum(map(mul, conductances, row)) for row in rows]
+    c_dt = zone.capacitance_j_k / dt
+    den_fixed = c_dt + sum(conductances)
+    t_air = t_out[0]
+    t_new = []
+    for ksa, hv, tout, g in zip(k_sol_air, h_vent, t_out, gains_fixed):
+        t_air = (c_dt * t_air + ksa + hv * tout + g) / (den_fixed + hv)
+        t_new.append(t_air)
 
-    t_air = records[0].temp_air_c
-    out_t_air, out_t_rad, out_t_res, out_ach = [], [], [], []
-    out_vent, out_internal, out_window_solar = [], [], []
-    per_surface: dict[str, list[float]] = {s.name: [] for s in zone.surfaces}
+    q_surfaces = [[k * (tsa - t) for tsa, t in zip(column, t_new)]
+                  for k, column in zip(conductances, sol_air)]
+    q_vent = [hv * (tout - t) for hv, tout, t in zip(h_vent, t_out, t_new)]
     max_residual = 0.0
-
-    for rec in records:
-        sun = solar_position(zone.latitude, zone.longitude, rec.timestamp)
-
-        sol_air = []
-        transmitted = 0.0
-        for surface in zone.surfaces:
-            beam, diffuse = surface_irradiance(
-                sun, rec.solar_direct_w_m2, rec.solar_diffuse_w_m2,
-                surface.azimuth_deg, surface.tilt_deg)
-            shade = surface.beam_shading(sun)
-            effective = beam * (1.0 - shade) + diffuse
-            sol_air.append(sol_air_temperature(
-                rec.temp_air_c, effective, surface.absorptivity, zone.h_exterior))
-            if surface.solar_transmittance > 0:
-                transmitted += (surface.solar_transmittance * effective
-                                * surface.area_m2)
-
-        incidence = 0.0
-        if zone.apertures.inlet_azimuth_deg is not None:
-            incidence = rec.wind_dir_deg - zone.apertures.inlet_azimuth_deg
-        ach = ventilation_ach(zone.apertures, zone.volume_m3,
-                              rec.wind_speed_m_s, incidence)
-        h_vent = AIR_DENSITY * AIR_HEAT_CAPACITY * ach * zone.volume_m3 / 3600.0
-
-        # Backward Euler: C (T+ - T)/dt = sum K_i (Tsa_i - T+) + Hv (Tout - T+) + G
-        internal = zone.internal_gains_at(rec.timestamp)
-        gains_fixed = transmitted + internal
-        num = (zone.capacitance_j_k / dt * t_air
-               + sum(k * tsa for k, tsa in zip(conductances, sol_air))
-               + h_vent * rec.temp_air_c
-               + gains_fixed)
-        den = zone.capacitance_j_k / dt + sum(conductances) + h_vent
-        t_new = num / den
-
-        q_surfaces = [k * (tsa - t_new) for k, tsa in zip(conductances, sol_air)]
-        q_vent = h_vent * (rec.temp_air_c - t_new)
-        residual = (zone.capacitance_j_k * (t_new - t_air) / dt
-                    - (sum(q_surfaces) + q_vent + gains_fixed))
-        gross = (sum(abs(q) for q in q_surfaces) + abs(q_vent)
-                 + transmitted + abs(internal))
+    rows = zip(*q_surfaces) if q_surfaces else repeat((), n)
+    for row, qv, g, q_sun, q_int, t, t_prev in zip(
+            rows, q_vent, gains_fixed, transmitted, internal, t_new,
+            chain((t_out[0],), t_new)):
+        residual = (zone.capacitance_j_k * (t - t_prev) / dt
+                    - (sum(row) + qv + g))
+        gross = sum(map(abs, row)) + abs(qv) + q_sun + abs(q_int)
         if gross > 1e-9:
             max_residual = max(max_residual, abs(residual) / gross)
 
-        # Interior surface temperatures via the inner film, then the
-        # area-weighted mean radiant temperature.
-        t_rad = 0.0
-        for surface, q in zip(zone.surfaces, q_surfaces):
-            t_srf = t_new + (q / surface.area_m2) * r_film_in
-            t_rad += surface.area_m2 * t_srf
-        t_rad = t_rad / total_area if total_area > 0 else t_new
-        t_res = (t_new + t_rad) / 2.0
-        if not math.isfinite(t_res):
-            raise InputError(
-                f"zone {zone.name}: temperature is not finite at {rec.timestamp}; "
-                "an area, volume or conductivity is out of scale")
-
-        t_air = t_new
-        out_t_air.append(t_new)
-        out_t_rad.append(t_rad)
-        out_t_res.append(t_res)
-        out_ach.append(ach)
-        out_vent.append(q_vent)
-        out_internal.append(internal)
-        out_window_solar.append(transmitted)
-        for surface, q in zip(zone.surfaces, q_surfaces):
-            per_surface[surface.name].append(q)
+    # Interior surface temperatures via the inner film, then the
+    # area-weighted mean radiant temperature.
+    r_film_in = 1.0 / zone.h_interior
+    total_area = sum(s.area_m2 for s in zone.surfaces)
+    t_rad = [0.0] * n
+    for surface, column in zip(zone.surfaces, q_surfaces):
+        area = surface.area_m2
+        t_rad = [acc + area * (t + (q / area) * r_film_in)
+                 for acc, t, q in zip(t_rad, t_new, column)]
+    t_rad = [acc / total_area for acc in t_rad] if total_area > 0 else t_new
+    t_res = [(t + tr) / 2.0 for t, tr in zip(t_new, t_rad)]
+    if not all(map(math.isfinite, t_res)):
+        at = next(ts for ts, t in zip(timestamps, t_res) if not math.isfinite(t))
+        raise InputError(
+            f"zone {zone.name}: temperature is not finite at {at}; "
+            "an area, volume or conductivity is out of scale")
 
     return SimulationResult(
-        timestamps=tuple(r.timestamp for r in records),
-        t_out_c=tuple(r.temp_air_c for r in records),
-        t_air_c=tuple(out_t_air),
-        t_radiant_c=tuple(out_t_rad),
-        t_resultant_c=tuple(out_t_res),
-        ach=tuple(out_ach),
-        surface_gains_w={name: tuple(vals) for name, vals in per_surface.items()},
-        window_solar_w=tuple(out_window_solar),
-        ventilation_gain_w=tuple(out_vent),
-        internal_gain_w=tuple(out_internal),
+        timestamps=timestamps,
+        t_out_c=t_out,
+        t_air_c=tuple(t_new),
+        t_radiant_c=tuple(t_rad),
+        t_resultant_c=tuple(t_res),
+        ach=tuple(ach),
+        surface_gains_w={s.name: tuple(q) for s, q in zip(zone.surfaces, q_surfaces)},
+        window_solar_w=tuple(transmitted),
+        ventilation_gain_w=tuple(q_vent),
+        internal_gain_w=tuple(internal),
         surface_kinds={s.name: s.kind for s in zone.surfaces},
         max_residual_fraction=max_residual,
     )
@@ -463,25 +558,19 @@ def result_to_csv(result: SimulationResult) -> str:
     header = ("timestamp,t_out_c,t_air_c,t_radiant_c,t_resultant_c,ach,"
               "q_roof_w,q_wall_w,q_window_cond_w,q_window_solar_w,"
               "q_vent_w,q_internal_w")
-    lines = [header]
-    names_by_kind: dict[str, list[str]] = {"roof": [], "wall": [], "window": []}
+    columns_by_kind: dict[str, list] = {"roof": [], "wall": [], "window": []}
     for name, kind in result.surface_kinds.items():
-        names_by_kind[kind].append(name)
-    for i, ts in enumerate(result.timestamps):
-        q = {kind: sum(result.surface_gains_w[n][i] for n in names)
-             for kind, names in names_by_kind.items()}
-        lines.append(",".join((
-            ts.isoformat(),
-            f"{result.t_out_c[i]:.6f}",
-            f"{result.t_air_c[i]:.6f}",
-            f"{result.t_radiant_c[i]:.6f}",
-            f"{result.t_resultant_c[i]:.6f}",
-            f"{result.ach[i]:.6f}",
-            f"{q['roof']:.6f}",
-            f"{q['wall']:.6f}",
-            f"{q['window']:.6f}",
-            f"{result.window_solar_w[i]:.6f}",
-            f"{result.ventilation_gain_w[i]:.6f}",
-            f"{result.internal_gain_w[i]:.6f}",
-        )))
-    return "\n".join(lines) + "\n"
+        columns_by_kind[kind].append(result.surface_gains_w[name])
+    q_roof, q_wall, q_window = (
+        [sum(step) for step in zip(*columns)] if columns else [0] * len(result)
+        for columns in columns_by_kind.values())
+    row = ",".join(["{}"] + ["{:.6f}"] * 11).format
+    lines = [header]
+    lines.extend(
+        row(ts.isoformat(), *values) for ts, *values in zip(
+            result.timestamps, result.t_out_c, result.t_air_c,
+            result.t_radiant_c, result.t_resultant_c, result.ach,
+            q_roof, q_wall, q_window, result.window_solar_w,
+            result.ventilation_gain_w, result.internal_gain_w))
+    lines.append("")
+    return "\n".join(lines)

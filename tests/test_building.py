@@ -192,6 +192,18 @@ class TestValidation:
         issues = validate(dataclasses.replace(b, rooms=(b.rooms[0], dup)))
         assert any("duplicate" in i.message for i in issues)
 
+    def test_duplicate_wall_and_window_ids(self):
+        from ecodom.building import WallSpec, WindowSpec
+        wall = WallSpec(id="n", construction=WallConstruction.WOOD,
+                        color=ColorClass.LIGHT, azimuth_deg=0.0, area_m2=10.0)
+        window = WindowSpec(id="n", azimuth_deg=0.0, glazed_area_m2=1.0, height_m=1.0)
+        b = dataclasses.replace(_simple_building(), walls=(wall,), windows=(window,))
+        assert validate(b) == []
+        issues = validate(dataclasses.replace(b, walls=(wall, wall),
+                                              windows=(window, window)))
+        assert [str(i) for i in issues] == [
+            "wall n.id: duplicate wall id", "window n.id: duplicate window id"]
+
     def test_dwelling_type_and_latitude(self):
         b = dataclasses.replace(_simple_building(), dwelling_type=0, latitude=99.0)
         fields = {i.field for i in validate(b)}

@@ -115,6 +115,28 @@ class TestSimulate:
         assert code == EXIT_OK
         assert "offset" in capsys.readouterr().out
 
+    def test_paired_run_shares_the_sun_track(self, weather_csv, monkeypatch, capsys):
+        # One sun position per record, and one irradiance evaluation per
+        # record and distinct orientation of the two buildings together.
+        from ecodom import thermal
+        calls = {"solar_position": 0, "surface_irradiance": 0}
+        for name in calls:
+            def counted(*args, _fn=getattr(thermal, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(thermal, name, counted)
+        orientations = set()
+        for path in (FINAL_FIXTURE, INITIAL_FIXTURE):
+            doc = json.loads(path.read_text())
+            orientations.add((0.0, 0.0))
+            orientations.update((s["azimuth_deg"], 90.0)
+                                for s in doc["walls"] + doc["windows"])
+        assert main(["simulate", str(FINAL_FIXTURE), "--weather", str(weather_csv),
+                     "--paired", str(INITIAL_FIXTURE)]) == EXIT_OK
+        records = 48
+        assert calls == {"solar_position": records,
+                         "surface_irradiance": records * len(orientations)}
+
     def test_invalid_scenario_key_exits_two_naming_it(self, tmp_path,
                                                       weather_csv, capsys):
         scenario = tmp_path / "scenario.json"
@@ -313,6 +335,19 @@ class TestInputBoundary:
         code = main(["simulate", str(path), "--weather", str(weather_csv)])
         err = _assert_one_error_line(code, capsys)
         assert "wall north.azimuth_deg" in err
+
+    @pytest.mark.parametrize("command", ["check", "simulate"])
+    def test_duplicate_wall_id_exits_two(self, tmp_path, weather_csv, capsys, command):
+        from ecodom.dataio import building_to_dict, load_building
+        doc = building_to_dict(load_building(FINAL_FIXTURE))
+        doc["walls"].append(dict(doc["walls"][1], id="north"))
+        path = tmp_path / "building.json"
+        path.write_text(json.dumps(doc))
+        argv = [command, str(path)]
+        if command == "simulate":
+            argv += ["--weather", str(weather_csv)]
+        err = _assert_one_error_line(main(argv), capsys)
+        assert "wall north.id: duplicate wall id" in err
 
     def test_misaligned_zones_print_no_offset(self, tmp_path, capsys):
         base = datetime(2026, 2, 1, tzinfo=timezone.utc)

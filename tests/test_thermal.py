@@ -1,4 +1,7 @@
 import dataclasses
+import gc
+import hashlib
+import weakref
 from datetime import timedelta
 
 import pytest
@@ -16,6 +19,7 @@ from ecodom.dataio import (
     WeatherSeries,
     synthetic_weather,
 )
+from ecodom import thermal
 from ecodom.thermal import (
     ROOF_DECK_RESISTANCE,
     ScenarioError,
@@ -278,3 +282,80 @@ class TestZoneFromBuilding:
         csv_text = result_to_csv(result)
         assert csv_text.splitlines()[0].startswith("timestamp,t_out_c,")
         assert len(csv_text.splitlines()) == 169
+
+
+@pytest.fixture
+def solar_calls(monkeypatch):
+    """Count the sun-position and irradiance calls made by simulate."""
+    calls = {"position": 0, "irradiance": 0}
+    for name, key in (("solar_position", "position"),
+                      ("surface_irradiance", "irradiance")):
+        def counted(*args, _fn=getattr(thermal, name), _key=key):
+            calls[_key] += 1
+            return _fn(*args)
+        monkeypatch.setattr(thermal, name, counted)
+    return calls
+
+
+def _turned(zone, azimuth_deg):
+    """``zone`` with its second surface turned to ``azimuth_deg``."""
+    surfaces = list(zone.surfaces)
+    surfaces[1] = dataclasses.replace(surfaces[1], azimuth_deg=azimuth_deg)
+    return dataclasses.replace(zone, name="turned", surfaces=tuple(surfaces))
+
+
+class TestStagedRun:
+    @pytest.mark.parametrize("make_zone,digest", [
+        (compliant_zone, "8cee946f6dd1459299d4d6b106e4f8a50ec45f19a43dcf677d1d7f8c929dbd47"),
+        (uninsulated_zone, "27f73048338466fd75604feee5d87054be6ebd483191f70104193582e7edccd9"),
+    ])
+    def test_export_bytes_pinned(self, make_zone, digest):
+        text = result_to_csv(simulate(make_zone(), synthetic_weather()))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+    def test_second_zone_on_shared_series_matches_fresh_series(self, week):
+        shared = WeatherSeries(records=week.records)
+        simulate(compliant_zone(), shared)
+        other = _turned(uninsulated_zone(), 45.0)
+        assert (simulate(other, shared)
+                == simulate(other, WeatherSeries(records=week.records)))
+
+    def test_sun_track_and_columns_computed_once_per_series(self, week, solar_calls):
+        shared = WeatherSeries(records=week.records)
+        simulate(compliant_zone(), shared)
+        simulate(_turned(compliant_zone(), 45.0), shared)
+        # 5 orientations for the first zone, one more for the second
+        assert solar_calls == {"position": len(week), "irradiance": 6 * len(week)}
+
+    @pytest.mark.parametrize("site", [{"latitude": -15.0}, {"longitude": 45.0}])
+    def test_other_site_never_reuses_the_track(self, week, solar_calls, site):
+        shared = WeatherSeries(records=week.records)
+        here = simulate(compliant_zone(), shared)
+        moved = dataclasses.replace(compliant_zone(), **site)
+        there = simulate(moved, shared)
+        assert solar_calls == {"position": 2 * len(week), "irradiance": 10 * len(week)}
+        assert there != here
+        assert there == simulate(moved, WeatherSeries(records=week.records))
+
+    def test_equal_timestamps_other_irradiance_never_reuses(self, week, solar_calls):
+        bright = simulate(compliant_zone(), WeatherSeries(records=week.records))
+        dim = WeatherSeries(records=tuple(
+            dataclasses.replace(r, solar_direct_w_m2=r.solar_direct_w_m2 / 2)
+            for r in week.records))
+        result = simulate(compliant_zone(), dim)
+        assert solar_calls == {"position": 2 * len(week), "irradiance": 10 * len(week)}
+        assert sum(result.window_solar_w) < sum(bright.window_solar_w)
+
+    def test_memo_keeps_no_series_alive(self, week):
+        series = WeatherSeries(records=week.records)
+        simulate(compliant_zone(), series)
+        ref, key = weakref.ref(series), id(series)
+        del series
+        gc.collect()
+        assert ref() is None
+        assert all(k[0] != key for k in thermal._TRACKS)
+
+    def test_duplicate_surface_names_rejected(self):
+        zone = compliant_zone()
+        with pytest.raises(ValueError, match="distinct"):
+            dataclasses.replace(zone, surfaces=zone.surfaces + zone.surfaces[1:2])
