@@ -25,3 +25,17 @@ def initial_building():
 def final_building():
     from ecodom.dataio import load_building
     return load_building(FINAL_FIXTURE)
+
+
+@pytest.fixture
+def solar_calls(monkeypatch):
+    """Count the sun-position and irradiance calls made by simulate."""
+    from ecodom import thermal
+    calls = {"position": 0, "irradiance": 0}
+    for name, key in (("solar_position", "position"),
+                      ("surface_irradiance", "irradiance")):
+        def counted(*args, _fn=getattr(thermal, name), _key=key):
+            calls[_key] += 1
+            return _fn(*args)
+        monkeypatch.setattr(thermal, name, counted)
+    return calls

@@ -115,16 +115,9 @@ class TestSimulate:
         assert code == EXIT_OK
         assert "offset" in capsys.readouterr().out
 
-    def test_paired_run_shares_the_sun_track(self, weather_csv, monkeypatch, capsys):
+    def test_paired_run_shares_the_sun_track(self, weather_csv, solar_calls, capsys):
         # One sun position per record, and one irradiance evaluation per
         # record and distinct orientation of the two buildings together.
-        from ecodom import thermal
-        calls = {"solar_position": 0, "surface_irradiance": 0}
-        for name in calls:
-            def counted(*args, _fn=getattr(thermal, name), _name=name):
-                calls[_name] += 1
-                return _fn(*args)
-            monkeypatch.setattr(thermal, name, counted)
         orientations = set()
         for path in (FINAL_FIXTURE, INITIAL_FIXTURE):
             doc = json.loads(path.read_text())
@@ -134,8 +127,8 @@ class TestSimulate:
         assert main(["simulate", str(FINAL_FIXTURE), "--weather", str(weather_csv),
                      "--paired", str(INITIAL_FIXTURE)]) == EXIT_OK
         records = 48
-        assert calls == {"solar_position": records,
-                         "surface_irradiance": records * len(orientations)}
+        assert solar_calls == {"position": records,
+                               "irradiance": records * len(orientations)}
 
     def test_invalid_scenario_key_exits_two_naming_it(self, tmp_path,
                                                       weather_csv, capsys):

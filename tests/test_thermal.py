@@ -284,19 +284,6 @@ class TestZoneFromBuilding:
         assert len(csv_text.splitlines()) == 169
 
 
-@pytest.fixture
-def solar_calls(monkeypatch):
-    """Count the sun-position and irradiance calls made by simulate."""
-    calls = {"position": 0, "irradiance": 0}
-    for name, key in (("solar_position", "position"),
-                      ("surface_irradiance", "irradiance")):
-        def counted(*args, _fn=getattr(thermal, name), _key=key):
-            calls[_key] += 1
-            return _fn(*args)
-        monkeypatch.setattr(thermal, name, counted)
-    return calls
-
-
 def _turned(zone, azimuth_deg):
     """``zone`` with its second surface turned to ``azimuth_deg``."""
     surfaces = list(zone.surfaces)
