@@ -239,13 +239,18 @@ class WindowSpec:
         return orientation_from_azimuth(self.azimuth_deg)
 
     @property
+    def shading_height_m(self) -> float:
+        """Reference height of the overhang ratio: 2a+h for case 1, h for case 2."""
+        if self.shading_case is ShadingCase.CASE_1:
+            return 2.0 * self.overhang_offset_m + self.height_m
+        return self.height_m
+
+    @property
     def shading_ratio(self) -> float:
         """d/(2a+h) for case 1, d/h for case 2; 0.0 with no overhang."""
         if self.overhang_depth_m == 0:
             return 0.0
-        if self.shading_case is ShadingCase.CASE_1:
-            return self.overhang_depth_m / (2.0 * self.overhang_offset_m + self.height_m)
-        return self.overhang_depth_m / self.height_m
+        return self.overhang_depth_m / self.shading_height_m
 
 
 @dataclass(frozen=True)
@@ -427,6 +432,8 @@ def validate(building: BuildingDescription) -> list[ValidationIssue]:
     for pair in building.facade_pairs:
         if pair.facade_1_area_m2 <= 0 or pair.facade_2_area_m2 <= 0:
             err(f"facade pair {pair.id}", "areas", "facade areas must be > 0")
+        if pair.facade_1_id == pair.facade_2_id:
+            err(f"facade pair {pair.id}", "facade_id", "must name two different facades")
         for fid in (pair.facade_1_id, pair.facade_2_id):
             if fid not in facade_ids:
                 err(f"facade pair {pair.id}", "facade_id",

@@ -34,7 +34,7 @@ from .building import (
     facade_porosities,
     validate,
 )
-from .catalogue import RuleCatalogue, default_catalogue
+from .catalogue import RuleCatalogue
 from .errors import InputError
 
 REPORT_SCHEMA_VERSION = 1
@@ -166,8 +166,7 @@ def _roof_regime(roof: RoofSpec) -> str:
 
 
 def required_roof_insulation(color: ColorClass, material: InsulationLayer,
-                             attic_regime: str,
-                             catalogue: RuleCatalogue | None = None) -> float:
+                             attic_regime: str, catalogue: RuleCatalogue) -> float:
     """Required thickness in cm of the given material for a roof.
 
     Materials at least as conductive as polystyrene use their reference
@@ -176,12 +175,11 @@ def required_roof_insulation(color: ColorClass, material: InsulationLayer,
     conductivity.  ``attic_regime`` is ``"simple"`` or
     ``"well_ventilated_attic"``.
     """
-    cat = catalogue or default_catalogue()
-    reference = _roof_reference(material, cat)
+    reference = _roof_reference(material, catalogue)
     if reference is not None:
-        return cat.roof_cm(attic_regime, color, reference)
-    base_cm = cat.roof_cm(attic_regime, color, "polystyrene")
-    return base_cm * material.conductivity_w_mk / cat.lambda_polystyrene
+        return catalogue.roof_cm(attic_regime, color, reference)
+    base_cm = catalogue.roof_cm(attic_regime, color, "polystyrene")
+    return base_cm * material.conductivity_w_mk / catalogue.lambda_polystyrene
 
 
 def check_roof(roof: RoofSpec, catalogue: RuleCatalogue) -> Finding:
@@ -209,23 +207,19 @@ def check_roof(roof: RoofSpec, catalogue: RuleCatalogue) -> Finding:
 # walls
 
 def required_overhang_ratio(construction: WallConstruction, color: ColorClass,
-                            orientation: Orientation,
-                            catalogue: RuleCatalogue | None = None) -> float:
+                            orientation: Orientation, catalogue: RuleCatalogue) -> float:
     """Minimum overhang d/h for a wall; dark walls have no table column."""
     if color is ColorClass.DARK:
         raise DarkColorError("overhang table has no dark colour column")
-    cat = catalogue or default_catalogue()
-    return cat.overhang_ratio(construction, color, orientation)
+    return catalogue.overhang_ratio(construction, color, orientation)
 
 
 def required_wall_insulation(construction: WallConstruction, color: ColorClass,
-                             orientation: Orientation,
-                             catalogue: RuleCatalogue | None = None) -> float:
+                             orientation: Orientation, catalogue: RuleCatalogue) -> float:
     """Minimum insulation in cm at the 0.041 W/m.K reference conductivity."""
     if color is ColorClass.DARK:
         raise DarkColorError("insulation table has no dark colour column")
-    cat = catalogue or default_catalogue()
-    return cat.insulation_cm(construction, color, orientation)
+    return catalogue.insulation_cm(construction, color, orientation)
 
 
 def check_wall(wall: WallSpec, catalogue: RuleCatalogue) -> Finding:
@@ -287,10 +281,8 @@ def check_wall(wall: WallSpec, catalogue: RuleCatalogue) -> Finding:
 # ---------------------------------------------------------------------------
 # windows
 
-def required_window_ratio(orientation: Orientation,
-                          catalogue: RuleCatalogue | None = None) -> float:
-    cat = catalogue or default_catalogue()
-    return cat.window_ratio(orientation)
+def required_window_ratio(orientation: Orientation, catalogue: RuleCatalogue) -> float:
+    return catalogue.window_ratio(orientation)
 
 
 def check_window(window: WindowSpec, catalogue: RuleCatalogue) -> Finding:
@@ -306,10 +298,7 @@ def check_window(window: WindowSpec, catalogue: RuleCatalogue) -> Finding:
         return Finding("window.solar_protection", subject, Verdict.PASS,
                        measured=ratio, required=required, unit="ratio")
 
-    if window.shading_case.value == "case1":
-        depth_needed = required * (2.0 * window.overhang_offset_m + window.height_m)
-    else:
-        depth_needed = required * window.height_m
+    depth_needed = required * window.shading_height_m
     return Finding(
         "window.solar_protection", subject, Verdict.FAIL,
         measured=ratio, required=required, unit="ratio",
@@ -504,8 +493,7 @@ def _site_finding(building: BuildingDescription) -> Finding:
 # ---------------------------------------------------------------------------
 # aggregation
 
-def compliance_report(building: BuildingDescription,
-                      catalogue: RuleCatalogue | None = None,
+def compliance_report(building: BuildingDescription, catalogue: RuleCatalogue,
                       si_rule: str = "min") -> ComplianceReport:
     """Run every check on a validated building.
 
@@ -518,14 +506,13 @@ def compliance_report(building: BuildingDescription,
     issues = validate(building)
     if issues:
         raise BuildingValidationError(issues)
-    cat = catalogue or default_catalogue()
 
-    findings: list[Finding] = [check_roof(building.roof, cat)]
-    findings += [check_wall(w, cat) for w in building.walls]
-    findings += [check_window(w, cat) for w in building.windows]
-    findings += check_ventilation(building, cat, si_rule=si_rule)
+    findings: list[Finding] = [check_roof(building.roof, catalogue)]
+    findings += [check_wall(w, catalogue) for w in building.walls]
+    findings += [check_window(w, catalogue) for w in building.windows]
+    findings += check_ventilation(building, catalogue, si_rule=si_rule)
     findings.append(check_water_heater(building.water_heater,
-                                       building.dwelling_type, cat))
+                                       building.dwelling_type, catalogue))
     findings += _moisture_findings(building)
     findings.append(_site_finding(building))
 
@@ -535,6 +522,6 @@ def compliance_report(building: BuildingDescription,
     findings.sort(key=lambda f: (f.rule_id, f.subject))
     return ComplianceReport(
         building_name=building.name,
-        catalogue_version=cat.version,
+        catalogue_version=catalogue.version,
         findings=tuple(findings),
     )

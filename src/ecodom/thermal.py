@@ -13,19 +13,22 @@ is at machine precision.
 
 :func:`simulate` runs in three stages:
 
-1. weather only: the grid checks, the sun track and, filled on first
-   use, one (beam, diffuse) irradiance column per (azimuth, tilt).  It
-   is shared by every zone simulated on the same ``WeatherSeries``
-   object at the same site, so a paired or repeated run computes it
-   once.  The memo is keyed on the identity of the series plus
-   (latitude, longitude), not on its values (series and records are
-   frozen), and holds the series only weakly: an entry lives as long as
-   its series and is dropped when the series is collected;
+1. weather only, and the only stage that reads the ``WeatherSeries``:
+   the grid checks, then a track holding the series' records, one sun
+   position per step and, filled on first use, one (beam, diffuse)
+   irradiance column per (azimuth, tilt).  It is shared by every zone
+   simulated on the same series object at the same site, so a paired or
+   repeated run computes it once.  The memo is keyed on the identity of
+   the series plus (latitude, longitude), not on its values (series and
+   records are frozen), and holds the series only weakly: an entry
+   lives as long as its series and is dropped when the series is
+   collected;
 2. per zone: shading, sol-air temperature and transmitted solar of each
    surface, per step;
-3. the backward-Euler recurrence, then the flows, the energy residual
-   and the radiant temperature, with the arithmetic of the per-step
-   balance in the same order.
+3. the ventilation and internal-gains columns, the backward-Euler
+   recurrence, then the flows, the energy residual and the radiant
+   temperature, with the arithmetic of the per-step balance in the same
+   order.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ import math
 import weakref
 from array import array
 from dataclasses import dataclass
+from datetime import timezone
 from itertools import chain, repeat
 from operator import mul
 
@@ -41,7 +45,6 @@ from .building import BuildingDescription, facade_porosities
 from .dataio import WeatherSeries, weather_grid
 from .errors import InputError, is_number
 from .solar import (
-    SolarPosition,
     overhang_shading_fraction,
     sol_air_temperature,
     solar_position,
@@ -120,7 +123,6 @@ class VentilationApertures:
     outlet_area_m2: float
     discharge_coefficient: float = DEFAULT_CD
     delta_cp: float = DEFAULT_DELTA_CP
-    inlet_azimuth_deg: float | None = None  # None: wind always normal to inlet
 
     def __post_init__(self) -> None:
         if self.inlet_area_m2 < 0 or self.outlet_area_m2 < 0:
@@ -161,9 +163,10 @@ class ZoneModel:
     """Lumped single-zone model ready to simulate.
 
     ``internal_gains_w`` is either a constant or a daily schedule: a
-    sequence of 24 hourly values indexed by the timestamp's UTC hour,
-    not local time (at Reunion, UTC+4, a 19:00 local peak goes at index
-    15), cycled over the simulated period.
+    sequence of 24 hourly values indexed by the timestamp's UTC hour
+    whatever its offset (a naive timestamp is UTC), not local time (at
+    Reunion, UTC+4, a 19:00 local peak goes at index 15), cycled over
+    the simulated period.
     """
 
     name: str
@@ -189,11 +192,6 @@ class ZoneModel:
                                tuple(float(g) for g in self.internal_gains_w))
             if len(self.internal_gains_w) != 24:
                 raise ValueError("an internal-gains schedule must list 24 hourly values")
-
-    def internal_gains_at(self, timestamp) -> float:
-        if isinstance(self.internal_gains_w, tuple):
-            return self.internal_gains_w[timestamp.hour]
-        return float(self.internal_gains_w)
 
 
 class WeatherGapError(InputError):
@@ -234,17 +232,18 @@ class SimulationResult:
 class _SunTrack:
     """Stage 1: what a run takes from the weather series and the site alone.
 
-    The grid checks and the sun track are made on creation.  The
+    The grid checks and the sun positions are made on creation.  The
+    track keeps the series' records, never the series itself.  The
     (beam, diffuse) irradiance column of an (azimuth, tilt) is filled the
     first time a zone has a surface facing that way.
     """
 
     # ``series`` is the weak reference whose callback drops the memo entry.
-    __slots__ = ("series", "step_s", "timestamps", "t_out", "altitude", "azimuth",
+    __slots__ = ("series", "records", "step_s", "timestamps", "t_out", "suns",
                  "irradiance")
 
     def __init__(self, weather: WeatherSeries, latitude: float, longitude: float):
-        records = weather.records
+        self.records = records = weather.records
         self.timestamps = tuple(r.timestamp for r in records)
         self.step_s, missing = weather_grid(self.timestamps)
         if missing:
@@ -255,23 +254,16 @@ class _SunTrack:
         if span + self.step_s < 24 * 3600.0 - 1e-6:
             raise InputError("weather must cover at least 24 hours")
         self.t_out = tuple(r.temp_air_c for r in records)
-        self.altitude, self.azimuth = array("d"), array("d")
-        for ts in self.timestamps:
-            sun = solar_position(latitude, longitude, ts)
-            self.altitude.append(sun.altitude_deg)
-            self.azimuth.append(sun.azimuth_deg)
+        self.suns = [solar_position(latitude, longitude, ts) for ts in self.timestamps]
         self.irradiance: dict[tuple[float, float], tuple[array, array]] = {}
 
-    def suns(self) -> list[SolarPosition]:
-        return list(map(SolarPosition, self.altitude, self.azimuth))
-
-    def fill(self, weather: WeatherSeries, orientations, suns) -> None:
+    def fill(self, orientations) -> None:
         """Compute the irradiance columns of ``orientations`` not yet held."""
         new = {o: (array("d"), array("d")) for o in orientations
                if o not in self.irradiance}
         if not new:
             return
-        for sun, rec in zip(suns, weather.records):
+        for sun, rec in zip(self.suns, self.records):
             direct, diffuse = rec.solar_direct_w_m2, rec.solar_diffuse_w_m2
             for (azimuth, tilt), (beam_col, diffuse_col) in new.items():
                 beam, sky = surface_irradiance(sun, direct, diffuse, azimuth, tilt)
@@ -296,29 +288,25 @@ def _sun_track(weather: WeatherSeries, latitude: float, longitude: float) -> _Su
     return track
 
 
-def _forcing(zone: ZoneModel, weather: WeatherSeries,
-             track: _SunTrack) -> tuple[list[list[float]], list[float]]:
+def _forcing(zone: ZoneModel, track: _SunTrack) -> tuple[list[list[float]], list[float]]:
     """Stage 2: the sol-air temperature of each surface and the solar
     transmitted through the glazing, per step."""
     orientations = [(s.azimuth_deg, s.tilt_deg) for s in zone.surfaces]
-    shading = [s.fixed_shading for s in zone.surfaces]
-    needs_sun = None in shading or any(o not in track.irradiance for o in orientations)
-    suns = track.suns() if needs_sun else None
-    track.fill(weather, orientations, suns)
+    track.fill(orientations)
 
     sol_air = []
     transmitted = [0.0] * len(track.t_out)
-    for surface, orientation, shade in zip(zone.surfaces, orientations, shading):
+    for surface, orientation in zip(zone.surfaces, orientations):
         beam, diffuse = track.irradiance[orientation]
+        shade = surface.fixed_shading
         if shade is None:
             height = surface.overhang_height_m if surface.overhang_height_m > 0 else 1.0
             shades = [overhang_shading_fraction(
                 surface.overhang_depth_m, height, surface.overhang_offset_m,
-                sun, surface.azimuth_deg) for sun in suns]
-            effective = [b * (1.0 - f) + d for b, f, d in zip(beam, shades, diffuse)]
+                sun, surface.azimuth_deg) for sun in track.suns]
         else:
-            lit = 1.0 - shade
-            effective = [b * lit + d for b, d in zip(beam, diffuse)]
+            shades = repeat(shade)
+        effective = [b * (1.0 - f) + d for b, f, d in zip(beam, shades, diffuse)]
         sol_air.append([sol_air_temperature(t, e, surface.absorptivity, zone.h_exterior)
                         for t, e in zip(track.t_out, effective)])
         if surface.solar_transmittance > 0:
@@ -337,18 +325,21 @@ def simulate(zone: ZoneModel, weather: WeatherSeries) -> SimulationResult:
     Zones run on the same series object share its weather-only stage.
     """
     track = _sun_track(weather, zone.latitude, zone.longitude)
-    sol_air, transmitted = _forcing(zone, weather, track)
+    sol_air, transmitted = _forcing(zone, track)
     timestamps, t_out, dt = track.timestamps, track.t_out, track.step_s
     n = len(t_out)
 
-    apertures = zone.apertures
-    inlet = apertures.inlet_azimuth_deg
-    ach = [ventilation_ach(apertures, zone.volume_m3, r.wind_speed_m_s,
-                           0.0 if inlet is None else r.wind_dir_deg - inlet)
-           for r in weather.records]
+    ach = [ventilation_ach(zone.apertures, zone.volume_m3, r.wind_speed_m_s)
+           for r in track.records]
     rho_cp = AIR_DENSITY * AIR_HEAT_CAPACITY
     h_vent = [rho_cp * a * zone.volume_m3 / 3600.0 for a in ach]
-    internal = [zone.internal_gains_at(ts) for ts in timestamps]
+    gains = zone.internal_gains_w
+    if isinstance(gains, tuple):
+        # A naive timestamp is UTC, as in the sun position.
+        internal = [gains[(ts.astimezone(timezone.utc) if ts.tzinfo else ts).hour]
+                    for ts in timestamps]
+    else:
+        internal = [float(gains)] * n
     gains_fixed = [q + g for q, g in zip(transmitted, internal)]
 
     # Stage 3, backward Euler:

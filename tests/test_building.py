@@ -204,6 +204,12 @@ class TestValidation:
         assert [str(i) for i in issues] == [
             "wall n.id: duplicate wall id", "window n.id: duplicate window id"]
 
+    def test_facade_pair_names_two_facades(self):
+        b = _simple_building()
+        same = dataclasses.replace(b, facade_pairs=(FacadePair("f1", "f1", 8.0, 8.0),))
+        assert [str(i) for i in validate(same)] == [
+            "facade pair f1/f1.facade_id: must name two different facades"]
+
     def test_dwelling_type_and_latitude(self):
         b = dataclasses.replace(_simple_building(), dwelling_type=0, latitude=99.0)
         fields = {i.field for i in validate(b)}

@@ -342,6 +342,16 @@ class TestInputBoundary:
         err = _assert_one_error_line(main(argv), capsys)
         assert "wall north.id: duplicate wall id" in err
 
+    def test_facade_pair_of_one_facade_exits_two(self, tmp_path, capsys):
+        from ecodom.dataio import building_to_dict, load_building
+        doc = building_to_dict(load_building(FINAL_FIXTURE))
+        for pair in doc["facade_pairs"]:
+            pair["facade_2_id"] = pair["facade_1_id"]
+        path = tmp_path / "building.json"
+        path.write_text(json.dumps(doc))
+        err = _assert_one_error_line(main(["check", str(path)]), capsys)
+        assert "facade pair north_l0/north_l0.facade_id: must name two different" in err
+
     def test_misaligned_zones_print_no_offset(self, tmp_path, capsys):
         base = datetime(2026, 2, 1, tzinfo=timezone.utc)
         records = [IndoorRecord(base + timedelta(hours=i), "a", 27.0, None, 55.0, None)

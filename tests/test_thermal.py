@@ -2,7 +2,7 @@ import dataclasses
 import gc
 import hashlib
 import weakref
-from datetime import timedelta
+from datetime import timedelta, timezone
 
 import pytest
 
@@ -332,6 +332,16 @@ class TestStagedRun:
         result = simulate(compliant_zone(), dim)
         assert solar_calls == {"position": 2 * len(week), "irradiance": 10 * len(week)}
         assert sum(result.window_solar_w) < sum(bright.window_solar_w)
+
+    def test_gains_schedule_follows_utc_hour_for_any_offset(self, week):
+        plus4 = timezone(timedelta(hours=4))
+        local = WeatherSeries(records=tuple(
+            dataclasses.replace(r, timestamp=r.timestamp.astimezone(plus4))
+            for r in week.records))
+        zone = dataclasses.replace(
+            compliant_zone(), internal_gains_w=[2000.0 if h == 15 else 0.0
+                                                for h in range(24)])
+        assert simulate(zone, local) == simulate(zone, week)
 
     def test_memo_keeps_no_series_alive(self, week):
         series = WeatherSeries(records=week.records)
