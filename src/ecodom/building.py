@@ -429,11 +429,16 @@ def validate(building: BuildingDescription) -> list[ValidationIssue]:
             err(f"window {window.id}", "overhang_offset_m",
                 "offset applies to case 1 geometry only")
 
+    pairs: set[frozenset[str]] = set()
     for pair in building.facade_pairs:
         if pair.facade_1_area_m2 <= 0 or pair.facade_2_area_m2 <= 0:
             err(f"facade pair {pair.id}", "areas", "facade areas must be > 0")
         if pair.facade_1_id == pair.facade_2_id:
             err(f"facade pair {pair.id}", "facade_id", "must name two different facades")
+        axis = frozenset((pair.facade_1_id, pair.facade_2_id))
+        if axis in pairs:
+            err(f"facade pair {pair.id}", "facade_id", "duplicate facade pair")
+        pairs.add(axis)
         for fid in (pair.facade_1_id, pair.facade_2_id):
             if fid not in facade_ids:
                 err(f"facade pair {pair.id}", "facade_id",

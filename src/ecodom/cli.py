@@ -165,7 +165,8 @@ def _cmd_comfort(args) -> int:
                   f"max {offsets.max_offset_c:.2f} C, "
                   f"hours >= 1 C: {offsets.fraction_ge_1c * 100:.0f}%")
     if args.scatter:
-        Path(args.scatter).write_text(psychro_scatter_rows(points, zone), "utf-8")
+        Path(args.scatter).write_text(psychro_scatter_rows(points, zone, stats.inside),
+                                      "utf-8")
     return EXIT_OK
 
 

@@ -7,6 +7,11 @@ warm-humid-climate zone (Givoni type): 22 to 29 degC between 4 and
 2 degC per m/s of air speed up to a 32 degC cap.  Those bounds are a
 documented convention, not a measured constant, and can be overridden
 from a zone file.
+
+A series is classified in one pass: each sample is tested once against
+the polygon extended for its air speed, and that polygon is built once
+per distinct air speed.  The discomfort statistics and the scatter export
+read the same flags.
 """
 
 from __future__ import annotations
@@ -47,7 +52,7 @@ def humidity_ratio(t_c: float, rh_pct: float,
     return 622.0 * partial / (pressure_pa - partial)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PsychroPoint:
     """One sample on the psychrometric plane.
 
@@ -187,12 +192,28 @@ def classify(point: PsychroPoint, zone: ComfortZone = DEFAULT_ZONE) -> bool:
     return _point_in_polygon(point.temperature_c, point.humidity_ratio_g_kg, polygon)
 
 
+def _inside_flags(points: list[PsychroPoint],
+                  zone: ComfortZone) -> tuple[tuple[bool, ...], dict]:
+    """``classify`` for every point, with one extended polygon per distinct
+    air speed.  Returns the flags and the polygons keyed on air speed."""
+    polygons: dict = {}
+    flags = []
+    for p in points:
+        polygon = polygons.get(p.air_speed_m_s)
+        if polygon is None:
+            polygon = polygons[p.air_speed_m_s] = zone.extended_vertices(p.air_speed_m_s)
+        flags.append(_point_in_polygon(p.temperature_c, p.humidity_ratio_g_kg, polygon))
+    return tuple(flags), polygons
+
+
 @dataclass(frozen=True)
 class ComfortStats:
     total_hours: int
     discomfort_fraction: float
     mean_exceedance_c: float
     max_exceedance_c: float
+    # the per-sample classification the fraction counts (True = inside)
+    inside: tuple[bool, ...] = dataclass_field(repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.total_hours <= 0:
@@ -208,19 +229,22 @@ def discomfort_fraction(points: list[PsychroPoint],
     Exceedance is how far a sample's temperature sits above the
     (air-speed extended) upper bound; samples outside only on the
     humidity axis count in the fraction but contribute zero exceedance.
+    The returned stats carry the per-sample flags in ``inside``.
     """
     if not points:
         raise ValueError("empty series")
-    exceedances = []
-    for p in points:
-        if not classify(p, zone):
-            exceedances.append(max(0.0, p.temperature_c - zone.upper_bound_at(p.air_speed_m_s)))
+    inside, polygons = _inside_flags(points, zone)
+    # upper_bound_at's expression, once per distinct air speed
+    bounds = {speed: max(t for t, _ in polygon) for speed, polygon in polygons.items()}
+    exceedances = [max(0.0, p.temperature_c - bounds[p.air_speed_m_s])
+                   for p, flag in zip(points, inside) if not flag]
     outside = len(exceedances)
     return ComfortStats(
         total_hours=len(points),
         discomfort_fraction=outside / len(points),
         mean_exceedance_c=sum(exceedances) / outside if outside else 0.0,
         max_exceedance_c=max(exceedances) if outside else 0.0,
+        inside=inside,
     )
 
 
@@ -255,13 +279,18 @@ def paired_offset(series_a: list[tuple], series_b: list[tuple]) -> OffsetStats:
 
 
 def psychro_scatter_rows(points: list[PsychroPoint],
-                         zone: ComfortZone = DEFAULT_ZONE) -> str:
+                         zone: ComfortZone = DEFAULT_ZONE,
+                         inside: tuple[bool, ...] | None = None) -> str:
     """CSV text with one row per point plus the zone polygon vertices,
-    ready for any plotting tool.  Output is deterministic for fixed input."""
+    ready for any plotting tool.  Output is deterministic for fixed input.
+
+    ``inside`` are the points' flags as ``discomfort_fraction`` returns
+    them; the points are classified here when it is not given."""
+    if inside is None:
+        inside, _ = _inside_flags(points, zone)
     lines = ["kind,temperature_c,humidity_ratio_g_kg,inside"]
-    for p in points:
-        inside = 1 if classify(p, zone) else 0
-        lines.append(f"point,{p.temperature_c!r},{p.humidity_ratio_g_kg!r},{inside}")
+    lines += [f"point,{p.temperature_c!r},{p.humidity_ratio_g_kg!r},{1 if flag else 0}"
+              for p, flag in zip(points, inside, strict=True)]
     for t, w in zone.vertices:
         lines.append(f"zone_vertex,{t!r},{w!r},")
     return "\n".join(lines) + "\n"

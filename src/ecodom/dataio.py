@@ -177,7 +177,7 @@ def write_weather(series: WeatherSeries, path: str | Path) -> None:
 # ---------------------------------------------------------------------------
 # indoor monitoring series
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IndoorRecord:
     timestamp: datetime
     zone: str

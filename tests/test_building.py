@@ -210,6 +210,15 @@ class TestValidation:
         assert [str(i) for i in validate(same)] == [
             "facade pair f1/f1.facade_id: must name two different facades"]
 
+    @pytest.mark.parametrize("second", [("f1", "f2"), ("f2", "f1")],
+                             ids=["same-order", "reversed"])
+    def test_repeated_facade_pair(self, second):
+        b = _simple_building()
+        pairs = (FacadePair("f1", "f2", 8.0, 8.0), FacadePair(*second, 8.0, 8.0))
+        issues = validate(dataclasses.replace(b, facade_pairs=pairs))
+        assert [str(i) for i in issues] == [
+            f"facade pair {second[0]}/{second[1]}.facade_id: duplicate facade pair"]
+
     def test_dwelling_type_and_latitude(self):
         b = dataclasses.replace(_simple_building(), dwelling_type=0, latitude=99.0)
         fields = {i.field for i in validate(b)}

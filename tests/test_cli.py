@@ -230,6 +230,35 @@ class TestComfort:
             "timestamp,zone,temp_air_c,temp_resultant_c,rh_pct,air_speed_m_s\n")
         assert main(["comfort", str(empty)]) == EXIT_INPUT_ERROR
 
+    def test_one_polygon_test_per_sample(self, tmp_path, monkeypatch):
+        import ecodom.comfort as comfort
+        base = datetime(2026, 2, 1, tzinfo=timezone.utc)
+        speeds = (None, 0.0, 0.3, 0.3, 1.0, 4.0, None, 0.3)
+        records = [IndoorRecord(base + timedelta(minutes=10 * i), zone,
+                                24.0 + 0.1 * i, None if i % 5 else 27.0, 55.0,
+                                speeds[i % len(speeds)])
+                   for zone in ("bedroom", "living") for i in range(60)]
+        path = tmp_path / "two.csv"
+        write_indoor(IndoorSeries(records=tuple(records)), path)
+        calls = {"polygon": 0, "extended": []}
+        point_in_polygon = comfort._point_in_polygon
+        extended_vertices = comfort.ComfortZone.extended_vertices
+
+        def count_polygon(*args):
+            calls["polygon"] += 1
+            return point_in_polygon(*args)
+
+        def count_extended(zone, speed):
+            calls["extended"].append(speed)
+            return extended_vertices(zone, speed)
+
+        monkeypatch.setattr(comfort, "_point_in_polygon", count_polygon)
+        monkeypatch.setattr(comfort.ComfortZone, "extended_vertices", count_extended)
+        scatter = tmp_path / "scatter.csv"
+        assert main(["comfort", str(path), "--scatter", str(scatter)]) == EXIT_OK
+        assert calls["polygon"] == len(records) == 120
+        assert sorted(calls["extended"]) == [0.0, 0.3, 1.0, 4.0]
+
 
 def _bundled_catalogue() -> dict:
     import importlib.resources as resources
@@ -351,6 +380,16 @@ class TestInputBoundary:
         path.write_text(json.dumps(doc))
         err = _assert_one_error_line(main(["check", str(path)]), capsys)
         assert "facade pair north_l0/north_l0.facade_id: must name two different" in err
+
+    def test_repeated_facade_pair_exits_two(self, tmp_path, capsys):
+        # a repeated pair would count its apertures twice in the zone model
+        from ecodom.dataio import building_to_dict, load_building
+        doc = building_to_dict(load_building(FINAL_FIXTURE))
+        doc["facade_pairs"].append(dict(doc["facade_pairs"][0]))
+        path = tmp_path / "building.json"
+        path.write_text(json.dumps(doc))
+        err = _assert_one_error_line(main(["check", str(path)]), capsys)
+        assert "facade pair north_l0/south_l0.facade_id: duplicate facade pair" in err
 
     def test_misaligned_zones_print_no_offset(self, tmp_path, capsys):
         base = datetime(2026, 2, 1, tzinfo=timezone.utc)

@@ -1,3 +1,7 @@
+import dataclasses
+import hashlib
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -215,3 +219,90 @@ class TestZoneFile:
     def test_repeated_vertex_rejected(self):
         with pytest.raises(ValueError, match="simple"):
             ComfortZone(vertices=((22.0, 4.0), (29.0, 4.0), (22.0, 4.0)))
+
+
+def _seeded_points(seed: int = 7, n: int = 2000) -> list[PsychroPoint]:
+    """Blank and zero air speeds, speeds past the cap, warm and cool
+    outliers and humidity-only outliers (a comfortable temperature with a
+    humidity ratio above 17 or below 4 g/kg)."""
+    rng = random.Random(seed)
+    speeds = [0.0, 0.0, 0.25, 0.5, 1.0, 1.5, 2.5, 5.0]
+    points = []
+    for i in range(n):
+        kind = i % 4
+        if kind == 0:  # blank speed: the default
+            points.append(PsychroPoint(rng.uniform(18.0, 36.0), rng.uniform(20.0, 90.0)))
+        elif kind == 1:  # humidity-only outlier
+            rh = rng.choice((rng.uniform(85.0, 99.0), rng.uniform(5.0, 15.0)))
+            points.append(PsychroPoint(rng.uniform(23.0, 28.0), rh, rng.choice(speeds)))
+        elif kind == 2:  # speeds from a short list, so they repeat
+            points.append(PsychroPoint(rng.uniform(18.0, 36.0), rng.uniform(20.0, 90.0),
+                                       rng.choice(speeds)))
+        else:
+            points.append(PsychroPoint(rng.uniform(18.0, 36.0), rng.uniform(20.0, 90.0),
+                                       round(rng.uniform(0.0, 3.0), 2)))
+    return points
+
+
+# the cap sits below the warm edge, so air speed never extends the zone
+NO_EXTENSION_ZONE = ComfortZone(DEFAULT_ZONE.vertices, extension_c_per_m_s=2.0,
+                                max_extended_temp_c=27.0)
+
+
+class TestOnePass:
+    @pytest.mark.parametrize("zone", [DEFAULT_ZONE, NO_EXTENSION_ZONE],
+                             ids=["default", "no-extension"])
+    def test_stats_equal_per_point_oracle(self, zone):
+        points = _seeded_points()
+        flags = [classify(p, zone) for p in points]
+        exceedances = [max(0.0, p.temperature_c - zone.upper_bound_at(p.air_speed_m_s))
+                       for p, flag in zip(points, flags) if not flag]
+        outside = len(exceedances)
+        assert 0 < outside < len(points)
+        stats = discomfort_fraction(points, zone)
+        assert stats.discomfort_fraction == outside / len(points)
+        assert stats.mean_exceedance_c == sum(exceedances) / outside
+        assert stats.max_exceedance_c == max(exceedances)
+
+    @pytest.mark.parametrize("zone", [DEFAULT_ZONE, NO_EXTENSION_ZONE],
+                             ids=["default", "no-extension"])
+    def test_stats_carry_the_classify_flags(self, zone):
+        points = _seeded_points()
+        assert discomfort_fraction(points, zone).inside == tuple(
+            classify(p, zone) for p in points)
+
+    def test_series_covers_every_case(self):
+        points = _seeded_points()
+        speeds = {p.air_speed_m_s for p in points}
+        assert 0.0 in speeds and max(speeds) * 2.0 > 32.0 - 29.0
+        humid_only = [p for p in points if 22.0 <= p.temperature_c <= 29.0
+                      and not 4.0 <= p.humidity_ratio_g_kg <= 17.0]
+        assert humid_only and all(not classify(p) for p in humid_only)
+        assert NO_EXTENSION_ZONE.upper_bound_at(5.0) == 29.0
+
+    def test_flags_not_in_repr_or_compare(self):
+        points = _seeded_points(n=40)
+        stats = discomfort_fraction(points)
+        assert "inside" not in repr(stats)
+        assert stats == dataclasses.replace(stats, inside=())
+
+    @pytest.mark.parametrize("zone", [DEFAULT_ZONE, NO_EXTENSION_ZONE],
+                             ids=["default", "no-extension"])
+    def test_scatter_with_given_flags_equals_classified(self, zone):
+        points = _seeded_points()
+        assert psychro_scatter_rows(points, zone) == psychro_scatter_rows(
+            points, zone, discomfort_fraction(points, zone).inside)
+
+    def test_scatter_refuses_flags_of_another_length(self):
+        points = _seeded_points(n=10)
+        with pytest.raises(ValueError):
+            psychro_scatter_rows(points, DEFAULT_ZONE, (True,) * 9)
+
+    def test_empty_scatter_is_header_and_vertices(self):
+        text = psychro_scatter_rows([])
+        assert text.splitlines() == [
+            "kind,temperature_c,humidity_ratio_g_kg,inside",
+            "zone_vertex,22.0,4.0,", "zone_vertex,29.0,4.0,",
+            "zone_vertex,29.0,17.0,", "zone_vertex,22.0,17.0,"]
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "189fbec1454795c469f32f41880d892dc9543cb07015541741525aac009237c6")
