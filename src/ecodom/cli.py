@@ -117,6 +117,8 @@ def _print_summary(name: str, result) -> None:
 
 
 def _cmd_simulate(args) -> int:
+    if args.paired_out and not args.paired:
+        raise InputError("--paired-out needs --paired")
     weather = load_weather(args.weather)
     scenario = read_json(args.scenario, ScenarioError) if args.scenario else {}
     name, result = _simulate_one(args.building, weather, scenario, args.out)

@@ -146,8 +146,13 @@ DEFAULT_ZONE = ComfortZone(
 
 def load_zone(path: str | Path) -> ComfortZone:
     """Read a zone override file: {"vertices": [[T, w], ...],
-    "extension_c_per_m_s": k, "max_extended_temp_c": cap}."""
+    "extension_c_per_m_s": k, "max_extended_temp_c": cap}; any other key
+    is refused."""
     doc = read_json(path)
+    unknown = [key for key in doc
+               if key not in ("vertices", "extension_c_per_m_s", "max_extended_temp_c")]
+    if unknown:
+        raise InputError(f"zone file {path}: unknown key {', '.join(unknown)}")
     try:
         return ComfortZone(
             vertices=tuple((number(t), number(w))

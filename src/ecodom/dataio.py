@@ -13,6 +13,7 @@ import json
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from dataclasses import field as dataclass_field
 from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
 
@@ -95,6 +96,10 @@ class WeatherRecord:
 class WeatherSeries:
     records: tuple[WeatherRecord, ...]
     gaps: tuple[datetime, ...] = ()
+    # Stage 1 of ``thermal.simulate`` per (latitude, longitude), filled
+    # by it; this module never reads it.
+    sun_tracks: dict = dataclass_field(default_factory=dict, init=False,
+                                       repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.records)
@@ -224,11 +229,18 @@ class IndoorSeries:
 
 def load_indoor(path: str | Path) -> IndoorSeries:
     records = []
+    last_ts: dict[str, datetime] = {}
     for line_no, parts in _read_rows(path, INDOOR_COLUMNS):
         rh = _parse_float(parts[4], "rh_pct", line_no)
         if not 0.0 <= rh <= 100.0:
             raise SeriesFormatError(f"line {line_no}: rh_pct {rh} outside [0, 100]")
         timestamp = _parse_timestamp(parts[0], line_no)
+        zone = parts[1]
+        prev = last_ts.get(zone)
+        if prev is not None and timestamp <= prev:
+            raise SeriesFormatError(f"line {line_no}: timestamp {parts[0]} not after "
+                                    f"previous record of zone {zone}")
+        last_ts[zone] = timestamp
         air = _parse_float(parts[2], "temp_air_c", line_no)
         resultant = (None if parts[3] == ""
                      else _parse_float(parts[3], "temp_resultant_c", line_no))
@@ -239,7 +251,7 @@ def load_indoor(path: str | Path) -> IndoorSeries:
         if not T_MIN_C <= comfort <= T_MAX_C:
             raise SeriesFormatError(f"line {line_no}: comfort temperature {comfort} outside "
                                     f"the supported [{T_MIN_C}, {T_MAX_C}] degC")
-        records.append(IndoorRecord(timestamp, parts[1], air, resultant, rh, speed))
+        records.append(IndoorRecord(timestamp, zone, air, resultant, rh, speed))
     return IndoorSeries(records=tuple(records))
 
 
@@ -428,8 +440,25 @@ def building_to_dict(b: bm.BuildingDescription) -> dict:
     }
 
 
+def _unknown_keys(doc, known, where: str = ""):
+    """Paths of the keys of ``doc``, a parsed building file, that
+    ``known`` lacks; ``known`` is the loaded description as
+    :func:`building_to_dict` writes it, with every key the loader reads."""
+    if isinstance(doc, dict) and isinstance(known, dict):
+        for key, value in doc.items():
+            path = f"{where}.{key}" if where else key
+            if key in known:
+                yield from _unknown_keys(value, known[key], path)
+            else:
+                yield path
+    elif isinstance(doc, list) and isinstance(known, list):
+        for i, (value, ref) in enumerate(zip(doc, known)):
+            yield from _unknown_keys(value, ref, f"{where}[{i}]")
+
+
 def load_building(path: str | Path) -> bm.BuildingDescription:
-    """Load and validate a building description file."""
+    """Load and validate a building description file; a key the format
+    does not define is refused by its path."""
     doc = read_json(path, SeriesFormatError)
     try:
         description = building_from_dict(doc)
@@ -437,6 +466,9 @@ def load_building(path: str | Path) -> bm.BuildingDescription:
         raise
     except (TypeError, ValueError) as exc:
         raise SeriesFormatError(f"{path}: missing or malformed field: {exc}") from exc
+    unknown = list(_unknown_keys(doc, building_to_dict(description)))
+    if unknown:
+        raise SeriesFormatError(f"{path}: unknown key {', '.join(unknown)}")
     issues = bm.validate(description)
     if issues:
         raise bm.BuildingValidationError(issues)

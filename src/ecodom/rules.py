@@ -23,10 +23,8 @@ from .building import (
     ColorClass,
     FacadePorosities,
     InsulationLayer,
-    Orientation,
     Room,
     RoofSpec,
-    WallConstruction,
     WallSpec,
     WaterHeaterKind,
     WaterHeaterSpec,
@@ -43,12 +41,7 @@ REPORT_SCHEMA_VERSION = 1
 class Verdict(enum.Enum):
     PASS = "pass"
     FAIL = "fail"
-    NOT_APPLICABLE = "not_applicable"
     INFORMATIONAL = "informational"
-
-
-class DarkColorError(LookupError):
-    """The wall tables carry light and medium colour columns only."""
 
 
 @dataclass(frozen=True)
@@ -112,7 +105,6 @@ class ComplianceReport:
         tag = {
             Verdict.PASS: "PASS",
             Verdict.FAIL: "FAIL",
-            Verdict.NOT_APPLICABLE: "N/A ",
             Verdict.INFORMATIONAL: "INFO",
         }
         lines = [
@@ -206,22 +198,6 @@ def check_roof(roof: RoofSpec, catalogue: RuleCatalogue) -> Finding:
 # ---------------------------------------------------------------------------
 # walls
 
-def required_overhang_ratio(construction: WallConstruction, color: ColorClass,
-                            orientation: Orientation, catalogue: RuleCatalogue) -> float:
-    """Minimum overhang d/h for a wall; dark walls have no table column."""
-    if color is ColorClass.DARK:
-        raise DarkColorError("overhang table has no dark colour column")
-    return catalogue.overhang_ratio(construction, color, orientation)
-
-
-def required_wall_insulation(construction: WallConstruction, color: ColorClass,
-                             orientation: Orientation, catalogue: RuleCatalogue) -> float:
-    """Minimum insulation in cm at the 0.041 W/m.K reference conductivity."""
-    if color is ColorClass.DARK:
-        raise DarkColorError("insulation table has no dark colour column")
-    return catalogue.insulation_cm(construction, color, orientation)
-
-
 def check_wall(wall: WallSpec, catalogue: RuleCatalogue) -> Finding:
     """Solar protection of a wall.
 
@@ -246,13 +222,13 @@ def check_wall(wall: WallSpec, catalogue: RuleCatalogue) -> Finding:
                         "with a vertical shading system / ventilated double skin",
         )
 
-    ratio_required = required_overhang_ratio(
-        wall.construction, wall.color, wall.orientation, catalogue)
+    ratio_required = catalogue.overhang_ratio(
+        wall.construction, wall.color, wall.orientation)
     ratio = wall.overhang_ratio
     ratio_ok = ratio + 1e-9 >= ratio_required
 
-    insulation_required_cm = required_wall_insulation(
-        wall.construction, wall.color, wall.orientation, catalogue)
+    insulation_required_cm = catalogue.insulation_cm(
+        wall.construction, wall.color, wall.orientation)
     required_resistance = (insulation_required_cm / 100.0) / catalogue.lambda_polystyrene
     insulation_ok = wall.insulation.resistance + 1e-12 >= required_resistance
 
@@ -281,10 +257,6 @@ def check_wall(wall: WallSpec, catalogue: RuleCatalogue) -> Finding:
 # ---------------------------------------------------------------------------
 # windows
 
-def required_window_ratio(orientation: Orientation, catalogue: RuleCatalogue) -> float:
-    return catalogue.window_ratio(orientation)
-
-
 def check_window(window: WindowSpec, catalogue: RuleCatalogue) -> Finding:
     """Solar protection of a window: opaque mobile shading, or an overhang
     whose geometric ratio reaches the required value for the orientation."""
@@ -292,7 +264,7 @@ def check_window(window: WindowSpec, catalogue: RuleCatalogue) -> Finding:
     if window.mobile_shading:
         return Finding("window.solar_protection", subject, Verdict.PASS)
 
-    required = required_window_ratio(window.orientation, catalogue)
+    required = catalogue.window_ratio(window.orientation)
     ratio = window.shading_ratio
     if ratio + 1e-9 >= required:
         return Finding("window.solar_protection", subject, Verdict.PASS,

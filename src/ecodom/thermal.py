@@ -16,13 +16,10 @@ is at machine precision.
 1. weather only, and the only stage that reads the ``WeatherSeries``:
    the grid checks, then a track holding the series' records, one sun
    position per step and, filled on first use, one (beam, diffuse)
-   irradiance column per (azimuth, tilt).  It is shared by every zone
-   simulated on the same series object at the same site, so a paired or
-   repeated run computes it once.  The memo is keyed on the identity of
-   the series plus (latitude, longitude), not on its values (series and
-   records are frozen), and holds the series only weakly: an entry
-   lives as long as its series and is dropped when the series is
-   collected;
+   irradiance column per (azimuth, tilt).  The series holds it, per
+   (latitude, longitude), so every zone simulated on the same series
+   object at the same site shares it, a paired or repeated run computes
+   it once, and it dies with the series;
 2. per zone: shading, sol-air temperature and transmitted solar of each
    surface, per step;
 3. the ventilation and internal-gains columns, the backward-Euler
@@ -34,7 +31,6 @@ is at machine precision.
 from __future__ import annotations
 
 import math
-import weakref
 from array import array
 from dataclasses import dataclass
 from datetime import timezone
@@ -233,14 +229,13 @@ class _SunTrack:
     """Stage 1: what a run takes from the weather series and the site alone.
 
     The grid checks and the sun positions are made on creation.  The
-    track keeps the series' records, never the series itself.  The
+    track keeps the series' records, never the series itself, so the
+    series that holds the track forms no reference cycle with it.  The
     (beam, diffuse) irradiance column of an (azimuth, tilt) is filled the
     first time a zone has a surface facing that way.
     """
 
-    # ``series`` is the weak reference whose callback drops the memo entry.
-    __slots__ = ("series", "records", "step_s", "timestamps", "t_out", "suns",
-                 "irradiance")
+    __slots__ = ("records", "step_s", "timestamps", "t_out", "suns", "irradiance")
 
     def __init__(self, weather: WeatherSeries, latitude: float, longitude: float):
         self.records = records = weather.records
@@ -272,19 +267,11 @@ class _SunTrack:
         self.irradiance.update(new)
 
 
-#: Stage-1 tracks by (id of the series, latitude, longitude).  An entry
-#: is dropped when its series is collected, so the memo keeps no series
-#: alive and an id is never matched to a later series.
-_TRACKS: dict[tuple[int, float, float], _SunTrack] = {}
-
-
 def _sun_track(weather: WeatherSeries, latitude: float, longitude: float) -> _SunTrack:
-    key = (id(weather), latitude, longitude)
-    track = _TRACKS.get(key)
+    key = (latitude, longitude)
+    track = weather.sun_tracks.get(key)
     if track is None:
-        track = _SunTrack(weather, latitude, longitude)
-        track.series = weakref.ref(weather, lambda _, key=key: _TRACKS.pop(key, None))
-        _TRACKS[key] = track
+        track = weather.sun_tracks[key] = _SunTrack(weather, latitude, longitude)
     return track
 
 

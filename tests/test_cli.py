@@ -391,6 +391,36 @@ class TestInputBoundary:
         err = _assert_one_error_line(main(["check", str(path)]), capsys)
         assert "facade pair north_l0/south_l0.facade_id: duplicate facade pair" in err
 
+    def test_paired_out_without_paired_exits_two(self, tmp_path, weather_csv, capsys):
+        out = tmp_path / "b.csv"
+        code = main(["simulate", str(FINAL_FIXTURE), "--weather", str(weather_csv),
+                     "--paired-out", str(out)])
+        assert "--paired-out needs --paired" in _assert_one_error_line(code, capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("edit,key", [
+        (lambda doc: doc["walls"][0].update(
+            overhang_deph_m=doc["walls"][0].pop("overhang_depth_m")),
+         "walls[0].overhang_deph_m"),
+        (lambda doc: doc.update(colour="light"), "colour"),
+        (lambda doc: doc["rooms"][0]["internal_openings"][0].update(facade_id=None),
+         "rooms[0].internal_openings[0].facade_id"),
+    ], ids=["misspelt-wall-key", "top-level", "null-internal-facade"])
+    def test_unknown_building_key_exits_two(self, tmp_path, capsys, edit, key):
+        doc = json.loads(FINAL_FIXTURE.read_text())
+        edit(doc)
+        path = tmp_path / "building.json"
+        path.write_text(json.dumps(doc))
+        err = _assert_one_error_line(main(["check", str(path)]), capsys)
+        assert f"{path}: unknown key {key}\n" in err
+
+    def test_unknown_zone_key_exits_two(self, tmp_path, capsys):
+        zone = tmp_path / "zone.json"
+        zone.write_text('{"vertices": [[20, 3], [24, 3], [24, 15]], "max_extended_c": 30}')
+        code = main(["comfort", str(_indoor_series_csv(tmp_path)), "--zone", str(zone)])
+        err = _assert_one_error_line(code, capsys)
+        assert f"zone file {zone}: unknown key max_extended_c" in err
+
     def test_misaligned_zones_print_no_offset(self, tmp_path, capsys):
         base = datetime(2026, 2, 1, tzinfo=timezone.utc)
         records = [IndoorRecord(base + timedelta(hours=i), "a", 27.0, None, 55.0, None)

@@ -216,6 +216,15 @@ class TestIndoorIO:
         with pytest.raises(ValueError, match="z1"):
             IndoorSeries(records=(_indoor(30), _indoor(0)))
 
+    def test_out_of_order_zone_row_names_its_line(self, tmp_path):
+        path = tmp_path / "indoor.csv"
+        path.write_text(
+            "timestamp,zone,temp_air_c,temp_resultant_c,rh_pct,air_speed_m_s\n"
+            "2026-02-01T00:30:00+00:00,a,28.0,,60.0,\n"
+            "2026-02-01T00:00:00+00:00,a,28.0,,60.0,\n")
+        with pytest.raises(SeriesFormatError, match="line 3: .* zone a$"):
+            load_indoor(path)
+
     def test_interleaved_zones_allowed(self):
         series = IndoorSeries(records=(
             _indoor(0, zone="a"), _indoor(0, zone="b"),

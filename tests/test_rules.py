@@ -8,7 +8,6 @@ from ecodom.building import (
     AtticRegime,
     ColorClass,
     InsulationLayer,
-    Orientation,
     RoofSpec,
     ShadingCase,
     WallConstruction,
@@ -19,7 +18,6 @@ from ecodom.building import (
 )
 from ecodom.rules import (
     ComplianceReport,
-    DarkColorError,
     Finding,
     Verdict,
     check_roof,
@@ -28,10 +26,7 @@ from ecodom.rules import (
     check_water_heater,
     check_window,
     compliance_report,
-    required_overhang_ratio,
     required_roof_insulation,
-    required_wall_insulation,
-    required_window_ratio,
 )
 
 POLYSTYRENE = lambda cm: InsulationLayer("polystyrene", 0.041, cm)
@@ -131,36 +126,6 @@ def _wall(construction=WallConstruction.HOLLOW_CONCRETE_BLOCK,
 
 
 class TestWallRules:
-    def test_required_overhang_values(self, catalogue):
-        assert required_overhang_ratio(
-            WallConstruction.POURED_CONCRETE_15, ColorClass.MEDIUM,
-            Orientation.WEST, catalogue) == 1.3
-        assert required_overhang_ratio(
-            WallConstruction.WOOD, ColorClass.LIGHT, Orientation.EAST,
-            catalogue) == 0.0
-        assert required_overhang_ratio(
-            WallConstruction.HOLLOW_CONCRETE_BLOCK, ColorClass.MEDIUM,
-            Orientation.NORTH, catalogue) == 0.5
-
-    def test_required_insulation_values(self, catalogue):
-        assert required_wall_insulation(
-            WallConstruction.CONCRETE_20, ColorClass.MEDIUM,
-            Orientation.EAST, catalogue) == 2.0
-        assert required_wall_insulation(
-            WallConstruction.WOOD, ColorClass.LIGHT,
-            Orientation.NORTH, catalogue) == 0.0
-        assert required_wall_insulation(
-            WallConstruction.HOLLOW_CONCRETE_BLOCK, ColorClass.LIGHT,
-            Orientation.EAST, catalogue) == 1.0
-
-    def test_dark_color_raises(self, catalogue):
-        with pytest.raises(DarkColorError):
-            required_overhang_ratio(WallConstruction.WOOD, ColorClass.DARK,
-                                    Orientation.EAST, catalogue)
-        with pytest.raises(DarkColorError):
-            required_wall_insulation(WallConstruction.WOOD, ColorClass.DARK,
-                                     Orientation.EAST, catalogue)
-
     def test_insulated_wall_passes(self, catalogue):
         wall = _wall(color=ColorClass.LIGHT, azimuth=180.0, insulation_cm=1.0)
         assert check_wall(wall, catalogue).verdict is Verdict.PASS
@@ -212,12 +177,6 @@ class TestWallRules:
 
 
 class TestWindowRules:
-    def test_required_ratios(self, catalogue):
-        assert required_window_ratio(Orientation.WEST, catalogue) == 1.0
-        assert required_window_ratio(Orientation.SOUTH, catalogue) == 0.3
-        assert required_window_ratio(Orientation.EAST, catalogue) == 0.8
-        assert required_window_ratio(Orientation.NORTH, catalogue) == 0.6
-
     def test_case2_pass(self, catalogue):
         window = WindowSpec(id="n", azimuth_deg=0.0, glazed_area_m2=1.5,
                             height_m=1.0, overhang_depth_m=0.7)

@@ -19,7 +19,6 @@ from ecodom.dataio import (
     WeatherSeries,
     synthetic_weather,
 )
-from ecodom import thermal
 from ecodom.thermal import (
     ROOF_DECK_RESISTANCE,
     ScenarioError,
@@ -346,11 +345,31 @@ class TestStagedRun:
     def test_memo_keeps_no_series_alive(self, week):
         series = WeatherSeries(records=week.records)
         simulate(compliant_zone(), series)
-        ref, key = weakref.ref(series), id(series)
+        ref = weakref.ref(series)
         del series
         gc.collect()
         assert ref() is None
-        assert all(k[0] != key for k in thermal._TRACKS)
+
+    def test_sun_tracks_stay_out_of_equality_hash_and_repr(self, week):
+        series = WeatherSeries(records=week.records)
+        before = repr(series)
+        simulate(compliant_zone(), series)
+        assert series == WeatherSeries(records=week.records)
+        assert hash(series) == hash(WeatherSeries(records=week.records))
+        assert repr(series) == before
+
+    def test_simulated_series_is_freed_without_the_cycle_collector(self, week):
+        series = WeatherSeries(records=week.records)
+        simulate(compliant_zone(), series)
+        ref = weakref.ref(series)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del series
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_duplicate_surface_names_rejected(self):
         zone = compliant_zone()
