@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import defaultdict
 from pathlib import Path
 
 from .catalogue import load_catalogue
@@ -135,37 +136,39 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _print_zone_offset(records, points) -> None:
+    """The offset line of a series with two zones sharing every timestamp.
+    The per-zone lists die with this call, before the scatter is built."""
+    by_zone: defaultdict[str, list] = defaultdict(list)  # zones in first-seen order
+    for rec, point in zip(records, points):
+        by_zone[rec.zone].append((rec.timestamp, point.temperature_c))
+    if len(by_zone) != 2:
+        return
+    (name_a, a), (name_b, b) = by_zone.items()
+    if [t for t, _ in a] == [t for t, _ in b]:
+        offsets = paired_offset(a, b)
+        print(f"offset ({name_a} - {name_b}): "
+              f"mean {offsets.mean_offset_c:.2f} C, "
+              f"max {offsets.max_offset_c:.2f} C, "
+              f"hours >= 1 C: {offsets.fraction_ge_1c * 100:.0f}%")
+
+
 def _cmd_comfort(args) -> int:
     series = load_indoor(args.indoor)
     if len(series) == 0:
         raise InputError(f"indoor series {args.indoor} is empty")
     zone = load_zone(args.zone) if args.zone else DEFAULT_ZONE
 
-    points = [
-        PsychroPoint(
-            temperature_c=rec.comfort_temperature_c,
-            rh_pct=rec.rh_pct,
-            air_speed_m_s=rec.air_speed_m_s or 0.0,
-        )
-        for rec in series.records
-    ]
+    records = series.records
+    points = [PsychroPoint(rec.comfort_temperature_c, rec.rh_pct, rec.air_speed_m_s or 0.0)
+              for rec in records]
     stats = discomfort_fraction(points, zone)
     print(f"samples: {stats.total_hours}")
     print(f"discomfort {stats.discomfort_fraction * 100:.1f}%")
     print(f"exceedance: mean {stats.mean_exceedance_c:.2f} C, "
           f"max {stats.max_exceedance_c:.2f} C")
 
-    zones = series.zones()
-    if len(zones) == 2:
-        a, b = (series.for_zone(z) for z in zones)
-        if [r.timestamp for r in a] == [r.timestamp for r in b]:
-            offsets = paired_offset(
-                [(r.timestamp, r.comfort_temperature_c) for r in a],
-                [(r.timestamp, r.comfort_temperature_c) for r in b])
-            print(f"offset ({zones[0]} - {zones[1]}): "
-                  f"mean {offsets.mean_offset_c:.2f} C, "
-                  f"max {offsets.max_offset_c:.2f} C, "
-                  f"hours >= 1 C: {offsets.fraction_ge_1c * 100:.0f}%")
+    _print_zone_offset(records, points)
     if args.scatter:
         Path(args.scatter).write_text(psychro_scatter_rows(points, zone, stats.inside),
                                       "utf-8")

@@ -8,10 +8,11 @@ warm-humid-climate zone (Givoni type): 22 to 29 degC between 4 and
 documented convention, not a measured constant, and can be overridden
 from a zone file.
 
-A series is classified in one pass: each sample is tested once against
-the polygon extended for its air speed, and that polygon is built once
-per distinct air speed.  The discomfort statistics and the scatter export
-read the same flags.
+Each sample is one immutable named tuple (``PsychroPoint``), built once
+with its humidity ratio.  A series is classified in one pass: each
+sample is tested once against the polygon extended for its air speed,
+and that polygon is built once per distinct air speed.  The discomfort
+statistics and the scatter export read the same flags.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import math
 from dataclasses import dataclass
 from dataclasses import field as dataclass_field
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import InputError, field, number, read_json
 
@@ -52,8 +54,14 @@ def humidity_ratio(t_c: float, rh_pct: float,
     return 622.0 * partial / (pressure_pa - partial)
 
 
-@dataclass(frozen=True, slots=True)
-class PsychroPoint:
+class _PsychroFields(NamedTuple):
+    temperature_c: float
+    rh_pct: float
+    air_speed_m_s: float
+    humidity_ratio_g_kg: float
+
+
+class PsychroPoint(_PsychroFields):
     """One sample on the psychrometric plane.
 
     ``temperature_c`` is the resultant temperature when available, else
@@ -61,16 +69,24 @@ class PsychroPoint:
     humidity.
     """
 
-    temperature_c: float
-    rh_pct: float
-    air_speed_m_s: float = 0.0
-    humidity_ratio_g_kg: float = dataclass_field(init=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.air_speed_m_s < 0:
+    def __new__(cls, temperature_c: float, rh_pct: float,
+                air_speed_m_s: float = 0.0) -> PsychroPoint:
+        if air_speed_m_s < 0:
             raise ValueError("air speed must be >= 0")
-        object.__setattr__(self, "humidity_ratio_g_kg",
-                           humidity_ratio(self.temperature_c, self.rh_pct))
+        return tuple.__new__(cls, (temperature_c, rh_pct, air_speed_m_s,
+                                   humidity_ratio(temperature_c, rh_pct)))
+
+    def __getnewargs__(self) -> tuple[float, float, float]:
+        # copy and pickle rebuild a point from its three inputs
+        return self[:3]
+
+    def _replace(self, **changes) -> PsychroPoint:
+        """A copy with some inputs changed; the humidity ratio is derived again."""
+        inputs = {"temperature_c": self[0], "rh_pct": self[1], "air_speed_m_s": self[2]}
+        inputs.update(changes)
+        return type(self)(**inputs)
 
 
 def _segments_cross(p1, p2, q1, q2) -> bool:
@@ -164,29 +180,24 @@ def load_zone(path: str | Path) -> ComfortZone:
         raise InputError(f"zone file {path}: {exc}") from exc
 
 
-def _on_segment(px: float, py: float, ax: float, ay: float,
-                bx: float, by: float, eps: float = 1e-9) -> bool:
-    cross = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
-    if abs(cross) > eps:
-        return False
-    return (min(ax, bx) - eps <= px <= max(ax, bx) + eps
-            and min(ay, by) - eps <= py <= max(ay, by) + eps)
-
-
 def _point_in_polygon(x: float, y: float,
                       polygon: tuple[tuple[float, float], ...]) -> bool:
     """Even-odd point-in-polygon test, boundary inclusive."""
+    eps = 1e-9
     inside = False
-    n = len(polygon)
-    for i in range(n):
-        ax, ay = polygon[i]
-        bx, by = polygon[(i + 1) % n]
-        if _on_segment(x, y, ax, ay, bx, by):
+    ax, ay = polygon[-1]
+    for bx, by in polygon:
+        # on the edge from (ax, ay) to (bx, by)?
+        cross = (bx - ax) * (y - ay) - (by - ay) * (x - ax)
+        if (not abs(cross) > eps
+                and min(ax, bx) - eps <= x <= max(ax, bx) + eps
+                and min(ay, by) - eps <= y <= max(ay, by) + eps):
             return True
         if (ay > y) != (by > y):
             x_cross = ax + (y - ay) * (bx - ax) / (by - ay)
             if x < x_cross:
                 inside = not inside
+        ax, ay = bx, by
     return inside
 
 
@@ -203,11 +214,11 @@ def _inside_flags(points: list[PsychroPoint],
     air speed.  Returns the flags and the polygons keyed on air speed."""
     polygons: dict = {}
     flags = []
-    for p in points:
-        polygon = polygons.get(p.air_speed_m_s)
+    for t, _, speed, w in points:
+        polygon = polygons.get(speed)
         if polygon is None:
-            polygon = polygons[p.air_speed_m_s] = zone.extended_vertices(p.air_speed_m_s)
-        flags.append(_point_in_polygon(p.temperature_c, p.humidity_ratio_g_kg, polygon))
+            polygon = polygons[speed] = zone.extended_vertices(speed)
+        flags.append(_point_in_polygon(t, w, polygon))
     return tuple(flags), polygons
 
 

@@ -4,7 +4,8 @@ description files, plus a deterministic synthetic weather generator.
 All series files are CSV with ISO-8601 UTC timestamps and fixed, versioned
 headers; building descriptions are JSON (see docs/formats.md).  Floats are
 written with Python's shortest repr so load(write(series)) round-trips
-exactly.
+exactly.  An indoor record is an immutable named tuple, and a timestamp
+that several zones share is parsed once per file.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from dataclasses import dataclass
 from dataclasses import field as dataclass_field
 from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
+from typing import NamedTuple
 
 from . import building as bm
 from .comfort import T_MAX_C, T_MIN_C
@@ -182,8 +184,7 @@ def write_weather(series: WeatherSeries, path: str | Path) -> None:
 # ---------------------------------------------------------------------------
 # indoor monitoring series
 
-@dataclass(frozen=True, slots=True)
-class IndoorRecord:
+class IndoorRecord(NamedTuple):
     timestamp: datetime
     zone: str
     temp_air_c: float
@@ -230,14 +231,22 @@ class IndoorSeries:
 def load_indoor(path: str | Path) -> IndoorSeries:
     records = []
     last_ts: dict[str, datetime] = {}
+    # the zones of a logger share their instants: each text is parsed once
+    parsed: dict[str, datetime] = {}
     for line_no, parts in _read_rows(path, INDOOR_COLUMNS):
         rh = _parse_float(parts[4], "rh_pct", line_no)
         if not 0.0 <= rh <= 100.0:
             raise SeriesFormatError(f"line {line_no}: rh_pct {rh} outside [0, 100]")
-        timestamp = _parse_timestamp(parts[0], line_no)
+        timestamp = parsed.get(parts[0])
+        if timestamp is None:
+            timestamp = parsed[parts[0]] = _parse_timestamp(parts[0], line_no)
         zone = parts[1]
         prev = last_ts.get(zone)
-        if prev is not None and timestamp <= prev:
+        if prev is None:
+            # a zone's first row: a blank name never gets past it
+            if not zone.strip():
+                raise SeriesFormatError(f"line {line_no}: zone is blank")
+        elif timestamp <= prev:
             raise SeriesFormatError(f"line {line_no}: timestamp {parts[0]} not after "
                                     f"previous record of zone {zone}")
         last_ts[zone] = timestamp

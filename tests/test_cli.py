@@ -1,4 +1,6 @@
+import hashlib
 import json
+import random
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -258,6 +260,44 @@ class TestComfort:
         assert main(["comfort", str(path), "--scatter", str(scatter)]) == EXIT_OK
         assert calls["polygon"] == len(records) == 120
         assert sorted(calls["extended"]) == [0.0, 0.3, 1.0, 4.0]
+
+
+    def test_blank_zone_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "indoor.csv"
+        path.write_text(
+            "timestamp,zone,temp_air_c,temp_resultant_c,rh_pct,air_speed_m_s\n"
+            "2026-02-01T00:00:00+00:00,,28.0,,60.0,\n")
+        err = _assert_one_error_line(main(["comfort", str(path)]), capsys)
+        assert err == "error: line 2: zone is blank\n"
+
+    def test_two_zone_logger_output_pinned(self, tmp_path, capsys):
+        path = _logger_csv(tmp_path, random.Random(5), instants=720)
+        scatter = tmp_path / "scatter.csv"
+        assert main(["comfort", str(path), "--scatter", str(scatter)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "offset (bedroom - living)" in out
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "c695a2e7e38ac2c2460849bb6001329ebba1e25c0fb13914afd28e8a02cd90e8")
+        assert hashlib.sha256(scatter.read_bytes()).hexdigest() == (
+            "5ec0565673404b4b8d74ffe60768bf165662045ba568c789a9d7cd1b6792df18")
+
+
+def _logger_csv(tmp_path, rng, instants):
+    """Two zones sharing 10-minute timestamps, with blank resultant and
+    air-speed cells and speeds of 0 to 1.5 m/s, as a logger writes them."""
+    base = datetime(2026, 2, 1, tzinfo=timezone.utc)
+    lines = ["timestamp,zone,temp_air_c,temp_resultant_c,rh_pct,air_speed_m_s"]
+    for i in range(instants):
+        ts = (base + timedelta(minutes=10 * i)).isoformat()
+        for k, zone in enumerate(("bedroom", "living")):
+            air = rng.uniform(24.0, 33.0) + 0.8 * k
+            resultant = "" if rng.random() < 0.1 else f"{air + rng.uniform(0.0, 1.2):.2f}"
+            speed = "" if rng.random() < 0.2 else f"{rng.uniform(0.0, 1.5):.2f}"
+            lines.append(f"{ts},{zone},{air:.2f},{resultant},"
+                         f"{rng.uniform(40.0, 95.0):.1f},{speed}")
+    path = tmp_path / "logger.csv"
+    path.write_text("\n".join(lines) + "\n")
+    return path
 
 
 def _bundled_catalogue() -> dict:

@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import hashlib
+import pickle
 import random
 
 import pytest
@@ -13,6 +15,7 @@ from ecodom.comfort import (
     classify,
     discomfort_fraction,
     humidity_ratio,
+    _point_in_polygon,
     load_zone,
     paired_offset,
     psychro_scatter_rows,
@@ -306,3 +309,74 @@ class TestOnePass:
             "zone_vertex,29.0,17.0,", "zone_vertex,22.0,17.0,"]
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "189fbec1454795c469f32f41880d892dc9543cb07015541741525aac009237c6")
+
+
+class TestPointRecord:
+    def test_fields_are_read_only(self):
+        point = PsychroPoint(26.0, 55.0, 0.3)
+        for name in ("temperature_c", "rh_pct", "air_speed_m_s", "humidity_ratio_g_kg"):
+            with pytest.raises(AttributeError):
+                setattr(point, name, 1.0)
+
+    def test_equal_and_hash_by_value(self):
+        a, b = PsychroPoint(26.0, 55.0, 0.3), PsychroPoint(26.0, 55.0, 0.3)
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a != PsychroPoint(26.0, 55.0, 0.4)
+
+    def test_repr_names_every_field(self):
+        text = repr(PsychroPoint(26.0, 55.0, 0.3))
+        assert text.startswith("PsychroPoint(temperature_c=26.0, rh_pct=55.0, "
+                               "air_speed_m_s=0.3, humidity_ratio_g_kg=")
+
+    @pytest.mark.parametrize("clone", [
+        copy.copy, copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p))],
+        ids=["copy", "deepcopy", "pickle"])
+    def test_copies_are_equal(self, clone):
+        point = PsychroPoint(26.0, 55.0, 0.3)
+        twin = clone(point)
+        assert twin == point and type(twin) is PsychroPoint
+
+    def test_replace_derives_the_humidity_ratio_again(self):
+        point = PsychroPoint(26.0, 55.0, 0.3)
+        assert point._replace(temperature_c=30.0) == PsychroPoint(30.0, 55.0, 0.3)
+        assert point._replace(rh_pct=70.0) == PsychroPoint(26.0, 70.0, 0.3)
+
+    def test_negative_air_speed_refused(self):
+        with pytest.raises(ValueError, match="air speed"):
+            PsychroPoint(26.0, 55.0, -0.1)
+        with pytest.raises(ValueError, match="air speed"):
+            PsychroPoint(26.0, 55.0)._replace(air_speed_m_s=-0.1)
+
+
+# a notch cut into the warm-humid corner: non-convex, with slanted edges
+NOTCHED_ZONE = ComfortZone(((22.0, 4.0), (29.0, 4.0), (29.0, 17.0), (25.5, 9.5), (22.0, 17.0)))
+
+
+def _probe_points(polygon, rng):
+    """Every vertex and edge midpoint, points just off each of them, and
+    seeded points over the polygon's bounding box."""
+    probes = []
+    for (ax, ay), (bx, by) in zip(polygon, polygon[1:] + polygon[:1]):
+        for x, y in ((ax, ay), ((ax + bx) / 2, (ay + by) / 2)):
+            probes.append((x, y))
+            for d in (1e-10, 1e-8, 1e-3):
+                probes += [(x + d, y), (x - d, y), (x, y + d), (x, y - d)]
+    ts = [t for t, _ in polygon]
+    ws = [w for _, w in polygon]
+    probes += [(rng.uniform(min(ts) - 2.0, max(ts) + 2.0),
+                rng.uniform(min(ws) - 2.0, max(ws) + 2.0)) for _ in range(3000)]
+    return probes
+
+
+class TestPolygonFlagsPinned:
+    @pytest.mark.parametrize("polygon, digest", [
+        (DEFAULT_ZONE.vertices, "154555f761a66fdf19b529c3e5dc973bc4d5eff3639d4c8609c81b1de2736084"),
+        (DEFAULT_ZONE.extended_vertices(0.75), "169519e5c9ad4b6c4c148b87a1596d579897b1d45f42af50db47806a715d9681"),
+        (NOTCHED_ZONE.vertices, "774105b6ae8bf5a2504f4dbd3432b80038db291e6b3af123420a24bd00c85b21")],
+        ids=["default", "extended", "notched"])
+    def test_flags_digest(self, polygon, digest):
+        probes = _probe_points(polygon, random.Random(11))
+        flags = "".join("1" if _point_in_polygon(x, y, polygon) else "0"
+                        for x, y in probes)
+        assert "0" in flags and "1" in flags
+        assert hashlib.sha256(flags.encode()).hexdigest() == digest

@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import json
+import pickle
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -252,6 +254,64 @@ class TestIndoorIO:
             "2026-02-01T00:00:00+00:00,z1,28.0,,60.0,\n" + row + "\n")
         with pytest.raises(SeriesFormatError, match="line 3"):
             load_indoor(path)
+
+
+    @pytest.mark.parametrize("zone", ["", "  "], ids=["empty", "spaces"])
+    def test_blank_zone_refused(self, tmp_path, zone):
+        path = tmp_path / "indoor.csv"
+        path.write_text(
+            "timestamp,zone,temp_air_c,temp_resultant_c,rh_pct,air_speed_m_s\n"
+            "2026-02-01T00:00:00+00:00,z1,28.0,,60.0,\n"
+            f"2026-02-01T00:00:00+00:00,{zone},28.0,,60.0,\n")
+        with pytest.raises(SeriesFormatError, match="^line 3: zone is blank$"):
+            load_indoor(path)
+
+    def test_shared_timestamps_parsed_once(self, tmp_path, monkeypatch):
+        import ecodom.dataio as dataio
+        instants = 50
+        records = [_indoor(10 * i, zone=zone, temp=26.0 + 0.01 * i)
+                   for i in range(instants) for zone in ("a", "b")]
+        path = tmp_path / "indoor.csv"
+        write_indoor(IndoorSeries(records=tuple(records)), path)
+        calls = []
+        parse = dataio._parse_timestamp
+
+        def counted(text, line_no):
+            calls.append(text)
+            return parse(text, line_no)
+
+        monkeypatch.setattr(dataio, "_parse_timestamp", counted)
+        assert load_indoor(path).records == tuple(records)
+        assert len(calls) == len(set(calls)) == instants
+
+
+class TestIndoorRecord:
+    def test_fields_are_read_only(self):
+        rec = _indoor(0)
+        for name in ("timestamp", "zone", "temp_air_c", "temp_resultant_c",
+                     "rh_pct", "air_speed_m_s"):
+            with pytest.raises(AttributeError):
+                setattr(rec, name, None)
+
+    def test_equal_and_hash_by_value(self):
+        a, b = _indoor(0, resultant=28.5, speed=0.3), _indoor(0, resultant=28.5, speed=0.3)
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a != _indoor(0, resultant=28.5, speed=0.4)
+
+    def test_repr_names_every_field(self):
+        assert repr(_indoor(0, zone="bedroom", resultant=28.5, speed=0.3)) == (
+            "IndoorRecord(timestamp=datetime.datetime(2026, 2, 1, 0, 0, "
+            "tzinfo=datetime.timezone.utc), zone='bedroom', temp_air_c=28.0, "
+            "temp_resultant_c=28.5, rh_pct=60.0, air_speed_m_s=0.3)")
+
+    @pytest.mark.parametrize("clone", [
+        copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))],
+        ids=["copy", "deepcopy", "pickle"])
+    def test_copies_are_equal(self, clone):
+        rec = _indoor(0, resultant=28.5, speed=0.3)
+        twin = clone(rec)
+        assert twin == rec and type(twin) is IndoorRecord
+        assert twin.comfort_temperature_c == 28.5
 
 
 class TestBuildingIO:
