@@ -255,7 +255,6 @@ class TestIndoorIO:
         with pytest.raises(SeriesFormatError, match="line 3"):
             load_indoor(path)
 
-
     @pytest.mark.parametrize("zone", ["", "  "], ids=["empty", "spaces"])
     def test_blank_zone_refused(self, tmp_path, zone):
         path = tmp_path / "indoor.csv"
