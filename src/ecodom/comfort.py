@@ -67,6 +67,11 @@ class PsychroPoint(_PsychroFields):
     ``temperature_c`` is the resultant temperature when available, else
     the dry bulb; the humidity ratio is derived from it and the relative
     humidity.
+
+    A point is a tuple: it iterates, orders and compares equal to a plain
+    tuple of the same four values.  It is not a dataclass, so
+    ``dataclasses.replace`` does not apply; ``_replace`` and ``_make``
+    build through the constructor and derive the humidity ratio again.
     """
 
     __slots__ = ()
@@ -87,6 +92,15 @@ class PsychroPoint(_PsychroFields):
         inputs = {"temperature_c": self[0], "rh_pct": self[1], "air_speed_m_s": self[2]}
         inputs.update(changes)
         return type(self)(**inputs)
+
+    @classmethod
+    def _make(cls, iterable) -> PsychroPoint:
+        """A point from its three inputs, or from four values whose
+        humidity ratio is derived again."""
+        values = tuple(iterable)
+        if len(values) not in (3, 4):
+            raise TypeError(f"expected 3 or 4 values, got {len(values)}")
+        return cls(*values[:3])
 
 
 def _segments_cross(p1, p2, q1, q2) -> bool:

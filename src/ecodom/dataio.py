@@ -4,8 +4,9 @@ description files, plus a deterministic synthetic weather generator.
 All series files are CSV with ISO-8601 UTC timestamps and fixed, versioned
 headers; building descriptions are JSON (see docs/formats.md).  Floats are
 written with Python's shortest repr so load(write(series)) round-trips
-exactly.  An indoor record is an immutable named tuple, and a timestamp
-that several zones share is parsed once per file.
+exactly.  An indoor record is an immutable named tuple, and a row that
+repeats the previous row's timestamp, as the zones of an interleaved
+logger file do, reuses its parse.
 """
 
 from __future__ import annotations
@@ -185,6 +186,10 @@ def write_weather(series: WeatherSeries, path: str | Path) -> None:
 # indoor monitoring series
 
 class IndoorRecord(NamedTuple):
+    """One logger sample.  A record is a tuple: it iterates, orders and
+    compares equal to a plain tuple of the same six values; it is not a
+    dataclass, so use ``_replace`` rather than ``dataclasses.replace``."""
+
     timestamp: datetime
     zone: str
     temp_air_c: float
@@ -231,15 +236,14 @@ class IndoorSeries:
 def load_indoor(path: str | Path) -> IndoorSeries:
     records = []
     last_ts: dict[str, datetime] = {}
-    # the zones of a logger share their instants: each text is parsed once
-    parsed: dict[str, datetime] = {}
+    # a row that repeats the previous row's timestamp text reuses its parse
+    text, timestamp = None, None
     for line_no, parts in _read_rows(path, INDOOR_COLUMNS):
         rh = _parse_float(parts[4], "rh_pct", line_no)
         if not 0.0 <= rh <= 100.0:
             raise SeriesFormatError(f"line {line_no}: rh_pct {rh} outside [0, 100]")
-        timestamp = parsed.get(parts[0])
-        if timestamp is None:
-            timestamp = parsed[parts[0]] = _parse_timestamp(parts[0], line_no)
+        if parts[0] != text:
+            text, timestamp = parts[0], _parse_timestamp(parts[0], line_no)
         zone = parts[1]
         prev = last_ts.get(zone)
         if prev is None:

@@ -341,11 +341,22 @@ class TestPointRecord:
         assert point._replace(temperature_c=30.0) == PsychroPoint(30.0, 55.0, 0.3)
         assert point._replace(rh_pct=70.0) == PsychroPoint(26.0, 70.0, 0.3)
 
+    def test_make_derives_the_humidity_ratio_again(self):
+        point = PsychroPoint(26.0, 55.0, 0.3)
+        assert PsychroPoint._make((26.0, 55.0, 0.3)) == point
+        assert PsychroPoint._make(point) == point
+        assert PsychroPoint._make((26.0, 55.0, 0.3, 99.0)) == point
+        for values in [(26.0, 55.0), (26.0, 55.0, 0.3, 99.0, 1.0)]:
+            with pytest.raises(TypeError, match="expected 3 or 4 values"):
+                PsychroPoint._make(values)
+
     def test_negative_air_speed_refused(self):
         with pytest.raises(ValueError, match="air speed"):
             PsychroPoint(26.0, 55.0, -0.1)
         with pytest.raises(ValueError, match="air speed"):
             PsychroPoint(26.0, 55.0)._replace(air_speed_m_s=-0.1)
+        with pytest.raises(ValueError, match="air speed"):
+            PsychroPoint._make((26.0, 55.0, -0.1, 12.0))
 
 
 # a notch cut into the warm-humid corner: non-convex, with slanted edges

@@ -283,6 +283,19 @@ class TestIndoorIO:
         assert load_indoor(path).records == tuple(records)
         assert len(calls) == len(set(calls)) == instants
 
+    def test_zone_major_file_parses_every_row(self, tmp_path, monkeypatch):
+        # only the previous row's parse is reused: no table of every text
+        import ecodom.dataio as dataio
+        records = [_indoor(10 * i, zone=zone) for zone in ("a", "b") for i in range(20)]
+        path = tmp_path / "indoor.csv"
+        write_indoor(IndoorSeries(records=tuple(records)), path)
+        calls = []
+        parse = dataio._parse_timestamp
+        monkeypatch.setattr(dataio, "_parse_timestamp",
+                            lambda text, line_no: calls.append(text) or parse(text, line_no))
+        assert load_indoor(path).records == tuple(records)
+        assert len(calls) == len(records)
+
 
 class TestIndoorRecord:
     def test_fields_are_read_only(self):
