@@ -33,7 +33,7 @@ def main() -> None:
           f"{stats.max_exceedance_c:.2f} C")
 
     scatter = out_dir / "psychro_scatter.csv"
-    scatter.write_text(psychro_scatter_rows(points), "utf-8")
+    scatter.write_text(psychro_scatter_rows(points, stats.inside), "utf-8")
     print(f"wrote {scatter}")
 
 

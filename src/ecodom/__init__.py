@@ -2,46 +2,4 @@
 single-zone thermal/airflow simulation and psychrometric comfort
 analysis for dwellings in humid tropical climates."""
 
-from .building import (
-    BuildingDescription,
-    ColorClass,
-    Orientation,
-    facade_porosities,
-    orientation_from_azimuth,
-    validate,
-)
-from .catalogue import RuleCatalogue, default_catalogue, load_catalogue
-from .comfort import ComfortZone, PsychroPoint, classify, discomfort_fraction
-from .dataio import load_building, load_indoor, load_weather, synthetic_weather
-from .rules import ComplianceReport, Finding, Verdict, compliance_report
-from .thermal import ZoneModel, gain_breakdown, simulate, ventilation_ach
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "BuildingDescription",
-    "ColorClass",
-    "ComfortZone",
-    "ComplianceReport",
-    "Finding",
-    "Orientation",
-    "PsychroPoint",
-    "RuleCatalogue",
-    "Verdict",
-    "ZoneModel",
-    "classify",
-    "compliance_report",
-    "default_catalogue",
-    "discomfort_fraction",
-    "facade_porosities",
-    "gain_breakdown",
-    "load_building",
-    "load_catalogue",
-    "load_indoor",
-    "load_weather",
-    "orientation_from_azimuth",
-    "simulate",
-    "synthetic_weather",
-    "validate",
-    "ventilation_ach",
-]

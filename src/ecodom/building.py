@@ -412,9 +412,6 @@ def validate(building: BuildingDescription) -> list[ValidationIssue]:
             if opening.id in opening_ids:
                 err(f"opening {opening.id}", "id", "duplicate opening id")
             opening_ids.add(opening.id)
-            if opening.facade_id is not None:
-                err(f"opening {opening.id}", "facade_id",
-                    "internal opening must not name a facade")
 
     for wall in building.walls:
         if wall.overhang_depth_m > 0 and wall.overhang_height_m <= 0:

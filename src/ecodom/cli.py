@@ -170,7 +170,7 @@ def _cmd_comfort(args) -> int:
 
     _print_zone_offset(records, points)
     if args.scatter:
-        Path(args.scatter).write_text(psychro_scatter_rows(points, zone, stats.inside),
+        Path(args.scatter).write_text(psychro_scatter_rows(points, stats.inside, zone),
                                       "utf-8")
     return EXIT_OK
 

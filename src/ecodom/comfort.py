@@ -245,12 +245,6 @@ class ComfortStats:
     # the per-sample classification the fraction counts (True = inside)
     inside: tuple[bool, ...] = dataclass_field(repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        if self.total_hours <= 0:
-            raise ValueError("stats need at least one sample")
-        if not 0.0 <= self.discomfort_fraction <= 1.0:
-            raise ValueError("discomfort fraction must be in [0, 1]")
-
 
 def discomfort_fraction(points: list[PsychroPoint],
                         zone: ComfortZone = DEFAULT_ZONE) -> ComfortStats:
@@ -308,16 +302,13 @@ def paired_offset(series_a: list[tuple], series_b: list[tuple]) -> OffsetStats:
     )
 
 
-def psychro_scatter_rows(points: list[PsychroPoint],
-                         zone: ComfortZone = DEFAULT_ZONE,
-                         inside: tuple[bool, ...] | None = None) -> str:
+def psychro_scatter_rows(points: list[PsychroPoint], inside: tuple[bool, ...],
+                         zone: ComfortZone = DEFAULT_ZONE) -> str:
     """CSV text with one row per point plus the zone polygon vertices,
     ready for any plotting tool.  Output is deterministic for fixed input.
 
-    ``inside`` are the points' flags as ``discomfort_fraction`` returns
-    them; the points are classified here when it is not given."""
-    if inside is None:
-        inside, _ = _inside_flags(points, zone)
+    ``inside`` are the points' flags as ``discomfort_fraction(points,
+    zone).inside`` returns them, one per point."""
     lines = ["kind,temperature_c,humidity_ratio_g_kg,inside"]
     lines += [f"point,{p.temperature_c!r},{p.humidity_ratio_g_kg!r},{1 if flag else 0}"
               for p, flag in zip(points, inside, strict=True)]

@@ -97,8 +97,9 @@ class WeatherRecord:
 
 @dataclass(frozen=True)
 class WeatherSeries:
+    """Weather records in file order; ``thermal.simulate`` checks their grid."""
+
     records: tuple[WeatherRecord, ...]
-    gaps: tuple[datetime, ...] = ()
     # Stage 1 of ``thermal.simulate`` per (latitude, longitude), filled
     # by it; this module never reads it.
     sun_tracks: dict = dataclass_field(default_factory=dict, init=False,
@@ -140,9 +141,9 @@ def weather_grid(timestamps: Sequence[datetime]) -> tuple[float, tuple[datetime,
 
 
 def load_weather(path: str | Path) -> WeatherSeries:
-    """Parse and validate a weather CSV; missing grid instants are
-    reported in ``series.gaps`` rather than raised, a spacing that is not
-    a whole multiple of the base step is raised."""
+    """Parse a weather CSV, checking each row's values and that its
+    timestamp comes after the previous row's.  The grid is checked when
+    the series is simulated (:func:`weather_grid`)."""
     records = []
     last_ts: datetime | None = None
     for line_no, cells in _read_rows(path, WEATHER_COLUMNS):
@@ -167,10 +168,7 @@ def load_weather(path: str | Path) -> WeatherSeries:
         if rec.wind_speed_m_s < 0:
             raise SeriesFormatError(f"line {line_no}: wind speed must be >= 0")
         records.append(rec)
-    gaps: tuple[datetime, ...] = ()
-    if len(records) > 1:
-        _, gaps = weather_grid([r.timestamp for r in records])
-    return WeatherSeries(records=tuple(records), gaps=gaps)
+    return WeatherSeries(records=tuple(records))
 
 
 def write_weather(series: WeatherSeries, path: str | Path) -> None:
@@ -207,30 +205,12 @@ class IndoorRecord(NamedTuple):
 
 @dataclass(frozen=True)
 class IndoorSeries:
-    records: tuple[IndoorRecord, ...]
+    """Logger samples in file order; only ``load_indoor`` checks them."""
 
-    def __post_init__(self) -> None:
-        last: dict[str, datetime] = {}
-        for rec in self.records:
-            prev = last.get(rec.zone)
-            if prev is not None and rec.timestamp <= prev:
-                raise SeriesFormatError(
-                    f"zone {rec.zone}: timestamps not strictly increasing "
-                    f"at {rec.timestamp}")
-            last[rec.zone] = rec.timestamp
+    records: tuple[IndoorRecord, ...]
 
     def __len__(self) -> int:
         return len(self.records)
-
-    def zones(self) -> list[str]:
-        seen: list[str] = []
-        for rec in self.records:
-            if rec.zone not in seen:
-                seen.append(rec.zone)
-        return seen
-
-    def for_zone(self, zone: str) -> list[IndoorRecord]:
-        return [r for r in self.records if r.zone == zone]
 
 
 def load_indoor(path: str | Path) -> IndoorSeries:

@@ -167,10 +167,9 @@ def overhang_shading_fraction(depth_m: float, height_m: float, offset_m: float,
     between the overhang underside and the top of that surface.  When the
     surface receives no beam at all (sun below the horizon or behind the
     facade) the result is 1.0: an unlit surface is fully "shaded" for
-    gain purposes.
+    gain purposes.  Callers pass a height > 0; files refuse a negative
+    depth or offset.
     """
-    if depth_m < 0 or height_m <= 0 or offset_m < 0:
-        raise ValueError("overhang geometry must be non-negative with height > 0")
     if sun.altitude_deg <= 0.0:
         return 1.0
     gamma = math.cos((sun.azimuth_deg - facade_azimuth_deg) * DEG)

@@ -132,6 +132,22 @@ class TestSimulate:
         assert solar_calls == {"position": records,
                                "irradiance": records * len(orientations)}
 
+    def test_paired_run_checks_the_weather_grid_once(self, weather_csv, monkeypatch,
+                                                     capsys):
+        import ecodom.dataio as dataio
+        import ecodom.thermal as thermal
+        calls = []
+
+        def counted(timestamps, _fn=dataio.weather_grid):
+            calls.append(len(timestamps))
+            return _fn(timestamps)
+
+        monkeypatch.setattr(dataio, "weather_grid", counted)
+        monkeypatch.setattr(thermal, "weather_grid", counted)
+        assert main(["simulate", str(FINAL_FIXTURE), "--weather", str(weather_csv),
+                     "--paired", str(INITIAL_FIXTURE)]) == EXIT_OK
+        assert calls == [48]
+
     def test_invalid_scenario_key_exits_two_naming_it(self, tmp_path,
                                                       weather_csv, capsys):
         scenario = tmp_path / "scenario.json"
@@ -306,6 +322,15 @@ def _bundled_catalogue() -> dict:
                       .joinpath("catalogue.json").read_text())
 
 
+def _cell(row, column, value):
+    """An edit of a CSV file's lines that sets one cell."""
+    def edit(lines):
+        cells = lines[row].split(",")
+        cells[column] = value
+        return lines[:row] + [",".join(cells)] + lines[row + 1:]
+    return edit
+
+
 def _assert_one_error_line(code, capsys) -> str:
     assert code == EXIT_INPUT_ERROR
     err = capsys.readouterr().err
@@ -460,6 +485,47 @@ class TestInputBoundary:
         code = main(["comfort", str(_indoor_series_csv(tmp_path)), "--zone", str(zone)])
         err = _assert_one_error_line(code, capsys)
         assert f"zone file {zone}: unknown key max_extended_c" in err
+
+    @pytest.mark.parametrize("kind,change,fragment", [
+        ("weather", _cell(10, 3, "-1.0"), "line 11: solar irradiance must be >= 0"),
+        ("weather", _cell(5, 5, "-0.5"), "line 6: wind speed must be >= 0"),
+        ("weather", lambda lines: lines[:13], "weather must cover at least 24 hours"),
+        ("weather", lambda lines: lines[:1] + lines[1::2],
+         "weather step must be one hour or finer"),
+        ("indoor", _cell(3, 4, "101"), "line 4: rh_pct 101.0 outside [0, 100]"),
+        ("building", (("roof", "area_m2"), 0),
+         "missing or malformed field: roof area must be > 0"),
+        ("building", (("windows", 0, "glazed_area_m2"), 0),
+         "window glz_bedroom_l0: glazed area must be > 0"),
+        ("building", (("windows", 0, "overhang_offset_m"), -1),
+         "window glz_bedroom_l0: overhang offset must be >= 0"),
+        ("building", (("rooms", 0, "external_openings", 0, "facade_id"), None),
+         "opening glz_bedroom_l0.facade_id: external opening must name its facade"),
+        ("building", (("facade_pairs", 0, "facade_2_id"), "nowhere"),
+         "facade pair north_l0/nowhere.facade_id: unknown facade 'nowhere'"),
+        ("building", (("rooms", 0, "internal_openings", 1, "id"), "door_l0"),
+         "opening door_l0.id: duplicate opening id"),
+        ("zone", '{"vertices": [[20, 3], [24, 3]]}',
+         "comfort zone polygon needs at least 3 vertices"),
+    ], ids=["negative-irradiance", "negative-wind", "under-a-day", "two-hour-step",
+            "indoor-rh-101", "roof-area-zero", "glazed-area-zero", "negative-offset",
+            "null-external-facade", "pair-unknown-facade", "duplicate-opening",
+            "zone-two-vertices"])
+    def test_input_rule_exits_two(self, tmp_path, weather_csv, capsys,
+                                  kind, change, fragment):
+        if kind == "building":
+            argv = ["check", str(_edited_final(tmp_path, *change))]
+        elif kind == "zone":
+            zone = tmp_path / "zone.json"
+            zone.write_text(change)
+            argv = ["comfort", str(_indoor_series_csv(tmp_path)), "--zone", str(zone)]
+        else:
+            source = weather_csv if kind == "weather" else _indoor_series_csv(tmp_path)
+            edited = tmp_path / "edited.csv"
+            edited.write_text("\n".join(change(source.read_text().splitlines())) + "\n")
+            argv = (["simulate", str(FINAL_FIXTURE), "--weather", str(edited)]
+                    if kind == "weather" else ["comfort", str(edited)])
+        assert fragment in _assert_one_error_line(main(argv), capsys)
 
     def test_misaligned_zones_print_no_offset(self, tmp_path, capsys):
         base = datetime(2026, 2, 1, tzinfo=timezone.utc)

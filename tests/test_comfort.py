@@ -184,7 +184,7 @@ class TestPairedOffset:
 class TestScatterExport:
     def test_row_count_and_flags(self):
         points = [PsychroPoint(25.0, 50.0), PsychroPoint(40.0, 30.0)]
-        text = psychro_scatter_rows(points)
+        text = psychro_scatter_rows(points, discomfort_fraction(points).inside)
         lines = text.strip().splitlines()
         assert lines[0] == "kind,temperature_c,humidity_ratio_g_kg,inside"
         point_rows = [l for l in lines if l.startswith("point,")]
@@ -196,7 +196,8 @@ class TestScatterExport:
 
     def test_deterministic_bytes(self):
         points = [PsychroPoint(25.0 + i * 0.3, 50.0) for i in range(20)]
-        assert psychro_scatter_rows(points) == psychro_scatter_rows(points)
+        inside = discomfort_fraction(points).inside
+        assert psychro_scatter_rows(points, inside) == psychro_scatter_rows(points, inside)
 
 
 class TestZoneFile:
@@ -289,20 +290,13 @@ class TestOnePass:
         assert "inside" not in repr(stats)
         assert stats == dataclasses.replace(stats, inside=())
 
-    @pytest.mark.parametrize("zone", [DEFAULT_ZONE, NO_EXTENSION_ZONE],
-                             ids=["default", "no-extension"])
-    def test_scatter_with_given_flags_equals_classified(self, zone):
-        points = _seeded_points()
-        assert psychro_scatter_rows(points, zone) == psychro_scatter_rows(
-            points, zone, discomfort_fraction(points, zone).inside)
-
     def test_scatter_refuses_flags_of_another_length(self):
         points = _seeded_points(n=10)
         with pytest.raises(ValueError):
-            psychro_scatter_rows(points, DEFAULT_ZONE, (True,) * 9)
+            psychro_scatter_rows(points, (True,) * 9)
 
     def test_empty_scatter_is_header_and_vertices(self):
-        text = psychro_scatter_rows([])
+        text = psychro_scatter_rows([], ())
         assert text.splitlines() == [
             "kind,temperature_c,humidity_ratio_g_kg,inside",
             "zone_vertex,22.0,4.0,", "zone_vertex,29.0,4.0,",

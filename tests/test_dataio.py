@@ -6,6 +6,7 @@ from datetime import datetime, timedelta, timezone
 
 import pytest
 
+from ecodom.archetypes import compliant_zone
 from ecodom.building import BuildingValidationError
 from ecodom.dataio import (
     IndoorRecord,
@@ -22,6 +23,7 @@ from ecodom.dataio import (
     write_indoor,
     write_weather,
 )
+from ecodom.thermal import WeatherGapError, simulate
 
 
 @pytest.fixture
@@ -37,7 +39,6 @@ class TestWeatherIO:
         series, path = clean_week
         loaded = load_weather(path)
         assert len(loaded) == 168
-        assert loaded.gaps == ()
 
     def test_round_trip_exact(self, clean_week, tmp_path):
         series, path = clean_week
@@ -101,7 +102,9 @@ class TestWeatherIO:
         gappy = tmp_path / "gappy.csv"
         gappy.write_text("\n".join(lines) + "\n")
         loaded = load_weather(gappy)
-        assert len(loaded.gaps) == 3
+        with pytest.raises(WeatherGapError) as err:
+            simulate(compliant_zone(), loaded)
+        assert len(err.value.missing) == 3
 
     def test_spacing_not_a_multiple_of_the_step_rejected(self, clean_week, tmp_path):
         series, _ = clean_week
@@ -111,8 +114,9 @@ class TestWeatherIO:
             for r in series.records[40:])
         path = tmp_path / "skewed.csv"
         write_weather(WeatherSeries(records=records), path)
+        loaded = load_weather(path)
         with pytest.raises(SeriesFormatError, match="multiple"):
-            load_weather(path)
+            simulate(compliant_zone(), loaded)
 
     def test_wrong_header(self, tmp_path):
         path = tmp_path / "nope.csv"
@@ -136,9 +140,10 @@ class TestWeatherIO:
             "2026-01-01T00:00:00+00:00,25.0,80.0,0.0,0.0,4.0,90.0\n"
             "2026-01-01T01:00:00+00:00,25.0,80.0,0.0,0.0,4.0,90.0\n"
             "2046-01-01T01:00:00+00:00,25.0,80.0,0.0,0.0,4.0,90.0\n")
+        loaded = load_weather(path)
         with pytest.raises(SeriesFormatError,
                            match="misses 175319 steps of 3600s, more than its 3 records"):
-            load_weather(path)
+            simulate(compliant_zone(), loaded)
 
 
 class TestSyntheticWeather:
@@ -187,7 +192,7 @@ class TestIndoorIO:
         write_indoor(series, path)
         loaded = load_indoor(path)
         assert loaded.records == series.records
-        assert loaded.zones() == ["z1", "z2"]
+        assert [r.zone for r in loaded.records] == ["z1", "z1", "z2"]
 
     def test_optional_fields_blank(self, tmp_path):
         path = tmp_path / "indoor.csv"
@@ -214,10 +219,6 @@ class TestIndoorIO:
         rec = _indoor(0, temp=28.0, resultant=29.1)
         assert rec.comfort_temperature_c == 29.1
 
-    def test_per_zone_monotonicity_enforced(self):
-        with pytest.raises(ValueError, match="z1"):
-            IndoorSeries(records=(_indoor(30), _indoor(0)))
-
     def test_out_of_order_zone_row_names_its_line(self, tmp_path):
         path = tmp_path / "indoor.csv"
         path.write_text(
@@ -227,11 +228,13 @@ class TestIndoorIO:
         with pytest.raises(SeriesFormatError, match="line 3: .* zone a$"):
             load_indoor(path)
 
-    def test_interleaved_zones_allowed(self):
-        series = IndoorSeries(records=(
+    def test_interleaved_zones_allowed(self, tmp_path):
+        path = tmp_path / "indoor.csv"
+        write_indoor(IndoorSeries(records=(
             _indoor(0, zone="a"), _indoor(0, zone="b"),
-            _indoor(30, zone="a"), _indoor(30, zone="b")))
-        assert len(series.for_zone("a")) == 2
+            _indoor(30, zone="a"), _indoor(30, zone="b"))), path)
+        loaded = load_indoor(path)
+        assert [r.zone for r in loaded.records].count("a") == 2
 
     def test_non_finite_value_reports_line_and_column(self, tmp_path):
         path = tmp_path / "indoor.csv"

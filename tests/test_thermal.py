@@ -153,7 +153,7 @@ class TestSimulate:
 
     def test_gap_raises_with_missing_hours(self, week):
         records = week.records[:30] + week.records[32:]
-        broken = WeatherSeries(records=records, gaps=())
+        broken = WeatherSeries(records=records)
         with pytest.raises(WeatherGapError) as err:
             simulate(compliant_zone(), broken)
         assert len(err.value.missing) == 2
