@@ -10,7 +10,12 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from ecodom.comfort import PsychroPoint, discomfort_fraction, psychro_scatter_rows
+from ecodom.comfort import (
+    PsychroPoint,
+    discomfort_fraction,
+    humidity_ratio,
+    psychro_scatter_rows,
+)
 from ecodom.dataio import SyntheticWeatherParams, load_building, synthetic_weather
 from ecodom.thermal import simulate, zone_from_building
 
@@ -24,7 +29,7 @@ def main() -> None:
     result = simulate(zone_from_building(building), weather)
 
     points = [
-        PsychroPoint(temperature_c=t_res, rh_pct=rec.rh_pct)
+        PsychroPoint(t_res, humidity_ratio(t_res, rec.rh_pct))
         for t_res, rec in zip(result.t_resultant_c, weather.records)
     ]
     stats = discomfort_fraction(points)

@@ -25,6 +25,7 @@ from .comfort import (
     DEFAULT_ZONE,
     PsychroPoint,
     discomfort_fraction,
+    humidity_ratio,
     load_zone,
     paired_offset,
     psychro_scatter_rows,
@@ -154,13 +155,14 @@ def _print_zone_offset(records, points) -> None:
 
 
 def _cmd_comfort(args) -> int:
-    series = load_indoor(args.indoor)
-    if len(series) == 0:
+    records = load_indoor(args.indoor)
+    if not records:
         raise InputError(f"indoor series {args.indoor} is empty")
     zone = load_zone(args.zone) if args.zone else DEFAULT_ZONE
 
-    records = series.records
-    points = [PsychroPoint(rec.comfort_temperature_c, rec.rh_pct, rec.air_speed_m_s or 0.0)
+    points = [PsychroPoint(rec.comfort_temperature_c,
+                           humidity_ratio(rec.comfort_temperature_c, rec.rh_pct),
+                           rec.air_speed_m_s or 0.0)
               for rec in records]
     stats = discomfort_fraction(points, zone)
     print(f"samples: {stats.total_hours}")

@@ -43,64 +43,26 @@ def saturation_vapor_pressure(t_c: float) -> float:
     return 610.94 * math.exp(17.625 * t_c / (t_c + 243.04))
 
 
-def humidity_ratio(t_c: float, rh_pct: float,
-                   pressure_pa: float = STANDARD_PRESSURE_PA) -> float:
-    """Humidity ratio in grams of water per kg of dry air."""
+def humidity_ratio(t_c: float, rh_pct: float) -> float:
+    """Humidity ratio in grams of water per kg of dry air, at the
+    standard pressure."""
     if not 0.0 <= rh_pct <= 100.0:
         raise ValueError("relative humidity must be in [0, 100]")
     partial = rh_pct / 100.0 * saturation_vapor_pressure(t_c)
-    if partial >= pressure_pa:
-        raise ValueError("vapour pressure exceeds total pressure")
-    return 622.0 * partial / (pressure_pa - partial)
+    return 622.0 * partial / (STANDARD_PRESSURE_PA - partial)
 
 
-class _PsychroFields(NamedTuple):
-    temperature_c: float
-    rh_pct: float
-    air_speed_m_s: float
-    humidity_ratio_g_kg: float
-
-
-class PsychroPoint(_PsychroFields):
+class PsychroPoint(NamedTuple):
     """One sample on the psychrometric plane.
 
-    ``temperature_c`` is the resultant temperature when available, else
-    the dry bulb; the humidity ratio is derived from it and the relative
-    humidity.
-
-    A point is a tuple: it iterates, orders and compares equal to a plain
-    tuple of the same four values.  It is not a dataclass, so
-    ``dataclasses.replace`` does not apply; ``_replace`` and ``_make``
-    build through the constructor and derive the humidity ratio again.
+    ``temperature_c`` is the comfort temperature: the resultant when
+    measured, else the dry bulb.  The caller derives the humidity ratio;
+    the loader has already refused a negative air speed.
     """
 
-    __slots__ = ()
-
-    def __new__(cls, temperature_c: float, rh_pct: float,
-                air_speed_m_s: float = 0.0) -> PsychroPoint:
-        if air_speed_m_s < 0:
-            raise ValueError("air speed must be >= 0")
-        return tuple.__new__(cls, (temperature_c, rh_pct, air_speed_m_s,
-                                   humidity_ratio(temperature_c, rh_pct)))
-
-    def __getnewargs__(self) -> tuple[float, float, float]:
-        # copy and pickle rebuild a point from its three inputs
-        return self[:3]
-
-    def _replace(self, **changes) -> PsychroPoint:
-        """A copy with some inputs changed; the humidity ratio is derived again."""
-        inputs = {"temperature_c": self[0], "rh_pct": self[1], "air_speed_m_s": self[2]}
-        inputs.update(changes)
-        return type(self)(**inputs)
-
-    @classmethod
-    def _make(cls, iterable) -> PsychroPoint:
-        """A point from its three inputs, or from four values whose
-        humidity ratio is derived again."""
-        values = tuple(iterable)
-        if len(values) not in (3, 4):
-            raise TypeError(f"expected 3 or 4 values, got {len(values)}")
-        return cls(*values[:3])
+    temperature_c: float
+    humidity_ratio_g_kg: float
+    air_speed_m_s: float = 0.0
 
 
 def _segments_cross(p1, p2, q1, q2) -> bool:
@@ -228,7 +190,7 @@ def _inside_flags(points: list[PsychroPoint],
     air speed.  Returns the flags and the polygons keyed on air speed."""
     polygons: dict = {}
     flags = []
-    for t, _, speed, w in points:
+    for t, w, speed in points:
         polygon = polygons.get(speed)
         if polygon is None:
             polygon = polygons[speed] = zone.extended_vertices(speed)

@@ -203,17 +203,8 @@ class IndoorRecord(NamedTuple):
         return self.temp_air_c
 
 
-@dataclass(frozen=True)
-class IndoorSeries:
-    """Logger samples in file order; only ``load_indoor`` checks them."""
-
-    records: tuple[IndoorRecord, ...]
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-
-def load_indoor(path: str | Path) -> IndoorSeries:
+def load_indoor(path: str | Path) -> tuple[IndoorRecord, ...]:
+    """Logger samples in file order; the only place they are checked."""
     records = []
     last_ts: dict[str, datetime] = {}
     # a row that repeats the previous row's timestamp text reuses its parse
@@ -245,16 +236,16 @@ def load_indoor(path: str | Path) -> IndoorSeries:
             raise SeriesFormatError(f"line {line_no}: comfort temperature {comfort} outside "
                                     f"the supported [{T_MIN_C}, {T_MAX_C}] degC")
         records.append(IndoorRecord(timestamp, zone, air, resultant, rh, speed))
-    return IndoorSeries(records=tuple(records))
+    return tuple(records)
 
 
-def write_indoor(series: IndoorSeries, path: str | Path) -> None:
+def write_indoor(records: Sequence[IndoorRecord], path: str | Path) -> None:
     _write_rows(path, INDOOR_COLUMNS, (
         (r.timestamp.isoformat(), r.zone, repr(r.temp_air_c),
          "" if r.temp_resultant_c is None else repr(r.temp_resultant_c),
          repr(r.rh_pct),
          "" if r.air_speed_m_s is None else repr(r.air_speed_m_s))
-        for r in series.records))
+        for r in records))
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from .building import (
     AtticRegime,
     BuildingDescription,
-    BuildingValidationError,
     ColorClass,
     FacadePorosities,
     InsulationLayer,
@@ -30,7 +29,6 @@ from .building import (
     WaterHeaterSpec,
     WindowSpec,
     facade_porosities,
-    validate,
 )
 from .catalogue import RuleCatalogue
 from .errors import InputError
@@ -467,18 +465,14 @@ def _site_finding(building: BuildingDescription) -> Finding:
 
 def compliance_report(building: BuildingDescription, catalogue: RuleCatalogue,
                       si_rule: str = "min") -> ComplianceReport:
-    """Run every check on a validated building.
+    """Run every check on a building that ``validate`` passes, as
+    ``load_building`` returns it.
 
-    Raises :class:`BuildingValidationError` when the description itself is
-    malformed, and InputError naming the rule and the subject when a
-    finding's number is not finite (a finite but out-of-scale input can
-    overflow).  Findings are ordered by (rule id, subject) so identical
+    Raises InputError naming the rule and the subject when a finding's
+    number is not finite (a finite but out-of-scale input can overflow).
+    Findings are ordered by (rule id, subject) so identical
     inputs always produce identical reports.
     """
-    issues = validate(building)
-    if issues:
-        raise BuildingValidationError(issues)
-
     findings: list[Finding] = [check_roof(building.roof, catalogue)]
     findings += [check_wall(w, catalogue) for w in building.walls]
     findings += [check_window(w, catalogue) for w in building.windows]

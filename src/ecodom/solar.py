@@ -25,12 +25,6 @@ class SolarPosition:
     altitude_deg: float
     azimuth_deg: float
 
-    def __post_init__(self) -> None:
-        if not -90.0 <= self.altitude_deg <= 90.0:
-            raise ValueError("altitude must be in [-90, 90]")
-        if not 0.0 <= self.azimuth_deg < 360.0:
-            raise ValueError("azimuth must be in [0, 360)")
-
 
 def _julian_day(when: datetime) -> float:
     if when.tzinfo is not None:
@@ -80,8 +74,6 @@ def solar_position(latitude_deg: float, longitude_deg: float,
     Longitude is positive East.  Azimuth is measured from North,
     clockwise, so 90 is East and 270 is West.
     """
-    if not -90.0 <= latitude_deg <= 90.0:
-        raise ValueError("latitude must be in [-90, 90]")
     jd = _julian_day(when)
     jc = (jd - 2451545.0) / 36525.0
     declination, eot_minutes = _sun_elements(jc)
@@ -188,6 +180,4 @@ def sol_air_temperature(t_out_c: float, irradiance_w_m2: float,
                         absorptivity: float, h_exterior: float) -> float:
     """Equivalent outdoor temperature combining air temperature and the
     absorbed solar flux across the exterior film."""
-    if h_exterior <= 0:
-        raise ValueError("exterior film coefficient must be > 0")
     return t_out_c + absorptivity * irradiance_w_m2 / h_exterior

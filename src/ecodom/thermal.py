@@ -92,14 +92,6 @@ class SurfaceModel:
     shade_fraction: float | None = None
     solar_transmittance: float = 0.0
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("roof", "wall", "window"):
-            raise ValueError(f"surface {self.name}: unknown kind {self.kind!r}")
-        if self.area_m2 <= 0:
-            raise ValueError(f"surface {self.name}: area must be > 0")
-        if self.resistance_m2k_w <= 0:
-            raise ValueError(f"surface {self.name}: total resistance must be > 0")
-
     @property
     def fixed_shading(self) -> float | None:
         """Beam shading fraction when it does not depend on the sun, else
@@ -120,12 +112,6 @@ class VentilationApertures:
     discharge_coefficient: float = DEFAULT_CD
     delta_cp: float = DEFAULT_DELTA_CP
 
-    def __post_init__(self) -> None:
-        if self.inlet_area_m2 < 0 or self.outlet_area_m2 < 0:
-            raise ValueError("aperture areas must be >= 0")
-        if self.discharge_coefficient <= 0 or self.delta_cp <= 0:
-            raise ValueError("discharge coefficient and delta Cp must be > 0")
-
 
 def ventilation_ach(apertures: VentilationApertures, volume_m3: float,
                     wind_speed_m_s: float,
@@ -136,8 +122,6 @@ def ventilation_ach(apertures: VentilationApertures, volume_m3: float,
     Aeq = (Ain^-2 + Aout^-2)^(-1/2).  Only the wind component normal to
     the inlet drives flow; either aperture at zero kills it entirely.
     """
-    if volume_m3 <= 0:
-        raise ValueError("zone volume must be > 0")
     a_in, a_out = apertures.inlet_area_m2, apertures.outlet_area_m2
     if a_in <= 0.0 or a_out <= 0.0 or wind_speed_m_s <= 0.0:
         return 0.0
@@ -175,19 +159,6 @@ class ZoneModel:
     internal_gains_w: float | tuple[float, ...] = 0.0
     h_exterior: float = DEFAULT_H_EXTERIOR
     h_interior: float = DEFAULT_H_INTERIOR
-
-    def __post_init__(self) -> None:
-        if self.volume_m3 <= 0:
-            raise ValueError("zone volume must be > 0")
-        if self.capacitance_j_k <= 0:
-            raise ValueError("zone capacitance must be > 0")
-        if len({s.name for s in self.surfaces}) != len(self.surfaces):
-            raise ValueError("zone surface names must be distinct")
-        if not isinstance(self.internal_gains_w, (int, float)):
-            object.__setattr__(self, "internal_gains_w",
-                               tuple(float(g) for g in self.internal_gains_w))
-            if len(self.internal_gains_w) != 24:
-                raise ValueError("an internal-gains schedule must list 24 hourly values")
 
 
 class WeatherGapError(InputError):
@@ -321,12 +292,12 @@ def simulate(zone: ZoneModel, weather: WeatherSeries) -> SimulationResult:
     rho_cp = AIR_DENSITY * AIR_HEAT_CAPACITY
     h_vent = [rho_cp * a * zone.volume_m3 / 3600.0 for a in ach]
     gains = zone.internal_gains_w
-    if isinstance(gains, tuple):
+    if is_number(gains):
+        internal = [float(gains)] * n
+    else:
         # A naive timestamp is UTC, as in the sun position.
         internal = [gains[(ts.astimezone(timezone.utc) if ts.tzinfo else ts).hour]
                     for ts in timestamps]
-    else:
-        internal = [float(gains)] * n
     gains_fixed = [q + g for q, g in zip(transmitted, internal)]
 
     # Stage 3, backward Euler:
@@ -468,6 +439,7 @@ def zone_from_building(building: BuildingDescription,
     floor_area = float(scenario.get("floor_area_m2", building.roof.area_m2))
     volume = float(scenario.get("volume_m3", floor_area * 2.5))
     mass_class = scenario.get("mass_class", "heavy")
+    gains = scenario.get("internal_gains_w", 0.0)
 
     surfaces: list[SurfaceModel] = []
     if scenario.get("roof_exposed", True):
@@ -525,7 +497,7 @@ def zone_from_building(building: BuildingDescription,
         capacitance_j_k=MASS_CLASS_CAPACITANCE[mass_class] * floor_area,
         surfaces=tuple(surfaces),
         apertures=apertures,
-        internal_gains_w=scenario.get("internal_gains_w", 0.0),
+        internal_gains_w=gains if is_number(gains) else tuple(map(float, gains)),
         h_exterior=h_out,
         h_interior=h_in,
     )

@@ -9,7 +9,6 @@ from conftest import FINAL_FIXTURE, INITIAL_FIXTURE
 from ecodom.cli import EXIT_INPUT_ERROR, EXIT_NONCOMPLIANT, EXIT_OK, main
 from ecodom.dataio import (
     IndoorRecord,
-    IndoorSeries,
     SyntheticWeatherParams,
     synthetic_weather,
     write_indoor,
@@ -59,6 +58,20 @@ class TestCheck:
         assert doc["overall"] == "fail"
         assert any(f["rule_id"] == "roof.insulation" and f["verdict"] == "fail"
                    for f in doc["findings"])
+
+    def test_check_validates_once(self, monkeypatch, capsys):
+        import ecodom.building as building
+        import ecodom.rules as rules
+        calls = []
+
+        def counted(description, _fn=building.validate):
+            calls.append(description.name)
+            return _fn(description)
+
+        monkeypatch.setattr(building, "validate", counted)
+        monkeypatch.setattr(rules, "validate", counted, raising=False)
+        assert main(["check", str(FINAL_FIXTURE)]) == EXIT_OK
+        assert len(calls) == 1
 
     def test_json_report_byte_identical_across_runs(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -189,7 +202,7 @@ def _indoor_series_csv(tmp_path, split=(90, 10)):
         records.append(IndoorRecord(base + timedelta(hours=inside + i), "flat",
                                     36.0, None, 55.0, None))
     path = tmp_path / "indoor.csv"
-    write_indoor(IndoorSeries(records=tuple(records)), path)
+    write_indoor(records, path)
     return path
 
 
@@ -224,7 +237,7 @@ class TestComfort:
             ts = base + timedelta(hours=i)
             records.append(IndoorRecord(ts, "intermediate", 28.0, None, 55.0, None))
         path = tmp_path / "two.csv"
-        write_indoor(IndoorSeries(records=tuple(records)), path)
+        write_indoor(records, path)
         assert main(["comfort", str(path)]) == EXIT_OK
         out = capsys.readouterr().out
         assert "offset (under_roof - intermediate): mean 1.20 C" in out
@@ -257,7 +270,7 @@ class TestComfort:
                                 speeds[i % len(speeds)])
                    for zone in ("bedroom", "living") for i in range(60)]
         path = tmp_path / "two.csv"
-        write_indoor(IndoorSeries(records=tuple(records)), path)
+        write_indoor(records, path)
         calls = {"polygon": 0, "extended": []}
         point_in_polygon = comfort._point_in_polygon
         extended_vertices = comfort.ComfortZone.extended_vertices
@@ -505,16 +518,29 @@ class TestInputBoundary:
          "facade pair north_l0/nowhere.facade_id: unknown facade 'nowhere'"),
         ("building", (("rooms", 0, "internal_openings", 1, "id"), "door_l0"),
          "opening door_l0.id: duplicate opening id"),
+        ("building", (("walls", 0, "area_m2"), 0), "wall north: area must be > 0"),
+        ("building", (("rooms", 0, "external_openings", 0, "net_area_m2"), -1),
+         "opening glz_bedroom_l0: net area must be >= 0"),
+        ("building", (("latitude",), 91), "building.latitude: must be in [-90, 90]"),
+        ("building", (("rooms",), []),
+         "building.rooms: at least one main room is required"),
+        ("scenario", '{"volume_m3": 0}', "scenario volume_m3 must be a number > 0, got 0"),
         ("zone", '{"vertices": [[20, 3], [24, 3]]}',
          "comfort zone polygon needs at least 3 vertices"),
     ], ids=["negative-irradiance", "negative-wind", "under-a-day", "two-hour-step",
             "indoor-rh-101", "roof-area-zero", "glazed-area-zero", "negative-offset",
             "null-external-facade", "pair-unknown-facade", "duplicate-opening",
-            "zone-two-vertices"])
+            "wall-area-zero", "negative-opening-area", "latitude-91", "no-main-room",
+            "scenario-volume-zero", "zone-two-vertices"])
     def test_input_rule_exits_two(self, tmp_path, weather_csv, capsys,
                                   kind, change, fragment):
         if kind == "building":
             argv = ["check", str(_edited_final(tmp_path, *change))]
+        elif kind == "scenario":
+            scenario = tmp_path / "scenario.json"
+            scenario.write_text(change)
+            argv = ["simulate", str(FINAL_FIXTURE), "--weather", str(weather_csv),
+                    "--scenario", str(scenario)]
         elif kind == "zone":
             zone = tmp_path / "zone.json"
             zone.write_text(change)
@@ -534,7 +560,7 @@ class TestInputBoundary:
         records += [IndoorRecord(base + timedelta(hours=i, minutes=30), "b", 26.0,
                                  None, 55.0, None) for i in range(4)]
         path = tmp_path / "indoor.csv"
-        write_indoor(IndoorSeries(records=tuple(records)), path)
+        write_indoor(records, path)
         assert main(["comfort", str(path)]) == EXIT_OK
         captured = capsys.readouterr()
         assert "discomfort" in captured.out and "offset" not in captured.out

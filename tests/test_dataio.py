@@ -10,7 +10,6 @@ from ecodom.archetypes import compliant_zone
 from ecodom.building import BuildingValidationError
 from ecodom.dataio import (
     IndoorRecord,
-    IndoorSeries,
     SchemaVersionError,
     SeriesFormatError,
     SyntheticWeatherParams,
@@ -183,33 +182,33 @@ def _indoor(ts_minutes, zone="z1", temp=28.0, resultant=None, rh=60.0, speed=Non
 
 class TestIndoorIO:
     def test_round_trip(self, tmp_path):
-        series = IndoorSeries(records=(
+        records = (
             _indoor(0, temp=28.0, resultant=28.5, speed=0.3),
             _indoor(30, temp=28.2),
             _indoor(0, zone="z2", temp=27.0),
-        ))
+        )
         path = tmp_path / "indoor.csv"
-        write_indoor(series, path)
+        write_indoor(records, path)
         loaded = load_indoor(path)
-        assert loaded.records == series.records
-        assert [r.zone for r in loaded.records] == ["z1", "z1", "z2"]
+        assert loaded == records
+        assert [r.zone for r in loaded] == ["z1", "z1", "z2"]
 
     def test_optional_fields_blank(self, tmp_path):
         path = tmp_path / "indoor.csv"
         path.write_text(
             "timestamp,zone,temp_air_c,temp_resultant_c,rh_pct,air_speed_m_s\n"
             "2026-02-01T00:00:00+00:00,z1,28.0,,60.0,\n")
-        rec = load_indoor(path).records[0]
+        rec = load_indoor(path)[0]
         assert rec.temp_resultant_c is None
         assert rec.air_speed_m_s is None
         assert rec.comfort_temperature_c == 28.0
 
     def test_written_rows_pinned(self, tmp_path):
-        series = IndoorSeries(records=(
+        records = (
             _indoor(0, zone="bedroom", rh=61.5),
-            _indoor(0, zone="living", temp=27.25, resultant=27.5, rh=55.0, speed=0.3)))
+            _indoor(0, zone="living", temp=27.25, resultant=27.5, rh=55.0, speed=0.3))
         path = tmp_path / "indoor.csv"
-        write_indoor(series, path)
+        write_indoor(records, path)
         assert path.read_text("utf-8") == (
             "timestamp,zone,temp_air_c,temp_resultant_c,rh_pct,air_speed_m_s\n"
             "2026-02-01T00:00:00+00:00,bedroom,28.0,,61.5,\n"
@@ -230,11 +229,11 @@ class TestIndoorIO:
 
     def test_interleaved_zones_allowed(self, tmp_path):
         path = tmp_path / "indoor.csv"
-        write_indoor(IndoorSeries(records=(
+        write_indoor((
             _indoor(0, zone="a"), _indoor(0, zone="b"),
-            _indoor(30, zone="a"), _indoor(30, zone="b"))), path)
+            _indoor(30, zone="a"), _indoor(30, zone="b")), path)
         loaded = load_indoor(path)
-        assert [r.zone for r in loaded.records].count("a") == 2
+        assert [r.zone for r in loaded].count("a") == 2
 
     def test_non_finite_value_reports_line_and_column(self, tmp_path):
         path = tmp_path / "indoor.csv"
@@ -274,7 +273,7 @@ class TestIndoorIO:
         records = [_indoor(10 * i, zone=zone, temp=26.0 + 0.01 * i)
                    for i in range(instants) for zone in ("a", "b")]
         path = tmp_path / "indoor.csv"
-        write_indoor(IndoorSeries(records=tuple(records)), path)
+        write_indoor(records, path)
         calls = []
         parse = dataio._parse_timestamp
 
@@ -283,7 +282,7 @@ class TestIndoorIO:
             return parse(text, line_no)
 
         monkeypatch.setattr(dataio, "_parse_timestamp", counted)
-        assert load_indoor(path).records == tuple(records)
+        assert load_indoor(path) == tuple(records)
         assert len(calls) == len(set(calls)) == instants
 
     def test_zone_major_file_parses_every_row(self, tmp_path, monkeypatch):
@@ -291,12 +290,12 @@ class TestIndoorIO:
         import ecodom.dataio as dataio
         records = [_indoor(10 * i, zone=zone) for zone in ("a", "b") for i in range(20)]
         path = tmp_path / "indoor.csv"
-        write_indoor(IndoorSeries(records=tuple(records)), path)
+        write_indoor(records, path)
         calls = []
         parse = dataio._parse_timestamp
         monkeypatch.setattr(dataio, "_parse_timestamp",
                             lambda text, line_no: calls.append(text) or parse(text, line_no))
-        assert load_indoor(path).records == tuple(records)
+        assert load_indoor(path) == tuple(records)
         assert len(calls) == len(records)
 
 

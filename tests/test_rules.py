@@ -342,19 +342,6 @@ class TestReport:
         report = compliance_report(final_building, catalogue)
         assert report.overall_pass
 
-    def test_empty_building_raises_validation_error(self, catalogue):
-        from ecodom.building import (
-            AtticRegime, BuildingValidationError, BuildingDescription,
-            NO_INSULATION, RoofSpec, WaterHeaterKind, WaterHeaterSpec,
-        )
-        empty = BuildingDescription(
-            name="empty", latitude=0.0, longitude=0.0, dwelling_type=1,
-            roof=RoofSpec(ColorClass.LIGHT, AtticRegime.NONE, NO_INSULATION, 10.0),
-            walls=(), windows=(), rooms=(), facade_pairs=(),
-            water_heater=WaterHeaterSpec(WaterHeaterKind.GAS, certified=True))
-        with pytest.raises(BuildingValidationError):
-            compliance_report(empty, catalogue)
-
     def test_findings_sorted(self, initial_building, catalogue):
         report = compliance_report(initial_building, catalogue)
         keys = [(f.rule_id, f.subject) for f in report.findings]

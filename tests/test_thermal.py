@@ -69,10 +69,6 @@ class TestVentilation:
         assert oblique == pytest.approx(normal * 0.5)
         assert parallel == pytest.approx(0.0, abs=1e-9)
 
-    def test_volume_required(self):
-        with pytest.raises(ValueError):
-            ventilation_ach(POROSITY_25_APERTURES, 0.0, 4.0)
-
 
 def _calm_weather(days=2, t_out=28.0):
     base = synthetic_weather(SyntheticWeatherParams(days=days))
@@ -192,11 +188,6 @@ class TestSimulate:
         # evening gains leave the zone warmer than the constant-zero case
         assert max(result.t_air_c) > max(
             simulate(zone, _calm_weather(days=2)).t_air_c)
-
-    def test_gains_schedule_must_cover_a_day(self):
-        zone = compliant_zone()
-        with pytest.raises(ValueError, match="24"):
-            dataclasses.replace(zone, internal_gains_w=(100.0, 200.0))
 
     def test_weekly_storage_drift_below_one_percent(self):
         zone = compliant_zone()
@@ -370,8 +361,3 @@ class TestStagedRun:
         finally:
             if enabled:
                 gc.enable()
-
-    def test_duplicate_surface_names_rejected(self):
-        zone = compliant_zone()
-        with pytest.raises(ValueError, match="distinct"):
-            dataclasses.replace(zone, surfaces=zone.surfaces + zone.surfaces[1:2])
