@@ -2,6 +2,9 @@
 result into an indoor series, and compute comfort statistics and the
 psychrometric scatter file.
 
+The indoor air keeps the outdoor humidity ratio: the dwelling is taken
+as ventilated, with no moisture source of its own.
+
 usage: python scripts/run_comfort_pipeline.py [out_dir]
 """
 
@@ -29,7 +32,7 @@ def main() -> None:
     result = simulate(zone_from_building(building), weather)
 
     points = [
-        PsychroPoint(t_res, humidity_ratio(t_res, rec.rh_pct))
+        PsychroPoint(t_res, humidity_ratio(rec.temp_air_c, rec.rh_pct))
         for t_res, rec in zip(result.t_resultant_c, weather.records)
     ]
     stats = discomfort_fraction(points)

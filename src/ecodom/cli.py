@@ -160,8 +160,9 @@ def _cmd_comfort(args) -> int:
         raise InputError(f"indoor series {args.indoor} is empty")
     zone = load_zone(args.zone) if args.zone else DEFAULT_ZONE
 
+    # rh_pct is the relative humidity of the air, at temp_air_c
     points = [PsychroPoint(rec.comfort_temperature_c,
-                           humidity_ratio(rec.comfort_temperature_c, rec.rh_pct),
+                           humidity_ratio(rec.temp_air_c, rec.rh_pct),
                            rec.air_speed_m_s or 0.0)
               for rec in records]
     stats = discomfort_fraction(points, zone)

@@ -8,8 +8,10 @@ warm-humid-climate zone (Givoni type): 22 to 29 degC between 4 and
 documented convention, not a measured constant, and can be overridden
 from a zone file.
 
-Each sample is one immutable named tuple (``PsychroPoint``), built once
-with its humidity ratio.  A series is classified in one pass: each
+Each sample is one immutable named tuple (``PsychroPoint``): the comfort
+temperature, placed against the humidity ratio of the air.  The ratio
+belongs to the air, so it comes from the dry bulb and its relative
+humidity, never from the resultant temperature.  A series is classified in one pass: each
 sample is tested once against the polygon extended for its air speed,
 and that polygon is built once per distinct air speed.  The discomfort
 statistics and the scatter export read the same flags.
@@ -56,8 +58,9 @@ class PsychroPoint(NamedTuple):
     """One sample on the psychrometric plane.
 
     ``temperature_c`` is the comfort temperature: the resultant when
-    measured, else the dry bulb.  The caller derives the humidity ratio;
-    the loader has already refused a negative air speed.
+    measured, else the dry bulb.  ``humidity_ratio_g_kg`` is that of the
+    air, ``humidity_ratio(temp_air_c, rh_pct)`` for a logger row.  The
+    loader has already refused a negative air speed.
     """
 
     temperature_c: float

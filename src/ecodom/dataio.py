@@ -84,6 +84,15 @@ def _parse_float(text: str, column: str, line_no: int) -> float:
     return value
 
 
+def _parse_temperature(text: str, column: str, line_no: int) -> float:
+    """An indoor temperature in the range the psychrometric model supports."""
+    value = _parse_float(text, column, line_no)
+    if not T_MIN_C <= value <= T_MAX_C:
+        raise SeriesFormatError(f"line {line_no}: {column} {value} outside "
+                                f"the supported [{T_MIN_C}, {T_MAX_C}] degC")
+    return value
+
+
 @dataclass(frozen=True, slots=True)
 class WeatherRecord:
     timestamp: datetime
@@ -225,16 +234,12 @@ def load_indoor(path: str | Path) -> tuple[IndoorRecord, ...]:
             raise SeriesFormatError(f"line {line_no}: timestamp {parts[0]} not after "
                                     f"previous record of zone {zone}")
         last_ts[zone] = timestamp
-        air = _parse_float(parts[2], "temp_air_c", line_no)
+        air = _parse_temperature(parts[2], "temp_air_c", line_no)
         resultant = (None if parts[3] == ""
-                     else _parse_float(parts[3], "temp_resultant_c", line_no))
+                     else _parse_temperature(parts[3], "temp_resultant_c", line_no))
         speed = None if parts[5] == "" else _parse_float(parts[5], "air_speed_m_s", line_no)
         if speed is not None and speed < 0:
             raise SeriesFormatError(f"line {line_no}: air_speed_m_s {speed} must be >= 0")
-        comfort = air if resultant is None else resultant
-        if not T_MIN_C <= comfort <= T_MAX_C:
-            raise SeriesFormatError(f"line {line_no}: comfort temperature {comfort} outside "
-                                    f"the supported [{T_MIN_C}, {T_MAX_C}] degC")
         records.append(IndoorRecord(timestamp, zone, air, resultant, rh, speed))
     return tuple(records)
 

@@ -291,6 +291,21 @@ class TestComfort:
         assert sorted(calls["extended"]) == [0.0, 0.3, 1.0, 4.0]
 
 
+    def test_humidity_ratio_is_the_airs(self, tmp_path, capsys):
+        # 22 C air at 90 % holds 15.0 g/kg, inside the zone; the same RH
+        # taken at the 26 C resultant would read 19.1 g/kg, outside it
+        from ecodom.comfort import humidity_ratio
+        base = datetime(2026, 2, 1, tzinfo=timezone.utc)
+        records = [IndoorRecord(base + timedelta(hours=i), "flat", 22.0, 26.0, 90.0, None)
+                   for i in range(4)]
+        path = tmp_path / "indoor.csv"
+        write_indoor(records, path)
+        scatter = tmp_path / "scatter.csv"
+        assert main(["comfort", str(path), "--scatter", str(scatter)]) == EXIT_OK
+        assert "discomfort 0.0%" in capsys.readouterr().out
+        row = scatter.read_text().splitlines()[1]
+        assert row == f"point,26.0,{humidity_ratio(22.0, 90.0)!r},1"
+
     def test_blank_zone_exits_two(self, tmp_path, capsys):
         path = tmp_path / "indoor.csv"
         path.write_text(
@@ -306,9 +321,9 @@ class TestComfort:
         out = capsys.readouterr().out
         assert "offset (bedroom - living)" in out
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "c695a2e7e38ac2c2460849bb6001329ebba1e25c0fb13914afd28e8a02cd90e8")
+            "667a695193545bb7e10e7e479bc507c400a83a5c9b33e87cf4948a3b639f3e80")
         assert hashlib.sha256(scatter.read_bytes()).hexdigest() == (
-            "5ec0565673404b4b8d74ffe60768bf165662045ba568c789a9d7cd1b6792df18")
+            "32117daa5cdb3e8625e8c97e016078f113473338bed7b478c85702a619878733")
 
 
 def _logger_csv(tmp_path, rng, instants):
@@ -506,6 +521,8 @@ class TestInputBoundary:
         ("weather", lambda lines: lines[:1] + lines[1::2],
          "weather step must be one hour or finer"),
         ("indoor", _cell(3, 4, "101"), "line 4: rh_pct 101.0 outside [0, 100]"),
+        ("indoor", lambda lines: _cell(3, 3, "30.0")(_cell(3, 2, "70.0")(lines)),
+         "line 4: temp_air_c 70.0 outside the supported [-20.0, 60.0] degC"),
         ("building", (("roof", "area_m2"), 0),
          "missing or malformed field: roof area must be > 0"),
         ("building", (("windows", 0, "glazed_area_m2"), 0),
@@ -528,7 +545,7 @@ class TestInputBoundary:
         ("zone", '{"vertices": [[20, 3], [24, 3]]}',
          "comfort zone polygon needs at least 3 vertices"),
     ], ids=["negative-irradiance", "negative-wind", "under-a-day", "two-hour-step",
-            "indoor-rh-101", "roof-area-zero", "glazed-area-zero", "negative-offset",
+            "indoor-rh-101", "indoor-hot-air", "roof-area-zero", "glazed-area-zero", "negative-offset",
             "null-external-facade", "pair-unknown-facade", "duplicate-opening",
             "wall-area-zero", "negative-opening-area", "latitude-91", "no-main-room",
             "scenario-volume-zero", "zone-two-vertices"])
