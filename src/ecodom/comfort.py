@@ -11,10 +11,11 @@ from a zone file.
 Each sample is one immutable named tuple (``PsychroPoint``): the comfort
 temperature, placed against the humidity ratio of the air.  The ratio
 belongs to the air, so it comes from the dry bulb and its relative
-humidity, never from the resultant temperature.  A series is classified in one pass: each
-sample is tested once against the polygon extended for its air speed,
-and that polygon is built once per distinct air speed.  The discomfort
-statistics and the scatter export read the same flags.
+humidity, never from the resultant temperature.  A series is
+classified in one pass: each sample is tested once against the polygon
+extended for its air speed, and that polygon is built once per distinct
+air speed.  The discomfort statistics and the scatter export read the
+same flags.
 """
 
 from __future__ import annotations

@@ -545,10 +545,10 @@ class TestInputBoundary:
         ("zone", '{"vertices": [[20, 3], [24, 3]]}',
          "comfort zone polygon needs at least 3 vertices"),
     ], ids=["negative-irradiance", "negative-wind", "under-a-day", "two-hour-step",
-            "indoor-rh-101", "indoor-hot-air", "roof-area-zero", "glazed-area-zero", "negative-offset",
-            "null-external-facade", "pair-unknown-facade", "duplicate-opening",
-            "wall-area-zero", "negative-opening-area", "latitude-91", "no-main-room",
-            "scenario-volume-zero", "zone-two-vertices"])
+            "indoor-rh-101", "indoor-hot-air", "roof-area-zero", "glazed-area-zero",
+            "negative-offset", "null-external-facade", "pair-unknown-facade",
+            "duplicate-opening", "wall-area-zero", "negative-opening-area", "latitude-91",
+            "no-main-room", "scenario-volume-zero", "zone-two-vertices"])
     def test_input_rule_exits_two(self, tmp_path, weather_csv, capsys,
                                   kind, change, fragment):
         if kind == "building":
