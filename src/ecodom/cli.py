@@ -16,11 +16,12 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from collections import defaultdict
 from pathlib import Path
 
-from .catalogue import load_catalogue
+from .catalogue import CATALOGUE_ENV_VAR, load_catalogue
 from .comfort import (
     DEFAULT_ZONE,
     PsychroPoint,
@@ -85,7 +86,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _refuse_overwrite(inputs: dict, outputs: dict) -> None:
+    """Refuse an output path that names an input file or an earlier
+    output, before anything is read, so that no file is lost.  Paths are
+    compared in resolved form, symbolic links followed."""
+    claimed = {os.path.realpath(path): name
+               for name, path in inputs.items() if path}
+    for name, path in outputs.items():
+        if not path:
+            continue
+        real = os.path.realpath(path)
+        if real in claimed:
+            raise InputError(f"{name} {path} names the same file as {claimed[real]}")
+        claimed[real] = name
+
+
 def _cmd_check(args) -> int:
+    _refuse_overwrite(
+        {"building": args.building,
+         "--catalogue": args.catalogue or os.environ.get(CATALOGUE_ENV_VAR)},
+        {"--out": args.out})
     catalogue = load_catalogue(args.catalogue)
     building = load_building(args.building)
     report = compliance_report(building, catalogue, si_rule=args.si_rule)
@@ -121,6 +141,10 @@ def _print_summary(name: str, result) -> None:
 def _cmd_simulate(args) -> int:
     if args.paired_out and not args.paired:
         raise InputError("--paired-out needs --paired")
+    _refuse_overwrite(
+        {"building": args.building, "--paired": args.paired,
+         "--weather": args.weather, "--scenario": args.scenario},
+        {"--out": args.out, "--paired-out": args.paired_out})
     weather = load_weather(args.weather)
     scenario = read_json(args.scenario, ScenarioError) if args.scenario else {}
     name, result = _simulate_one(args.building, weather, scenario, args.out)
@@ -155,6 +179,8 @@ def _print_zone_offset(records, points) -> None:
 
 
 def _cmd_comfort(args) -> int:
+    _refuse_overwrite({"indoor": args.indoor, "--zone": args.zone},
+                      {"--scatter": args.scatter})
     records = load_indoor(args.indoor)
     if not records:
         raise InputError(f"indoor series {args.indoor} is empty")

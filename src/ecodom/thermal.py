@@ -20,8 +20,11 @@ is at machine precision.
    (latitude, longitude), so every zone simulated on the same series
    object at the same site shares it, a paired or repeated run computes
    it once, and it dies with the series;
-2. per zone: shading, sol-air temperature and transmitted solar of each
-   surface, per step;
+2. per zone: one shading column per distinct overhang geometry, one
+   effective-irradiance column per distinct (orientation, shading) and
+   one sol-air column per distinct (orientation, shading,
+   absorptivity), each shared by the surfaces with those inputs, and
+   the solar transmitted through the glazing;
 3. the ventilation and internal-gains columns, the backward-Euler
    recurrence, then the flows, the energy residual and the radiant
    temperature, with the arithmetic of the per-step balance in the same
@@ -33,7 +36,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from datetime import timezone
+from datetime import datetime, timezone
 from itertools import chain, repeat
 from operator import mul
 
@@ -248,25 +251,48 @@ def _sun_track(weather: WeatherSeries, latitude: float, longitude: float) -> _Su
 
 def _forcing(zone: ZoneModel, track: _SunTrack) -> tuple[list[list[float]], list[float]]:
     """Stage 2: the sol-air temperature of each surface and the solar
-    transmitted through the glazing, per step."""
+    transmitted through the glazing, per step.
+
+    Each column is computed once per distinct input of this zone: one
+    shading column per (depth, height, offset, azimuth) of a
+    sun-dependent overhang, one effective-irradiance column per
+    (orientation, shading) and one sol-air column per (orientation,
+    shading, absorptivity).  Surfaces that share an input share the
+    column object.  The tables die with the call, so nothing is kept
+    across zones.
+    """
     orientations = [(s.azimuth_deg, s.tilt_deg) for s in zone.surfaces]
     track.fill(orientations)
 
+    shading_of: dict[tuple, list[float]] = {}
+    effective_of: dict[tuple, list[float]] = {}
+    sol_air_of: dict[tuple, list[float]] = {}
     sol_air = []
     transmitted = [0.0] * len(track.t_out)
     for surface, orientation in zip(zone.surfaces, orientations):
-        beam, diffuse = track.irradiance[orientation]
         shade = surface.fixed_shading
         if shade is None:
             height = surface.overhang_height_m if surface.overhang_height_m > 0 else 1.0
-            shades = [overhang_shading_fraction(
-                surface.overhang_depth_m, height, surface.overhang_offset_m,
-                sun, surface.azimuth_deg) for sun in track.suns]
-        else:
-            shades = repeat(shade)
-        effective = [b * (1.0 - f) + d for b, f, d in zip(beam, shades, diffuse)]
-        sol_air.append([sol_air_temperature(t, e, surface.absorptivity, zone.h_exterior)
-                        for t, e in zip(track.t_out, effective)])
+            shade = (surface.overhang_depth_m, height, surface.overhang_offset_m,
+                     surface.azimuth_deg)
+            if shade not in shading_of:
+                shading_of[shade] = [overhang_shading_fraction(
+                    surface.overhang_depth_m, height, surface.overhang_offset_m,
+                    sun, surface.azimuth_deg) for sun in track.suns]
+        lit = (orientation, shade)
+        effective = effective_of.get(lit)
+        if effective is None:
+            beam, diffuse = track.irradiance[orientation]
+            shades = shading_of.get(shade, repeat(shade))
+            effective = effective_of[lit] = [b * (1.0 - f) + d
+                                             for b, f, d in zip(beam, shades, diffuse)]
+        key = (lit, surface.absorptivity)
+        temperatures = sol_air_of.get(key)
+        if temperatures is None:
+            temperatures = sol_air_of[key] = [
+                sol_air_temperature(t, e, surface.absorptivity, zone.h_exterior)
+                for t, e in zip(track.t_out, effective)]
+        sol_air.append(temperatures)
         if surface.solar_transmittance > 0:
             tau, area = surface.solar_transmittance, surface.area_m2
             transmitted = [acc + tau * e * area for acc, e in zip(transmitted, effective)]
@@ -319,6 +345,7 @@ def simulate(zone: ZoneModel, weather: WeatherSeries) -> SimulationResult:
     q_surfaces = [[k * (tsa - t) for tsa, t in zip(column, t_new)]
                   for k, column in zip(conductances, sol_air)]
     q_vent = [hv * (tout - t) for hv, tout, t in zip(h_vent, t_out, t_new)]
+    del sol_air, k_sol_air, h_vent
     max_residual = 0.0
     rows = zip(*q_surfaces) if q_surfaces else repeat((), n)
     for row, qv, g, q_sun, q_int, t, t_prev in zip(
@@ -512,15 +539,14 @@ def result_to_csv(result: SimulationResult) -> str:
     for name, kind in result.surface_kinds.items():
         columns_by_kind[kind].append(result.surface_gains_w[name])
     q_roof, q_wall, q_window = (
-        [sum(step) for step in zip(*columns)] if columns else [0] * len(result)
+        map(sum, zip(*columns)) if columns else repeat(0, len(result))
         for columns in columns_by_kind.values())
-    row = ",".join(["{}"] + ["{:.6f}"] * 11).format
+    row = "%s" + ",%.6f" * 11
     lines = [header]
-    lines.extend(
-        row(ts.isoformat(), *values) for ts, *values in zip(
-            result.timestamps, result.t_out_c, result.t_air_c,
-            result.t_radiant_c, result.t_resultant_c, result.ach,
-            q_roof, q_wall, q_window, result.window_solar_w,
-            result.ventilation_gain_w, result.internal_gain_w))
+    lines.extend(map(row.__mod__, zip(
+        map(datetime.isoformat, result.timestamps), result.t_out_c, result.t_air_c,
+        result.t_radiant_c, result.t_resultant_c, result.ach,
+        q_roof, q_wall, q_window, result.window_solar_w,
+        result.ventilation_gain_w, result.internal_gain_w)))
     lines.append("")
     return "\n".join(lines)

@@ -29,11 +29,13 @@ def final_building():
 
 @pytest.fixture
 def solar_calls(monkeypatch):
-    """Count the sun-position and irradiance calls made by simulate."""
+    """Count the sun-position, irradiance and overhang-shading calls made
+    by simulate."""
     from ecodom import thermal
-    calls = {"position": 0, "irradiance": 0}
+    calls = {"position": 0, "irradiance": 0, "shading": 0}
     for name, key in (("solar_position", "position"),
-                      ("surface_irradiance", "irradiance")):
+                      ("surface_irradiance", "irradiance"),
+                      ("overhang_shading_fraction", "shading")):
         def counted(*args, _fn=getattr(thermal, name), _key=key):
             calls[_key] += 1
             return _fn(*args)

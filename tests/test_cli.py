@@ -142,8 +142,11 @@ class TestSimulate:
         assert main(["simulate", str(FINAL_FIXTURE), "--weather", str(weather_csv),
                      "--paired", str(INITIAL_FIXTURE)]) == EXIT_OK
         records = 48
+        # Overhang shading is per zone: the final building has 6 surfaces
+        # under overhangs in 4 geometries, the initial one 3 in 2.
         assert solar_calls == {"position": records,
-                               "irradiance": records * len(orientations)}
+                               "irradiance": records * len(orientations),
+                               "shading": records * (4 + 2)}
 
     def test_paired_run_checks_the_weather_grid_once(self, weather_csv, monkeypatch,
                                                      capsys):
@@ -490,6 +493,54 @@ class TestInputBoundary:
                      "--paired-out", str(out)])
         assert "--paired-out needs --paired" in _assert_one_error_line(code, capsys)
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv,message", [
+        ("check B --out B", "--out B names the same file as building"),
+        ("check B --catalogue C --out C", "--out C names the same file as --catalogue"),
+        ("simulate B --weather W --out B", "--out B names the same file as building"),
+        ("simulate B --weather W --out W", "--out W names the same file as --weather"),
+        ("simulate B --weather W --scenario S --out S",
+         "--out S names the same file as --scenario"),
+        ("simulate B --weather W --paired P --paired-out P",
+         "--paired-out P names the same file as --paired"),
+        ("simulate B --weather W --paired P --out O --paired-out O",
+         "--paired-out O names the same file as --out"),
+        ("comfort I --scatter I", "--scatter I names the same file as indoor"),
+        ("comfort I --zone Z --scatter sub/../Z",
+         "--scatter sub/../Z names the same file as --zone"),
+    ], ids=["check-building", "check-catalogue", "simulate-building", "simulate-weather",
+            "simulate-scenario", "simulate-paired", "simulate-outputs", "comfort-indoor",
+            "comfort-zone-other-spelling"])
+    def test_output_naming_an_input_exits_two(self, tmp_path, weather_csv, capsys,
+                                              argv, message):
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "B").write_bytes(FINAL_FIXTURE.read_bytes())
+        (tmp_path / "P").write_bytes(INITIAL_FIXTURE.read_bytes())
+        (tmp_path / "C").write_bytes(
+            (FINAL_FIXTURE.parent / "catalogue.json").read_bytes())
+        (tmp_path / "W").write_bytes(weather_csv.read_bytes())
+        (tmp_path / "S").write_text("{}")
+        (tmp_path / "I").write_bytes(_indoor_series_csv(tmp_path).read_bytes())
+        (tmp_path / "Z").write_text('{"vertices": [[20, 3], [24, 3], [24, 15]]}')
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+
+        def expand(text):
+            return [str(tmp_path / word) if word.isupper() or word.startswith("sub/")
+                    else word for word in text.split()]
+
+        err = _assert_one_error_line(main(expand(argv)), capsys)
+        assert " ".join(expand(message)) in err
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
+
+    def test_output_naming_the_env_catalogue_exits_two(self, tmp_path, monkeypatch,
+                                                       capsys):
+        catalogue = tmp_path / "catalogue.json"
+        text = (FINAL_FIXTURE.parent / "catalogue.json").read_text()
+        catalogue.write_text(text)
+        monkeypatch.setenv("ECODOM_CATALOGUE", str(catalogue))
+        code = main(["check", str(FINAL_FIXTURE), "--out", str(catalogue)])
+        assert "names the same file as --catalogue" in _assert_one_error_line(code, capsys)
+        assert catalogue.read_text() == text
 
     @pytest.mark.parametrize("edit,key", [
         (lambda doc: doc["walls"][0].update(

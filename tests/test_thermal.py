@@ -290,6 +290,18 @@ class TestStagedRun:
         text = result_to_csv(simulate(make_zone(), synthetic_weather()))
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
+    # The goldens share columns: the final building has 6 sun-dependent
+    # surfaces in 4 overhang geometries and 8 sol-air columns for 10
+    # surfaces.
+    @pytest.mark.parametrize("building,digest", [
+        ("final_building", "42fdc4c52d71e0a524558de6535a7879ca2c48ccf4d04351a7a3c4921b5d6195"),
+        ("initial_building", "367f996eeb9621410065ce1ff781d412937724e7a5971f081808dd4ed9b77214"),
+    ])
+    def test_golden_export_bytes_pinned(self, building, digest, request):
+        zone = zone_from_building(request.getfixturevalue(building))
+        text = result_to_csv(simulate(zone, synthetic_weather()))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
     def test_second_zone_on_shared_series_matches_fresh_series(self, week):
         shared = WeatherSeries(records=week.records)
         simulate(compliant_zone(), shared)
@@ -301,8 +313,20 @@ class TestStagedRun:
         shared = WeatherSeries(records=week.records)
         simulate(compliant_zone(), shared)
         simulate(_turned(compliant_zone(), 45.0), shared)
-        # 5 orientations for the first zone, one more for the second
-        assert solar_calls == {"position": len(week), "irradiance": 6 * len(week)}
+        # 5 orientations for the first zone, one more for the second; each
+        # zone shades its 4 windows, one overhang geometry each
+        assert solar_calls == {"position": len(week), "irradiance": 6 * len(week),
+                               "shading": 8 * len(week)}
+
+    def test_shared_overhang_geometry_shaded_once(self, week, solar_calls):
+        zone = compliant_zone()
+        twin = dataclasses.replace(zone.surfaces[-1], name="window:west_twin")
+        twinned = dataclasses.replace(zone, surfaces=zone.surfaces + (twin,))
+        result = simulate(twinned, week)
+        # 5 windows under overhangs, in 4 geometries
+        assert solar_calls["shading"] == 4 * len(week)
+        gains = result.surface_gains_w
+        assert gains["window:west_twin"] == gains["window:west"]
 
     @pytest.mark.parametrize("site", [{"latitude": -15.0}, {"longitude": 45.0}])
     def test_other_site_never_reuses_the_track(self, week, solar_calls, site):
@@ -310,7 +334,8 @@ class TestStagedRun:
         here = simulate(compliant_zone(), shared)
         moved = dataclasses.replace(compliant_zone(), **site)
         there = simulate(moved, shared)
-        assert solar_calls == {"position": 2 * len(week), "irradiance": 10 * len(week)}
+        assert solar_calls == {"position": 2 * len(week), "irradiance": 10 * len(week),
+                               "shading": 8 * len(week)}
         assert there != here
         assert there == simulate(moved, WeatherSeries(records=week.records))
 
@@ -320,7 +345,8 @@ class TestStagedRun:
             dataclasses.replace(r, solar_direct_w_m2=r.solar_direct_w_m2 / 2)
             for r in week.records))
         result = simulate(compliant_zone(), dim)
-        assert solar_calls == {"position": 2 * len(week), "irradiance": 10 * len(week)}
+        assert solar_calls == {"position": 2 * len(week), "irradiance": 10 * len(week),
+                               "shading": 8 * len(week)}
         assert sum(result.window_solar_w) < sum(bright.window_solar_w)
 
     def test_gains_schedule_follows_utc_hour_for_any_offset(self, week):
