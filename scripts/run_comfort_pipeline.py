@@ -13,13 +13,14 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
+from ecodom.archetypes import synthetic_weather
 from ecodom.comfort import (
     PsychroPoint,
     discomfort_fraction,
     humidity_ratio,
     psychro_scatter_rows,
 )
-from ecodom.dataio import SyntheticWeatherParams, load_building, synthetic_weather
+from ecodom.dataio import load_building
 from ecodom.thermal import simulate, zone_from_building
 
 DATA = pathlib.Path(__file__).resolve().parents[1] / "src" / "ecodom" / "data"
@@ -28,7 +29,7 @@ DATA = pathlib.Path(__file__).resolve().parents[1] / "src" / "ecodom" / "data"
 def main() -> None:
     out_dir = pathlib.Path(sys.argv[1]) if len(sys.argv) > 1 else pathlib.Path(".")
     building = load_building(DATA / "decouverte_final.json")
-    weather = synthetic_weather(SyntheticWeatherParams(days=7))
+    weather = synthetic_weather(days=7)
     result = simulate(zone_from_building(building), weather)
 
     points = [

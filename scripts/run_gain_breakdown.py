@@ -6,13 +6,12 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from ecodom.archetypes import compliant_zone, uninsulated_zone
-from ecodom.dataio import SyntheticWeatherParams, synthetic_weather
+from ecodom.archetypes import compliant_zone, synthetic_weather, uninsulated_zone
 from ecodom.thermal import gain_breakdown, simulate
 
 
 def main() -> None:
-    weather = synthetic_weather(SyntheticWeatherParams(days=7))
+    weather = synthetic_weather(days=7)
     for zone in (uninsulated_zone(), compliant_zone()):
         result = simulate(zone, weather)
         shares = gain_breakdown(result)

@@ -12,14 +12,13 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from ecodom.archetypes import compliant_zone
+from ecodom.archetypes import compliant_zone, synthetic_weather
 from ecodom.comfort import paired_offset
-from ecodom.dataio import SyntheticWeatherParams, synthetic_weather
 from ecodom.thermal import simulate
 
 
 def main() -> None:
-    weather = synthetic_weather(SyntheticWeatherParams(days=7))
+    weather = synthetic_weather(days=7)
     runs = {
         "under compliant roof": simulate(compliant_zone("compliant"), weather),
         "under degraded roof": simulate(
@@ -27,12 +26,10 @@ def main() -> None:
     }
     reference = simulate(compliant_zone("intermediate", roof_exposed=False), weather)
 
-    ref_series = list(zip(reference.timestamps, reference.t_resultant_c))
     print(f"reference (intermediate level): mean resultant "
           f"{sum(reference.t_resultant_c) / len(reference.t_resultant_c):.2f} C")
     for label, result in runs.items():
-        stats = paired_offset(
-            list(zip(result.timestamps, result.t_resultant_c)), ref_series)
+        stats = paired_offset(result.t_resultant_c, reference.t_resultant_c)
         print(f"{label}: mean offset {stats.mean_offset_c:+.2f} C, "
               f"max {stats.max_offset_c:+.2f} C, "
               f"hours >= 1 C: {stats.fraction_ge_1c * 100:.0f}%")

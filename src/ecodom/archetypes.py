@@ -1,8 +1,9 @@
-"""Reference zone fixtures for experiments and calibration runs.
+"""The reference experiment: archetype flats and a hot-season week.
 
 A mid-size island flat (64 m2 floor, heavy construction) in two flavours:
 fully compliant solar protection, and the typical uninsulated dwelling it
-replaces.  Used by the experiment scripts and the calibration test suite.
+replaces, plus a deterministic hot-season week at the same site.  Used by
+the experiment scripts and the calibration test suite.
 
 Both flats are building descriptions passed through
 :func:`thermal.zone_from_building`, the route the CLI takes, so the
@@ -12,6 +13,8 @@ calibrated zones and simulated buildings share one set of physics.
 from __future__ import annotations
 
 import dataclasses
+import math
+from datetime import datetime, timedelta, timezone
 
 from .building import (
     NO_INSULATION,
@@ -26,7 +29,12 @@ from .building import (
     WaterHeaterSpec,
     WindowSpec,
 )
+from .dataio import WeatherRecord, WeatherSeries
+from .solar import solar_position
 from .thermal import VentilationApertures, ZoneModel, zone_from_building
+
+#: Latitude and longitude (deg) of the reference site, on Reunion island.
+_SITE = (-21.1, 55.5)
 
 FLOOR_AREA_M2 = 64.0
 VOLUME_M3 = FLOOR_AREA_M2 * 2.5
@@ -57,8 +65,9 @@ def _flat(name: str, roof: RoofSpec, wall: dict, window_area_m2: float,
     ``ratio * height``.  The description carries only what the zone model
     reads (no rooms or facade pairs), so the explicit apertures replace
     the porosity-derived ones."""
+    latitude, longitude = _SITE
     building = BuildingDescription(
-        name=name, latitude=-21.1, longitude=55.5, dwelling_type=3,
+        name=name, latitude=latitude, longitude=longitude, dwelling_type=3,
         roof=roof,
         walls=tuple(WallSpec(id=label, azimuth_deg=azimuth, **wall)
                     for azimuth, label in _CARDINALS),
@@ -98,11 +107,72 @@ def compliant_zone(name: str = "compliant",
                  roof_exposed, apertures)
 
 
-def uninsulated_zone(name: str = "uninsulated",
-                     apertures: VentilationApertures = LIVED_IN_APERTURES) -> ZoneModel:
-    """The typical pre-standard dwelling: dark bare roof, unprotected
-    medium-colour concrete walls, unshaded single glazing."""
+def uninsulated_zone() -> ZoneModel:
+    """The typical pre-standard dwelling, windows ajar: dark bare roof,
+    unprotected medium-colour concrete walls, unshaded single glazing."""
     roof = RoofSpec(ColorClass.DARK, AtticRegime.NONE, NO_INSULATION, FLOOR_AREA_M2)
     wall = dict(construction=WallConstruction.CONCRETE_20, color=ColorClass.MEDIUM,
                 area_m2=24.0)
-    return _flat(name, roof, wall, 1.8, {}, True, apertures)
+    return _flat("uninsulated", roof, wall, 1.8, {}, True, LIVED_IN_APERTURES)
+
+
+# ---------------------------------------------------------------------------
+# hot-season week: sinusoidal diurnal temperature with a mid-afternoon
+# peak, clear-sky solar from sun geometry, steady trade wind
+
+_START = datetime(2026, 1, 5, tzinfo=timezone.utc)  # day one, on the site clock
+_T_MIN_C, _T_MAX_C = 24.0, 31.0
+_RH_AT_T_MIN_PCT, _RH_AT_T_MAX_PCT = 85.0, 65.0
+_WIND_SPEED_M_S = 4.0
+_WIND_DIR_DEG = 90.0
+_ATMOSPHERIC_TRANSMITTANCE = 0.70
+_PEAK_HOUR_LOCAL = 15.0
+
+
+def _clear_sky(sun_altitude_deg: float) -> tuple[float, float]:
+    """(direct normal, diffuse horizontal) W/m2 for a clear sky."""
+    if sun_altitude_deg <= 0.0:
+        return 0.0, 0.0
+    zenith = 90.0 - sun_altitude_deg
+    air_mass = 1.0 / (math.cos(math.radians(zenith))
+                      + 0.50572 * (96.07995 - zenith) ** -1.6364)
+    dni = 1361.0 * _ATMOSPHERIC_TRANSMITTANCE ** air_mass
+    dhi = 0.12 * dni * math.sin(math.radians(sun_altitude_deg))
+    return dni, dhi
+
+
+def synthetic_weather(days: int = 7) -> WeatherSeries:
+    """Hourly hot-season series of ``days`` days at the reference site.
+    Purely deterministic.
+
+    The diurnal temperature phase uses the whole-hour clock offset nearest
+    to the site longitude so the stated extremes are sampled exactly;
+    irradiance uses true sun geometry.
+    """
+    if days < 1:
+        raise ValueError("day count must be >= 1")
+    latitude, longitude = _SITE
+    clock_offset = round(longitude / 15.0)
+    t_mid = (_T_MIN_C + _T_MAX_C) / 2.0
+    t_amp = (_T_MAX_C - _T_MIN_C) / 2.0
+    rh_mid = (_RH_AT_T_MIN_PCT + _RH_AT_T_MAX_PCT) / 2.0
+    rh_amp = (_RH_AT_T_MIN_PCT - _RH_AT_T_MAX_PCT) / 2.0
+
+    start = _START - timedelta(hours=clock_offset)
+    records = []
+    for i in range(days * 24):
+        ts = start + timedelta(hours=i)
+        phase = 2.0 * math.pi * (i % 24 - _PEAK_HOUR_LOCAL) / 24.0  # local clock hour
+        temp = round(t_mid + t_amp * math.cos(phase), 6)
+        rh = round(rh_mid - rh_amp * math.cos(phase), 6)
+        dni, dhi = _clear_sky(solar_position(latitude, longitude, ts).altitude_deg)
+        records.append(WeatherRecord(
+            timestamp=ts,
+            temp_air_c=temp,
+            rh_pct=rh,
+            solar_direct_w_m2=round(dni, 6),
+            solar_diffuse_w_m2=round(dhi, 6),
+            wind_speed_m_s=_WIND_SPEED_M_S,
+            wind_dir_deg=_WIND_DIR_DEG,
+        ))
+    return WeatherSeries(records=tuple(records))

@@ -231,6 +231,8 @@ class WindowSpec:
     def __post_init__(self) -> None:
         if self.glazed_area_m2 <= 0:
             raise ValueError(f"window {self.id}: glazed area must be > 0")
+        if self.overhang_depth_m < 0:
+            raise ValueError(f"window {self.id}: overhang depth must be >= 0")
         if self.overhang_offset_m < 0:
             raise ValueError(f"window {self.id}: overhang offset must be >= 0")
 

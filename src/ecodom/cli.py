@@ -150,32 +150,37 @@ def _cmd_simulate(args) -> int:
     name, result = _simulate_one(args.building, weather, scenario, args.out)
     if args.paired:
         # The offset needs only the resultant series of the first run, so
-        # its result is let go before the paired zone runs.
-        first = list(zip(result.timestamps, result.t_resultant_c))
+        # its result is let go before the paired zone runs.  Both runs
+        # share the weather's timestamps, step for step.
+        first = result.t_resultant_c
         del result
         other_name, other = _simulate_one(args.paired, weather, scenario, args.paired_out)
-        offsets = paired_offset(first, list(zip(other.timestamps, other.t_resultant_c)))
-        print(f"offset ({name} - {other_name}): "
-              f"mean {offsets.mean_offset_c:.2f} C, max {offsets.max_offset_c:.2f} C, "
-              f"hours >= 1 C: {offsets.fraction_ge_1c * 100:.0f}%")
+        _print_offset(name, first, other_name, other.t_resultant_c)
     return EXIT_OK
+
+
+def _print_offset(name_a: str, temps_a, name_b: str, temps_b) -> None:
+    """The offset line of two temperature series paired step by step."""
+    offsets = paired_offset(temps_a, temps_b)
+    print(f"offset ({name_a} - {name_b}): "
+          f"mean {offsets.mean_offset_c:.2f} C, max {offsets.max_offset_c:.2f} C, "
+          f"hours >= 1 C: {offsets.fraction_ge_1c * 100:.0f}%")
 
 
 def _print_zone_offset(records, points) -> None:
     """The offset line of a series with two zones sharing every timestamp.
     The per-zone lists die with this call, before the scatter is built."""
-    by_zone: defaultdict[str, list] = defaultdict(list)  # zones in first-seen order
+    # zones in first-seen order, each with its timestamps and temperatures
+    by_zone: defaultdict[str, tuple[list, list]] = defaultdict(lambda: ([], []))
     for rec, point in zip(records, points):
-        by_zone[rec.zone].append((rec.timestamp, point.temperature_c))
+        times, temps = by_zone[rec.zone]
+        times.append(rec.timestamp)
+        temps.append(point.temperature_c)
     if len(by_zone) != 2:
         return
-    (name_a, a), (name_b, b) = by_zone.items()
-    if [t for t, _ in a] == [t for t, _ in b]:
-        offsets = paired_offset(a, b)
-        print(f"offset ({name_a} - {name_b}): "
-              f"mean {offsets.mean_offset_c:.2f} C, "
-              f"max {offsets.max_offset_c:.2f} C, "
-              f"hours >= 1 C: {offsets.fraction_ge_1c * 100:.0f}%")
+    (name_a, (times_a, temps_a)), (name_b, (times_b, temps_b)) = by_zone.items()
+    if times_a == times_b:
+        _print_offset(name_a, temps_a, name_b, temps_b)
 
 
 def _cmd_comfort(args) -> int:

@@ -21,6 +21,7 @@ same flags.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from dataclasses import field as dataclass_field
 from pathlib import Path
@@ -240,28 +241,20 @@ def discomfort_fraction(points: list[PsychroPoint],
 
 @dataclass(frozen=True)
 class OffsetStats:
-    """Per-timestamp difference statistics between two paired zones (a - b)."""
+    """Per-step difference statistics between two paired zones (a - b)."""
 
-    samples: int
     mean_offset_c: float
     max_offset_c: float
     fraction_ge_1c: float
 
 
-def paired_offset(series_a: list[tuple], series_b: list[tuple]) -> OffsetStats:
-    """Offset statistics between two (timestamp, temperature) series that
-    share their timestamps exactly."""
-    if len(series_a) != len(series_b):
-        raise ValueError("paired series must have the same length")
-    if not series_a:
+def paired_offset(series_a: Sequence[float], series_b: Sequence[float]) -> OffsetStats:
+    """Offset statistics between two temperature series of equal length,
+    paired step by step; the caller makes sure their timestamps match."""
+    diffs = [va - vb for va, vb in zip(series_a, series_b, strict=True)]
+    if not diffs:
         raise ValueError("empty series")
-    diffs = []
-    for (ta, va), (tb, vb) in zip(series_a, series_b):
-        if ta != tb:
-            raise ValueError(f"timestamp mismatch: {ta} vs {tb}")
-        diffs.append(va - vb)
     return OffsetStats(
-        samples=len(diffs),
         mean_offset_c=sum(diffs) / len(diffs),
         max_offset_c=max(diffs),
         fraction_ge_1c=sum(1 for d in diffs if d >= 1.0) / len(diffs),

@@ -1,5 +1,6 @@
-"""File ingestion: weather series, indoor monitoring series, building
-description files, plus a deterministic synthetic weather generator.
+"""File ingestion: weather series, indoor monitoring series and building
+description files.  No model code: the reference hot-season week lives
+with the archetype flats in :mod:`ecodom.archetypes`.
 
 All series files are CSV with ISO-8601 UTC timestamps and fixed, versioned
 headers; building descriptions are JSON (see docs/formats.md).  Floats are
@@ -16,14 +17,13 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from dataclasses import field as dataclass_field
-from datetime import date, datetime, timedelta, timezone
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from typing import NamedTuple
 
 from . import building as bm
 from .comfort import T_MAX_C, T_MIN_C
 from .errors import InputError, field, read_json
-from .solar import solar_position
 
 BUILDING_SCHEMA_VERSION = 1
 
@@ -467,78 +467,3 @@ def load_building(path: str | Path) -> bm.BuildingDescription:
 def save_building(b: bm.BuildingDescription, path: str | Path) -> None:
     Path(path).write_text(json.dumps(building_to_dict(b), indent=2) + "\n", "utf-8")
 
-
-# ---------------------------------------------------------------------------
-# synthetic weather
-
-@dataclass(frozen=True)
-class SyntheticWeatherParams:
-    """Hot-season archetype profile: sinusoidal diurnal temperature with a
-    mid-afternoon peak, clear-sky solar from sun geometry, steady trade
-    wind.  Purely deterministic."""
-
-    days: int = 7
-    start: date = date(2026, 1, 5)
-    latitude: float = -21.1
-    longitude: float = 55.5
-    t_min_c: float = 24.0
-    t_max_c: float = 31.0
-    rh_at_t_min_pct: float = 85.0
-    rh_at_t_max_pct: float = 65.0
-    wind_speed_m_s: float = 4.0
-    wind_dir_deg: float = 90.0
-    atmospheric_transmittance: float = 0.70
-    peak_hour_local: float = 15.0
-
-    def __post_init__(self) -> None:
-        if self.days < 1:
-            raise ValueError("day count must be >= 1")
-
-
-def _clear_sky(sun_altitude_deg: float, transmittance: float) -> tuple[float, float]:
-    """(direct normal, diffuse horizontal) W/m2 for a clear sky."""
-    if sun_altitude_deg <= 0.0:
-        return 0.0, 0.0
-    zenith = 90.0 - sun_altitude_deg
-    air_mass = 1.0 / (math.cos(math.radians(zenith))
-                      + 0.50572 * (96.07995 - zenith) ** -1.6364)
-    dni = 1361.0 * transmittance ** air_mass
-    dhi = 0.12 * dni * math.sin(math.radians(sun_altitude_deg))
-    return dni, dhi
-
-
-def synthetic_weather(params: SyntheticWeatherParams = SyntheticWeatherParams()
-                      ) -> WeatherSeries:
-    """Generate an hourly series of ``params.days`` days.
-
-    The diurnal temperature phase uses the whole-hour clock offset nearest
-    to the site longitude so the stated extremes are sampled exactly;
-    irradiance uses true sun geometry.
-    """
-    clock_offset = round(params.longitude / 15.0)
-    t_mid = (params.t_min_c + params.t_max_c) / 2.0
-    t_amp = (params.t_max_c - params.t_min_c) / 2.0
-    rh_mid = (params.rh_at_t_min_pct + params.rh_at_t_max_pct) / 2.0
-    rh_amp = (params.rh_at_t_min_pct - params.rh_at_t_max_pct) / 2.0
-
-    start = datetime(params.start.year, params.start.month, params.start.day,
-                     tzinfo=timezone.utc) - timedelta(hours=clock_offset)
-    records = []
-    for i in range(params.days * 24):
-        ts = start + timedelta(hours=i)
-        local_hour = (i % 24 + 0) % 24  # local clock hour by construction
-        phase = 2.0 * math.pi * (local_hour - params.peak_hour_local) / 24.0
-        temp = round(t_mid + t_amp * math.cos(phase), 6)
-        rh = round(rh_mid - rh_amp * math.cos(phase), 6)
-        sun = solar_position(params.latitude, params.longitude, ts)
-        dni, dhi = _clear_sky(sun.altitude_deg, params.atmospheric_transmittance)
-        records.append(WeatherRecord(
-            timestamp=ts,
-            temp_air_c=temp,
-            rh_pct=rh,
-            solar_direct_w_m2=round(dni, 6),
-            solar_diffuse_w_m2=round(dhi, 6),
-            wind_speed_m_s=params.wind_speed_m_s,
-            wind_dir_deg=params.wind_dir_deg,
-        ))
-    return WeatherSeries(records=tuple(records))

@@ -117,26 +117,22 @@ class VentilationApertures:
 
 
 def ventilation_ach(apertures: VentilationApertures, volume_m3: float,
-                    wind_speed_m_s: float,
-                    wind_incidence_deg: float = 0.0) -> float:
+                    wind_speed_m_s: float) -> float:
     """Air changes per hour for wind-driven cross ventilation.
 
     Orifice-in-series model: Q = Cd * Aeq * U * sqrt(dCp) with
-    Aeq = (Ain^-2 + Aout^-2)^(-1/2).  Only the wind component normal to
-    the inlet drives flow; either aperture at zero kills it entirely.
+    Aeq = (Ain^-2 + Aout^-2)^(-1/2).  The wind is taken as normal to the
+    inlet; either aperture at zero kills the flow entirely.
     """
     a_in, a_out = apertures.inlet_area_m2, apertures.outlet_area_m2
     if a_in <= 0.0 or a_out <= 0.0 or wind_speed_m_s <= 0.0:
-        return 0.0
-    u_eff = wind_speed_m_s * max(math.cos(math.radians(wind_incidence_deg)), 0.0)
-    if u_eff <= 0.0:
         return 0.0
     try:
         a_eq = (a_in ** -2 + a_out ** -2) ** -0.5
     except (OverflowError, ZeroDivisionError) as exc:
         raise InputError(
             f"aperture areas {a_in} and {a_out} m2 are out of scale") from exc
-    flow = (apertures.discharge_coefficient * a_eq * u_eff
+    flow = (apertures.discharge_coefficient * a_eq * wind_speed_m_s
             * math.sqrt(apertures.delta_cp))
     return 3600.0 * flow / volume_m3
 

@@ -17,6 +17,7 @@ from ecodom.archetypes import (
     POROSITY_25_APERTURES,
     VOLUME_M3,
     compliant_zone,
+    synthetic_weather,
     uninsulated_zone,
 )
 from ecodom.building import (
@@ -36,13 +37,7 @@ from ecodom.building import (
 )
 from ecodom.cli import main
 from ecodom.comfort import humidity_ratio, saturation_vapor_pressure
-from ecodom.dataio import (
-    SyntheticWeatherParams,
-    WeatherSeries,
-    load_building,
-    synthetic_weather,
-    write_weather,
-)
+from ecodom.dataio import WeatherSeries, load_building, write_weather
 from ecodom.rules import compliance_report
 from ecodom.solar import SolarPosition, overhang_shading_fraction
 from ecodom.thermal import gain_breakdown, simulate, ventilation_ach
@@ -196,7 +191,7 @@ def test_criterion_3_porosity_properties():
 
 def test_criterion_4_thermal_calibration():
     with _Budget(4, "roof-exposure resultant-temperature offsets", 10.0):
-        weather = synthetic_weather(SyntheticWeatherParams(days=7))
+        weather = synthetic_weather(days=7)
         under_roof = simulate(compliant_zone("under_roof"), weather)
         intermediate = simulate(
             compliant_zone("intermediate", roof_exposed=False), weather)
@@ -215,7 +210,7 @@ def test_criterion_4_thermal_calibration():
 
 def test_criterion_5_gain_share_sanity():
     with _Budget(5, "envelope gain shares of the typical dwelling", 10.0):
-        weather = synthetic_weather(SyntheticWeatherParams(days=7))
+        weather = synthetic_weather(days=7)
         shares = gain_breakdown(simulate(uninsulated_zone(), weather))
         assert shares["roof"] >= 0.50, shares
         assert 0.15 <= shares["wall"] <= 0.40, shares
@@ -264,7 +259,7 @@ def test_criterion_7_numerical_property_suites():
                 622.0 * pv / (101325.0 - pv), rel=0.005)
 
         # integrator: per-step residual and step-halving stability
-        weather = synthetic_weather(SyntheticWeatherParams(days=7))
+        weather = synthetic_weather(days=7)
         zone = compliant_zone()
         hourly = simulate(zone, weather)
         assert hourly.max_residual_fraction <= 1e-3
@@ -282,8 +277,7 @@ def test_criterion_7_numerical_property_suites():
 def test_criterion_8_determinism(tmp_path):
     with _Budget(8, "byte-identical reports and exports", 30.0):
         weather_path = tmp_path / "weather.csv"
-        write_weather(synthetic_weather(SyntheticWeatherParams(days=2)),
-                      weather_path)
+        write_weather(synthetic_weather(days=2), weather_path)
 
         outputs = []
         for run in ("one", "two"):

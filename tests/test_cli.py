@@ -6,20 +6,15 @@ from datetime import datetime, timedelta, timezone
 import pytest
 
 from conftest import FINAL_FIXTURE, INITIAL_FIXTURE
+from ecodom.archetypes import synthetic_weather
 from ecodom.cli import EXIT_INPUT_ERROR, EXIT_NONCOMPLIANT, EXIT_OK, main
-from ecodom.dataio import (
-    IndoorRecord,
-    SyntheticWeatherParams,
-    synthetic_weather,
-    write_indoor,
-    write_weather,
-)
+from ecodom.dataio import IndoorRecord, write_indoor, write_weather
 
 
 @pytest.fixture
 def weather_csv(tmp_path):
     path = tmp_path / "weather.csv"
-    write_weather(synthetic_weather(SyntheticWeatherParams(days=2)), path)
+    write_weather(synthetic_weather(days=2), path)
     return path
 
 
@@ -580,6 +575,8 @@ class TestInputBoundary:
          "window glz_bedroom_l0: glazed area must be > 0"),
         ("building", (("windows", 0, "overhang_offset_m"), -1),
          "window glz_bedroom_l0: overhang offset must be >= 0"),
+        ("building", (("windows", 0, "overhang_depth_m"), -1),
+         "window glz_bedroom_l0: overhang depth must be >= 0"),
         ("building", (("rooms", 0, "external_openings", 0, "facade_id"), None),
          "opening glz_bedroom_l0.facade_id: external opening must name its facade"),
         ("building", (("facade_pairs", 0, "facade_2_id"), "nowhere"),
@@ -597,8 +594,9 @@ class TestInputBoundary:
          "comfort zone polygon needs at least 3 vertices"),
     ], ids=["negative-irradiance", "negative-wind", "under-a-day", "two-hour-step",
             "indoor-rh-101", "indoor-hot-air", "roof-area-zero", "glazed-area-zero",
-            "negative-offset", "null-external-facade", "pair-unknown-facade",
-            "duplicate-opening", "wall-area-zero", "negative-opening-area", "latitude-91",
+            "negative-offset", "window-negative-depth", "null-external-facade",
+            "pair-unknown-facade", "duplicate-opening", "wall-area-zero",
+            "negative-opening-area", "latitude-91",
             "no-main-room", "scenario-volume-zero", "zone-two-vertices"])
     def test_input_rule_exits_two(self, tmp_path, weather_csv, capsys,
                                   kind, change, fragment):

@@ -158,30 +158,24 @@ class TestPairedOffset:
     TS = list(range(10))
 
     def test_identical_series(self):
-        series = [(t, 28.0) for t in self.TS]
+        series = [28.0] * len(self.TS)
         stats = paired_offset(series, series)
         assert stats.mean_offset_c == 0.0
         assert stats.fraction_ge_1c == 0.0
 
     def test_constant_offset(self):
-        a = [(t, 29.2) for t in self.TS]
-        b = [(t, 28.0) for t in self.TS]
+        a = [29.2] * len(self.TS)
+        b = [28.0] * len(self.TS)
         stats = paired_offset(a, b)
         assert stats.mean_offset_c == pytest.approx(1.2)
         assert stats.max_offset_c == pytest.approx(1.2)
         assert stats.fraction_ge_1c == 1.0
 
     def test_antisymmetry(self):
-        a = [(t, 28.0 + 0.1 * t) for t in self.TS]
-        b = [(t, 27.5 + 0.2 * t) for t in self.TS]
+        a = [28.0 + 0.1 * t for t in self.TS]
+        b = [27.5 + 0.2 * t for t in self.TS]
         assert paired_offset(a, b).mean_offset_c == \
             pytest.approx(-paired_offset(b, a).mean_offset_c)
-
-    def test_timestamp_mismatch(self):
-        a = [(0, 28.0), (1, 28.0)]
-        b = [(0, 28.0), (2, 28.0)]
-        with pytest.raises(ValueError, match="mismatch"):
-            paired_offset(a, b)
 
 
 class TestScatterExport:

@@ -1,24 +1,27 @@
 import copy
 import dataclasses
+import hashlib
 import json
+import pathlib
 import pickle
+import subprocess
+import sys
 from datetime import datetime, timedelta, timezone
 
 import pytest
 
-from ecodom.archetypes import compliant_zone
+import ecodom
+from ecodom.archetypes import compliant_zone, synthetic_weather
 from ecodom.building import BuildingValidationError
 from ecodom.dataio import (
     IndoorRecord,
     SchemaVersionError,
     SeriesFormatError,
-    SyntheticWeatherParams,
     WeatherSeries,
     building_to_dict,
     load_building,
     load_indoor,
     load_weather,
-    synthetic_weather,
     write_indoor,
     write_weather,
 )
@@ -27,7 +30,7 @@ from ecodom.thermal import WeatherGapError, simulate
 
 @pytest.fixture
 def clean_week(tmp_path):
-    series = synthetic_weather(SyntheticWeatherParams(days=7))
+    series = synthetic_weather(days=7)
     path = tmp_path / "weather.csv"
     write_weather(series, path)
     return series, path
@@ -125,7 +128,7 @@ class TestWeatherIO:
 
     def test_written_header_and_first_row_pinned(self, tmp_path):
         path = tmp_path / "day.csv"
-        write_weather(synthetic_weather(SyntheticWeatherParams(days=1)), path)
+        write_weather(synthetic_weather(days=1), path)
         assert path.read_text("utf-8").splitlines()[:2] == [
             "timestamp,temp_air_c,rh_pct,solar_direct_w_m2,solar_diffuse_w_m2,"
             "wind_speed_m_s,wind_dir_deg",
@@ -147,29 +150,49 @@ class TestWeatherIO:
 
 class TestSyntheticWeather:
     def test_extremes_sampled_exactly(self):
-        series = synthetic_weather(SyntheticWeatherParams(
-            days=1, t_min_c=24.0, t_max_c=31.0))
+        series = synthetic_weather(days=1)
         temps = [r.temp_air_c for r in series.records]
         assert len(temps) == 24
         assert max(temps) == pytest.approx(31.0, abs=0.01)
         assert min(temps) == pytest.approx(24.0, abs=0.01)
 
     def test_solar_zero_at_night(self):
-        series = synthetic_weather(SyntheticWeatherParams(days=2))
+        series = synthetic_weather(days=2)
         night = [r for r in series.records
                  if r.solar_direct_w_m2 == 0.0 and r.solar_diffuse_w_m2 == 0.0]
         assert len(night) >= 16  # roughly half the records
 
     def test_deterministic(self, tmp_path):
-        params = SyntheticWeatherParams(days=3)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_weather(synthetic_weather(params), a)
-        write_weather(synthetic_weather(params), b)
+        write_weather(synthetic_weather(days=3), a)
+        write_weather(synthetic_weather(days=3), b)
         assert a.read_bytes() == b.read_bytes()
 
     def test_day_count_validated(self):
         with pytest.raises(ValueError):
-            SyntheticWeatherParams(days=0)
+            synthetic_weather(days=0)
+
+    @pytest.mark.parametrize("days,digest", [
+        (1, "e4f7bbd058f9670f41931a4ec1e163b47fad772a6575b8a043b4f0c2ff8a794a"),
+        (7, "90ee48afa921a9de1bc7f5f2789e896c251b23ebd6489735c31119be4cb7096c"),
+    ])
+    def test_written_bytes_pinned(self, tmp_path, days, digest):
+        # every column, rh_pct and wind_dir_deg included
+        path = tmp_path / "week.csv"
+        write_weather(synthetic_weather(days), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_file_io_loads_no_model():
+    # the check path reads building files without importing the sun or
+    # the thermal model
+    src = str(pathlib.Path(ecodom.__file__).parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import ecodom.dataio; "
+            "print(sorted(m for m in sys.modules if m.startswith('ecodom.')))")
+    loaded = subprocess.run([sys.executable, "-c", code], check=True,
+                            capture_output=True, text=True).stdout
+    assert "'ecodom.solar'" not in loaded
+    assert "'ecodom.thermal'" not in loaded
 
 
 def _indoor(ts_minutes, zone="z1", temp=28.0, resultant=None, rh=60.0, speed=None):

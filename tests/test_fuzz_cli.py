@@ -26,9 +26,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FINAL_FIXTURE, INITIAL_FIXTURE
+from ecodom.archetypes import synthetic_weather
 from ecodom.catalogue import tables_checksum
 from ecodom.cli import main
-from ecodom.dataio import SyntheticWeatherParams, synthetic_weather, write_weather
+from ecodom.dataio import write_weather
 
 MAX_EXAMPLES = 40
 
@@ -65,7 +66,7 @@ ZONE = {"vertices": [[22, 4], [29, 4], [29, 17], [22, 17]],
 def _weather_lines() -> list[str]:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "weather.csv"
-        write_weather(synthetic_weather(SyntheticWeatherParams(days=2)), path)
+        write_weather(synthetic_weather(days=2), path)
         return path.read_text("utf-8").splitlines()
 
 

