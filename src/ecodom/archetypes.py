@@ -3,7 +3,7 @@
 A mid-size island flat (64 m2 floor, heavy construction) in two flavours:
 fully compliant solar protection, and the typical uninsulated dwelling it
 replaces, plus a deterministic hot-season week at the same site.  Used by
-the experiment scripts and the calibration test suite.
+the reference experiment script and the calibration test suite.
 
 Both flats are building descriptions passed through
 :func:`thermal.zone_from_building`, the route the CLI takes, so the

@@ -8,8 +8,10 @@ rank designs and quantify the effect of solar protection and porosity,
 not to reproduce a research-grade multizone code.
 
 The state update is an unconditionally stable implicit (backward Euler)
-step, exact for the linearised balance, so the per-step energy residual
-is at machine precision.
+step.  Each step solves the discrete balance exactly, so the per-step
+energy residual closes at machine precision by construction: it checks
+the solve, and cannot see the step's first-order error in dt, which
+only a finer step or the continuous solution shows.
 
 :func:`simulate` runs in three stages:
 

@@ -1,5 +1,5 @@
-"""The experiment scripts run, and the golden fixture generator still
-describes the bundled golden buildings."""
+"""The reference experiment prints its pinned report, and the golden
+fixture generator still describes the bundled golden buildings."""
 
 import importlib.util
 import json
@@ -15,23 +15,36 @@ from ecodom.dataio import building_to_dict
 SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
 
 
+REFERENCE_REPORT = """\
+roof offsets against the intermediate flat (criterion 4)
+  intermediate: mean resultant 29.86 C
+  compliant roof: mean +0.66 C, max +0.96 C, hours >= 1 C: 0%
+  degraded roof: mean +3.59 C, max +7.60 C, hours >= 1 C: 86%
+envelope gain shares (criterion 5)
+  uninsulated: roof 0.55, walls 0.22, windows 0.23, peak resultant 35.95 C
+  compliant: roof 0.25, walls 0.18, windows 0.57, peak resultant 33.04 C
+cross ventilation (criterion 6)
+  25% porosity, 4 m/s: 108.0 ACH
+golden dwellings, outdoor humidity ratio carried indoors
+  La Decouverte (initial): mean resultant 27.93 C, peak 31.81 C, \
+discomfort 62.5%, exceedance mean 1.14 C, max 2.81 C
+  La Decouverte (final): mean resultant 27.81 C, peak 31.57 C, \
+discomfort 62.5%, exceedance mean 1.02 C, max 2.57 C
+"""
+
+
 def _run_script(name: str, cwd: pathlib.Path) -> str:
-    proc = subprocess.run([sys.executable, str(SCRIPTS / f"{name}.py")],
+    # -I: no PYTHONPATH, no user site, no script directory on the path, so
+    # the script must find the package from its own checkout
+    proc = subprocess.run([sys.executable, "-I", str(SCRIPTS / f"{name}.py")],
                           cwd=cwd, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
 
-@pytest.mark.parametrize("name", ["run_gain_breakdown", "run_roof_offset_experiment"])
-def test_experiment_script_runs(tmp_path, name):
-    assert _run_script(name, tmp_path)
-
-
-def test_comfort_pipeline_writes_scatter(tmp_path):
-    assert "discomfort" in _run_script("run_comfort_pipeline", tmp_path)
-    lines = (tmp_path / "psychro_scatter.csv").read_text().splitlines()
-    assert lines[0] == "kind,temperature_c,humidity_ratio_g_kg,inside"
-    assert sum(line.startswith("point,") for line in lines) == 168
+def test_reference_experiment_report_is_pinned(tmp_path):
+    assert _run_script("reference_experiment", tmp_path) == REFERENCE_REPORT
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("upgraded,fixture", [(False, INITIAL_FIXTURE),

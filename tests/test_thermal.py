@@ -14,6 +14,7 @@ from ecodom.archetypes import (
     synthetic_weather,
     uninsulated_zone,
 )
+from ecodom.comfort import PsychroPoint, discomfort_fraction, humidity_ratio
 from ecodom.dataio import SeriesFormatError, WeatherSeries
 from ecodom.thermal import (
     ROOF_DECK_RESISTANCE,
@@ -262,6 +263,25 @@ class TestZoneFromBuilding:
         csv_text = result_to_csv(result)
         assert csv_text.splitlines()[0].startswith("timestamp,t_out_c,")
         assert len(csv_text.splitlines()) == 169
+
+
+def test_upgraded_golden_is_cooler_and_less_uncomfortable(initial_building,
+                                                          final_building, week):
+    """The passive-cooling upgrade shows in simulated comfort: a lower peak
+    resultant and a lower mean warm exceedance.  The discomfort fraction
+    cannot rank them on this week: the outdoor humidity ratio tops the
+    zone's cap in 105 of 168 hours, so both read 62.5 %."""
+    def run(building):
+        result = simulate(zone_from_building(building), week)
+        stats = discomfort_fraction([
+            PsychroPoint(t_res, humidity_ratio(rec.temp_air_c, rec.rh_pct))
+            for t_res, rec in zip(result.t_resultant_c, week.records)])
+        return result.peak_resultant_c(), stats.mean_exceedance_c
+
+    initial_peak, initial_exceedance = run(initial_building)
+    final_peak, final_exceedance = run(final_building)
+    assert final_peak < initial_peak
+    assert final_exceedance < initial_exceedance
 
 
 def _turned(zone, azimuth_deg):
