@@ -1,9 +1,11 @@
-"""The reference experiment prints its pinned report, and the golden
-fixture generator still describes the bundled golden buildings."""
+"""The reference experiment prints its pinned report, carries the figures
+of the experiment scripts it replaced, and the golden fixture generator
+still describes the bundled golden buildings."""
 
 import importlib.util
 import json
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -45,6 +47,51 @@ def _run_script(name: str, cwd: pathlib.Path) -> str:
 def test_reference_experiment_report_is_pinned(tmp_path):
     assert _run_script("reference_experiment", tmp_path) == REFERENCE_REPORT
     assert not any(tmp_path.iterdir())
+
+
+# What each experiment script that the reference report replaced printed,
+# verbatim, with the report section that now carries its figures and the
+# factor from the report's units to the script's (shares became fractions).
+REPLACED_SCRIPT_OUTPUT = {
+    "run_roof_offset_experiment": ("roof offsets", (1,) * 7, """\
+reference (intermediate level): mean resultant 29.86 C
+under compliant roof: mean offset +0.66 C, max +0.96 C, hours >= 1 C: 0%
+under degraded roof: mean offset +3.59 C, max +7.60 C, hours >= 1 C: 86%
+"""),
+    "run_gain_breakdown": ("envelope gain shares", (100, 100, 100, 1) * 2, """\
+uninsulated: roof 55%  walls 22%  windows 23%  (peak resultant 36.0 C)
+compliant: roof 25%  walls 18%  windows 57%  (peak resultant 33.0 C)
+"""),
+}
+
+# a decimal figure, or a whole percentage; skips "1 C" and "criterion 4"
+FIGURE = re.compile(r"[-+]?\d+\.\d+|[-+]?\d+(?=%)")
+
+
+def _report_section(report: str, heading: str) -> str:
+    lines = iter(report.splitlines())
+    next(line for line in lines if line.startswith(heading))
+    section = []
+    for line in lines:
+        if not line.startswith("  "):
+            break
+        section.append(line)
+    return "\n".join(section)
+
+
+@pytest.mark.parametrize("name", ["run_gain_breakdown", "run_roof_offset_experiment"])
+def test_experiment_script_runs(tmp_path, name):
+    heading, scales, printed = REPLACED_SCRIPT_OUTPUT[name]
+    report = _report_section(_run_script("reference_experiment", tmp_path), heading)
+    old = FIGURE.findall(printed)
+    new = [float(figure) for figure in FIGURE.findall(report)]
+    assert len(new) == len(old) == len(scales)
+    for value, scale, figure in zip(new, scales, old):
+        # both round the same value, and the report at least as finely as
+        # the script did, so they may differ by one unit of the script's
+        # last printed digit and no more
+        unit = 10.0 ** -len(figure.partition(".")[2])
+        assert abs(value * scale - float(figure)) <= unit, (name, figure, value)
 
 
 @pytest.mark.parametrize("upgraded,fixture", [(False, INITIAL_FIXTURE),
