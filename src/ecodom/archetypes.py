@@ -12,7 +12,6 @@ calibrated zones and simulated buildings share one set of physics.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from datetime import datetime, timedelta, timezone
 
@@ -80,7 +79,7 @@ def _flat(name: str, roof: RoofSpec, wall: dict, window_area_m2: float,
         water_heater=WaterHeaterSpec(WaterHeaterKind.ELECTRIC),
     )
     zone = zone_from_building(building, {"roof_exposed": roof_exposed})
-    return dataclasses.replace(zone, apertures=apertures)
+    return zone._replace(apertures=apertures)
 
 
 def compliant_zone(name: str = "compliant",

@@ -5,15 +5,15 @@ windows, rooms, facade pairs, water heater), the geometric quantities
 derived from them (cross-ventilation porosities), and structural
 validation of a parsed description.
 
-All types are immutable after construction; every function here is pure.
+Every record is an immutable named tuple; every function here is pure.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .errors import InputError
+from .errors import InputError, checked
 
 
 class Orientation(enum.Enum):
@@ -126,8 +126,8 @@ class WaterHeaterKind(enum.Enum):
 _MINERAL_WOOL_MARKERS = ("mineral", "wool", "laine")
 
 
-@dataclass(frozen=True)
-class InsulationLayer:
+@checked
+class InsulationLayer(NamedTuple):
     """A homogeneous insulation layer.
 
     Conductivity in W/(m.K), thickness in cm.  ``humidity_protected``
@@ -140,7 +140,7 @@ class InsulationLayer:
     thickness_cm: float
     humidity_protected: bool = False
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.conductivity_w_mk <= 0:
             raise ValueError("insulation conductivity must be > 0")
         if self.thickness_cm < 0:
@@ -161,20 +161,20 @@ class InsulationLayer:
 NO_INSULATION = InsulationLayer("none", 0.041, 0.0)
 
 
-@dataclass(frozen=True)
-class RoofSpec:
+@checked
+class RoofSpec(NamedTuple):
     color: ColorClass
     attic: AtticRegime
     insulation: InsulationLayer
     area_m2: float
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.area_m2 <= 0:
             raise ValueError("roof area must be > 0")
 
 
-@dataclass(frozen=True)
-class WallSpec:
+@checked
+class WallSpec(NamedTuple):
     """An exterior wall with its solar-protection attributes.
 
     ``overhang_depth_m`` (d) and ``overhang_height_m`` (h) describe a
@@ -195,7 +195,7 @@ class WallSpec:
     insulation: InsulationLayer = NO_INSULATION
     full_shading: bool = False
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.area_m2 <= 0:
             raise ValueError(f"wall {self.id}: area must be > 0")
         if self.overhang_depth_m < 0:
@@ -217,8 +217,8 @@ class WallSpec:
         return self.overhang_depth_m / self.overhang_height_m
 
 
-@dataclass(frozen=True)
-class WindowSpec:
+@checked
+class WindowSpec(NamedTuple):
     id: str
     azimuth_deg: float
     glazed_area_m2: float
@@ -228,7 +228,7 @@ class WindowSpec:
     overhang_offset_m: float = 0.0  # a: overhang underside to window top (case 1)
     mobile_shading: bool = False    # venetian blinds / opaque mobile louvers
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.glazed_area_m2 <= 0:
             raise ValueError(f"window {self.id}: glazed area must be > 0")
         if self.overhang_depth_m < 0:
@@ -255,27 +255,25 @@ class WindowSpec:
         return self.overhang_depth_m / self.shading_height_m
 
 
-@dataclass(frozen=True)
-class Opening:
+@checked
+class Opening(NamedTuple):
     """A net free opening; external openings name the facade they pierce."""
 
     id: str
     net_area_m2: float
     facade_id: str | None = None
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.net_area_m2 < 0:
             raise ValueError(f"opening {self.id}: net area must be >= 0")
 
 
-@dataclass(frozen=True)
-class FacadeMembership:
+class FacadeMembership(NamedTuple):
     facade_id: str
     gross_area_m2: float
 
 
-@dataclass(frozen=True)
-class Room:
+class Room(NamedTuple):
     id: str
     kind: RoomKind
     floor_level: int = 0
@@ -285,8 +283,7 @@ class Room:
     internal_openings: tuple[Opening, ...] = ()
 
 
-@dataclass(frozen=True)
-class FacadePair:
+class FacadePair(NamedTuple):
     """Two opposite facades forming one cross-ventilation axis."""
 
     facade_1_id: str
@@ -299,22 +296,21 @@ class FacadePair:
         return f"{self.facade_1_id}/{self.facade_2_id}"
 
 
-@dataclass(frozen=True)
-class WaterHeaterSpec:
+@checked
+class WaterHeaterSpec(NamedTuple):
     kind: WaterHeaterKind
     collector_area_m2: float = 0.0
     tank_volume_l: float = 0.0
     annual_productivity_kwh_m2: float = 0.0
     certified: bool = False
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         for name in ("collector_area_m2", "tank_volume_l", "annual_productivity_kwh_m2"):
             if getattr(self, name) < 0:
                 raise ValueError(f"water heater: {name} must be >= 0")
 
 
-@dataclass(frozen=True)
-class BuildingDescription:
+class BuildingDescription(NamedTuple):
     """Full dwelling model as parsed from a building description file."""
 
     name: str
@@ -339,8 +335,7 @@ class BuildingDescription:
         return ids
 
 
-@dataclass(frozen=True)
-class ValidationIssue:
+class ValidationIssue(NamedTuple):
     """One validation failure, naming the offending entity and field."""
 
     entity: str
@@ -446,8 +441,7 @@ def validate(building: BuildingDescription) -> list[ValidationIssue]:
     return issues
 
 
-@dataclass(frozen=True)
-class FacadePorosities:
+class FacadePorosities(NamedTuple):
     """Porosity figures for one facade pair.
 
     so1/so2: summed net external opening areas of main rooms on each facade.

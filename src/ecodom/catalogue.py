@@ -23,8 +23,8 @@ import functools
 import hashlib
 import json
 import os
-from dataclasses import dataclass
 from importlib import resources
+from typing import NamedTuple
 
 from .building import ColorClass, Orientation, WallConstruction
 from .errors import InputError, field, number, read_json
@@ -53,8 +53,7 @@ class CatalogueError(InputError):
     """Malformed, incomplete or corrupted catalogue file."""
 
 
-@dataclass(frozen=True)
-class RuleCatalogue:
+class RuleCatalogue(NamedTuple):
     """In-memory view of one catalogue file."""
 
     version: str

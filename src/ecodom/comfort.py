@@ -22,12 +22,10 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
-from dataclasses import field as dataclass_field
 from pathlib import Path
 from typing import NamedTuple
 
-from .errors import InputError, field, number, read_json
+from .errors import InputError, checked, field, number, read_json
 
 STANDARD_PRESSURE_PA = 101325.0
 
@@ -94,8 +92,8 @@ def _is_simple_polygon(vertices) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class ComfortZone:
+@checked
+class ComfortZone(NamedTuple):
     """Comfort polygon in (temperature degC, humidity ratio g/kg) space.
 
     Air movement extends the warm edge: every vertex on the polygon's
@@ -108,7 +106,7 @@ class ComfortZone:
     extension_c_per_m_s: float = 2.0
     max_extended_temp_c: float = 32.0
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if len(self.vertices) < 3:
             raise ValueError("comfort zone polygon needs at least 3 vertices")
         if self.extension_c_per_m_s < 0:
@@ -203,14 +201,39 @@ def _inside_flags(points: list[PsychroPoint],
     return tuple(flags), polygons
 
 
-@dataclass(frozen=True)
 class ComfortStats:
-    total_hours: int
-    discomfort_fraction: float
-    mean_exceedance_c: float
-    max_exceedance_c: float
-    # the per-sample classification the fraction counts (True = inside)
-    inside: tuple[bool, ...] = dataclass_field(repr=False, compare=False)
+    """Discomfort statistics of a series, with the per-sample
+    classification the fraction counts in ``inside`` (True = inside).
+    The flags stay out of equality and repr."""
+
+    __slots__ = ("total_hours", "discomfort_fraction", "mean_exceedance_c",
+                 "max_exceedance_c", "inside")
+
+    def __init__(self, total_hours: int, discomfort_fraction: float,
+                 mean_exceedance_c: float, max_exceedance_c: float,
+                 inside: tuple[bool, ...]):
+        self.total_hours = total_hours
+        self.discomfort_fraction = discomfort_fraction
+        self.mean_exceedance_c = mean_exceedance_c
+        self.max_exceedance_c = max_exceedance_c
+        self.inside = inside
+
+    def _figures(self) -> tuple:
+        return (self.total_hours, self.discomfort_fraction,
+                self.mean_exceedance_c, self.max_exceedance_c)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not ComfortStats:
+            return NotImplemented
+        return self._figures() == other._figures()
+
+    def __repr__(self) -> str:
+        return ("ComfortStats(total_hours={!r}, discomfort_fraction={!r}, "
+                "mean_exceedance_c={!r}, max_exceedance_c={!r})".format(*self._figures()))
+
+    def _replace(self, **changes) -> ComfortStats:
+        values = {name: getattr(self, name) for name in self.__slots__}
+        return ComfortStats(**{**values, **changes})
 
 
 def discomfort_fraction(points: list[PsychroPoint],
@@ -239,8 +262,7 @@ def discomfort_fraction(points: list[PsychroPoint],
     )
 
 
-@dataclass(frozen=True)
-class OffsetStats:
+class OffsetStats(NamedTuple):
     """Per-step difference statistics between two paired zones (a - b)."""
 
     mean_offset_c: float

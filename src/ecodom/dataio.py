@@ -5,9 +5,9 @@ with the archetype flats in :mod:`ecodom.archetypes`.
 All series files are CSV with ISO-8601 UTC timestamps and fixed, versioned
 headers; building descriptions are JSON (see docs/formats.md).  Floats are
 written with Python's shortest repr so load(write(series)) round-trips
-exactly.  An indoor record is an immutable named tuple, and a row that
-repeats the previous row's timestamp, as the zones of an interleaved
-logger file do, reuses its parse.
+exactly.  A row of an indoor file that repeats the previous row's
+timestamp, as the zones of an interleaved logger file do, reuses its
+parse.
 """
 
 from __future__ import annotations
@@ -15,8 +15,6 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
-from dataclasses import field as dataclass_field
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from typing import NamedTuple
@@ -85,7 +83,8 @@ def _parse_float(text: str, column: str, line_no: int) -> float:
 
 
 def _parse_temperature(text: str, column: str, line_no: int) -> float:
-    """An indoor temperature in the range the psychrometric model supports."""
+    """An air or resultant temperature, weather or indoor, in the range
+    the psychrometric model supports."""
     value = _parse_float(text, column, line_no)
     if not T_MIN_C <= value <= T_MAX_C:
         raise SeriesFormatError(f"line {line_no}: {column} {value} outside "
@@ -93,8 +92,7 @@ def _parse_temperature(text: str, column: str, line_no: int) -> float:
     return value
 
 
-@dataclass(frozen=True, slots=True)
-class WeatherRecord:
+class WeatherRecord(NamedTuple):
     timestamp: datetime
     temp_air_c: float
     rh_pct: float
@@ -104,15 +102,30 @@ class WeatherRecord:
     wind_dir_deg: float
 
 
-@dataclass(frozen=True)
 class WeatherSeries:
-    """Weather records in file order; ``thermal.simulate`` checks their grid."""
+    """Weather records in file order; ``thermal.simulate`` checks their grid.
 
-    records: tuple[WeatherRecord, ...]
-    # Stage 1 of ``thermal.simulate`` per (latitude, longitude), filled
-    # by it; this module never reads it.
-    sun_tracks: dict = dataclass_field(default_factory=dict, init=False,
-                                       repr=False, compare=False)
+    Not a tuple: ``len()`` counts records, and ``thermal.simulate`` holds
+    its stage 1 per (latitude, longitude) in ``sun_tracks``, which this
+    module never reads and which stays out of equality, hash and repr.
+    """
+
+    __slots__ = ("records", "sun_tracks", "__weakref__")
+
+    def __init__(self, records: tuple[WeatherRecord, ...]):
+        self.records = records
+        self.sun_tracks: dict = {}
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not WeatherSeries:
+            return NotImplemented
+        return self.records == other.records
+
+    def __hash__(self) -> int:
+        return hash(self.records)
+
+    def __repr__(self) -> str:
+        return f"WeatherSeries(records={self.records!r})"
 
     def __len__(self) -> int:
         return len(self.records)
@@ -163,7 +176,7 @@ def load_weather(path: str | Path) -> WeatherSeries:
         last_ts = ts
         rec = WeatherRecord(
             timestamp=ts,
-            temp_air_c=_parse_float(cells[1], "temp_air_c", line_no),
+            temp_air_c=_parse_temperature(cells[1], "temp_air_c", line_no),
             rh_pct=_parse_float(cells[2], "rh_pct", line_no),
             solar_direct_w_m2=_parse_float(cells[3], "solar_direct_w_m2", line_no),
             solar_diffuse_w_m2=_parse_float(cells[4], "solar_diffuse_w_m2", line_no),
@@ -193,9 +206,7 @@ def write_weather(series: WeatherSeries, path: str | Path) -> None:
 # indoor monitoring series
 
 class IndoorRecord(NamedTuple):
-    """One logger sample.  A record is a tuple: it iterates, orders and
-    compares equal to a plain tuple of the same six values; it is not a
-    dataclass, so use ``_replace`` rather than ``dataclasses.replace``."""
+    """One logger sample."""
 
     timestamp: datetime
     zone: str

@@ -1,5 +1,5 @@
-"""The input boundary: one error type for bad input files and one strict
-JSON reader.
+"""The input boundary: one error type for bad input files, one strict
+JSON reader and the hook that checks a record's values when it is made.
 
 Every loader raises a subclass of :class:`InputError`, and the CLI maps
 that one type to exit code 2.  This module imports nothing from ecodom,
@@ -14,6 +14,30 @@ import sys
 from pathlib import Path
 
 _REQUIRED = object()
+
+
+def checked(cls):
+    """Class decorator: the named-tuple record ``cls`` runs its ``_check``
+    method on every new record, ``_replace`` copies included.
+
+    ``_replace`` builds its copy through ``_make``, which skips
+    ``__new__``, so both are wrapped; ``_check`` raises ValueError.
+    """
+    new, make = cls.__new__, cls._make.__func__
+
+    def __new__(klass, *args, **kwargs):
+        record = new(klass, *args, **kwargs)
+        record._check()
+        return record
+
+    def _make(klass, iterable):
+        record = make(klass, iterable)
+        record._check()
+        return record
+
+    cls.__new__ = staticmethod(__new__)
+    cls._make = classmethod(_make)
+    return cls
 
 
 class InputError(ValueError):

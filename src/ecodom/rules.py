@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .building import (
     AtticRegime,
@@ -31,7 +31,7 @@ from .building import (
     facade_porosities,
 )
 from .catalogue import RuleCatalogue
-from .errors import InputError
+from .errors import InputError, checked
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -42,8 +42,8 @@ class Verdict(enum.Enum):
     INFORMATIONAL = "informational"
 
 
-@dataclass(frozen=True)
-class Finding:
+@checked
+class Finding(NamedTuple):
     """Verdict of one rule applied to one subject."""
 
     rule_id: str
@@ -55,15 +55,14 @@ class Finding:
     remediation: str = ""
     remediation_quantity: float | None = None
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.verdict is Verdict.FAIL and (self.measured is None or self.required is None):
             raise ValueError(
                 f"{self.rule_id}[{self.subject}]: a Fail finding must carry "
                 "both measured and required values")
 
 
-@dataclass(frozen=True)
-class ComplianceReport:
+class ComplianceReport(NamedTuple):
     building_name: str
     catalogue_version: str
     findings: tuple[Finding, ...]

@@ -16,7 +16,7 @@ only a finer step or the continuous solution shows.
 :func:`simulate` runs in three stages:
 
 1. weather only, and the only stage that reads the ``WeatherSeries``:
-   the grid checks, then a track holding the series' records, one sun
+   the grid checks, then a track holding the series' columns, one sun
    position per step and, filled on first use, one (beam, diffuse)
    irradiance column per (azimuth, tilt).  The series holds it, per
    (latitude, longitude), so every zone simulated on the same series
@@ -37,10 +37,10 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from itertools import chain, repeat
 from operator import mul
+from typing import NamedTuple
 
 from .building import BuildingDescription, facade_porosities
 from .dataio import WeatherSeries, weather_grid
@@ -73,8 +73,7 @@ MASS_CLASS_CAPACITANCE = {
 ROOF_DECK_RESISTANCE = 0.2
 
 
-@dataclass(frozen=True)
-class SurfaceModel:
+class SurfaceModel(NamedTuple):
     """One envelope surface of the zone.
 
     ``resistance_m2k_w`` is the full conduction chain including both film
@@ -108,8 +107,7 @@ class SurfaceModel:
         return None
 
 
-@dataclass(frozen=True)
-class VentilationApertures:
+class VentilationApertures(NamedTuple):
     """Inlet/outlet opening pair of the cross-ventilation path."""
 
     inlet_area_m2: float
@@ -139,8 +137,7 @@ def ventilation_ach(apertures: VentilationApertures, volume_m3: float,
     return 3600.0 * flow / volume_m3
 
 
-@dataclass(frozen=True)
-class ZoneModel:
+class ZoneModel(NamedTuple):
     """Lumped single-zone model ready to simulate.
 
     ``internal_gains_w`` is either a constant or a daily schedule: a
@@ -170,22 +167,41 @@ class WeatherGapError(InputError):
         super().__init__(f"weather series has missing steps: {stamps}{more}")
 
 
-@dataclass(frozen=True)
 class SimulationResult:
-    """Hourly (or finer) output series, one entry per weather record."""
+    """Hourly (or finer) output series, one entry per weather record.
 
-    timestamps: tuple
-    t_out_c: tuple[float, ...]
-    t_air_c: tuple[float, ...]
-    t_radiant_c: tuple[float, ...]
-    t_resultant_c: tuple[float, ...]
-    ach: tuple[float, ...]
-    surface_gains_w: dict[str, tuple[float, ...]]
-    window_solar_w: tuple[float, ...]
-    ventilation_gain_w: tuple[float, ...]
-    internal_gain_w: tuple[float, ...]
-    surface_kinds: dict[str, str]
-    max_residual_fraction: float
+    Not a tuple: ``len()`` counts steps.  Two results are equal when
+    every series is.
+    """
+
+    __slots__ = ("timestamps", "t_out_c", "t_air_c", "t_radiant_c", "t_resultant_c",
+                 "ach", "surface_gains_w", "window_solar_w", "ventilation_gain_w",
+                 "internal_gain_w", "surface_kinds", "max_residual_fraction")
+
+    def __init__(self, timestamps: tuple, t_out_c: tuple[float, ...],
+                 t_air_c: tuple[float, ...], t_radiant_c: tuple[float, ...],
+                 t_resultant_c: tuple[float, ...], ach: tuple[float, ...],
+                 surface_gains_w: dict[str, tuple[float, ...]],
+                 window_solar_w: tuple[float, ...], ventilation_gain_w: tuple[float, ...],
+                 internal_gain_w: tuple[float, ...], surface_kinds: dict[str, str],
+                 max_residual_fraction: float):
+        self.timestamps = timestamps
+        self.t_out_c = t_out_c
+        self.t_air_c = t_air_c
+        self.t_radiant_c = t_radiant_c
+        self.t_resultant_c = t_resultant_c
+        self.ach = ach
+        self.surface_gains_w = surface_gains_w
+        self.window_solar_w = window_solar_w
+        self.ventilation_gain_w = ventilation_gain_w
+        self.internal_gain_w = internal_gain_w
+        self.surface_kinds = surface_kinds
+        self.max_residual_fraction = max_residual_fraction
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not SimulationResult:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
     def __len__(self) -> int:
         return len(self.timestamps)
@@ -201,16 +217,17 @@ class _SunTrack:
     """Stage 1: what a run takes from the weather series and the site alone.
 
     The grid checks and the sun positions are made on creation.  The
-    track keeps the series' records, never the series itself, so the
-    series that holds the track forms no reference cycle with it.  The
-    (beam, diffuse) irradiance column of an (azimuth, tilt) is filled the
-    first time a zone has a surface facing that way.
+    track keeps the weather columns it reads, never the series itself,
+    so the series that holds the track forms no reference cycle with it.
+    The (beam, diffuse) irradiance column of an (azimuth, tilt) is filled
+    the first time a zone has a surface facing that way.
     """
 
-    __slots__ = ("records", "step_s", "timestamps", "t_out", "suns", "irradiance")
+    __slots__ = ("step_s", "timestamps", "t_out", "direct", "diffuse", "wind", "suns",
+                 "irradiance")
 
     def __init__(self, weather: WeatherSeries, latitude: float, longitude: float):
-        self.records = records = weather.records
+        records = weather.records
         self.timestamps = tuple(r.timestamp for r in records)
         self.step_s, missing = weather_grid(self.timestamps)
         if missing:
@@ -220,7 +237,8 @@ class _SunTrack:
         span = (self.timestamps[-1] - self.timestamps[0]).total_seconds()
         if span + self.step_s < 24 * 3600.0 - 1e-6:
             raise InputError("weather must cover at least 24 hours")
-        self.t_out = tuple(r.temp_air_c for r in records)
+        # a record is a tuple, so its columns come out in one transpose
+        _, self.t_out, _, self.direct, self.diffuse, self.wind, _ = zip(*records)
         self.suns = [solar_position(latitude, longitude, ts) for ts in self.timestamps]
         self.irradiance: dict[tuple[float, float], tuple[array, array]] = {}
 
@@ -230,8 +248,7 @@ class _SunTrack:
                if o not in self.irradiance}
         if not new:
             return
-        for sun, rec in zip(self.suns, self.records):
-            direct, diffuse = rec.solar_direct_w_m2, rec.solar_diffuse_w_m2
+        for sun, direct, diffuse in zip(self.suns, self.direct, self.diffuse):
             for (azimuth, tilt), (beam_col, diffuse_col) in new.items():
                 beam, sky = surface_irradiance(sun, direct, diffuse, azimuth, tilt)
                 beam_col.append(beam)
@@ -261,6 +278,7 @@ def _forcing(zone: ZoneModel, track: _SunTrack) -> tuple[list[list[float]], list
     """
     orientations = [(s.azimuth_deg, s.tilt_deg) for s in zone.surfaces]
     track.fill(orientations)
+    h_exterior = zone.h_exterior
 
     shading_of: dict[tuple, list[float]] = {}
     effective_of: dict[tuple, list[float]] = {}
@@ -270,13 +288,13 @@ def _forcing(zone: ZoneModel, track: _SunTrack) -> tuple[list[list[float]], list
     for surface, orientation in zip(zone.surfaces, orientations):
         shade = surface.fixed_shading
         if shade is None:
+            depth, offset, azimuth = (surface.overhang_depth_m, surface.overhang_offset_m,
+                                      surface.azimuth_deg)
             height = surface.overhang_height_m if surface.overhang_height_m > 0 else 1.0
-            shade = (surface.overhang_depth_m, height, surface.overhang_offset_m,
-                     surface.azimuth_deg)
+            shade = (depth, height, offset, azimuth)
             if shade not in shading_of:
                 shading_of[shade] = [overhang_shading_fraction(
-                    surface.overhang_depth_m, height, surface.overhang_offset_m,
-                    sun, surface.azimuth_deg) for sun in track.suns]
+                    depth, height, offset, sun, azimuth) for sun in track.suns]
         lit = (orientation, shade)
         effective = effective_of.get(lit)
         if effective is None:
@@ -284,11 +302,12 @@ def _forcing(zone: ZoneModel, track: _SunTrack) -> tuple[list[list[float]], list
             shades = shading_of.get(shade, repeat(shade))
             effective = effective_of[lit] = [b * (1.0 - f) + d
                                              for b, f, d in zip(beam, shades, diffuse)]
-        key = (lit, surface.absorptivity)
+        absorptivity = surface.absorptivity
+        key = (lit, absorptivity)
         temperatures = sol_air_of.get(key)
         if temperatures is None:
             temperatures = sol_air_of[key] = [
-                sol_air_temperature(t, e, surface.absorptivity, zone.h_exterior)
+                sol_air_temperature(t, e, absorptivity, h_exterior)
                 for t, e in zip(track.t_out, effective)]
         sol_air.append(temperatures)
         if surface.solar_transmittance > 0:
@@ -311,10 +330,10 @@ def simulate(zone: ZoneModel, weather: WeatherSeries) -> SimulationResult:
     timestamps, t_out, dt = track.timestamps, track.t_out, track.step_s
     n = len(t_out)
 
-    ach = [ventilation_ach(zone.apertures, zone.volume_m3, r.wind_speed_m_s)
-           for r in track.records]
+    apertures, volume, capacitance = zone.apertures, zone.volume_m3, zone.capacitance_j_k
+    ach = [ventilation_ach(apertures, volume, wind) for wind in track.wind]
     rho_cp = AIR_DENSITY * AIR_HEAT_CAPACITY
-    h_vent = [rho_cp * a * zone.volume_m3 / 3600.0 for a in ach]
+    h_vent = [rho_cp * a * volume / 3600.0 for a in ach]
     gains = zone.internal_gains_w
     if is_number(gains):
         internal = [float(gains)] * n
@@ -332,7 +351,7 @@ def simulate(zone: ZoneModel, weather: WeatherSeries) -> SimulationResult:
     # A zone without surfaces has no sol-air rows to transpose.
     rows = zip(*sol_air) if sol_air else repeat((), n)
     k_sol_air = [sum(map(mul, conductances, row)) for row in rows]
-    c_dt = zone.capacitance_j_k / dt
+    c_dt = capacitance / dt
     den_fixed = c_dt + sum(conductances)
     t_air = t_out[0]
     t_new = []
@@ -349,7 +368,7 @@ def simulate(zone: ZoneModel, weather: WeatherSeries) -> SimulationResult:
     for row, qv, g, q_sun, q_int, t, t_prev in zip(
             rows, q_vent, gains_fixed, transmitted, internal, t_new,
             chain((t_out[0],), t_new)):
-        residual = (zone.capacitance_j_k * (t - t_prev) / dt
+        residual = (capacitance * (t - t_prev) / dt
                     - (sum(row) + qv + g))
         gross = sum(map(abs, row)) + abs(qv) + q_sun + abs(q_int)
         if gross > 1e-9:

@@ -2,12 +2,14 @@
 
 These deliberately share no code with the package: the sun position
 oracle is the PSA algorithm (Blanco-Muriel et al., 2001), the saturation
-pressure oracle is the Hyland-Wexler correlation, and the shading oracle
-casts rays against the overhang rectangle in 3-D.
+pressure oracle is the Hyland-Wexler correlation, the shading oracle
+casts rays against the overhang rectangle in 3-D, and the integrator
+oracle is the closed-form periodic response of a first-order lag.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from datetime import datetime, timezone
 
@@ -111,3 +113,22 @@ def ray_sampled_shading(depth: float, height: float, offset: float,
     x_hit = x + t * s_local[0]
     hits = (t > 0) & (y_hit <= depth) & (np.abs(x_hit) <= 5e5)
     return float(np.count_nonzero(hits)) / samples
+
+
+def first_order_response(tau_s: float, omega_rad_s: float,
+                         dt_s: float | None = None) -> tuple[float, float]:
+    """(amplitude ratio, lag in radians) of the periodic response of
+    ``tau dT/dt = T_out - T`` to a sinusoidal ``T_out`` of angular
+    frequency ``omega``.
+
+    With ``dt_s`` None, the continuous answer: ``1 / sqrt(1 + (w tau)^2)``
+    and ``atan(w tau)``.  Otherwise that of the backward-Euler recurrence
+    ``T_n = a T_(n-1) + (1 - a) T_out,n`` with ``a = 1 / (1 + dt / tau)``,
+    at the step instants: ``H = (1 - a) / (1 - a exp(-i w dt))``.
+    """
+    if dt_s is None:
+        response = 1.0 / complex(1.0, omega_rad_s * tau_s)
+    else:
+        a = 1.0 / (1.0 + dt_s / tau_s)
+        response = (1.0 - a) / (1.0 - a * cmath.exp(-1j * omega_rad_s * dt_s))
+    return abs(response), -cmath.phase(response)

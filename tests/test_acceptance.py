@@ -5,7 +5,6 @@ One test per release criterion, each printing a single PASS/FAIL line
 enforcing its stated tolerance and runtime budget.
 """
 
-import dataclasses
 import random
 import time
 from datetime import timedelta
@@ -175,15 +174,12 @@ def test_criterion_3_porosity_properties():
 
             # enlarging one external main-room opening never lowers porosity
             room = base.rooms[random.Random(seed ^ 2).randrange(len(base.rooms))]
-            grown_opening = dataclasses.replace(
-                room.external_openings[0],
+            grown_opening = room.external_openings[0]._replace(
                 net_area_m2=room.external_openings[0].net_area_m2
                 + random.Random(seed ^ 3).uniform(0.0, 5.0))
-            grown_room = dataclasses.replace(
-                room, external_openings=(grown_opening,))
-            grown = dataclasses.replace(
-                base, rooms=tuple(grown_room if r.id == room.id else r
-                                  for r in base.rooms))
+            grown_room = room._replace(external_openings=(grown_opening,))
+            grown = base._replace(rooms=tuple(grown_room if r.id == room.id else r
+                                              for r in base.rooms))
             for pb, pg in zip(facade_porosities(base), facade_porosities(grown)):
                 assert pg.p1 >= pb.p1 - 1e-12
                 assert pg.p2 >= pb.p2 - 1e-12
@@ -227,7 +223,7 @@ def test_criterion_6_ventilation_calibration():
             assert ventilation_ach(POROSITY_25_APERTURES, VOLUME_M3, u) == \
                 pytest.approx(u * one, rel=1e-12)
 
-        closed = dataclasses.replace(POROSITY_25_APERTURES, inlet_area_m2=0.0)
+        closed = POROSITY_25_APERTURES._replace(inlet_area_m2=0.0)
         assert ventilation_ach(closed, VOLUME_M3, 4.0) == 0.0
 
 
@@ -267,8 +263,8 @@ def test_criterion_7_numerical_property_suites():
         halved_records = []
         for rec in weather.records:
             halved_records.append(rec)
-            halved_records.append(dataclasses.replace(
-                rec, timestamp=rec.timestamp + timedelta(minutes=30)))
+            halved_records.append(rec._replace(
+                timestamp=rec.timestamp + timedelta(minutes=30)))
         halved = simulate(zone, WeatherSeries(records=tuple(halved_records)))
         assert abs(_mean(hourly.t_air_c[-24:])
                    - _mean(halved.t_air_c[-48:])) < 0.05

@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -130,7 +128,7 @@ class TestPorosities:
             facades=(FacadeMembership("f1", 4.0),),
             external_openings=(Opening("ok", 3.0, facade_id="f1"),),
         )
-        with_kitchen = dataclasses.replace(b, rooms=b.rooms + (kitchen,))
+        with_kitchen = b._replace(rooms=b.rooms + (kitchen,))
         assert facade_porosities(with_kitchen)[0].so1 == \
             facade_porosities(b)[0].so1
 
@@ -166,10 +164,9 @@ class TestValidation:
 
     def test_unknown_facade(self):
         b = _simple_building()
-        bad_room = dataclasses.replace(
-            b.rooms[0],
+        bad_room = b.rooms[0]._replace(
             external_openings=(Opening("oa", 2.0, facade_id="nowhere"),))
-        issues = validate(dataclasses.replace(b, rooms=(bad_room, b.rooms[1])))
+        issues = validate(b._replace(rooms=(bad_room, b.rooms[1])))
         assert len(issues) == 1
         assert "oa" in issues[0].entity
         assert "nowhere" in issues[0].message
@@ -180,16 +177,15 @@ class TestValidation:
         wall = WallSpec(id="w1", construction=WallConstruction.WOOD,
                         color=ColorClass.LIGHT, azimuth_deg=0.0, area_m2=10.0,
                         overhang_depth_m=1.0, overhang_height_m=0.0)
-        issues = validate(dataclasses.replace(b, walls=(wall,)))
+        issues = validate(b._replace(walls=(wall,)))
         assert len(issues) == 1
         assert issues[0].field == "overhang_height_m"
 
     def test_duplicate_opening_id(self):
         b = _simple_building()
-        dup = dataclasses.replace(
-            b.rooms[1],
+        dup = b.rooms[1]._replace(
             external_openings=(Opening("oa", 1.0, facade_id="f2"),))
-        issues = validate(dataclasses.replace(b, rooms=(b.rooms[0], dup)))
+        issues = validate(b._replace(rooms=(b.rooms[0], dup)))
         assert any("duplicate" in i.message for i in issues)
 
     def test_duplicate_wall_and_window_ids(self):
@@ -197,16 +193,16 @@ class TestValidation:
         wall = WallSpec(id="n", construction=WallConstruction.WOOD,
                         color=ColorClass.LIGHT, azimuth_deg=0.0, area_m2=10.0)
         window = WindowSpec(id="n", azimuth_deg=0.0, glazed_area_m2=1.0, height_m=1.0)
-        b = dataclasses.replace(_simple_building(), walls=(wall,), windows=(window,))
+        b = _simple_building()._replace(walls=(wall,), windows=(window,))
         assert validate(b) == []
-        issues = validate(dataclasses.replace(b, walls=(wall, wall),
-                                              windows=(window, window)))
+        issues = validate(b._replace(walls=(wall, wall),
+                                     windows=(window, window)))
         assert [str(i) for i in issues] == [
             "wall n.id: duplicate wall id", "window n.id: duplicate window id"]
 
     def test_facade_pair_names_two_facades(self):
         b = _simple_building()
-        same = dataclasses.replace(b, facade_pairs=(FacadePair("f1", "f1", 8.0, 8.0),))
+        same = b._replace(facade_pairs=(FacadePair("f1", "f1", 8.0, 8.0),))
         assert [str(i) for i in validate(same)] == [
             "facade pair f1/f1.facade_id: must name two different facades"]
 
@@ -215,12 +211,12 @@ class TestValidation:
     def test_repeated_facade_pair(self, second):
         b = _simple_building()
         pairs = (FacadePair("f1", "f2", 8.0, 8.0), FacadePair(*second, 8.0, 8.0))
-        issues = validate(dataclasses.replace(b, facade_pairs=pairs))
+        issues = validate(b._replace(facade_pairs=pairs))
         assert [str(i) for i in issues] == [
             f"facade pair {second[0]}/{second[1]}.facade_id: duplicate facade pair"]
 
     def test_dwelling_type_and_latitude(self):
-        b = dataclasses.replace(_simple_building(), dwelling_type=0, latitude=99.0)
+        b = _simple_building()._replace(dwelling_type=0, latitude=99.0)
         fields = {i.field for i in validate(b)}
         assert fields == {"dwelling_type", "latitude"}
 
@@ -230,8 +226,8 @@ class TestValidation:
         wall = WallSpec(id="w1", construction=WallConstruction.WOOD,
                         color=ColorClass.LIGHT, azimuth_deg=360.0, area_m2=10.0)
         window = WindowSpec(id="g1", azimuth_deg=-1.0, glazed_area_m2=1.0, height_m=1.0)
-        issues = validate(dataclasses.replace(b, walls=(wall,), windows=(window,),
-                                              longitude=181.0))
+        issues = validate(b._replace(walls=(wall,), windows=(window,),
+                                     longitude=181.0))
         assert {str(i).split(":")[0] for i in issues} == {
             "wall w1.azimuth_deg", "window g1.azimuth_deg", "building.longitude"}
 

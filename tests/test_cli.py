@@ -563,6 +563,8 @@ class TestInputBoundary:
     @pytest.mark.parametrize("kind,change,fragment", [
         ("weather", _cell(10, 3, "-1.0"), "line 11: solar irradiance must be >= 0"),
         ("weather", _cell(5, 5, "-0.5"), "line 6: wind speed must be >= 0"),
+        ("weather", _cell(7, 1, "-300"),
+         "line 8: temp_air_c -300.0 outside the supported [-20.0, 60.0] degC"),
         ("weather", lambda lines: lines[:13], "weather must cover at least 24 hours"),
         ("weather", lambda lines: lines[:1] + lines[1::2],
          "weather step must be one hour or finer"),
@@ -592,9 +594,9 @@ class TestInputBoundary:
         ("scenario", '{"volume_m3": 0}', "scenario volume_m3 must be a number > 0, got 0"),
         ("zone", '{"vertices": [[20, 3], [24, 3]]}',
          "comfort zone polygon needs at least 3 vertices"),
-    ], ids=["negative-irradiance", "negative-wind", "under-a-day", "two-hour-step",
-            "indoor-rh-101", "indoor-hot-air", "roof-area-zero", "glazed-area-zero",
-            "negative-offset", "window-negative-depth", "null-external-facade",
+    ], ids=["negative-irradiance", "negative-wind", "weather-cold-air", "under-a-day",
+            "two-hour-step", "indoor-rh-101", "indoor-hot-air", "roof-area-zero",
+            "glazed-area-zero", "negative-offset", "window-negative-depth", "null-external-facade",
             "pair-unknown-facade", "duplicate-opening", "wall-area-zero",
             "negative-opening-area", "latitude-91",
             "no-main-room", "scenario-volume-zero", "zone-two-vertices"])

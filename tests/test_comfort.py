@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import hashlib
 import pickle
 import random
@@ -285,7 +284,7 @@ class TestOnePass:
         points = _seeded_points(n=40)
         stats = discomfort_fraction(points)
         assert "inside" not in repr(stats)
-        assert stats == dataclasses.replace(stats, inside=())
+        assert stats == stats._replace(inside=())
 
     def test_scatter_refuses_flags_of_another_length(self):
         points = _seeded_points(n=10)

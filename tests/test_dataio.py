@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import hashlib
 import json
 import pathlib
@@ -112,7 +111,7 @@ class TestWeatherIO:
         series, _ = clean_week
         # one 90-minute spacing among hourly rows
         records = series.records[:40] + tuple(
-            dataclasses.replace(r, timestamp=r.timestamp + timedelta(minutes=30))
+            r._replace(timestamp=r.timestamp + timedelta(minutes=30))
             for r in series.records[40:])
         path = tmp_path / "skewed.csv"
         write_weather(WeatherSeries(records=records), path)
@@ -183,16 +182,22 @@ class TestSyntheticWeather:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
-def test_file_io_loads_no_model():
+@pytest.mark.parametrize("module,absent", [
     # the check path reads building files without importing the sun or
     # the thermal model
+    ("ecodom.dataio", ("ecodom.solar", "ecodom.thermal", "dataclasses")),
+    # records are named tuples, so no command pays for dataclass code
+    # generation or for `inspect`, which `dataclasses` imports
+    ("ecodom.cli", ("dataclasses",)),
+], ids=["ecodom.dataio", "ecodom.cli"])
+def test_file_io_loads_no_model(module, absent):
     src = str(pathlib.Path(ecodom.__file__).parents[1])
-    code = (f"import sys; sys.path.insert(0, {src!r}); import ecodom.dataio; "
-            "print(sorted(m for m in sys.modules if m.startswith('ecodom.')))")
+    code = (f"import sys; sys.path.insert(0, {src!r}); import {module}; "
+            "print('\\n'.join(sorted(sys.modules)))")
     loaded = subprocess.run([sys.executable, "-c", code], check=True,
-                            capture_output=True, text=True).stdout
-    assert "'ecodom.solar'" not in loaded
-    assert "'ecodom.thermal'" not in loaded
+                            capture_output=True, text=True).stdout.split()
+    assert module in loaded
+    assert [name for name in absent if name in loaded] == []
 
 
 def _indoor(ts_minutes, zone="z1", temp=28.0, resultant=None, rh=60.0, speed=None):

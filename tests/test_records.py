@@ -1,0 +1,125 @@
+"""Contract of the record types.
+
+Every named tuple in the package is read-only, copies with ``_replace``
+to an equal record with an equal hash, and a record that checks its
+values when it is built checks them on every ``_replace`` copy too.
+"""
+
+import importlib
+import pkgutil
+import re
+from datetime import datetime, timezone
+
+import pytest
+
+import ecodom
+from conftest import INITIAL_FIXTURE
+from ecodom.archetypes import compliant_zone, synthetic_weather
+from ecodom.building import (
+    InsulationLayer,
+    Opening,
+    RoofSpec,
+    WallSpec,
+    WaterHeaterSpec,
+    WindowSpec,
+    facade_porosities,
+    validate,
+)
+from ecodom.catalogue import default_catalogue
+from ecodom.comfort import DEFAULT_ZONE, ComfortZone, PsychroPoint, paired_offset
+from ecodom.dataio import IndoorRecord, load_building
+from ecodom.rules import Finding, compliance_report
+
+
+def _record_classes() -> list[type]:
+    """Every named-tuple class defined in an ``ecodom`` module."""
+    found = {}
+    for info in pkgutil.iter_modules(ecodom.__path__):
+        module = importlib.import_module(f"ecodom.{info.name}")
+        for obj in vars(module).values():
+            if (isinstance(obj, type) and issubclass(obj, tuple)
+                    and hasattr(obj, "_fields") and obj.__module__ == module.__name__):
+                found[f"{info.name}.{obj.__name__}"] = obj
+    return [found[name] for name in sorted(found)]
+
+
+RECORDS = _record_classes()
+CHECKED = [cls for cls in RECORDS if hasattr(cls, "_check")]
+
+#: A value each checked record refuses, and the start of its message.
+OUT_OF_RANGE = {
+    InsulationLayer: ({"conductivity_w_mk": 0.0}, "insulation conductivity must be > 0"),
+    RoofSpec: ({"area_m2": 0.0}, "roof area must be > 0"),
+    WallSpec: ({"area_m2": 0.0}, "wall north: area must be > 0"),
+    WindowSpec: ({"glazed_area_m2": 0.0}, "window glz_bedroom_l0: glazed area must be > 0"),
+    Opening: ({"net_area_m2": -1.0}, "opening glz_bedroom_l0: net area must be >= 0"),
+    WaterHeaterSpec: ({"tank_volume_l": -1.0}, "water heater: tank_volume_l must be >= 0"),
+    ComfortZone: ({"vertices": ((20.0, 3.0), (24.0, 3.0))},
+                  "comfort zone polygon needs at least 3 vertices"),
+    Finding: ({"measured": None}, "a Fail finding must carry both measured and required"),
+}
+
+
+def _samples() -> dict[type, tuple]:
+    building = load_building(INITIAL_FIXTURE)
+    room = building.rooms[0]
+    report = compliance_report(building, default_catalogue())
+    zone = compliant_zone()
+    samples = (
+        building, building.roof, building.roof.insulation, building.walls[0],
+        building.windows[0], room, room.facades[0], room.external_openings[0],
+        building.facade_pairs[0], building.water_heater,
+        validate(building._replace(latitude=99.0))[0], facade_porosities(building)[0],
+        default_catalogue(), report, report.failures()[0],
+        zone, zone.surfaces[0], zone.apertures,
+        synthetic_weather(days=1).records[0],
+        IndoorRecord(datetime(2026, 2, 1, tzinfo=timezone.utc), "z1", 28.0, 28.5, 60.0, 0.3),
+        PsychroPoint(26.0, 11.7, 0.3), DEFAULT_ZONE, paired_offset([1.0, 2.0], [0.5, 0.5]),
+    )
+    return {type(record): record for record in samples}
+
+
+SAMPLES = _samples()
+
+
+def _sample(cls: type) -> tuple:
+    assert cls in SAMPLES, f"add a sample of {cls.__name__} to _samples()"
+    return SAMPLES[cls]
+
+
+def _ids(classes):
+    return [cls.__name__ for cls in classes]
+
+
+def test_the_eight_checked_records():
+    assert set(CHECKED) == set(OUT_OF_RANGE)
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=_ids(RECORDS))
+def test_fields_are_read_only(cls):
+    record = _sample(cls)
+    for name in cls._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=_ids(RECORDS))
+def test_replace_copy_is_equal(cls):
+    record = _sample(cls)
+    copy = record._replace(**record._asdict())
+    assert copy is not record and copy == record and type(copy) is cls
+    try:
+        expected = hash(record)
+    except TypeError:  # a field holds a dict
+        return
+    assert hash(copy) == expected
+
+
+@pytest.mark.parametrize("cls", CHECKED, ids=_ids(CHECKED))
+def test_checked_record_refuses_out_of_range_copy(cls):
+    change, message = OUT_OF_RANGE[cls]
+    record = _sample(cls)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        cls(**{**record._asdict(), **change})
+    with pytest.raises(ValueError, match=re.escape(message)):
+        record._replace(**change)

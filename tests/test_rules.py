@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -96,9 +94,7 @@ class TestRoofRules:
                         InsulationLayer("cork", 0.05, 3.0), 60.0)
         finding = check_roof(roof, catalogue)
         assert finding.verdict is Verdict.FAIL
-        fixed = dataclasses.replace(
-            roof, insulation=dataclasses.replace(
-                roof.insulation,
+        fixed = roof._replace(insulation=roof.insulation._replace(
                 thickness_cm=roof.insulation.thickness_cm + finding.remediation_quantity))
         assert check_roof(fixed, catalogue).verdict is Verdict.PASS
 
@@ -108,9 +104,8 @@ class TestRoofRules:
         from ecodom.catalogue import default_catalogue
         catalogue = default_catalogue()
         base = RoofSpec(ColorClass.MEDIUM, AtticRegime.NONE, POLYSTYRENE(8.0), 60.0)
-        thicker = dataclasses.replace(
-            base, insulation=dataclasses.replace(
-                base.insulation, thickness_cm=8.0 + extra))
+        thicker = base._replace(
+            insulation=base.insulation._replace(thickness_cm=8.0 + extra))
         assert check_roof(thicker, catalogue).verdict is Verdict.PASS
 
 
@@ -161,7 +156,7 @@ class TestWallRules:
                      color=ColorClass.MEDIUM, azimuth=270.0, d=1.0, h=2.5)
         finding = check_wall(wall, catalogue)
         assert finding.verdict is Verdict.FAIL
-        fixed = dataclasses.replace(wall, overhang_depth_m=finding.remediation_quantity)
+        fixed = wall._replace(overhang_depth_m=finding.remediation_quantity)
         assert check_wall(fixed, catalogue).verdict is Verdict.PASS
 
     @given(d=st.floats(0.0, 5.0), extra=st.floats(0.0, 5.0))
@@ -171,7 +166,7 @@ class TestWallRules:
         catalogue = default_catalogue()
         base = _wall(construction=WallConstruction.POURED_CONCRETE_15,
                      color=ColorClass.MEDIUM, azimuth=270.0, d=d, h=2.0)
-        deeper = dataclasses.replace(base, overhang_depth_m=d + extra)
+        deeper = base._replace(overhang_depth_m=d + extra)
         if check_wall(base, catalogue).verdict is Verdict.PASS:
             assert check_wall(deeper, catalogue).verdict is Verdict.PASS
 
@@ -193,8 +188,7 @@ class TestWindowRules:
         assert finding.measured == pytest.approx(0.625)
         assert finding.required == 1.0
         assert finding.remediation_quantity == pytest.approx(1.6)
-        fixed = dataclasses.replace(window,
-                                    overhang_depth_m=finding.remediation_quantity)
+        fixed = window._replace(overhang_depth_m=finding.remediation_quantity)
         assert check_window(fixed, catalogue).verdict is Verdict.PASS
 
     def test_mobile_shading_passes(self, catalogue):
@@ -209,7 +203,7 @@ class TestWindowRules:
         catalogue = default_catalogue()
         base = WindowSpec(id="x", azimuth_deg=90.0, glazed_area_m2=1.0,
                           height_m=1.4, overhang_depth_m=d)
-        deeper = dataclasses.replace(base, overhang_depth_m=d + extra)
+        deeper = base._replace(overhang_depth_m=d + extra)
         if check_window(base, catalogue).verdict is Verdict.PASS:
             assert check_window(deeper, catalogue).verdict is Verdict.PASS
 
@@ -285,7 +279,7 @@ class TestVentilationRules:
 
     def test_no_pairs_fails_with_guidance(self, catalogue):
         from test_building import _simple_building
-        b = dataclasses.replace(_simple_building(), facade_pairs=())
+        b = _simple_building()._replace(facade_pairs=())
         findings = check_ventilation(b, catalogue)
         assert findings[0].verdict is Verdict.FAIL
         assert "pair" in findings[0].remediation
@@ -293,9 +287,9 @@ class TestVentilationRules:
     def test_room_without_flow_path_fails_layout(self, catalogue):
         from test_building import _simple_building
         b = _simple_building()
-        sealed = dataclasses.replace(b.rooms[0], internal_openings=())
+        sealed = b.rooms[0]._replace(internal_openings=())
         findings = check_ventilation(
-            dataclasses.replace(b, rooms=(sealed, b.rooms[1])), catalogue)
+            b._replace(rooms=(sealed, b.rooms[1])), catalogue)
         layout = {f.subject: f for f in findings
                   if f.rule_id == "ventilation.layout"}
         assert layout["room a"].verdict is Verdict.FAIL
@@ -312,7 +306,7 @@ class TestVentilationRules:
                                Opening("oa2", 2.0, facade_id="f2")),
         )
         findings = check_ventilation(
-            dataclasses.replace(b, rooms=(crossing, b.rooms[1])), catalogue)
+            b._replace(rooms=(crossing, b.rooms[1])), catalogue)
         layout = {f.subject: f for f in findings
                   if f.rule_id == "ventilation.layout"}
         assert layout["room a"].verdict is Verdict.PASS

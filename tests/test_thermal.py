@@ -1,8 +1,8 @@
-import dataclasses
 import gc
 import hashlib
+import math
 import weakref
-from datetime import timedelta, timezone
+from datetime import datetime, timedelta, timezone
 
 import pytest
 
@@ -15,18 +15,21 @@ from ecodom.archetypes import (
     uninsulated_zone,
 )
 from ecodom.comfort import PsychroPoint, discomfort_fraction, humidity_ratio
-from ecodom.dataio import SeriesFormatError, WeatherSeries
+from ecodom.dataio import SeriesFormatError, WeatherRecord, WeatherSeries
 from ecodom.thermal import (
     ROOF_DECK_RESISTANCE,
     ScenarioError,
+    SurfaceModel,
     VentilationApertures,
     WeatherGapError,
+    ZoneModel,
     gain_breakdown,
     result_to_csv,
     simulate,
     ventilation_ach,
     zone_from_building,
 )
+from oracles import first_order_response
 
 _mean = lambda xs: sum(xs) / len(xs)
 
@@ -62,8 +65,8 @@ class TestVentilation:
 
 def _calm_weather(days=2, t_out=28.0):
     base = synthetic_weather(days=days)
-    records = tuple(dataclasses.replace(
-        r, temp_air_c=t_out, solar_direct_w_m2=0.0, solar_diffuse_w_m2=0.0,
+    records = tuple(r._replace(
+        temp_air_c=t_out, solar_direct_w_m2=0.0, solar_diffuse_w_m2=0.0,
         wind_speed_m_s=0.0) for r in base.records)
     return WeatherSeries(records=records)
 
@@ -98,9 +101,8 @@ class TestSimulate:
     def test_doubling_roof_resistance_lowers_peak_roof_gain(self, week):
         zone = uninsulated_zone()
         roof = zone.surfaces[0]
-        better = dataclasses.replace(
-            zone, surfaces=(dataclasses.replace(
-                roof, resistance_m2k_w=2 * roof.resistance_m2k_w),) + zone.surfaces[1:])
+        better = zone._replace(surfaces=(roof._replace(
+            resistance_m2k_w=2 * roof.resistance_m2k_w),) + zone.surfaces[1:])
         peak = max(simulate(zone, week).surface_gains_w["roof"])
         peak_better = max(simulate(better, week).surface_gains_w["roof"])
         assert peak_better < peak
@@ -114,10 +116,10 @@ class TestSimulate:
     def test_larger_overhang_lowers_transmitted_solar(self, week):
         zone = uninsulated_zone()
         shaded_surfaces = tuple(
-            dataclasses.replace(s, overhang_depth_m=1.5)
+            s._replace(overhang_depth_m=1.5)
             if s.kind == "window" else s
             for s in zone.surfaces)
-        shaded = dataclasses.replace(zone, surfaces=shaded_surfaces)
+        shaded = zone._replace(surfaces=shaded_surfaces)
         assert (sum(simulate(shaded, week).window_solar_w)
                 < sum(simulate(zone, week).window_solar_w))
 
@@ -131,7 +133,7 @@ class TestSimulate:
         # weak night breezes: the closed zone can only drift towards, not
         # below, the outdoor temperature
         weather = WeatherSeries(records=tuple(
-            dataclasses.replace(r, wind_speed_m_s=0.05)
+            r._replace(wind_speed_m_s=0.05)
             for r in synthetic_weather(days=3).records))
         result = simulate(compliant_zone(), weather)
         night = [i for i, r in enumerate(weather.records)
@@ -162,8 +164,8 @@ class TestSimulate:
         halved_records = []
         for rec in week.records:
             halved_records.append(rec)
-            halved_records.append(dataclasses.replace(
-                rec, timestamp=rec.timestamp + timedelta(minutes=30)))
+            halved_records.append(rec._replace(
+                timestamp=rec.timestamp + timedelta(minutes=30)))
         halved = simulate(zone, WeatherSeries(records=tuple(halved_records)))
         day = lambda xs, n: _mean(xs[-n:])
         assert abs(day(hourly.t_air_c, 24) - day(halved.t_air_c, 48)) < 0.05
@@ -171,7 +173,7 @@ class TestSimulate:
     def test_internal_gains_schedule_cycles_daily(self):
         zone = compliant_zone()
         schedule = tuple(300.0 if 18 <= h <= 22 else 0.0 for h in range(24))
-        scheduled = dataclasses.replace(zone, internal_gains_w=schedule)
+        scheduled = zone._replace(internal_gains_w=schedule)
         result = simulate(scheduled, _calm_weather(days=2))
         by_hour = {ts.hour: q for ts, q in zip(result.timestamps,
                                                result.internal_gain_w)}
@@ -196,7 +198,7 @@ class TestSimulate:
 class TestGainBreakdown:
     def test_single_surface_takes_all(self):
         zone = uninsulated_zone()
-        only_roof = dataclasses.replace(zone, surfaces=zone.surfaces[:1])
+        only_roof = zone._replace(surfaces=zone.surfaces[:1])
         shares = gain_breakdown(simulate(only_roof, synthetic_weather(days=2)))
         assert shares["roof"] == pytest.approx(1.0)
         assert shares["wall"] == 0.0
@@ -284,11 +286,85 @@ def test_upgraded_golden_is_cooler_and_less_uncomfortable(initial_building,
     assert final_exceedance < initial_exceedance
 
 
+class TestIntegratorOracle:
+    """The zone step against the closed-form answer of a case with one:
+    no sun, constant wind and a 24 h sinusoid outdoors, so the zone is a
+    first-order lag of the outdoor temperature with a time constant
+    ``tau = C / (K + Hv)``.  Everything but ``simulate`` is restated."""
+
+    PERIOD_S = 86400.0
+    MEAN_C, SWING_C = 28.0, 4.0
+    ZONE = ZoneModel(
+        name="oracle", latitude=-21.1, longitude=55.5, volume_m3=160.0,
+        capacitance_j_k=1.0e7,
+        surfaces=(SurfaceModel("roof", "roof", area_m2=100.0, azimuth_deg=0.0,
+                               tilt_deg=0.0, absorptivity=0.7, resistance_m2k_w=0.5),),
+        apertures=VentilationApertures(inlet_area_m2=1.0, outlet_area_m2=1.0,
+                                       discharge_coefficient=0.6, delta_cp=0.5))
+    WIND_M_S = 2.0
+    # K = A / R; Hv = rho cp Q, with Q = Cd Aeq U sqrt(dCp) through two
+    # 1 m2 orifices in series (Aeq = 1 / sqrt(2) m2)
+    TAU_S = 1.0e7 / (100.0 / 0.5 + 1.2 * 1006.0 * 0.6 * 2.0 ** -0.5 * 2.0 * 0.5 ** 0.5)
+
+    def _last_day(self, minutes: int):
+        """(step s, the simulated t_air_c of the fifth day, the step index
+        of each of its samples)."""
+        dt = minutes * 60.0
+        omega = 2.0 * math.pi / self.PERIOD_S
+        start = datetime(2026, 1, 5, tzinfo=timezone.utc)
+        steps = round(5 * self.PERIOD_S / dt)
+        weather = WeatherSeries(records=tuple(WeatherRecord(
+            start + timedelta(seconds=k * dt),
+            self.MEAN_C + self.SWING_C * math.sin(omega * k * dt),
+            70.0, 0.0, 0.0, self.WIND_M_S, 90.0) for k in range(steps)))
+        t_air = simulate(self.ZONE, weather).t_air_c
+        day = range(steps - round(self.PERIOD_S / dt), steps)
+        return dt, [t_air[k] for k in day], day
+
+    def _peak_error(self, minutes: int, discrete: bool) -> float:
+        dt, t_air, day = self._last_day(minutes)
+        omega = 2.0 * math.pi / self.PERIOD_S
+        ratio, lag = first_order_response(self.TAU_S, omega, dt if discrete else None)
+        return max(abs(t - self.MEAN_C - self.SWING_C * ratio * math.sin(omega * k * dt - lag))
+                   for t, k in zip(t_air, day))
+
+    def _fitted_response(self, minutes: int) -> tuple[float, float]:
+        """Amplitude ratio and lag of the fifth day, projected on the
+        outdoor sinusoid over its whole period."""
+        dt, t_air, day = self._last_day(minutes)
+        omega = 2.0 * math.pi / self.PERIOD_S
+        s = 2.0 / len(day) * sum((t - self.MEAN_C) * math.sin(omega * k * dt)
+                                 for t, k in zip(t_air, day))
+        c = 2.0 / len(day) * sum((t - self.MEAN_C) * math.cos(omega * k * dt)
+                                 for t, k in zip(t_air, day))
+        return math.hypot(s, c) / self.SWING_C, -math.atan2(c, s)
+
+    @pytest.mark.parametrize("minutes", [60, 30, 15])
+    def test_steps_are_backward_euler_exactly(self, minutes):
+        # four days damp the start-up transient by more than e^-30
+        assert self._peak_error(minutes, discrete=True) < 1e-9
+
+    def test_error_to_the_continuous_answer_is_first_order_in_dt(self):
+        omega = 2.0 * math.pi / self.PERIOD_S
+        ratio_c, lag_c = first_order_response(self.TAU_S, omega)
+        peaks, ratio_gaps, lag_gaps = [], [], []
+        for minutes in (60, 30, 15):
+            peaks.append(self._peak_error(minutes, discrete=False))
+            ratio, lag = self._fitted_response(minutes)
+            ratio_gaps.append(ratio_c - ratio)
+            lag_gaps.append(lag_c - lag)
+        for gaps in (peaks, ratio_gaps, lag_gaps):
+            assert all(gap > 0 for gap in gaps)
+            # halving the step halves the gap
+            assert all(1.8 < coarse / fine < 2.2 for coarse, fine in zip(gaps, gaps[1:]))
+        assert peaks[0] < 0.25  # 4 C swing, tau 3 h, hourly steps
+
+
 def _turned(zone, azimuth_deg):
     """``zone`` with its second surface turned to ``azimuth_deg``."""
     surfaces = list(zone.surfaces)
-    surfaces[1] = dataclasses.replace(surfaces[1], azimuth_deg=azimuth_deg)
-    return dataclasses.replace(zone, name="turned", surfaces=tuple(surfaces))
+    surfaces[1] = surfaces[1]._replace(azimuth_deg=azimuth_deg)
+    return zone._replace(name="turned", surfaces=tuple(surfaces))
 
 
 class TestStagedRun:
@@ -330,8 +406,8 @@ class TestStagedRun:
 
     def test_shared_overhang_geometry_shaded_once(self, week, solar_calls):
         zone = compliant_zone()
-        twin = dataclasses.replace(zone.surfaces[-1], name="window:west_twin")
-        twinned = dataclasses.replace(zone, surfaces=zone.surfaces + (twin,))
+        twin = zone.surfaces[-1]._replace(name="window:west_twin")
+        twinned = zone._replace(surfaces=zone.surfaces + (twin,))
         result = simulate(twinned, week)
         # 5 windows under overhangs, in 4 geometries
         assert solar_calls["shading"] == 4 * len(week)
@@ -342,7 +418,7 @@ class TestStagedRun:
     def test_other_site_never_reuses_the_track(self, week, solar_calls, site):
         shared = WeatherSeries(records=week.records)
         here = simulate(compliant_zone(), shared)
-        moved = dataclasses.replace(compliant_zone(), **site)
+        moved = compliant_zone()._replace(**site)
         there = simulate(moved, shared)
         assert solar_calls == {"position": 2 * len(week), "irradiance": 10 * len(week),
                                "shading": 8 * len(week)}
@@ -352,7 +428,7 @@ class TestStagedRun:
     def test_equal_timestamps_other_irradiance_never_reuses(self, week, solar_calls):
         bright = simulate(compliant_zone(), WeatherSeries(records=week.records))
         dim = WeatherSeries(records=tuple(
-            dataclasses.replace(r, solar_direct_w_m2=r.solar_direct_w_m2 / 2)
+            r._replace(solar_direct_w_m2=r.solar_direct_w_m2 / 2)
             for r in week.records))
         result = simulate(compliant_zone(), dim)
         assert solar_calls == {"position": 2 * len(week), "irradiance": 10 * len(week),
@@ -362,11 +438,10 @@ class TestStagedRun:
     def test_gains_schedule_follows_utc_hour_for_any_offset(self, week):
         plus4 = timezone(timedelta(hours=4))
         local = WeatherSeries(records=tuple(
-            dataclasses.replace(r, timestamp=r.timestamp.astimezone(plus4))
+            r._replace(timestamp=r.timestamp.astimezone(plus4))
             for r in week.records))
-        zone = dataclasses.replace(
-            compliant_zone(), internal_gains_w=[2000.0 if h == 15 else 0.0
-                                                for h in range(24)])
+        zone = compliant_zone()._replace(internal_gains_w=[2000.0 if h == 15 else 0.0
+                                                           for h in range(24)])
         assert simulate(zone, local) == simulate(zone, week)
 
     def test_memo_keeps_no_series_alive(self, week):
