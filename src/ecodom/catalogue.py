@@ -20,7 +20,6 @@ Known catalogue quirks, kept as published:
 from __future__ import annotations
 
 import functools
-import hashlib
 import json
 import os
 from importlib import resources
@@ -100,6 +99,10 @@ class RuleCatalogue(NamedTuple):
 
 def tables_checksum(tables: dict) -> str:
     """Checksum of the canonical JSON serialization of the tables block."""
+    # imported here: only a catalogue load needs it, and it is a sixth of
+    # the import time of every command
+    import hashlib
+
     canonical = json.dumps(tables, sort_keys=True, separators=(",", ":"))
     return "sha256:" + hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 

@@ -122,7 +122,8 @@ def _simulate_one(building_path: str, weather, scenario: dict, out: str | None):
     zone = zone_from_building(building, scenario)
     result = simulate(zone, weather)
     if out:
-        Path(out).write_text(result_to_csv(result), "utf-8")
+        with open(out, "w", encoding="utf-8") as file:
+            result_to_csv(result, file)
     _print_summary(building.name, result)
     return building.name, result
 
@@ -204,8 +205,8 @@ def _cmd_comfort(args) -> int:
 
     _print_zone_offset(records, points)
     if args.scatter:
-        Path(args.scatter).write_text(psychro_scatter_rows(points, stats.inside, zone),
-                                      "utf-8")
+        with open(args.scatter, "w", encoding="utf-8") as file:
+            psychro_scatter_rows(points, stats.inside, zone, file)
     return EXIT_OK
 
 

@@ -22,8 +22,9 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
+from itertools import islice
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, TextIO
 
 from .errors import InputError, checked, field, number, read_json
 
@@ -284,15 +285,19 @@ def paired_offset(series_a: Sequence[float], series_b: Sequence[float]) -> Offse
 
 
 def psychro_scatter_rows(points: list[PsychroPoint], inside: tuple[bool, ...],
-                         zone: ComfortZone = DEFAULT_ZONE) -> str:
-    """CSV text with one row per point plus the zone polygon vertices,
-    ready for any plotting tool.  Output is deterministic for fixed input.
+                         zone: ComfortZone, out: TextIO) -> None:
+    """Write CSV text with one row per point plus the zone polygon
+    vertices, ready for any plotting tool, to ``out``, an open text
+    file, 1024 rows per write.  Output is deterministic for fixed input.
 
     ``inside`` are the points' flags as ``discomfort_fraction(points,
-    zone).inside`` returns them, one per point."""
-    lines = ["kind,temperature_c,humidity_ratio_g_kg,inside"]
-    lines += [f"point,{p.temperature_c!r},{p.humidity_ratio_g_kg!r},{1 if flag else 0}"
-              for p, flag in zip(points, inside, strict=True)]
-    for t, w in zone.vertices:
-        lines.append(f"zone_vertex,{t!r},{w!r},")
-    return "\n".join(lines) + "\n"
+    zone).inside`` returns them, one per point; flags of another length
+    raise ValueError before anything is written."""
+    if len(inside) != len(points):
+        raise ValueError(f"{len(inside)} flags for {len(points)} points")
+    out.write("kind,temperature_c,humidity_ratio_g_kg,inside\n")
+    rows = (f"point,{p.temperature_c!r},{p.humidity_ratio_g_kg!r},{1 if flag else 0}\n"
+            for p, flag in zip(points, inside))
+    while chunk := "".join(islice(rows, 1024)):
+        out.write(chunk)
+    out.write("".join(f"zone_vertex,{t!r},{w!r},\n" for t, w in zone.vertices))

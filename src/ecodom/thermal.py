@@ -31,6 +31,14 @@ only a finer step or the continuous solution shows.
    recurrence, then the flows, the energy residual and the radiant
    temperature, with the arithmetic of the per-step balance in the same
    order.
+
+Every per-step column that stages 2 and 3 keep, and every series of
+the :class:`SimulationResult` but the outdoor temperature, is an
+``array('d')``: 8 bytes a value, where a list of floats takes 32.  A
+year of one zone holds some forty such columns; only the running sums
+of the transmitted solar and the radiant temperature are lists while
+they are built.  :func:`result_to_csv` writes the export to an open
+file in chunks of rows, so no whole-file string is built either.
 """
 
 from __future__ import annotations
@@ -38,16 +46,15 @@ from __future__ import annotations
 import math
 from array import array
 from datetime import datetime, timezone
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from operator import mul
-from typing import NamedTuple
+from typing import NamedTuple, TextIO
 
 from .building import BuildingDescription, facade_porosities
 from .dataio import WeatherSeries, weather_grid
 from .errors import InputError, is_number
 from .solar import (
     overhang_shading_fraction,
-    sol_air_temperature,
     solar_position,
     surface_irradiance,
 )
@@ -170,8 +177,11 @@ class WeatherGapError(InputError):
 class SimulationResult:
     """Hourly (or finer) output series, one entry per weather record.
 
-    Not a tuple: ``len()`` counts steps.  Two results are equal when
-    every series is.
+    Every per-step series but ``t_out_c`` (the weather's own tuple) is an
+    ``array('d')``, 8 bytes a value, as ``simulate`` built it; it is
+    not copied, so a caller that changes one changes the result.  Not a
+    tuple: ``len()`` counts steps.  Two results are equal when every
+    series is.
     """
 
     __slots__ = ("timestamps", "t_out_c", "t_air_c", "t_radiant_c", "t_resultant_c",
@@ -179,12 +189,10 @@ class SimulationResult:
                  "internal_gain_w", "surface_kinds", "max_residual_fraction")
 
     def __init__(self, timestamps: tuple, t_out_c: tuple[float, ...],
-                 t_air_c: tuple[float, ...], t_radiant_c: tuple[float, ...],
-                 t_resultant_c: tuple[float, ...], ach: tuple[float, ...],
-                 surface_gains_w: dict[str, tuple[float, ...]],
-                 window_solar_w: tuple[float, ...], ventilation_gain_w: tuple[float, ...],
-                 internal_gain_w: tuple[float, ...], surface_kinds: dict[str, str],
-                 max_residual_fraction: float):
+                 t_air_c: array, t_radiant_c: array, t_resultant_c: array, ach: array,
+                 surface_gains_w: dict[str, array], window_solar_w: array,
+                 ventilation_gain_w: array, internal_gain_w: array,
+                 surface_kinds: dict[str, str], max_residual_fraction: float):
         self.timestamps = timestamps
         self.t_out_c = t_out_c
         self.t_air_c = t_air_c
@@ -264,9 +272,9 @@ def _sun_track(weather: WeatherSeries, latitude: float, longitude: float) -> _Su
     return track
 
 
-def _forcing(zone: ZoneModel, track: _SunTrack) -> tuple[list[list[float]], list[float]]:
+def _forcing(zone: ZoneModel, track: _SunTrack) -> tuple[list[array], array]:
     """Stage 2: the sol-air temperature of each surface and the solar
-    transmitted through the glazing, per step.
+    transmitted through the glazing, per step, each an ``array('d')``.
 
     Each column is computed once per distinct input of this zone: one
     shading column per (depth, height, offset, azimuth) of a
@@ -280,9 +288,9 @@ def _forcing(zone: ZoneModel, track: _SunTrack) -> tuple[list[list[float]], list
     track.fill(orientations)
     h_exterior = zone.h_exterior
 
-    shading_of: dict[tuple, list[float]] = {}
-    effective_of: dict[tuple, list[float]] = {}
-    sol_air_of: dict[tuple, list[float]] = {}
+    shading_of: dict[tuple, array] = {}
+    effective_of: dict[tuple, array] = {}
+    sol_air_of: dict[tuple, array] = {}
     sol_air = []
     transmitted = [0.0] * len(track.t_out)
     for surface, orientation in zip(zone.surfaces, orientations):
@@ -293,27 +301,27 @@ def _forcing(zone: ZoneModel, track: _SunTrack) -> tuple[list[list[float]], list
             height = surface.overhang_height_m if surface.overhang_height_m > 0 else 1.0
             shade = (depth, height, offset, azimuth)
             if shade not in shading_of:
-                shading_of[shade] = [overhang_shading_fraction(
-                    depth, height, offset, sun, azimuth) for sun in track.suns]
+                shading_of[shade] = array("d", [overhang_shading_fraction(
+                    depth, height, offset, sun, azimuth) for sun in track.suns])
         lit = (orientation, shade)
         effective = effective_of.get(lit)
         if effective is None:
             beam, diffuse = track.irradiance[orientation]
             shades = shading_of.get(shade, repeat(shade))
-            effective = effective_of[lit] = [b * (1.0 - f) + d
-                                             for b, f, d in zip(beam, shades, diffuse)]
+            effective = effective_of[lit] = array("d", [
+                b * (1.0 - f) + d for b, f, d in zip(beam, shades, diffuse)])
         absorptivity = surface.absorptivity
         key = (lit, absorptivity)
         temperatures = sol_air_of.get(key)
         if temperatures is None:
-            temperatures = sol_air_of[key] = [
-                sol_air_temperature(t, e, absorptivity, h_exterior)
-                for t, e in zip(track.t_out, effective)]
+            # solar.sol_air_temperature, inline and in the same order
+            temperatures = sol_air_of[key] = array("d", [
+                t + absorptivity * e / h_exterior for t, e in zip(track.t_out, effective)])
         sol_air.append(temperatures)
         if surface.solar_transmittance > 0:
             tau, area = surface.solar_transmittance, surface.area_m2
             transmitted = [acc + tau * e * area for acc, e in zip(transmitted, effective)]
-    return sol_air, transmitted
+    return sol_air, array("d", transmitted)
 
 
 def simulate(zone: ZoneModel, weather: WeatherSeries) -> SimulationResult:
@@ -331,17 +339,20 @@ def simulate(zone: ZoneModel, weather: WeatherSeries) -> SimulationResult:
     n = len(t_out)
 
     apertures, volume, capacitance = zone.apertures, zone.volume_m3, zone.capacitance_j_k
-    ach = [ventilation_ach(apertures, volume, wind) for wind in track.wind]
+    # The apertures are fixed, so the flow depends on the wind alone:
+    # one call per distinct speed.
+    ach_of = {wind: ventilation_ach(apertures, volume, wind) for wind in set(track.wind)}
+    ach = array("d", [ach_of[wind] for wind in track.wind])
     rho_cp = AIR_DENSITY * AIR_HEAT_CAPACITY
-    h_vent = [rho_cp * a * volume / 3600.0 for a in ach]
+    h_vent = array("d", [rho_cp * a * volume / 3600.0 for a in ach])
     gains = zone.internal_gains_w
     if is_number(gains):
-        internal = [float(gains)] * n
+        internal = array("d", [float(gains)]) * n
     else:
         # A naive timestamp is UTC, as in the sun position.
-        internal = [gains[(ts.astimezone(timezone.utc) if ts.tzinfo else ts).hour]
-                    for ts in timestamps]
-    gains_fixed = [q + g for q, g in zip(transmitted, internal)]
+        internal = array("d", [gains[(ts.astimezone(timezone.utc) if ts.tzinfo else ts).hour]
+                               for ts in timestamps])
+    gains_fixed = array("d", [q + g for q, g in zip(transmitted, internal)])
 
     # Stage 3, backward Euler:
     #   C (T+ - T)/dt = sum K_i (Tsa_i - T+) + Hv (Tout - T+) + G
@@ -350,18 +361,18 @@ def simulate(zone: ZoneModel, weather: WeatherSeries) -> SimulationResult:
     conductances = [s.area_m2 / s.resistance_m2k_w for s in zone.surfaces]
     # A zone without surfaces has no sol-air rows to transpose.
     rows = zip(*sol_air) if sol_air else repeat((), n)
-    k_sol_air = [sum(map(mul, conductances, row)) for row in rows]
+    k_sol_air = array("d", [sum(map(mul, conductances, row)) for row in rows])
     c_dt = capacitance / dt
     den_fixed = c_dt + sum(conductances)
     t_air = t_out[0]
-    t_new = []
+    t_new = array("d")
     for ksa, hv, tout, g in zip(k_sol_air, h_vent, t_out, gains_fixed):
         t_air = (c_dt * t_air + ksa + hv * tout + g) / (den_fixed + hv)
         t_new.append(t_air)
 
-    q_surfaces = [[k * (tsa - t) for tsa, t in zip(column, t_new)]
+    q_surfaces = [array("d", [k * (tsa - t) for tsa, t in zip(column, t_new)])
                   for k, column in zip(conductances, sol_air)]
-    q_vent = [hv * (tout - t) for hv, tout, t in zip(h_vent, t_out, t_new)]
+    q_vent = array("d", [hv * (tout - t) for hv, tout, t in zip(h_vent, t_out, t_new)])
     del sol_air, k_sol_air, h_vent
     max_residual = 0.0
     rows = zip(*q_surfaces) if q_surfaces else repeat((), n)
@@ -383,8 +394,8 @@ def simulate(zone: ZoneModel, weather: WeatherSeries) -> SimulationResult:
         area = surface.area_m2
         t_rad = [acc + area * (t + (q / area) * r_film_in)
                  for acc, t, q in zip(t_rad, t_new, column)]
-    t_rad = [acc / total_area for acc in t_rad] if total_area > 0 else t_new
-    t_res = [(t + tr) / 2.0 for t, tr in zip(t_new, t_rad)]
+    t_rad = array("d", [acc / total_area for acc in t_rad]) if total_area > 0 else t_new
+    t_res = array("d", [(t + tr) / 2.0 for t, tr in zip(t_new, t_rad)])
     if not all(map(math.isfinite, t_res)):
         at = next(ts for ts, t in zip(timestamps, t_res) if not math.isfinite(t))
         raise InputError(
@@ -394,14 +405,14 @@ def simulate(zone: ZoneModel, weather: WeatherSeries) -> SimulationResult:
     return SimulationResult(
         timestamps=timestamps,
         t_out_c=t_out,
-        t_air_c=tuple(t_new),
-        t_radiant_c=tuple(t_rad),
-        t_resultant_c=tuple(t_res),
-        ach=tuple(ach),
-        surface_gains_w={s.name: tuple(q) for s, q in zip(zone.surfaces, q_surfaces)},
-        window_solar_w=tuple(transmitted),
-        ventilation_gain_w=tuple(q_vent),
-        internal_gain_w=tuple(internal),
+        t_air_c=t_new,
+        t_radiant_c=t_rad,
+        t_resultant_c=t_res,
+        ach=ach,
+        surface_gains_w={s.name: q for s, q in zip(zone.surfaces, q_surfaces)},
+        window_solar_w=transmitted,
+        ventilation_gain_w=q_vent,
+        internal_gain_w=internal,
         surface_kinds={s.name: s.kind for s in zone.surfaces},
         max_residual_fraction=max_residual,
     )
@@ -547,23 +558,25 @@ def zone_from_building(building: BuildingDescription,
     )
 
 
-def result_to_csv(result: SimulationResult) -> str:
-    """Fixed-column CSV export of a simulation run."""
+def result_to_csv(result: SimulationResult, out: TextIO) -> None:
+    """Write the fixed-column CSV export of a simulation run to ``out``,
+    an open text file, 1024 rows per write: no whole-file string is
+    built."""
     header = ("timestamp,t_out_c,t_air_c,t_radiant_c,t_resultant_c,ach,"
               "q_roof_w,q_wall_w,q_window_cond_w,q_window_solar_w,"
-              "q_vent_w,q_internal_w")
+              "q_vent_w,q_internal_w\n")
     columns_by_kind: dict[str, list] = {"roof": [], "wall": [], "window": []}
     for name, kind in result.surface_kinds.items():
         columns_by_kind[kind].append(result.surface_gains_w[name])
     q_roof, q_wall, q_window = (
         map(sum, zip(*columns)) if columns else repeat(0, len(result))
         for columns in columns_by_kind.values())
-    row = "%s" + ",%.6f" * 11
-    lines = [header]
-    lines.extend(map(row.__mod__, zip(
+    row = "%s" + ",%.6f" * 11 + "\n"
+    rows = map(row.__mod__, zip(
         map(datetime.isoformat, result.timestamps), result.t_out_c, result.t_air_c,
         result.t_radiant_c, result.t_resultant_c, result.ach,
         q_roof, q_wall, q_window, result.window_solar_w,
-        result.ventilation_gain_w, result.internal_gain_w)))
-    lines.append("")
-    return "\n".join(lines)
+        result.ventilation_gain_w, result.internal_gain_w))
+    out.write(header)
+    while chunk := "".join(islice(rows, 1024)):
+        out.write(chunk)

@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import io
 import pickle
 import random
 
@@ -26,6 +27,13 @@ from oracles import hyland_wexler_pws
 def _point(t: float, rh: float, air_speed_m_s: float = 0.0) -> PsychroPoint:
     """A point of air at ``t`` degC and ``rh`` % relative humidity."""
     return PsychroPoint(t, humidity_ratio(t, rh), air_speed_m_s)
+
+
+def _scatter(points, inside) -> str:
+    """The scatter export of ``points`` on the default zone, as text."""
+    out = io.StringIO()
+    psychro_scatter_rows(points, inside, DEFAULT_ZONE, out)
+    return out.getvalue()
 
 
 class TestSaturationPressure:
@@ -180,7 +188,7 @@ class TestPairedOffset:
 class TestScatterExport:
     def test_row_count_and_flags(self):
         points = [_point(25.0, 50.0), _point(40.0, 30.0)]
-        text = psychro_scatter_rows(points, discomfort_fraction(points).inside)
+        text = _scatter(points, discomfort_fraction(points).inside)
         lines = text.strip().splitlines()
         assert lines[0] == "kind,temperature_c,humidity_ratio_g_kg,inside"
         point_rows = [l for l in lines if l.startswith("point,")]
@@ -193,7 +201,7 @@ class TestScatterExport:
     def test_deterministic_bytes(self):
         points = [_point(25.0 + i * 0.3, 50.0) for i in range(20)]
         inside = discomfort_fraction(points).inside
-        assert psychro_scatter_rows(points, inside) == psychro_scatter_rows(points, inside)
+        assert _scatter(points, inside) == _scatter(points, inside)
 
 
 class TestZoneFile:
@@ -288,11 +296,13 @@ class TestOnePass:
 
     def test_scatter_refuses_flags_of_another_length(self):
         points = _seeded_points(n=10)
+        out = io.StringIO()
         with pytest.raises(ValueError):
-            psychro_scatter_rows(points, (True,) * 9)
+            psychro_scatter_rows(points, (True,) * 9, DEFAULT_ZONE, out)
+        assert out.getvalue() == ""
 
     def test_empty_scatter_is_header_and_vertices(self):
-        text = psychro_scatter_rows([], ())
+        text = _scatter([], ())
         assert text.splitlines() == [
             "kind,temperature_c,humidity_ratio_g_kg,inside",
             "zone_vertex,22.0,4.0,", "zone_vertex,29.0,4.0,",

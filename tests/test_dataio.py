@@ -187,8 +187,9 @@ class TestSyntheticWeather:
     # the thermal model
     ("ecodom.dataio", ("ecodom.solar", "ecodom.thermal", "dataclasses")),
     # records are named tuples, so no command pays for dataclass code
-    # generation or for `inspect`, which `dataclasses` imports
-    ("ecodom.cli", ("dataclasses",)),
+    # generation or for `inspect`, which `dataclasses` imports; only a
+    # catalogue load imports `hashlib`, for its checksum
+    ("ecodom.cli", ("dataclasses", "hashlib")),
 ], ids=["ecodom.dataio", "ecodom.cli"])
 def test_file_io_loads_no_model(module, absent):
     src = str(pathlib.Path(ecodom.__file__).parents[1])

@@ -1,7 +1,9 @@
 import gc
 import hashlib
+import io
 import math
 import weakref
+from array import array
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -262,7 +264,9 @@ class TestZoneFromBuilding:
     def test_simulates_end_to_end(self, final_building, week):
         result = simulate(zone_from_building(final_building), week)
         assert len(result) == 168
-        csv_text = result_to_csv(result)
+        out = io.StringIO()
+        result_to_csv(result, out)
+        csv_text = out.getvalue()
         assert csv_text.splitlines()[0].startswith("timestamp,t_out_c,")
         assert len(csv_text.splitlines()) == 169
 
@@ -373,7 +377,9 @@ class TestStagedRun:
         (uninsulated_zone, "27f73048338466fd75604feee5d87054be6ebd483191f70104193582e7edccd9"),
     ])
     def test_export_bytes_pinned(self, make_zone, digest):
-        text = result_to_csv(simulate(make_zone(), synthetic_weather()))
+        out = io.StringIO()
+        result_to_csv(simulate(make_zone(), synthetic_weather()), out)
+        text = out.getvalue()
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
     # The goldens share columns: the final building has 6 sun-dependent
@@ -385,8 +391,32 @@ class TestStagedRun:
     ])
     def test_golden_export_bytes_pinned(self, building, digest, request):
         zone = zone_from_building(request.getfixturevalue(building))
-        text = result_to_csv(simulate(zone, synthetic_weather()))
+        out = io.StringIO()
+        result_to_csv(simulate(zone, synthetic_weather()), out)
+        text = out.getvalue()
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+    def test_series_are_float_arrays_one_value_per_step(self, final_building, week):
+        result = simulate(zone_from_building(final_building), week)
+        series = [result.t_air_c, result.t_radiant_c, result.t_resultant_c, result.ach,
+                  result.window_solar_w, result.ventilation_gain_w, result.internal_gain_w,
+                  *result.surface_gains_w.values()]
+        assert len(series) == 7 + 10
+        for values in series:
+            assert type(values) is array and values.typecode == "d"
+            assert len(values) == len(result)
+
+    # The export writes 1024 rows at a time.
+    @pytest.mark.parametrize("steps", [1023, 1024, 1025])
+    def test_export_rows_across_chunk_boundaries(self, steps):
+        weather = WeatherSeries(records=synthetic_weather(days=43).records[:steps])
+        out = io.StringIO()
+        result_to_csv(simulate(compliant_zone(), weather), out)
+        text = out.getvalue()
+        lines = text.split("\n")
+        assert lines[-1] == "" and lines[-2] != ""
+        assert len(lines[:-1]) == steps + 1
+        assert {len(line.split(",")) for line in lines[:-1]} == {12}
 
     def test_second_zone_on_shared_series_matches_fresh_series(self, week):
         shared = WeatherSeries(records=week.records)
