@@ -36,6 +36,13 @@ from oracles import first_order_response
 _mean = lambda xs: sum(xs) / len(xs)
 
 
+def _csv(result) -> str:
+    """The CSV export of ``result``, as text."""
+    out = io.StringIO()
+    result_to_csv(result, out)
+    return out.getvalue()
+
+
 @pytest.fixture(scope="module")
 def week():
     return synthetic_weather(days=7)
@@ -264,9 +271,7 @@ class TestZoneFromBuilding:
     def test_simulates_end_to_end(self, final_building, week):
         result = simulate(zone_from_building(final_building), week)
         assert len(result) == 168
-        out = io.StringIO()
-        result_to_csv(result, out)
-        csv_text = out.getvalue()
+        csv_text = _csv(result)
         assert csv_text.splitlines()[0].startswith("timestamp,t_out_c,")
         assert len(csv_text.splitlines()) == 169
 
@@ -377,9 +382,7 @@ class TestStagedRun:
         (uninsulated_zone, "27f73048338466fd75604feee5d87054be6ebd483191f70104193582e7edccd9"),
     ])
     def test_export_bytes_pinned(self, make_zone, digest):
-        out = io.StringIO()
-        result_to_csv(simulate(make_zone(), synthetic_weather()), out)
-        text = out.getvalue()
+        text = _csv(simulate(make_zone(), synthetic_weather()))
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
     # The goldens share columns: the final building has 6 sun-dependent
@@ -391,9 +394,7 @@ class TestStagedRun:
     ])
     def test_golden_export_bytes_pinned(self, building, digest, request):
         zone = zone_from_building(request.getfixturevalue(building))
-        out = io.StringIO()
-        result_to_csv(simulate(zone, synthetic_weather()), out)
-        text = out.getvalue()
+        text = _csv(simulate(zone, synthetic_weather()))
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
     def test_series_are_float_arrays_one_value_per_step(self, final_building, week):
@@ -410,10 +411,7 @@ class TestStagedRun:
     @pytest.mark.parametrize("steps", [1023, 1024, 1025])
     def test_export_rows_across_chunk_boundaries(self, steps):
         weather = WeatherSeries(records=synthetic_weather(days=43).records[:steps])
-        out = io.StringIO()
-        result_to_csv(simulate(compliant_zone(), weather), out)
-        text = out.getvalue()
-        lines = text.split("\n")
+        lines = _csv(simulate(compliant_zone(), weather)).split("\n")
         assert lines[-1] == "" and lines[-2] != ""
         assert len(lines[:-1]) == steps + 1
         assert {len(line.split(",")) for line in lines[:-1]} == {12}
