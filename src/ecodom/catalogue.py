@@ -144,7 +144,8 @@ def catalogue_from_dict(doc: dict) -> RuleCatalogue:
 
 
 def _check_complete(cat: RuleCatalogue) -> None:
-    """Every cell the rules can look up must hold a finite number."""
+    """Every cell the rules can look up must hold a finite number >= 0,
+    and every scalar must lie in its range."""
     lookups = [("roof", cat.roof_cm, (regime, color, ref))
                for regime in ("simple", "well_ventilated_attic")
                for color in ColorClass
@@ -157,17 +158,31 @@ def _check_complete(cat: RuleCatalogue) -> None:
                             ("wall insulation", cat.insulation_cm, args)]
     lookups += [("window", cat.window_ratio, (o,)) for o in Orientation]
     for table, lookup, args in lookups:
+        where = "/".join(getattr(a, "value", a) for a in args)
         try:
-            number(lookup(*args))
+            value = number(lookup(*args))
         except (KeyError, TypeError) as exc:
-            where = "/".join(getattr(a, "value", a) for a in args)
             raise CatalogueError(f"{table} table incomplete or malformed: {where}") from exc
+        if value < 0:
+            raise CatalogueError(f"{table} table cell {where} must be >= 0, got {value}")
     for ref in ("polystyrene", "polyurethane"):
         if not cat.reference_conductivities.get(ref, 0.0) > 0:
             raise CatalogueError(f"reference conductivity of {ref} must be > 0")
     collector = sorted(cat.solar_collector_area_m2)
     if not collector or collector != list(range(1, len(collector) + 1)):
         raise CatalogueError("solar collector table must list dwelling types 1 to N")
+    if any(area < 0 for area in cat.solar_collector_area_m2.values()):
+        raise CatalogueError("solar collector areas must be >= 0")
+    if not 0 < cat.porosity_threshold <= 1:
+        raise CatalogueError(
+            f"porosity threshold must be in (0, 1], got {cat.porosity_threshold}")
+    low, high = cat.tank_volume_bounds_l_m2
+    if not 0 <= low <= high:
+        raise CatalogueError(
+            f"tank volume bounds must satisfy 0 <= min <= max, got {low} and {high}")
+    if cat.solar_productivity_floor_kwh_m2 < 0:
+        raise CatalogueError("solar productivity floor must be >= 0, "
+                             f"got {cat.solar_productivity_floor_kwh_m2}")
 
 
 def load_catalogue(path: str | os.PathLike | None = None) -> RuleCatalogue:

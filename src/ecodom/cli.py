@@ -198,7 +198,7 @@ def _cmd_comfort(args) -> int:
                            rec.air_speed_m_s or 0.0)
               for rec in records]
     stats = discomfort_fraction(points, zone)
-    print(f"samples: {stats.total_hours}")
+    print(f"samples: {stats.samples}")
     print(f"discomfort {stats.discomfort_fraction * 100:.1f}%")
     print(f"exceedance: mean {stats.mean_exceedance_c:.2f} C, "
           f"max {stats.max_exceedance_c:.2f} C")

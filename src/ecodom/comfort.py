@@ -14,8 +14,9 @@ belongs to the air, so it comes from the dry bulb and its relative
 humidity, never from the resultant temperature.  A series is
 classified in one pass: each sample is tested once against the polygon
 extended for its air speed, and that polygon is built once per distinct
-air speed.  The discomfort statistics and the scatter export read the
-same flags.
+air speed.  The discomfort statistics (``ComfortStats``, a named tuple
+that carries the flags as its last field) and the scatter export read
+the same flags.
 """
 
 from __future__ import annotations
@@ -202,39 +203,16 @@ def _inside_flags(points: list[PsychroPoint],
     return tuple(flags), polygons
 
 
-class ComfortStats:
-    """Discomfort statistics of a series, with the per-sample
-    classification the fraction counts in ``inside`` (True = inside).
-    The flags stay out of equality and repr."""
+class ComfortStats(NamedTuple):
+    """Discomfort statistics of a series of ``samples`` points, with the
+    per-sample classification the fraction counts in ``inside``
+    (True = inside)."""
 
-    __slots__ = ("total_hours", "discomfort_fraction", "mean_exceedance_c",
-                 "max_exceedance_c", "inside")
-
-    def __init__(self, total_hours: int, discomfort_fraction: float,
-                 mean_exceedance_c: float, max_exceedance_c: float,
-                 inside: tuple[bool, ...]):
-        self.total_hours = total_hours
-        self.discomfort_fraction = discomfort_fraction
-        self.mean_exceedance_c = mean_exceedance_c
-        self.max_exceedance_c = max_exceedance_c
-        self.inside = inside
-
-    def _figures(self) -> tuple:
-        return (self.total_hours, self.discomfort_fraction,
-                self.mean_exceedance_c, self.max_exceedance_c)
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not ComfortStats:
-            return NotImplemented
-        return self._figures() == other._figures()
-
-    def __repr__(self) -> str:
-        return ("ComfortStats(total_hours={!r}, discomfort_fraction={!r}, "
-                "mean_exceedance_c={!r}, max_exceedance_c={!r})".format(*self._figures()))
-
-    def _replace(self, **changes) -> ComfortStats:
-        values = {name: getattr(self, name) for name in self.__slots__}
-        return ComfortStats(**{**values, **changes})
+    samples: int
+    discomfort_fraction: float
+    mean_exceedance_c: float
+    max_exceedance_c: float
+    inside: tuple[bool, ...]
 
 
 def discomfort_fraction(points: list[PsychroPoint],
@@ -255,7 +233,7 @@ def discomfort_fraction(points: list[PsychroPoint],
                    for p, flag in zip(points, inside) if not flag]
     outside = len(exceedances)
     return ComfortStats(
-        total_hours=len(points),
+        samples=len(points),
         discomfort_fraction=outside / len(points),
         mean_exceedance_c=sum(exceedances) / outside if outside else 0.0,
         max_exceedance_c=max(exceedances) if outside else 0.0,

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Sequence
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timezone
 from pathlib import Path
 from typing import NamedTuple
 
@@ -107,7 +107,8 @@ class WeatherSeries:
 
     Not a tuple: ``len()`` counts records, and ``thermal.simulate`` holds
     its stage 1 per (latitude, longitude) in ``sun_tracks``, which this
-    module never reads and which stays out of equality, hash and repr.
+    module never reads.  A series holding that memo compares by identity;
+    compare ``records`` for equal weather.
     """
 
     __slots__ = ("records", "sun_tracks", "__weakref__")
@@ -116,56 +117,14 @@ class WeatherSeries:
         self.records = records
         self.sun_tracks: dict = {}
 
-    def __eq__(self, other) -> bool:
-        if type(other) is not WeatherSeries:
-            return NotImplemented
-        return self.records == other.records
-
-    def __hash__(self) -> int:
-        return hash(self.records)
-
-    def __repr__(self) -> str:
-        return f"WeatherSeries(records={self.records!r})"
-
     def __len__(self) -> int:
         return len(self.records)
-
-
-def weather_grid(timestamps: Sequence[datetime]) -> tuple[float, tuple[datetime, ...]]:
-    """Base step of increasing timestamps and the grid instants missing
-    between them.
-
-    The base step is the smallest spacing, in seconds; every spacing must
-    be a positive whole multiple of it, and no more steps may be missing
-    than there are timestamps, else SeriesFormatError.
-    """
-    if len(timestamps) < 2:
-        raise SeriesFormatError("weather series too short")
-    spans = [(b - a).total_seconds() for a, b in zip(timestamps, timestamps[1:])]
-    step_s = min(spans)
-    if step_s <= 0:
-        at = timestamps[spans.index(step_s) + 1]
-        raise SeriesFormatError(f"timestamp {at} not after previous record")
-    multiples = [round(span / step_s) for span in spans]
-    for b, span, n in zip(timestamps[1:], spans, multiples):
-        if abs(span / step_s - n) > 1e-6:
-            raise SeriesFormatError(
-                f"weather spacing at {b} is not a multiple of "
-                f"the {step_s:.0f}s base step")
-    n_missing = sum(multiples) - len(spans)
-    if n_missing > len(timestamps):
-        raise SeriesFormatError(
-            f"weather series misses {n_missing} steps of {step_s:.0f}s, "
-            f"more than its {len(timestamps)} records")
-    step = timedelta(seconds=step_s)
-    return step_s, tuple(a + k * step for a, n in zip(timestamps, multiples)
-                         for k in range(1, n))
 
 
 def load_weather(path: str | Path) -> WeatherSeries:
     """Parse a weather CSV, checking each row's values and that its
     timestamp comes after the previous row's.  The grid is checked when
-    the series is simulated (:func:`weather_grid`)."""
+    the series is simulated (:func:`ecodom.thermal.weather_grid`)."""
     records = []
     last_ts: datetime | None = None
     for line_no, cells in _read_rows(path, WEATHER_COLUMNS):

@@ -80,19 +80,8 @@ class ComplianceReport(NamedTuple):
             "building": self.building_name,
             "catalogue_version": self.catalogue_version,
             "overall": "pass" if self.overall_pass else "fail",
-            "findings": [
-                {
-                    "rule_id": f.rule_id,
-                    "subject": f.subject,
-                    "verdict": f.verdict.value,
-                    "measured": f.measured,
-                    "required": f.required,
-                    "unit": f.unit,
-                    "remediation": f.remediation,
-                    "remediation_quantity": f.remediation_quantity,
-                }
-                for f in self.findings
-            ],
+            "findings": [{**f._asdict(), "verdict": f.verdict.value}
+                         for f in self.findings],
         }
 
     def to_json(self) -> str:

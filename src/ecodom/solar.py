@@ -176,13 +176,3 @@ def overhang_shading_fraction(depth_m: float, height_m: float, offset_m: float,
     drop = depth_m * math.tan(sun.altitude_deg * DEG) / gamma
     shaded = min(max(drop - offset_m, 0.0), height_m)
     return shaded / height_m
-
-
-# ---------------------------------------------------------------------------
-# sol-air temperature
-
-def sol_air_temperature(t_out_c: float, irradiance_w_m2: float,
-                        absorptivity: float, h_exterior: float) -> float:
-    """Equivalent outdoor temperature combining air temperature and the
-    absorbed solar flux across the exterior film."""
-    return t_out_c + absorptivity * irradiance_w_m2 / h_exterior

@@ -16,9 +16,11 @@ only a finer step or the continuous solution shows.
 :func:`simulate` runs in three stages:
 
 1. weather only, and the only stage that reads the ``WeatherSeries``:
-   the grid checks, then a track holding the series' columns, one sun
-   position per step and, filled on first use, one (beam, diffuse)
-   irradiance column per (azimuth, tilt).  The series holds it, per
+   the grid checks (:func:`weather_grid`: one base step, whole
+   multiples of it, at most one hour, at least 24 hours covered), then
+   a track holding the series' columns, one sun position per step and,
+   filled on first use, one (beam, diffuse) irradiance column per
+   (azimuth, tilt).  The series holds it, per
    (latitude, longitude), so every zone simulated on the same series
    object at the same site shares it, a paired or repeated run computes
    it once, and it dies with the series;
@@ -32,12 +34,13 @@ only a finer step or the continuous solution shows.
    temperature, with the arithmetic of the per-step balance in the same
    order.
 
-Every per-step column that stages 2 and 3 keep, and every series of
-the :class:`SimulationResult` but the outdoor temperature, is an
-``array('d')``: 8 bytes a value, where a list of floats takes 32.  A
-year of one zone holds some forty such columns; only the running sums
-of the transmitted solar and the radiant temperature are lists while
-they are built.  :func:`result_to_csv` writes the export to an open
+The :class:`SimulationResult` is a named tuple of series, one value per
+step.  Every per-step column that stages 2 and 3 keep, and every series
+of the result but the outdoor temperature, is an ``array('d')``: 8
+bytes a value, where a list of floats takes 32.  A year of one zone
+holds some forty such columns; only the running sums of the
+transmitted solar and the radiant temperature are lists while they are
+built.  :func:`result_to_csv` writes the export to an open
 file in chunks of rows, so no whole-file string is built either.
 """
 
@@ -45,13 +48,14 @@ from __future__ import annotations
 
 import math
 from array import array
-from datetime import datetime, timezone
+from collections.abc import Sequence
+from datetime import datetime, timedelta, timezone
 from itertools import chain, islice, repeat
 from operator import mul
 from typing import NamedTuple, TextIO
 
 from .building import BuildingDescription, facade_porosities
-from .dataio import WeatherSeries, weather_grid
+from .dataio import SeriesFormatError, WeatherSeries
 from .errors import InputError, is_number
 from .solar import (
     overhang_shading_fraction,
@@ -174,51 +178,64 @@ class WeatherGapError(InputError):
         super().__init__(f"weather series has missing steps: {stamps}{more}")
 
 
-class SimulationResult:
-    """Hourly (or finer) output series, one entry per weather record.
+class SimulationResult(NamedTuple):
+    """Hourly (or finer) output series, one entry per weather record;
+    ``len(result.timestamps)`` counts the steps.
 
     Every per-step series but ``t_out_c`` (the weather's own tuple) is an
     ``array('d')``, 8 bytes a value, as ``simulate`` built it; it is
-    not copied, so a caller that changes one changes the result.  Not a
-    tuple: ``len()`` counts steps.  Two results are equal when every
-    series is.
+    not copied, so a caller that changes one changes the result.
     """
 
-    __slots__ = ("timestamps", "t_out_c", "t_air_c", "t_radiant_c", "t_resultant_c",
-                 "ach", "surface_gains_w", "window_solar_w", "ventilation_gain_w",
-                 "internal_gain_w", "surface_kinds", "max_residual_fraction")
-
-    def __init__(self, timestamps: tuple, t_out_c: tuple[float, ...],
-                 t_air_c: array, t_radiant_c: array, t_resultant_c: array, ach: array,
-                 surface_gains_w: dict[str, array], window_solar_w: array,
-                 ventilation_gain_w: array, internal_gain_w: array,
-                 surface_kinds: dict[str, str], max_residual_fraction: float):
-        self.timestamps = timestamps
-        self.t_out_c = t_out_c
-        self.t_air_c = t_air_c
-        self.t_radiant_c = t_radiant_c
-        self.t_resultant_c = t_resultant_c
-        self.ach = ach
-        self.surface_gains_w = surface_gains_w
-        self.window_solar_w = window_solar_w
-        self.ventilation_gain_w = ventilation_gain_w
-        self.internal_gain_w = internal_gain_w
-        self.surface_kinds = surface_kinds
-        self.max_residual_fraction = max_residual_fraction
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not SimulationResult:
-            return NotImplemented
-        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
-
-    def __len__(self) -> int:
-        return len(self.timestamps)
+    timestamps: tuple[datetime, ...]
+    t_out_c: tuple[float, ...]
+    t_air_c: array
+    t_radiant_c: array
+    t_resultant_c: array
+    ach: array
+    surface_gains_w: dict[str, array]
+    window_solar_w: array
+    ventilation_gain_w: array
+    internal_gain_w: array
+    surface_kinds: dict[str, str]
+    max_residual_fraction: float
 
     def mean_resultant_c(self) -> float:
         return sum(self.t_resultant_c) / len(self.t_resultant_c)
 
     def peak_resultant_c(self) -> float:
         return max(self.t_resultant_c)
+
+
+def weather_grid(timestamps: Sequence[datetime]) -> tuple[float, tuple[datetime, ...]]:
+    """Base step of increasing timestamps and the grid instants missing
+    between them.
+
+    The base step is the smallest spacing, in seconds; every spacing must
+    be a positive whole multiple of it, and no more steps may be missing
+    than there are timestamps, else SeriesFormatError.
+    """
+    if len(timestamps) < 2:
+        raise SeriesFormatError("weather series too short")
+    spans = [(b - a).total_seconds() for a, b in zip(timestamps, timestamps[1:])]
+    step_s = min(spans)
+    if step_s <= 0:
+        at = timestamps[spans.index(step_s) + 1]
+        raise SeriesFormatError(f"timestamp {at} not after previous record")
+    multiples = [round(span / step_s) for span in spans]
+    for b, span, n in zip(timestamps[1:], spans, multiples):
+        if abs(span / step_s - n) > 1e-6:
+            raise SeriesFormatError(
+                f"weather spacing at {b} is not a multiple of "
+                f"the {step_s:.0f}s base step")
+    n_missing = sum(multiples) - len(spans)
+    if n_missing > len(timestamps):
+        raise SeriesFormatError(
+            f"weather series misses {n_missing} steps of {step_s:.0f}s, "
+            f"more than its {len(timestamps)} records")
+    step = timedelta(seconds=step_s)
+    return step_s, tuple(a + k * step for a, n in zip(timestamps, multiples)
+                         for k in range(1, n))
 
 
 class _SunTrack:
@@ -314,7 +331,7 @@ def _forcing(zone: ZoneModel, track: _SunTrack) -> tuple[list[array], array]:
         key = (lit, absorptivity)
         temperatures = sol_air_of.get(key)
         if temperatures is None:
-            # solar.sol_air_temperature, inline and in the same order
+            # sol-air temperature, T_sa = T_out + a * I / h_e
             temperatures = sol_air_of[key] = array("d", [
                 t + absorptivity * e / h_exterior for t, e in zip(track.t_out, effective)])
         sol_air.append(temperatures)
@@ -569,7 +586,7 @@ def result_to_csv(result: SimulationResult, out: TextIO) -> None:
     for name, kind in result.surface_kinds.items():
         columns_by_kind[kind].append(result.surface_gains_w[name])
     q_roof, q_wall, q_window = (
-        map(sum, zip(*columns)) if columns else repeat(0, len(result))
+        map(sum, zip(*columns)) if columns else repeat(0, len(result.timestamps))
         for columns in columns_by_kind.values())
     row = "%s" + ",%.6f" * 11 + "\n"
     rows = map(row.__mod__, zip(

@@ -161,7 +161,24 @@ def test_bundled_catalogue_parsed_once(monkeypatch):
      "polystyrene"),
     (lambda t: t["solar_collector_area_m2"].pop("3"), "collector"),
     (lambda t: t["tank_volume_per_collector_l_m2"].pop("max"), "max"),
-], ids=["null-cell", "list-row", "zero-conductivity", "collector-gap", "missing-bound"])
+    (lambda t: t.update(porosity_threshold=-0.5), "porosity threshold"),
+    (lambda t: t.update(porosity_threshold=0.0), "porosity threshold"),
+    (lambda t: t.update(porosity_threshold=1.5), "porosity threshold"),
+    (lambda t: t["tank_volume_per_collector_l_m2"].update(min=150, max=50),
+     "tank volume bounds"),
+    (lambda t: t["tank_volume_per_collector_l_m2"].update(min=-10), "tank volume bounds"),
+    (lambda t: t.update(solar_productivity_floor_kwh_m2=-1), "productivity floor"),
+    (lambda t: t["roof_insulation_cm"]["simple"]["dark"].update(polyurethane=-8),
+     "roof table cell simple/dark/polyurethane"),
+    (lambda t: t["wall_overhang_ratio"]["wood"]["medium"].update(west=-0.2),
+     "wall overhang table cell wood/medium/west"),
+    (lambda t: t["window_shading_ratio"].update(north=-0.6), "window table cell north"),
+    (lambda t: t["solar_collector_area_m2"].update({"4": -2.5}), "collector areas"),
+], ids=["null-cell", "list-row", "zero-conductivity", "collector-gap", "missing-bound",
+        "negative-threshold", "zero-threshold", "threshold-above-one",
+        "inverted-tank-bounds", "negative-tank-min", "negative-productivity-floor",
+        "negative-roof-cell", "negative-overhang-cell", "negative-window-cell",
+        "negative-collector-area"])
 def test_malformed_tables_rejected(edit, message):
     from ecodom.catalogue import _BUNDLED
     from importlib import resources

@@ -145,15 +145,13 @@ class TestSimulate:
 
     def test_paired_run_checks_the_weather_grid_once(self, weather_csv, monkeypatch,
                                                      capsys):
-        import ecodom.dataio as dataio
         import ecodom.thermal as thermal
         calls = []
 
-        def counted(timestamps, _fn=dataio.weather_grid):
+        def counted(timestamps, _fn=thermal.weather_grid):
             calls.append(len(timestamps))
             return _fn(timestamps)
 
-        monkeypatch.setattr(dataio, "weather_grid", counted)
         monkeypatch.setattr(thermal, "weather_grid", counted)
         assert main(["simulate", str(FINAL_FIXTURE), "--weather", str(weather_csv),
                      "--paired", str(INITIAL_FIXTURE)]) == EXIT_OK
@@ -406,7 +404,10 @@ class TestInputBoundary:
     @pytest.mark.parametrize("table,key,value", [
         ("porosity_threshold", None, None),
         ("window_shading_ratio", "east", float("nan")),
-    ], ids=["null-threshold", "nan-window-cell"])
+        ("porosity_threshold", None, -0.5),
+        ("tank_volume_per_collector_l_m2", "min", 150.0),
+    ], ids=["null-threshold", "nan-window-cell", "negative-threshold",
+            "inverted-tank-bounds"])
     def test_bad_rechecksummed_catalogue_cell(self, tmp_path, capsys, table, key, value):
         from ecodom.catalogue import tables_checksum
         doc = _bundled_catalogue()

@@ -288,12 +288,6 @@ class TestOnePass:
         assert humid_only and all(not classify(p) for p in humid_only)
         assert NO_EXTENSION_ZONE.upper_bound_at(5.0) == 29.0
 
-    def test_flags_not_in_repr_or_compare(self):
-        points = _seeded_points(n=40)
-        stats = discomfort_fraction(points)
-        assert "inside" not in repr(stats)
-        assert stats == stats._replace(inside=())
-
     def test_scatter_refuses_flags_of_another_length(self):
         points = _seeded_points(n=10)
         out = io.StringIO()

@@ -3,8 +3,11 @@
 Every named tuple in the package is read-only, copies with ``_replace``
 to an equal record with an equal hash, and a record that checks its
 values when it is built checks them on every ``_replace`` copy too.
+No other class in the package defines its own equality, hash, repr or
+``_replace``.
 """
 
+import enum
 import importlib
 import pkgutil
 import re
@@ -26,24 +29,35 @@ from ecodom.building import (
     validate,
 )
 from ecodom.catalogue import default_catalogue
-from ecodom.comfort import DEFAULT_ZONE, ComfortZone, PsychroPoint, paired_offset
+from ecodom.comfort import (
+    DEFAULT_ZONE,
+    ComfortZone,
+    PsychroPoint,
+    discomfort_fraction,
+    paired_offset,
+)
 from ecodom.dataio import IndoorRecord, load_building
 from ecodom.rules import Finding, compliance_report
+from ecodom.thermal import simulate
 
 
-def _record_classes() -> list[type]:
-    """Every named-tuple class defined in an ``ecodom`` module."""
+def _classes() -> list[type]:
+    """Every class defined in an ``ecodom`` module."""
     found = {}
     for info in pkgutil.iter_modules(ecodom.__path__):
         module = importlib.import_module(f"ecodom.{info.name}")
         for obj in vars(module).values():
-            if (isinstance(obj, type) and issubclass(obj, tuple)
-                    and hasattr(obj, "_fields") and obj.__module__ == module.__name__):
+            if isinstance(obj, type) and obj.__module__ == module.__name__:
                 found[f"{info.name}.{obj.__name__}"] = obj
     return [found[name] for name in sorted(found)]
 
 
-RECORDS = _record_classes()
+def _is_record(cls: type) -> bool:
+    return issubclass(cls, tuple) and hasattr(cls, "_fields")
+
+
+CLASSES = _classes()
+RECORDS = [cls for cls in CLASSES if _is_record(cls)]
 CHECKED = [cls for cls in RECORDS if hasattr(cls, "_check")]
 
 #: A value each checked record refuses, and the start of its message.
@@ -75,6 +89,8 @@ def _samples() -> dict[type, tuple]:
         synthetic_weather(days=1).records[0],
         IndoorRecord(datetime(2026, 2, 1, tzinfo=timezone.utc), "z1", 28.0, 28.5, 60.0, 0.3),
         PsychroPoint(26.0, 11.7, 0.3), DEFAULT_ZONE, paired_offset([1.0, 2.0], [0.5, 0.5]),
+        discomfort_fraction([PsychroPoint(26.0, 11.7, 0.3), PsychroPoint(31.0, 18.0)]),
+        simulate(zone, synthetic_weather(days=1)),
     )
     return {type(record): record for record in samples}
 
@@ -123,3 +139,14 @@ def test_checked_record_refuses_out_of_range_copy(cls):
         cls(**{**record._asdict(), **change})
     with pytest.raises(ValueError, match=re.escape(message)):
         record._replace(**change)
+
+
+def test_value_semantics_come_from_named_tuples_alone():
+    # Named tuples, enums and exceptions get equality, hash and repr from
+    # their base; the few plain classes left keep the defaults.
+    plain = [cls for cls in CLASSES
+             if not (_is_record(cls) or issubclass(cls, (enum.Enum, BaseException)))]
+    assert {cls.__name__ for cls in plain} == {"SolarPosition", "WeatherSeries", "_SunTrack"}
+    for cls in plain:
+        own = {"__eq__", "__hash__", "__repr__", "_replace"} & set(vars(cls))
+        assert not own, f"{cls.__name__} defines {sorted(own)}"

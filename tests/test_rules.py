@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -324,6 +326,20 @@ class TestVentilationRules:
 
 
 class TestReport:
+    @pytest.mark.parametrize("building,json_digest,text_digest", [
+        ("initial_building",
+         "c3c9a23fd3454690922eb1f36452049a433d475f10f46b0a1e30a41622be55d9",
+         "0d2b418ab0b3b2b7a5ad5191d1e87d4cba690e28773fd70d54c76dbfd236ea90"),
+        ("final_building",
+         "60105d0fa2204a1a1543c827af1febd687c45454d520291eab22f3dba1a88b24",
+         "8627faa5bc240555001bbe42c0701f6c01a457d9fef04e8c7af218a441d324ea"),
+    ], ids=["initial", "final"])
+    def test_golden_report_bytes_pinned(self, catalogue, building, json_digest,
+                                        text_digest, request):
+        report = compliance_report(request.getfixturevalue(building), catalogue)
+        assert hashlib.sha256(report.to_json().encode("utf-8")).hexdigest() == json_digest
+        assert hashlib.sha256(report.to_text().encode("utf-8")).hexdigest() == text_digest
+
     def test_initial_fixture_fails(self, initial_building, catalogue):
         report = compliance_report(initial_building, catalogue)
         assert not report.overall_pass

@@ -8,7 +8,6 @@ from ecodom.solar import (
     SolarPosition,
     incidence_cosine,
     overhang_shading_fraction,
-    sol_air_temperature,
     solar_position,
     surface_irradiance,
 )
@@ -126,16 +125,3 @@ class TestShading:
                                           samples=20000, seed=42)
             worst = max(worst, abs(analytic - sampled))
         assert worst <= 0.02
-
-
-class TestSolAir:
-    def test_no_sun_equals_air_temperature(self):
-        assert sol_air_temperature(28.0, 0.0, 0.8, 25.0) == 28.0
-
-    def test_direct_arithmetic(self):
-        assert sol_air_temperature(30.0, 1000.0, 0.8, 25.0) == pytest.approx(62.0)
-
-    def test_linearity_in_absorptivity(self):
-        dark = sol_air_temperature(30.0, 1000.0, 0.8, 25.0) - 30.0
-        light = sol_air_temperature(30.0, 1000.0, 0.4, 25.0) - 30.0
-        assert dark == pytest.approx(2.0 * light)
