@@ -20,10 +20,10 @@ only a finer step or the continuous solution shows.
    multiples of it, at most one hour, at least 24 hours covered), then
    a track holding the series' columns, one sun position per step and,
    filled on first use, one (beam, diffuse) irradiance column per
-   (azimuth, tilt).  The series holds it, per
-   (latitude, longitude), so every zone simulated on the same series
-   object at the same site shares it, a paired or repeated run computes
-   it once, and it dies with the series;
+   (azimuth, tilt).  The series holds it, per (latitude, longitude),
+   so every zone simulated on the same series object at the same site
+   shares it, a paired or repeated run computes it once, and it dies
+   with the series;
 2. per zone: one shading column per distinct overhang geometry, one
    effective-irradiance column per distinct (orientation, shading) and
    one sol-air column per distinct (orientation, shading,
@@ -40,8 +40,8 @@ of the result but the outdoor temperature, is an ``array('d')``: 8
 bytes a value, where a list of floats takes 32.  A year of one zone
 holds some forty such columns; only the running sums of the
 transmitted solar and the radiant temperature are lists while they are
-built.  :func:`result_to_csv` writes the export to an open
-file in chunks of rows, so no whole-file string is built either.
+built.  :func:`result_to_csv` writes the export to an open file in
+chunks of rows, so no whole-file string is built either.
 """
 
 from __future__ import annotations
