@@ -130,12 +130,14 @@ _MINERAL_WOOL_MARKERS = ("mineral", "wool", "laine")
 class InsulationLayer(NamedTuple):
     """A homogeneous insulation layer.
 
+    ``material`` is the name a rule looks up (``polystyrene``,
+    ``mineral wool``), as in the building file's ``material`` key.
     Conductivity in W/(m.K), thickness in cm.  ``humidity_protected``
     records a vapour-protection attestation, relevant for fibrous
     materials that lose performance when damp.
     """
 
-    material_name: str
+    material: str
     conductivity_w_mk: float
     thickness_cm: float
     humidity_protected: bool = False
@@ -153,7 +155,7 @@ class InsulationLayer(NamedTuple):
 
     @property
     def is_mineral_wool(self) -> bool:
-        name = self.material_name.lower()
+        name = self.material.lower()
         return any(marker in name for marker in _MINERAL_WOOL_MARKERS)
 
 
@@ -257,7 +259,8 @@ class WindowSpec(NamedTuple):
 
 @checked
 class Opening(NamedTuple):
-    """A net free opening; external openings name the facade they pierce."""
+    """A net free opening; an external opening names the facade it pierces,
+    an internal one names none."""
 
     id: str
     net_area_m2: float
@@ -409,6 +412,9 @@ def validate(building: BuildingDescription) -> list[ValidationIssue]:
             if opening.id in opening_ids:
                 err(f"opening {opening.id}", "id", "duplicate opening id")
             opening_ids.add(opening.id)
+            if opening.facade_id is not None:
+                err(f"opening {opening.id}", "facade_id",
+                    "internal opening names no facade")
 
     for wall in building.walls:
         if wall.overhang_depth_m > 0 and wall.overhang_height_m <= 0:

@@ -3,9 +3,10 @@ description files.  No model code: the reference hot-season week lives
 with the archetype flats in :mod:`ecodom.archetypes`.
 
 All series files are CSV with ISO-8601 UTC timestamps and fixed, versioned
-headers; building descriptions are JSON (see docs/formats.md).  Floats are
-written with Python's shortest repr so load(write(series)) round-trips
-exactly.  A row of an indoor file that repeats the previous row's
+headers; building descriptions are JSON (see docs/formats.md), whose
+format is the one table :data:`BUILDING_FORMAT` that both the building
+reader and the building writer walk.  Floats are written with Python's
+shortest repr so load(write(series)) round-trips exactly.  A row of an indoor file that repeats the previous row's
 timestamp, as the zones of an interleaved logger file do, reuses its
 parse.
 """
@@ -21,7 +22,7 @@ from typing import NamedTuple
 
 from . import building as bm
 from .comfort import T_MAX_C, T_MIN_C
-from .errors import InputError, field, read_json
+from .errors import REQUIRED, InputError, field, read_json
 
 BUILDING_SCHEMA_VERSION = 1
 
@@ -226,193 +227,171 @@ def write_indoor(records: Sequence[IndoorRecord], path: str | Path) -> None:
 # ---------------------------------------------------------------------------
 # building description files
 
-def _insulation_from_dict(doc: dict | None) -> bm.InsulationLayer:
-    if doc is None:
-        return bm.NO_INSULATION
-    return bm.InsulationLayer(
-        material_name=field(doc, "material", str),
-        conductivity_w_mk=field(doc, "conductivity_w_mk", float),
-        thickness_cm=field(doc, "thickness_cm", float),
-        humidity_protected=field(doc, "humidity_protected", bool, False),
-    )
+#: The building file format, stated once: the reader and the writer both
+#: walk it.  Each object kind names the record it becomes and its keys,
+#: in the order :func:`save_building` writes them.  A key is ``(name,
+#: kind, default)``, named as its record's field.  Its kind is a JSON
+#: type (``float`` takes any finite number), an enum read from its value,
+#: the name of an object kind, or that name in a list for a list of those
+#: objects.  ``null`` reads as absent for an optional object (an
+#: insulation layer) and for a key whose default is None, and for no
+#: other key.  The top-level ``schema_version`` is not a record field.
+BUILDING_FORMAT = {
+    "building": (bm.BuildingDescription, (
+        ("name", str, REQUIRED),
+        ("latitude", float, REQUIRED),
+        ("longitude", float, REQUIRED),
+        ("dwelling_type", int, REQUIRED),
+        ("vegetation_note", str, ""),
+        ("roof", "roof", REQUIRED),
+        ("walls", ["wall"], ()),
+        ("windows", ["window"], ()),
+        ("rooms", ["room"], ()),
+        ("facade_pairs", ["facade_pair"], ()),
+        ("water_heater", "water_heater", REQUIRED),
+    )),
+    "roof": (bm.RoofSpec, (
+        ("color", bm.ColorClass, REQUIRED),
+        ("attic", bm.AtticRegime, bm.AtticRegime.NONE),
+        ("area_m2", float, REQUIRED),
+        ("insulation", "insulation", bm.NO_INSULATION),
+    )),
+    "insulation": (bm.InsulationLayer, (
+        ("material", str, REQUIRED),
+        ("conductivity_w_mk", float, REQUIRED),
+        ("thickness_cm", float, REQUIRED),
+        ("humidity_protected", bool, False),
+    )),
+    "wall": (bm.WallSpec, (
+        ("id", str, REQUIRED),
+        ("construction", bm.WallConstruction, REQUIRED),
+        ("color", bm.ColorClass, REQUIRED),
+        ("azimuth_deg", float, REQUIRED),
+        ("area_m2", float, REQUIRED),
+        ("overhang_depth_m", float, 0.0),
+        ("overhang_height_m", float, 0.0),
+        ("insulation", "insulation", bm.NO_INSULATION),
+        ("full_shading", bool, False),
+    )),
+    "window": (bm.WindowSpec, (
+        ("id", str, REQUIRED),
+        ("azimuth_deg", float, REQUIRED),
+        ("glazed_area_m2", float, REQUIRED),
+        ("height_m", float, REQUIRED),
+        ("shading_case", bm.ShadingCase, bm.ShadingCase.CASE_2),
+        ("overhang_depth_m", float, 0.0),
+        ("overhang_offset_m", float, 0.0),
+        ("mobile_shading", bool, False),
+    )),
+    "room": (bm.Room, (
+        ("id", str, REQUIRED),
+        ("kind", bm.RoomKind, REQUIRED),
+        ("floor_level", int, 0),
+        ("under_roof", bool, False),
+        ("facades", ["facade"], ()),
+        ("external_openings", ["external_opening"], ()),
+        ("internal_openings", ["internal_opening"], ()),
+    )),
+    "facade": (bm.FacadeMembership, (
+        ("facade_id", str, REQUIRED),
+        ("gross_area_m2", float, REQUIRED),
+    )),
+    "external_opening": (bm.Opening, (
+        ("id", str, REQUIRED),
+        ("net_area_m2", float, REQUIRED),
+        ("facade_id", str, None),
+    )),
+    "internal_opening": (bm.Opening, (
+        ("id", str, REQUIRED),
+        ("net_area_m2", float, REQUIRED),
+    )),
+    "facade_pair": (bm.FacadePair, (
+        ("facade_1_id", str, REQUIRED),
+        ("facade_2_id", str, REQUIRED),
+        ("facade_1_area_m2", float, REQUIRED),
+        ("facade_2_area_m2", float, REQUIRED),
+    )),
+    "water_heater": (bm.WaterHeaterSpec, (
+        ("kind", bm.WaterHeaterKind, REQUIRED),
+        ("collector_area_m2", float, 0.0),
+        ("tank_volume_l", float, 0.0),
+        ("annual_productivity_kwh_m2", float, 0.0),
+        ("certified", bool, False),
+    )),
+}
+
+_JSON_TYPES = (str, float, int, bool)
 
 
-def _insulation_to_dict(layer: bm.InsulationLayer) -> dict:
-    return {
-        "material": layer.material_name,
-        "conductivity_w_mk": layer.conductivity_w_mk,
-        "thickness_cm": layer.thickness_cm,
-        "humidity_protected": layer.humidity_protected,
-    }
+def _read(doc, kind: str, where: str, unknown: list[str]):
+    """The record of ``kind`` that the object ``doc`` at path ``where``
+    describes; appends the path of each key that ``kind`` lacks to
+    ``unknown``.  A missing key, or a value of the wrong JSON type or one
+    a record refuses, raises ValueError or TypeError."""
+    if not isinstance(doc, dict):
+        raise TypeError(f"{where} must be an object, got {doc!r}")
+    record, keys = BUILDING_FORMAT[kind]
+    prefix = f"{where}." if where else ""
+    known = {name for name, _, _ in keys}
+    unknown.extend(prefix + key for key in doc if key not in known)
+    values = {}
+    for name, form, default in keys:
+        if doc.get(name) is None and default is not REQUIRED and (
+                default is None or isinstance(form, str)):
+            values[name] = default  # absent, or a null the key accepts
+        elif isinstance(form, str):
+            values[name] = _read(field(doc, name, dict), form, prefix + name, unknown)
+        elif isinstance(form, list):
+            values[name] = tuple(
+                _read(item, form[0], f"{prefix}{name}[{i}]", unknown)
+                for i, item in enumerate(field(doc, name, list, ())))
+        elif form in _JSON_TYPES:
+            values[name] = field(doc, name, form, default)
+        else:  # an enum, read from its value
+            values[name] = form(field(doc, name, str, default))
+    return record(**values)
 
 
-def _openings(docs: list[dict]) -> tuple[bm.Opening, ...]:
-    return tuple(bm.Opening(
-        id=field(d, "id", str),
-        net_area_m2=field(d, "net_area_m2", float),
-        facade_id=None if d.get("facade_id") is None else field(d, "facade_id", str),
-    ) for d in docs)
+def _write(record, kind: str) -> dict:
+    """The object of ``kind`` that describes ``record``."""
+    doc = {}
+    for name, form, _ in BUILDING_FORMAT[kind][1]:
+        value = getattr(record, name)
+        if isinstance(form, str):
+            value = _write(value, form)
+        elif isinstance(form, list):
+            value = [_write(item, form[0]) for item in value]
+        elif form not in _JSON_TYPES:
+            value = value.value
+        doc[name] = value
+    return doc
 
 
 def building_from_dict(doc: dict) -> bm.BuildingDescription:
-    """Construct a description from parsed JSON.
+    """Construct a description from a parsed building file.
 
-    A missing field or a value of the wrong JSON type raises
-    ValueError/TypeError, as does a value a constructor refuses; semantic
-    problems are left to :func:`building.validate`.
+    A missing key, or a value of the wrong JSON type or one a record
+    refuses, raises ValueError or TypeError at once.  Keys the format
+    does not define raise SeriesFormatError, naming each path, once every
+    present key has been read.  Semantic problems are left to
+    :func:`building.validate`.
     """
-    version = doc.get("schema_version")
-    if version != BUILDING_SCHEMA_VERSION:
+    doc = dict(doc)
+    version = doc.pop("schema_version", None)
+    # JSON true and 1.0 compare equal to 1, yet are not the version 1
+    if type(version) is not int or version != BUILDING_SCHEMA_VERSION:
         raise SchemaVersionError(
             f"building schema version {version!r} not supported "
             f"(expected {BUILDING_SCHEMA_VERSION})")
-    roof_doc = field(doc, "roof", dict)
-    roof = bm.RoofSpec(
-        color=bm.ColorClass(field(roof_doc, "color", str)),
-        attic=bm.AtticRegime(field(roof_doc, "attic", str, "none")),
-        insulation=_insulation_from_dict(roof_doc.get("insulation")),
-        area_m2=field(roof_doc, "area_m2", float),
-    )
-    walls = tuple(bm.WallSpec(
-        id=field(w, "id", str),
-        construction=bm.WallConstruction(field(w, "construction", str)),
-        color=bm.ColorClass(field(w, "color", str)),
-        azimuth_deg=field(w, "azimuth_deg", float),
-        area_m2=field(w, "area_m2", float),
-        overhang_depth_m=field(w, "overhang_depth_m", float, 0.0),
-        overhang_height_m=field(w, "overhang_height_m", float, 0.0),
-        insulation=_insulation_from_dict(w.get("insulation")),
-        full_shading=field(w, "full_shading", bool, False),
-    ) for w in field(doc, "walls", list, []))
-    windows = tuple(bm.WindowSpec(
-        id=field(w, "id", str),
-        azimuth_deg=field(w, "azimuth_deg", float),
-        glazed_area_m2=field(w, "glazed_area_m2", float),
-        height_m=field(w, "height_m", float),
-        shading_case=bm.ShadingCase(field(w, "shading_case", str, "case2")),
-        overhang_depth_m=field(w, "overhang_depth_m", float, 0.0),
-        overhang_offset_m=field(w, "overhang_offset_m", float, 0.0),
-        mobile_shading=field(w, "mobile_shading", bool, False),
-    ) for w in field(doc, "windows", list, []))
-    rooms = tuple(bm.Room(
-        id=field(r, "id", str),
-        kind=bm.RoomKind(field(r, "kind", str)),
-        floor_level=field(r, "floor_level", int, 0),
-        under_roof=field(r, "under_roof", bool, False),
-        facades=tuple(bm.FacadeMembership(field(m, "facade_id", str),
-                                          field(m, "gross_area_m2", float))
-                      for m in field(r, "facades", list, [])),
-        external_openings=_openings(field(r, "external_openings", list, [])),
-        internal_openings=_openings(field(r, "internal_openings", list, [])),
-    ) for r in field(doc, "rooms", list, []))
-    pairs = tuple(bm.FacadePair(
-        facade_1_id=field(p, "facade_1_id", str),
-        facade_2_id=field(p, "facade_2_id", str),
-        facade_1_area_m2=field(p, "facade_1_area_m2", float),
-        facade_2_area_m2=field(p, "facade_2_area_m2", float),
-    ) for p in field(doc, "facade_pairs", list, []))
-    heater_doc = field(doc, "water_heater", dict)
-    heater = bm.WaterHeaterSpec(
-        kind=bm.WaterHeaterKind(field(heater_doc, "kind", str)),
-        collector_area_m2=field(heater_doc, "collector_area_m2", float, 0.0),
-        tank_volume_l=field(heater_doc, "tank_volume_l", float, 0.0),
-        annual_productivity_kwh_m2=field(heater_doc, "annual_productivity_kwh_m2",
-                                         float, 0.0),
-        certified=field(heater_doc, "certified", bool, False),
-    )
-    return bm.BuildingDescription(
-        name=field(doc, "name", str),
-        latitude=field(doc, "latitude", float),
-        longitude=field(doc, "longitude", float),
-        dwelling_type=field(doc, "dwelling_type", int),
-        roof=roof,
-        walls=walls,
-        windows=windows,
-        rooms=rooms,
-        facade_pairs=pairs,
-        water_heater=heater,
-        vegetation_note=field(doc, "vegetation_note", str, ""),
-    )
+    unknown: list[str] = []
+    description = _read(doc, "building", "", unknown)
+    if unknown:
+        raise SeriesFormatError(f"unknown key {', '.join(unknown)}")
+    return description
 
 
 def building_to_dict(b: bm.BuildingDescription) -> dict:
-    return {
-        "schema_version": BUILDING_SCHEMA_VERSION,
-        "name": b.name,
-        "latitude": b.latitude,
-        "longitude": b.longitude,
-        "dwelling_type": b.dwelling_type,
-        "vegetation_note": b.vegetation_note,
-        "roof": {
-            "color": b.roof.color.value,
-            "attic": b.roof.attic.value,
-            "area_m2": b.roof.area_m2,
-            "insulation": _insulation_to_dict(b.roof.insulation),
-        },
-        "walls": [{
-            "id": w.id,
-            "construction": w.construction.value,
-            "color": w.color.value,
-            "azimuth_deg": w.azimuth_deg,
-            "area_m2": w.area_m2,
-            "overhang_depth_m": w.overhang_depth_m,
-            "overhang_height_m": w.overhang_height_m,
-            "insulation": _insulation_to_dict(w.insulation),
-            "full_shading": w.full_shading,
-        } for w in b.walls],
-        "windows": [{
-            "id": w.id,
-            "azimuth_deg": w.azimuth_deg,
-            "glazed_area_m2": w.glazed_area_m2,
-            "height_m": w.height_m,
-            "shading_case": w.shading_case.value,
-            "overhang_depth_m": w.overhang_depth_m,
-            "overhang_offset_m": w.overhang_offset_m,
-            "mobile_shading": w.mobile_shading,
-        } for w in b.windows],
-        "rooms": [{
-            "id": r.id,
-            "kind": r.kind.value,
-            "floor_level": r.floor_level,
-            "under_roof": r.under_roof,
-            "facades": [{"facade_id": m.facade_id, "gross_area_m2": m.gross_area_m2}
-                        for m in r.facades],
-            "external_openings": [{"id": o.id, "net_area_m2": o.net_area_m2,
-                                   "facade_id": o.facade_id}
-                                  for o in r.external_openings],
-            "internal_openings": [{"id": o.id, "net_area_m2": o.net_area_m2}
-                                  for o in r.internal_openings],
-        } for r in b.rooms],
-        "facade_pairs": [{
-            "facade_1_id": p.facade_1_id,
-            "facade_2_id": p.facade_2_id,
-            "facade_1_area_m2": p.facade_1_area_m2,
-            "facade_2_area_m2": p.facade_2_area_m2,
-        } for p in b.facade_pairs],
-        "water_heater": {
-            "kind": b.water_heater.kind.value,
-            "collector_area_m2": b.water_heater.collector_area_m2,
-            "tank_volume_l": b.water_heater.tank_volume_l,
-            "annual_productivity_kwh_m2": b.water_heater.annual_productivity_kwh_m2,
-            "certified": b.water_heater.certified,
-        },
-    }
-
-
-def _unknown_keys(doc, known, where: str = ""):
-    """Paths of the keys of ``doc``, a parsed building file, that
-    ``known`` lacks; ``known`` is the loaded description as
-    :func:`building_to_dict` writes it, with every key the loader reads."""
-    if isinstance(doc, dict) and isinstance(known, dict):
-        for key, value in doc.items():
-            path = f"{where}.{key}" if where else key
-            if key in known:
-                yield from _unknown_keys(value, known[key], path)
-            else:
-                yield path
-    elif isinstance(doc, list) and isinstance(known, list):
-        for i, (value, ref) in enumerate(zip(doc, known)):
-            yield from _unknown_keys(value, ref, f"{where}[{i}]")
+    return {"schema_version": BUILDING_SCHEMA_VERSION, **_write(b, "building")}
 
 
 def load_building(path: str | Path) -> bm.BuildingDescription:
@@ -421,13 +400,12 @@ def load_building(path: str | Path) -> bm.BuildingDescription:
     doc = read_json(path, SeriesFormatError)
     try:
         description = building_from_dict(doc)
+    except SeriesFormatError as exc:
+        raise SeriesFormatError(f"{path}: {exc}") from None
     except InputError:
         raise
     except (TypeError, ValueError) as exc:
         raise SeriesFormatError(f"{path}: missing or malformed field: {exc}") from exc
-    unknown = list(_unknown_keys(doc, building_to_dict(description)))
-    if unknown:
-        raise SeriesFormatError(f"{path}: unknown key {', '.join(unknown)}")
     issues = bm.validate(description)
     if issues:
         raise bm.BuildingValidationError(issues)
@@ -436,4 +414,3 @@ def load_building(path: str | Path) -> bm.BuildingDescription:
 
 def save_building(b: bm.BuildingDescription, path: str | Path) -> None:
     Path(path).write_text(json.dumps(building_to_dict(b), indent=2) + "\n", "utf-8")
-

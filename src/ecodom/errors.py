@@ -13,7 +13,8 @@ import math
 import sys
 from pathlib import Path
 
-_REQUIRED = object()
+#: The ``default`` of a key that :func:`field` requires.
+REQUIRED = object()
 
 
 def checked(cls):
@@ -101,7 +102,7 @@ def number(value) -> float:
     return float(value)
 
 
-def field(doc, key: str, kind: type, default=_REQUIRED):
+def field(doc, key: str, kind: type, default=REQUIRED):
     """``doc[key]`` checked against a JSON type, or ``default`` when absent.
 
     ``kind`` is ``float`` (any finite number, returned as a float),
@@ -112,7 +113,7 @@ def field(doc, key: str, kind: type, default=_REQUIRED):
     if not isinstance(doc, dict):
         raise TypeError(f"expected an object holding {key!r}, got {doc!r}")
     if key not in doc:
-        if default is _REQUIRED:
+        if default is REQUIRED:
             raise ValueError(f"missing field {key!r}")
         return default
     value = doc[key]

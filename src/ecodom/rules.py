@@ -174,7 +174,7 @@ def check_roof(roof: RoofSpec, catalogue: RuleCatalogue) -> Finding:
         "roof.insulation", "roof", Verdict.FAIL,
         measured=installed_cm, required=required_cm, unit="cm",
         remediation=(
-            f"add {missing:.1f} cm of {roof.insulation.material_name} "
+            f"add {missing:.1f} cm of {roof.insulation.material} "
             f"(lambda {roof.insulation.conductivity_w_mk} W/m.K) "
             f"or any layer of equivalent thermal resistance"),
         remediation_quantity=missing,
@@ -234,7 +234,7 @@ def check_wall(wall: WallSpec, catalogue: RuleCatalogue) -> Finding:
         remediation=(
             f"extend the overhang to d >= {depth_needed:.2f} m "
             f"(ratio {ratio_required} x h {height:.2f} m), or add "
-            f"{missing_cm:.1f} cm of {wall.insulation.material_name} insulation, "
+            f"{missing_cm:.1f} cm of {wall.insulation.material} insulation, "
             f"or shade the whole wall"),
         remediation_quantity=depth_needed,
     )

@@ -545,7 +545,10 @@ class TestInputBoundary:
         (lambda doc: doc.update(colour="light"), "colour"),
         (lambda doc: doc["rooms"][0]["internal_openings"][0].update(facade_id=None),
          "rooms[0].internal_openings[0].facade_id"),
-    ], ids=["misspelt-wall-key", "top-level", "null-internal-facade"])
+        (lambda doc: (doc["roof"].update(colour="light"),
+                      doc["water_heater"].update(area_m2=2.0)),
+         "roof.colour, water_heater.area_m2"),
+    ], ids=["misspelt-wall-key", "top-level", "null-internal-facade", "two-objects"])
     def test_unknown_building_key_exits_two(self, tmp_path, capsys, edit, key):
         doc = json.loads(FINAL_FIXTURE.read_text())
         edit(doc)
@@ -592,6 +595,10 @@ class TestInputBoundary:
         ("building", (("latitude",), 91), "building.latitude: must be in [-90, 90]"),
         ("building", (("rooms",), []),
          "building.rooms: at least one main room is required"),
+        ("building", (("schema_version",), True),
+         "building schema version True not supported (expected 1)"),
+        ("building", (("schema_version",), 1.0),
+         "building schema version 1.0 not supported (expected 1)"),
         ("scenario", '{"volume_m3": 0}', "scenario volume_m3 must be a number > 0, got 0"),
         ("zone", '{"vertices": [[20, 3], [24, 3]]}',
          "comfort zone polygon needs at least 3 vertices"),
@@ -600,7 +607,8 @@ class TestInputBoundary:
             "glazed-area-zero", "negative-offset", "window-negative-depth", "null-external-facade",
             "pair-unknown-facade", "duplicate-opening", "wall-area-zero",
             "negative-opening-area", "latitude-91",
-            "no-main-room", "scenario-volume-zero", "zone-two-vertices"])
+            "no-main-room", "schema-version-true", "schema-version-float",
+            "scenario-volume-zero", "zone-two-vertices"])
     def test_input_rule_exits_two(self, tmp_path, weather_csv, capsys,
                                   kind, change, fragment):
         if kind == "building":

@@ -11,12 +11,14 @@ import pytest
 
 import ecodom
 from ecodom.archetypes import compliant_zone, synthetic_weather
-from ecodom.building import BuildingValidationError
+from ecodom.building import BuildingValidationError, validate
 from ecodom.dataio import (
+    BUILDING_FORMAT,
     IndoorRecord,
     SchemaVersionError,
     SeriesFormatError,
     WeatherSeries,
+    building_from_dict,
     building_to_dict,
     load_building,
     load_indoor,
@@ -363,7 +365,6 @@ class TestBuildingIO:
         assert initial_building.dwelling_type == 4
 
     def test_round_trip_dict(self, final_building):
-        from ecodom.dataio import building_from_dict
         assert building_from_dict(building_to_dict(final_building)) == final_building
 
     def test_unknown_schema_version(self, tmp_path, final_building):
@@ -373,6 +374,38 @@ class TestBuildingIO:
         path.write_text(json.dumps(doc))
         with pytest.raises(SchemaVersionError, match="99"):
             load_building(path)
+
+    def test_internal_opening_facade_is_refused_not_dropped(self, final_building):
+        # the file has no key for it, so save_building could not keep it
+        room = final_building.rooms[0]
+        door = room.internal_openings[0]._replace(facade_id="north")
+        rooms = ((room._replace(internal_openings=(door,) + room.internal_openings[1:]),)
+                 + final_building.rooms[1:])
+        issues = validate(final_building._replace(rooms=rooms))
+        assert [str(i) for i in issues] == [
+            "opening door_l0.facade_id: internal opening names no facade"]
+
+    def test_format_table_names_every_record_field(self):
+        # a record field added without a file key fails here
+        kinds = set(BUILDING_FORMAT)
+        for kind, (record, keys) in BUILDING_FORMAT.items():
+            names = [name for name, _, _ in keys]
+            fields = [f for f in record._fields
+                      if (kind, f) != ("internal_opening", "facade_id")]
+            assert sorted(names) == sorted(fields), kind
+            for name, form, _ in keys:
+                if isinstance(form, (str, list)):
+                    assert (form if isinstance(form, str) else form[0]) in kinds, name
+
+    def test_unknown_keys_reported_after_the_whole_document_is_read(self, final_building):
+        doc = building_to_dict(final_building)
+        doc["colour"] = "light"
+        doc["walls"][2]["insulation"]["depth_cm"] = 1.0
+        doc["rooms"][0]["internal_openings"][0]["facade_id"] = "north"
+        with pytest.raises(SeriesFormatError) as caught:
+            building_from_dict(doc)
+        assert str(caught.value) == ("unknown key colour, walls[2].insulation.depth_cm, "
+                                     "rooms[0].internal_openings[0].facade_id")
 
     def test_duplicate_opening_id_rejected(self, tmp_path, final_building):
         doc = building_to_dict(final_building)

@@ -104,3 +104,5 @@ def test_fixture_generator_matches_bundled_golden(upgraded, fixture):
     spec.loader.exec_module(module)
     generated = building_to_dict(module.make_building(upgraded))
     assert generated == json.loads(fixture.read_text("utf-8"))
+    # the writer's bytes, key order included
+    assert json.dumps(generated, indent=2) + "\n" == fixture.read_text("utf-8")
