@@ -135,13 +135,13 @@ def load_weather(path: str | Path) -> WeatherSeries:
                 f"line {line_no}: timestamp {cells[0]} not after previous record")
         last_ts = ts
         rec = WeatherRecord(
-            timestamp=ts,
-            temp_air_c=_parse_temperature(cells[1], "temp_air_c", line_no),
-            rh_pct=_parse_float(cells[2], "rh_pct", line_no),
-            solar_direct_w_m2=_parse_float(cells[3], "solar_direct_w_m2", line_no),
-            solar_diffuse_w_m2=_parse_float(cells[4], "solar_diffuse_w_m2", line_no),
-            wind_speed_m_s=_parse_float(cells[5], "wind_speed_m_s", line_no),
-            wind_dir_deg=_parse_float(cells[6], "wind_dir_deg", line_no),
+            ts,
+            _parse_temperature(cells[1], "temp_air_c", line_no),
+            _parse_float(cells[2], "rh_pct", line_no),
+            _parse_float(cells[3], "solar_direct_w_m2", line_no),
+            _parse_float(cells[4], "solar_diffuse_w_m2", line_no),
+            _parse_float(cells[5], "wind_speed_m_s", line_no),
+            _parse_float(cells[6], "wind_dir_deg", line_no),
         )
         if not 0.0 <= rec.rh_pct <= 100.0:
             raise SeriesFormatError(f"line {line_no}: rh_pct {rec.rh_pct} outside [0, 100]")

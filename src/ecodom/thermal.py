@@ -15,18 +15,21 @@ only a finer step or the continuous solution shows.
 
 :func:`simulate` runs in three stages:
 
-1. weather only, and the only stage that reads the ``WeatherSeries``:
-   the grid checks (:func:`weather_grid`: one base step, whole
-   multiples of it, at most one hour, at least 24 hours covered), then
-   a track holding the series' columns, one sun position per step and,
-   filled on first use, one (beam, diffuse) irradiance column per
-   (azimuth, tilt).  The series holds it, per (latitude, longitude),
-   so every zone simulated on the same series object at the same site
-   shares it, a paired or repeated run computes it once, and it dies
+1. weather and site only, and the only stage that reads the
+   ``WeatherSeries``: the grid checks (:func:`weather_grid`: one base
+   step, whole multiples of it, at most one hour, at least 24 hours
+   covered), then a track holding per-step columns: the series' own,
+   the sun's altitude and azimuth (:func:`~ecodom.solar.sun_positions`,
+   one call for the whole series), the sun-up mask, the sine and cosine
+   of the altitude and the global horizontal irradiance.  Filled on
+   first use, it also holds one (beam, diffuse) irradiance column per
+   (azimuth, tilt) and one shading column per overhang geometry.  The
+   series holds the track, per (latitude, longitude), so every zone
+   simulated on the same series object at the same site shares all of
+   these, a paired or repeated run computes them once, and they die
    with the series;
-2. per zone: one shading column per distinct overhang geometry, one
-   effective-irradiance column per distinct (orientation, shading) and
-   one sol-air column per distinct (orientation, shading,
+2. per zone: one effective-irradiance column per distinct (orientation,
+   shading) and one sol-air column per distinct (orientation, shading,
    absorptivity), each shared by the surfaces with those inputs, and
    the solar transmitted through the glazing;
 3. the ventilation and internal-gains columns, the backward-Euler
@@ -57,11 +60,7 @@ from typing import NamedTuple, TextIO
 from .building import BuildingDescription, facade_porosities
 from .dataio import SeriesFormatError, WeatherSeries
 from .errors import InputError, is_number
-from .solar import (
-    overhang_shading_fraction,
-    solar_position,
-    surface_irradiance,
-)
+from .solar import DEG, GROUND_ALBEDO, overhang_shading_fraction, sun_positions
 
 AIR_DENSITY = 1.2          # kg/m3
 AIR_HEAT_CAPACITY = 1006.0  # J/(kg.K)
@@ -241,15 +240,19 @@ def weather_grid(timestamps: Sequence[datetime]) -> tuple[float, tuple[datetime,
 class _SunTrack:
     """Stage 1: what a run takes from the weather series and the site alone.
 
-    The grid checks and the sun positions are made on creation.  The
-    track keeps the weather columns it reads, never the series itself,
-    so the series that holds the track forms no reference cycle with it.
-    The (beam, diffuse) irradiance column of an (azimuth, tilt) is filled
-    the first time a zone has a surface facing that way.
+    The grid checks and the sun columns are made on creation: the sun's
+    altitude and azimuth, the sun-up mask, the sine and cosine of the
+    altitude, and the global horizontal irradiance.  The track keeps the
+    weather columns it reads, never the series itself, so the series that
+    holds the track forms no reference cycle with it.  The (beam,
+    diffuse) irradiance columns of an (azimuth, tilt), and the shading
+    column of an overhang geometry, are filled the first time a zone on
+    the track needs them.
     """
 
-    __slots__ = ("step_s", "timestamps", "t_out", "direct", "diffuse", "wind", "suns",
-                 "irradiance")
+    __slots__ = ("step_s", "timestamps", "t_out", "direct", "diffuse", "wind",
+                 "altitude", "azimuth", "up", "sin_alt", "cos_alt", "global_horizontal",
+                 "irradiance", "shading")
 
     def __init__(self, weather: WeatherSeries, latitude: float, longitude: float):
         records = weather.records
@@ -264,21 +267,54 @@ class _SunTrack:
             raise InputError("weather must cover at least 24 hours")
         # a record is a tuple, so its columns come out in one transpose
         _, self.t_out, _, self.direct, self.diffuse, self.wind, _ = zip(*records)
-        self.suns = [solar_position(latitude, longitude, ts) for ts in self.timestamps]
+        altitude, azimuth = sun_positions(latitude, longitude, self.timestamps)
+        self.altitude, self.azimuth = array("d", altitude), array("d", azimuth)
+        self.up = bytes(a > 0.0 for a in altitude)
+        self.sin_alt = array("d", [math.sin(a * DEG) for a in altitude])
+        self.cos_alt = array("d", [math.cos(a * DEG) for a in altitude])
+        self.global_horizontal = array("d", [
+            dhi + dni * s if up else dhi
+            for up, s, dni, dhi in zip(self.up, self.sin_alt, self.direct, self.diffuse)])
         self.irradiance: dict[tuple[float, float], tuple[array, array]] = {}
+        self.shading: dict[tuple[float, float, float, float], array] = {}
 
-    def fill(self, orientations) -> None:
-        """Compute the irradiance columns of ``orientations`` not yet held."""
-        new = {o: (array("d"), array("d")) for o in orientations
-               if o not in self.irradiance}
-        if not new:
-            return
-        for sun, direct, diffuse in zip(self.suns, self.direct, self.diffuse):
-            for (azimuth, tilt), (beam_col, diffuse_col) in new.items():
-                beam, sky = surface_irradiance(sun, direct, diffuse, azimuth, tilt)
-                beam_col.append(beam)
-                diffuse_col.append(sky)
-        self.irradiance.update(new)
+    def fill(self, orientations, geometries) -> None:
+        """Compute the irradiance columns of ``orientations`` and the
+        shading columns of the overhang ``geometries`` not yet held."""
+        for orientation in orientations:
+            if orientation not in self.irradiance:
+                self.irradiance[orientation] = self._irradiance(*orientation)
+        for geometry in geometries:
+            if geometry not in self.shading:
+                self.shading[geometry] = self._shading(*geometry)
+
+    def _irradiance(self, azimuth: float, tilt: float) -> tuple[array, array]:
+        """(beam, diffuse) columns in W/m2 on a surface of ``azimuth`` and
+        ``tilt`` (0 horizontal, 90 vertical): the beam through the cosine
+        of incidence, clipped to 0 when the sun is behind the surface or
+        below the horizon, and the diffuse from an isotropic sky plus the
+        ground's reflection (:data:`GROUND_ALBEDO`) of the global
+        horizontal."""
+        tilt = tilt * DEG
+        sin_tilt, cos_tilt = math.sin(tilt), math.cos(tilt)
+        sky_view, ground_view = 1.0 + cos_tilt, 1.0 - cos_tilt
+        cos = math.cos
+        # dni * max(0.0, cos_incidence), with the comparison inline
+        beam = array("d", [
+            dni * (c if (c := s * cos_tilt + ca * sin_tilt * cos((z - azimuth) * DEG)) > 0.0
+                   else 0.0) if up else dni * 0.0
+            for up, s, ca, z, dni in zip(self.up, self.sin_alt, self.cos_alt,
+                                         self.azimuth, self.direct)])
+        diffuse = array("d", [
+            dhi * sky_view / 2.0 + GROUND_ALBEDO * ghi * ground_view / 2.0
+            for dhi, ghi in zip(self.diffuse, self.global_horizontal)])
+        return beam, diffuse
+
+    def _shading(self, depth: float, height: float, offset: float,
+                 azimuth: float) -> array:
+        """Overhang shading column of a facade of ``azimuth``."""
+        return array("d", [overhang_shading_fraction(depth, height, offset, alt, z, azimuth)
+                           for alt, z in zip(self.altitude, self.azimuth)])
 
 
 def _sun_track(weather: WeatherSeries, latitude: float, longitude: float) -> _SunTrack:
@@ -293,40 +329,39 @@ def _forcing(zone: ZoneModel, track: _SunTrack) -> tuple[list[array], array]:
     """Stage 2: the sol-air temperature of each surface and the solar
     transmitted through the glazing, per step, each an ``array('d')``.
 
-    Each column is computed once per distinct input of this zone: one
-    shading column per (depth, height, offset, azimuth) of a
-    sun-dependent overhang, one effective-irradiance column per
-    (orientation, shading) and one sol-air column per (orientation,
-    shading, absorptivity).  Surfaces that share an input share the
-    column object.  The tables die with the call, so nothing is kept
-    across zones.
+    The track holds the irradiance column of each orientation and the
+    shading column of each sun-dependent overhang, keyed by (depth,
+    height, offset, azimuth), so every zone on it shares them.  This
+    zone's own columns are computed once per distinct input: one
+    effective-irradiance column per (orientation, shading) and one sol-air
+    column per (orientation, shading, absorptivity).  Surfaces that share
+    an input share the column object.  These two tables die with the
+    call.
     """
     orientations = [(s.azimuth_deg, s.tilt_deg) for s in zone.surfaces]
-    track.fill(orientations)
+    shades = []
+    for surface in zone.surfaces:
+        shade = surface.fixed_shading
+        if shade is None:
+            height = surface.overhang_height_m if surface.overhang_height_m > 0 else 1.0
+            shade = (surface.overhang_depth_m, height, surface.overhang_offset_m,
+                     surface.azimuth_deg)
+        shades.append(shade)
+    track.fill(orientations, [shade for shade in shades if isinstance(shade, tuple)])
     h_exterior = zone.h_exterior
 
-    shading_of: dict[tuple, array] = {}
     effective_of: dict[tuple, array] = {}
     sol_air_of: dict[tuple, array] = {}
     sol_air = []
     transmitted = [0.0] * len(track.t_out)
-    for surface, orientation in zip(zone.surfaces, orientations):
-        shade = surface.fixed_shading
-        if shade is None:
-            depth, offset, azimuth = (surface.overhang_depth_m, surface.overhang_offset_m,
-                                      surface.azimuth_deg)
-            height = surface.overhang_height_m if surface.overhang_height_m > 0 else 1.0
-            shade = (depth, height, offset, azimuth)
-            if shade not in shading_of:
-                shading_of[shade] = array("d", [overhang_shading_fraction(
-                    depth, height, offset, sun, azimuth) for sun in track.suns])
+    for surface, orientation, shade in zip(zone.surfaces, orientations, shades):
         lit = (orientation, shade)
         effective = effective_of.get(lit)
         if effective is None:
             beam, diffuse = track.irradiance[orientation]
-            shades = shading_of.get(shade, repeat(shade))
+            fractions = track.shading.get(shade, repeat(shade))
             effective = effective_of[lit] = array("d", [
-                b * (1.0 - f) + d for b, f, d in zip(beam, shades, diffuse)])
+                b * (1.0 - f) + d for b, f, d in zip(beam, fractions, diffuse)])
         absorptivity = surface.absorptivity
         key = (lit, absorptivity)
         temperatures = sol_air_of.get(key)
@@ -444,7 +479,7 @@ def gain_breakdown(result: SimulationResult) -> dict[str, float]:
     totals = {"roof": 0.0, "wall": 0.0, "window": 0.0}
     for name, gains in result.surface_gains_w.items():
         kind = result.surface_kinds[name]
-        totals[kind] += sum(q for q in gains if q > 0)
+        totals[kind] += sum(filter((0.0).__lt__, gains))
     totals["window"] += sum(result.window_solar_w)
     grand = sum(totals.values())
     if grand <= 0:

@@ -29,15 +29,17 @@ def final_building():
 
 @pytest.fixture
 def solar_calls(monkeypatch):
-    """Count the sun-position, irradiance and overhang-shading calls made
-    by simulate."""
+    """Count the stage-1 columns simulate builds: sun-position columns
+    (one per series and site), irradiance columns (one per orientation
+    of a track) and overhang shading columns (one per geometry of a
+    track)."""
     from ecodom import thermal
     calls = {"position": 0, "irradiance": 0, "shading": 0}
-    for name, key in (("solar_position", "position"),
-                      ("surface_irradiance", "irradiance"),
-                      ("overhang_shading_fraction", "shading")):
-        def counted(*args, _fn=getattr(thermal, name), _key=key):
+    for owner, name, key in ((thermal, "sun_positions", "position"),
+                             (thermal._SunTrack, "_irradiance", "irradiance"),
+                             (thermal._SunTrack, "_shading", "shading")):
+        def counted(*args, _fn=getattr(owner, name), _key=key):
             calls[_key] += 1
             return _fn(*args)
-        monkeypatch.setattr(thermal, name, counted)
+        monkeypatch.setattr(owner, name, counted)
     return calls

@@ -1,10 +1,15 @@
-"""Independent reference implementations used only as test oracles.
+"""Reference implementations used only as test oracles.
 
-These deliberately share no code with the package: the sun position
+Most deliberately share no code with the package: the sun position
 oracle is the PSA algorithm (Blanco-Muriel et al., 2001), the saturation
 pressure oracle is the Hyland-Wexler correlation, the shading oracle
 casts rays against the overhang rectangle in 3-D, and the integrator
 oracle is the closed-form periodic response of a first-order lag.
+
+:func:`incidence_cosine` and :func:`surface_irradiance` are the other
+kind: the per-instant form of the expressions that
+``thermal._SunTrack`` evaluates as per-step columns.  The columns must
+equal them exactly, so they share the package's ground albedo.
 """
 
 from __future__ import annotations
@@ -15,6 +20,9 @@ from datetime import datetime, timezone
 
 import numpy as np
 
+from ecodom.solar import GROUND_ALBEDO
+
+_DEG = math.pi / 180.0
 _EARTH_MEAN_RADIUS_KM = 6371.01
 _ASTRONOMICAL_UNIT_KM = 149597890.0
 
@@ -65,6 +73,42 @@ def psa_solar_position(latitude: float, longitude: float,
         azimuth += 2 * math.pi
     zenith += (_EARTH_MEAN_RADIUS_KM / _ASTRONOMICAL_UNIT_KM) * math.sin(zenith)
     return 90.0 - math.degrees(zenith), math.degrees(azimuth)
+
+
+def incidence_cosine(sun, surface_azimuth_deg: float,
+                     surface_tilt_deg: float) -> float:
+    """cos(incidence angle) of beam radiation on a tilted surface, clipped
+    to 0 when the sun is behind the surface or below the horizon.
+
+    ``sun`` has ``altitude_deg`` and ``azimuth_deg``.  Tilt 0 is
+    horizontal (roof), 90 is vertical (wall).
+    """
+    if sun.altitude_deg <= 0.0:
+        return 0.0
+    alt = sun.altitude_deg * _DEG
+    tilt = surface_tilt_deg * _DEG
+    gamma = (sun.azimuth_deg - surface_azimuth_deg) * _DEG
+    cos_theta = (math.sin(alt) * math.cos(tilt)
+                 + math.cos(alt) * math.sin(tilt) * math.cos(gamma))
+    return max(0.0, cos_theta)
+
+
+def surface_irradiance(sun, direct_normal: float, diffuse_horizontal: float,
+                       surface_azimuth_deg: float,
+                       surface_tilt_deg: float) -> tuple[float, float]:
+    """(beam, diffuse) irradiance in W/m2 on a tilted surface.
+
+    Diffuse uses the isotropic sky model plus ground reflection
+    (``GROUND_ALBEDO``) of the global horizontal.
+    """
+    beam = direct_normal * incidence_cosine(sun, surface_azimuth_deg, surface_tilt_deg)
+    tilt = surface_tilt_deg * _DEG
+    sky = diffuse_horizontal * (1.0 + math.cos(tilt)) / 2.0
+    ghi = diffuse_horizontal
+    if sun.altitude_deg > 0:
+        ghi += direct_normal * math.sin(sun.altitude_deg * _DEG)
+    ground = GROUND_ALBEDO * ghi * (1.0 - math.cos(tilt)) / 2.0
+    return beam, sky + ground
 
 
 def hyland_wexler_pws(t_c: float) -> float:

@@ -38,7 +38,7 @@ from ecodom.cli import main
 from ecodom.comfort import humidity_ratio, saturation_vapor_pressure
 from ecodom.dataio import WeatherSeries, load_building, write_weather
 from ecodom.rules import compliance_report
-from ecodom.solar import SolarPosition, overhang_shading_fraction
+from ecodom.solar import overhang_shading_fraction
 from ecodom.thermal import gain_breakdown, simulate, ventilation_ach
 from oracles import hyland_wexler_pws, ray_sampled_shading
 
@@ -238,8 +238,7 @@ def test_criterion_7_numerical_property_suites():
             alt = rng.uniform(-10.0, 85.0)
             az = rng.uniform(0.0, 360.0)
             facade = rng.uniform(0.0, 360.0)
-            analytic = overhang_shading_fraction(
-                d, h, a, SolarPosition(alt, az), facade)
+            analytic = overhang_shading_fraction(d, h, a, alt, az, facade)
             sampled = ray_sampled_shading(d, h, a, alt, az, facade,
                                           samples=20000, seed=11)
             assert abs(analytic - sampled) <= 0.02

@@ -126,22 +126,28 @@ class TestSimulate:
         assert "offset" in capsys.readouterr().out
 
     def test_paired_run_shares_the_sun_track(self, weather_csv, solar_calls, capsys):
-        # One sun position per record, and one irradiance evaluation per
-        # record and distinct orientation of the two buildings together.
-        orientations = set()
+        # One sun-position column for the series, one irradiance column
+        # per distinct orientation of the two buildings together, and one
+        # shading column per distinct overhang geometry of the two
+        # together: the final building has 6 surfaces under overhangs in
+        # 4 geometries, the initial one 3 in 2 of those 4.
+        orientations, geometries = set(), set()
         for path in (FINAL_FIXTURE, INITIAL_FIXTURE):
             doc = json.loads(path.read_text())
             orientations.add((0.0, 0.0))
             orientations.update((s["azimuth_deg"], 90.0)
                                 for s in doc["walls"] + doc["windows"])
+            geometries.update((s["overhang_depth_m"], s["overhang_height_m"], 0.0,
+                               s["azimuth_deg"]) for s in doc["walls"]
+                              if s["overhang_depth_m"] > 0 and not s["full_shading"])
+            geometries.update((s["overhang_depth_m"], s["height_m"], s["overhang_offset_m"],
+                               s["azimuth_deg"]) for s in doc["windows"]
+                              if s["overhang_depth_m"] > 0 and not s["mobile_shading"])
+        assert len(geometries) == 4
         assert main(["simulate", str(FINAL_FIXTURE), "--weather", str(weather_csv),
                      "--paired", str(INITIAL_FIXTURE)]) == EXIT_OK
-        records = 48
-        # Overhang shading is per zone: the final building has 6 surfaces
-        # under overhangs in 4 geometries, the initial one 3 in 2.
-        assert solar_calls == {"position": records,
-                               "irradiance": records * len(orientations),
-                               "shading": records * (4 + 2)}
+        assert solar_calls == {"position": 1, "irradiance": len(orientations),
+                               "shading": len(geometries)}
 
     def test_paired_run_checks_the_weather_grid_once(self, weather_csv, monkeypatch,
                                                      capsys):

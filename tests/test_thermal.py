@@ -427,18 +427,21 @@ class TestStagedRun:
         shared = WeatherSeries(records=week.records)
         simulate(compliant_zone(), shared)
         simulate(_turned(compliant_zone(), 45.0), shared)
-        # 5 orientations for the first zone, one more for the second; each
-        # zone shades its 4 windows, one overhang geometry each
-        assert solar_calls == {"position": len(week), "irradiance": 6 * len(week),
-                               "shading": 8 * len(week)}
+        # one sun track; 5 orientations for the first zone, one more for
+        # the second (its turned wall has no overhang); the 4 windows of
+        # the first zone are shaded once, one overhang geometry each, and
+        # the second zone's windows share those columns
+        assert solar_calls == {"position": 1, "irradiance": 6, "shading": 4}
 
     def test_shared_overhang_geometry_shaded_once(self, week, solar_calls):
         zone = compliant_zone()
         twin = zone.surfaces[-1]._replace(name="window:west_twin")
         twinned = zone._replace(surfaces=zone.surfaces + (twin,))
-        result = simulate(twinned, week)
+        # a fresh series: the module's ``week`` holds the shading columns
+        # that earlier tests filled on its track
+        result = simulate(twinned, WeatherSeries(records=week.records))
         # 5 windows under overhangs, in 4 geometries
-        assert solar_calls["shading"] == 4 * len(week)
+        assert solar_calls["shading"] == 4
         gains = result.surface_gains_w
         assert gains["window:west_twin"] == gains["window:west"]
 
@@ -448,8 +451,7 @@ class TestStagedRun:
         here = simulate(compliant_zone(), shared)
         moved = compliant_zone()._replace(**site)
         there = simulate(moved, shared)
-        assert solar_calls == {"position": 2 * len(week), "irradiance": 10 * len(week),
-                               "shading": 8 * len(week)}
+        assert solar_calls == {"position": 2, "irradiance": 10, "shading": 8}
         assert there != here
         assert there == simulate(moved, WeatherSeries(records=week.records))
 
@@ -459,8 +461,7 @@ class TestStagedRun:
             r._replace(solar_direct_w_m2=r.solar_direct_w_m2 / 2)
             for r in week.records))
         result = simulate(compliant_zone(), dim)
-        assert solar_calls == {"position": 2 * len(week), "irradiance": 10 * len(week),
-                               "shading": 8 * len(week)}
+        assert solar_calls == {"position": 2, "irradiance": 10, "shading": 8}
         assert sum(result.window_solar_w) < sum(bright.window_solar_w)
 
     def test_gains_schedule_follows_utc_hour_for_any_offset(self, week):
@@ -492,3 +493,91 @@ class TestStagedRun:
         finally:
             if enabled:
                 gc.enable()
+
+
+# Stage 1's columns against the per-instant references, compared with
+# ``==``: the sun positions against ``solar_position``, the irradiance
+# against the oracle ``surface_irradiance`` and the shading against the
+# scalar ``overhang_shading_fraction``.
+_SITES = {"south": (-21.1, 55.5), "north": (48.0, 2.0)}
+_ORIENTATIONS = [(0.0, 0.0), (0.0, 90.0), (90.0, 90.0), (180.0, 90.0), (270.0, 90.0),
+                 (37.3, 90.0), (213.7, 27.5)]
+_GEOMETRIES = [(0.6, 1.4, 0.0, 180.0), (1.5, 2.1, 0.1, 0.0), (0.8, 1.0, 0.0, 90.0),
+               (1.1, 2.5, 0.3, 37.3)]
+
+
+def _solar_series(first, step, hours=25):
+    """A weather series from ``first`` every ``step`` over ``hours``, with
+    beam and diffuse irradiance by day and by night."""
+    n = int(timedelta(hours=hours) / step)
+    return WeatherSeries(records=tuple(
+        WeatherRecord(first + k * step, 28.0, 70.0, 300.0 + 7.0 * (k % 90),
+                      40.0 + 3.0 * (k % 50), 2.0, 90.0)
+        for k in range(n)))
+
+
+_SERIES = {
+    "naive": lambda: _solar_series(datetime(2024, 12, 21), timedelta(hours=1)),
+    "plus4": lambda: _solar_series(datetime(2024, 6, 21, 4, tzinfo=timezone(timedelta(hours=4))),
+                                   timedelta(hours=1)),
+    "10min": lambda: _solar_series(datetime(2024, 3, 20, tzinfo=timezone.utc),
+                                   timedelta(minutes=10)),
+}
+
+
+def _expect_columns(track, records, suns):
+    """Fill ``track`` and compare its columns with the per-instant
+    references at ``suns``."""
+    from ecodom.solar import overhang_shading_fraction
+    from oracles import surface_irradiance
+    track.fill(_ORIENTATIONS, _GEOMETRIES)
+    for azimuth, tilt in _ORIENTATIONS:
+        beam, diffuse = track.irradiance[(azimuth, tilt)]
+        assert list(zip(beam, diffuse)) == [
+            surface_irradiance(sun, r.solar_direct_w_m2, r.solar_diffuse_w_m2, azimuth, tilt)
+            for sun, r in zip(suns, records)]
+    for depth, height, offset, azimuth in _GEOMETRIES:
+        assert list(track.shading[(depth, height, offset, azimuth)]) == [
+            overhang_shading_fraction(depth, height, offset,
+                                      sun.altitude_deg, sun.azimuth_deg, azimuth)
+            for sun in suns]
+
+
+class TestSunColumns:
+    @pytest.mark.parametrize("site", sorted(_SITES))
+    @pytest.mark.parametrize("series", sorted(_SERIES))
+    def test_columns_equal_the_per_instant_references(self, site, series):
+        from ecodom.solar import solar_position, sun_positions
+        from ecodom.thermal import _sun_track
+        weather = _SERIES[series]()
+        latitude, longitude = _SITES[site]
+        track = _sun_track(weather, latitude, longitude)
+        suns = [solar_position(latitude, longitude, ts) for ts in track.timestamps]
+        assert list(track.altitude) == [sun.altitude_deg for sun in suns]
+        assert list(track.azimuth) == [sun.azimuth_deg for sun in suns]
+        # the same instants given in UTC give the same columns
+        utc = [ts.astimezone(timezone.utc) if ts.tzinfo else ts.replace(tzinfo=timezone.utc)
+               for ts in track.timestamps]
+        assert sun_positions(latitude, longitude, utc) == (list(track.altitude),
+                                                           list(track.azimuth))
+        # the day and the night, and the sun up behind a shaded facade
+        assert min(track.altitude) < 0.0 < max(track.altitude)
+        assert any(sun.altitude_deg > 0.0
+                   and math.cos(math.radians(sun.azimuth_deg - facade)) <= 0.0
+                   for sun in suns for _, _, _, facade in _GEOMETRIES)
+        _expect_columns(track, weather.records, suns)
+
+    def test_sun_at_the_horizon_and_edge_angles(self, monkeypatch):
+        from ecodom import thermal
+        from ecodom.solar import SolarPosition
+        weather = _SERIES["naive"]()
+        # at, just above and just below the horizon, the zenith and the
+        # nadir, square to a facade, and behind every facade at once
+        cases = [(0.0, 180.0), (-0.0, 90.0), (5e-324, 180.0), (-5e-324, 180.0),
+                 (90.0, 0.0), (-90.0, 0.0), (30.0, 270.0), (30.0, 127.3), (45.0, 180.0),
+                 (12.5, 0.0), (60.0, 33.0)]
+        angles = [cases[k % len(cases)] for k in range(len(weather.records))]
+        monkeypatch.setattr(thermal, "sun_positions", lambda lat, lon, timestamps: (
+            [alt for alt, _ in angles], [az for _, az in angles]))
+        track = thermal._sun_track(weather, *_SITES["south"])
+        _expect_columns(track, weather.records, [SolarPosition(*a) for a in angles])
