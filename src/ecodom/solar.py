@@ -9,6 +9,7 @@ are UTC; naive datetimes are taken as UTC.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from datetime import datetime, timezone
 
 DEG = math.pi / 180.0
@@ -32,7 +33,7 @@ class SolarPosition:
 
 
 def sun_positions(latitude_deg: float, longitude_deg: float,
-                  timestamps) -> tuple[list[float], list[float]]:
+                  timestamps: Iterable[datetime]) -> tuple[list[float], list[float]]:
     """Sun altitude and azimuth columns, in degrees, one value per
     timestamp, for a location.
 
