@@ -17,7 +17,9 @@ from ecodom.archetypes import (
     uninsulated_zone,
 )
 from ecodom.comfort import PsychroPoint, discomfort_fraction, humidity_ratio
+from ecodom import thermal
 from ecodom.dataio import SeriesFormatError, WeatherRecord, WeatherSeries
+from ecodom.solar import SolarPosition, overhang_shading_fraction, solar_position, sun_positions
 from ecodom.thermal import (
     ROOF_DECK_RESISTANCE,
     ScenarioError,
@@ -31,7 +33,7 @@ from ecodom.thermal import (
     ventilation_ach,
     zone_from_building,
 )
-from oracles import first_order_response
+from oracles import first_order_response, surface_irradiance
 
 _mean = lambda xs: sum(xs) / len(xs)
 
@@ -528,8 +530,6 @@ _SERIES = {
 def _expect_columns(track, records, suns):
     """Fill ``track`` and compare its columns with the per-instant
     references at ``suns``."""
-    from ecodom.solar import overhang_shading_fraction
-    from oracles import surface_irradiance
     track.fill(_ORIENTATIONS, _GEOMETRIES)
     for azimuth, tilt in _ORIENTATIONS:
         beam, diffuse = track.irradiance[(azimuth, tilt)]
@@ -547,11 +547,9 @@ class TestSunColumns:
     @pytest.mark.parametrize("site", sorted(_SITES))
     @pytest.mark.parametrize("series", sorted(_SERIES))
     def test_columns_equal_the_per_instant_references(self, site, series):
-        from ecodom.solar import solar_position, sun_positions
-        from ecodom.thermal import _sun_track
         weather = _SERIES[series]()
         latitude, longitude = _SITES[site]
-        track = _sun_track(weather, latitude, longitude)
+        track = thermal._sun_track(weather, latitude, longitude)
         suns = [solar_position(latitude, longitude, ts) for ts in track.timestamps]
         assert list(track.altitude) == [sun.altitude_deg for sun in suns]
         assert list(track.azimuth) == [sun.azimuth_deg for sun in suns]
@@ -568,11 +566,10 @@ class TestSunColumns:
         _expect_columns(track, weather.records, suns)
 
     def test_sun_at_the_horizon_and_edge_angles(self, monkeypatch):
-        from ecodom import thermal
-        from ecodom.solar import SolarPosition
         weather = _SERIES["naive"]()
-        # at, just above and just below the horizon, the zenith and the
-        # nadir, square to a facade, and behind every facade at once
+        # at the horizon (0.0 and -0.0), just above and below it, the
+        # zenith and the nadir, and suns in front of, square to (127.3 for
+        # the 37.3 facade) and behind the facades
         cases = [(0.0, 180.0), (-0.0, 90.0), (5e-324, 180.0), (-5e-324, 180.0),
                  (90.0, 0.0), (-90.0, 0.0), (30.0, 270.0), (30.0, 127.3), (45.0, 180.0),
                  (12.5, 0.0), (60.0, 33.0)]
