@@ -479,7 +479,7 @@ def gain_breakdown(result: SimulationResult) -> dict[str, float]:
     totals = {"roof": 0.0, "wall": 0.0, "window": 0.0}
     for name, gains in result.surface_gains_w.items():
         kind = result.surface_kinds[name]
-        totals[kind] += sum(filter((0.0).__lt__, gains))
+        totals[kind] += sum(q for q in gains if q > 0)
     totals["window"] += sum(result.window_solar_w)
     grand = sum(totals.values())
     if grand <= 0:
