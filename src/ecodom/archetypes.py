@@ -10,8 +10,6 @@ Both flats are building descriptions passed through
 calibrated zones and simulated buildings share one set of physics.
 """
 
-from __future__ import annotations
-
 import math
 from datetime import datetime, timedelta, timezone
 
@@ -29,7 +27,7 @@ from .building import (
     WindowSpec,
 )
 from .dataio import WeatherRecord, WeatherSeries
-from .solar import solar_position
+from .solar import sun_positions
 from .thermal import VentilationApertures, ZoneModel, zone_from_building
 
 #: Latitude and longitude (deg) of the reference site, on Reunion island.
@@ -158,13 +156,14 @@ def synthetic_weather(days: int = 7) -> WeatherSeries:
     rh_amp = (_RH_AT_T_MIN_PCT - _RH_AT_T_MAX_PCT) / 2.0
 
     start = _START - timedelta(hours=clock_offset)
+    timestamps = [start + timedelta(hours=i) for i in range(days * 24)]
+    altitudes, _ = sun_positions(latitude, longitude, timestamps)
     records = []
-    for i in range(days * 24):
-        ts = start + timedelta(hours=i)
+    for i, (ts, altitude) in enumerate(zip(timestamps, altitudes)):
         phase = 2.0 * math.pi * (i % 24 - _PEAK_HOUR_LOCAL) / 24.0  # local clock hour
         temp = round(t_mid + t_amp * math.cos(phase), 6)
         rh = round(rh_mid - rh_amp * math.cos(phase), 6)
-        dni, dhi = _clear_sky(solar_position(latitude, longitude, ts).altitude_deg)
+        dni, dhi = _clear_sky(altitude)
         records.append(WeatherRecord(
             timestamp=ts,
             temp_air_c=temp,

@@ -8,8 +8,6 @@ validation of a parsed description.
 Every record is an immutable named tuple; every function here is pure.
 """
 
-from __future__ import annotations
-
 import enum
 from typing import NamedTuple
 

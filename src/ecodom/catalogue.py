@@ -17,8 +17,6 @@ Known catalogue quirks, kept as published:
   both colour classes map to it.
 """
 
-from __future__ import annotations
-
 import functools
 import json
 import os

@@ -13,8 +13,6 @@ Subcommands:
 * ``comfort``  - psychrometric comfort statistics of an indoor series
 """
 
-from __future__ import annotations
-
 import argparse
 import os
 import sys

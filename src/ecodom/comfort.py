@@ -19,8 +19,6 @@ that carries the flags as its last field) and the scatter export read
 the same flags.
 """
 
-from __future__ import annotations
-
 import math
 from collections.abc import Sequence
 from itertools import islice
@@ -130,9 +128,6 @@ class ComfortZone(NamedTuple):
         return tuple((t + shift if abs(t - t_max) < 1e-9 else t, w)
                      for t, w in self.vertices)
 
-    def upper_bound_at(self, air_speed_m_s: float) -> float:
-        return max(t for t, _ in self.extended_vertices(air_speed_m_s))
-
 
 DEFAULT_ZONE = ComfortZone(
     vertices=((22.0, 4.0), (29.0, 4.0), (29.0, 17.0), (22.0, 17.0)),
@@ -182,17 +177,10 @@ def _point_in_polygon(x: float, y: float,
     return inside
 
 
-def classify(point: PsychroPoint, zone: ComfortZone = DEFAULT_ZONE) -> bool:
-    """True when the point lies inside (or on the boundary of) the zone,
-    after the air-speed extension of the warm edge."""
-    polygon = zone.extended_vertices(point.air_speed_m_s)
-    return _point_in_polygon(point.temperature_c, point.humidity_ratio_g_kg, polygon)
-
-
 def _inside_flags(points: list[PsychroPoint],
                   zone: ComfortZone) -> tuple[tuple[bool, ...], dict]:
-    """``classify`` for every point, with one extended polygon per distinct
-    air speed.  Returns the flags and the polygons keyed on air speed."""
+    """Each point's inside flag against the zone extended for its air
+    speed, and those polygons, one per distinct air speed, keyed on it."""
     polygons: dict = {}
     flags = []
     for t, w, speed in points:
@@ -227,7 +215,7 @@ def discomfort_fraction(points: list[PsychroPoint],
     if not points:
         raise ValueError("empty series")
     inside, polygons = _inside_flags(points, zone)
-    # upper_bound_at's expression, once per distinct air speed
+    # the warm edge of each extended polygon, once per distinct air speed
     bounds = {speed: max(t for t, _ in polygon) for speed, polygon in polygons.items()}
     exceedances = [max(0.0, p.temperature_c - bounds[p.air_speed_m_s])
                    for p, flag in zip(points, inside) if not flag]

@@ -11,8 +11,6 @@ timestamp, as the zones of an interleaved logger file do, reuses its
 parse.
 """
 
-from __future__ import annotations
-
 import json
 import math
 from collections.abc import Sequence
@@ -106,10 +104,10 @@ class WeatherRecord(NamedTuple):
 class WeatherSeries:
     """Weather records in file order; ``thermal.simulate`` checks their grid.
 
-    Not a tuple: ``len()`` counts records, and ``thermal.simulate`` holds
-    its stage 1 per (latitude, longitude) in ``sun_tracks``, which this
-    module never reads.  A series holding that memo compares by identity;
-    compare ``records`` for equal weather.
+    Not a tuple: ``thermal.simulate`` holds its stage 1 per (latitude,
+    longitude) in ``sun_tracks``, which this module never reads.  A
+    series holding that memo compares by identity; compare ``records``
+    for equal weather.
     """
 
     __slots__ = ("records", "sun_tracks", "__weakref__")
@@ -117,9 +115,6 @@ class WeatherSeries:
     def __init__(self, records: tuple[WeatherRecord, ...]):
         self.records = records
         self.sun_tracks: dict = {}
-
-    def __len__(self) -> int:
-        return len(self.records)
 
 
 def load_weather(path: str | Path) -> WeatherSeries:

@@ -6,8 +6,6 @@ that one type to exit code 2.  This module imports nothing from ecodom,
 so any module can use it.
 """
 
-from __future__ import annotations
-
 import json
 import math
 import sys

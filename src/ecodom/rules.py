@@ -9,8 +9,6 @@ All functions are pure and the catalogue is shared read-only, so checks
 are safe to run concurrently.
 """
 
-from __future__ import annotations
-
 import enum
 import json
 import math
@@ -70,9 +68,6 @@ class ComplianceReport(NamedTuple):
     @property
     def overall_pass(self) -> bool:
         return all(f.verdict is not Verdict.FAIL for f in self.findings)
-
-    def failures(self) -> tuple[Finding, ...]:
-        return tuple(f for f in self.findings if f.verdict is Verdict.FAIL)
 
     def to_json_dict(self) -> dict:
         return {

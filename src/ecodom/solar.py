@@ -6,8 +6,6 @@ accurate to well under half a degree over the current era.  Timestamps
 are UTC; naive datetimes are taken as UTC.
 """
 
-from __future__ import annotations
-
 import math
 from collections.abc import Iterable
 from datetime import datetime, timezone
@@ -16,20 +14,6 @@ DEG = math.pi / 180.0
 
 #: Ground reflectance seen by tilted surfaces.
 GROUND_ALBEDO = 0.2
-
-
-class SolarPosition:
-    """Sun altitude and azimuth in degrees (azimuth from North, clockwise).
-
-    A slotted class rather than a named tuple, whose class creation every
-    command would pay at import.
-    """
-
-    __slots__ = ("altitude_deg", "azimuth_deg")
-
-    def __init__(self, altitude_deg: float, azimuth_deg: float):
-        self.altitude_deg = altitude_deg
-        self.azimuth_deg = azimuth_deg
 
 
 def sun_positions(latitude_deg: float, longitude_deg: float,
@@ -113,14 +97,6 @@ def sun_positions(latitude_deg: float, longitude_deg: float,
             azimuth %= 360.0
         azimuths.append(azimuth)
     return altitudes, azimuths
-
-
-def solar_position(latitude_deg: float, longitude_deg: float,
-                   when: datetime) -> SolarPosition:
-    """Sun altitude/azimuth for a location and one instant, as
-    :func:`sun_positions` gives it."""
-    (altitude,), (azimuth,) = sun_positions(latitude_deg, longitude_deg, (when,))
-    return SolarPosition(altitude, azimuth)
 
 
 # ---------------------------------------------------------------------------

@@ -22,12 +22,12 @@ only a finer step or the continuous solution shows.
    the sun's altitude and azimuth (:func:`~ecodom.solar.sun_positions`,
    one call for the whole series), the sun-up mask, the sine and cosine
    of the altitude and the global horizontal irradiance.  Filled on
-   first use, it also holds one (beam, diffuse) irradiance column per
-   (azimuth, tilt) and one shading column per overhang geometry.  The
-   series holds the track, per (latitude, longitude), so every zone
-   simulated on the same series object at the same site shares all of
-   these, a paired or repeated run computes them once, and they die
-   with the series;
+   first use, it also holds one beam irradiance column per (azimuth,
+   tilt), one diffuse column per tilt and one shading column per
+   overhang geometry.  The series holds the track, per (latitude,
+   longitude), so every zone simulated on the same series object at the
+   same site shares all of these, a paired or repeated run computes
+   them once, and they die with the series;
 2. per zone: one effective-irradiance column per distinct (orientation,
    shading) and one sol-air column per distinct (orientation, shading,
    absorptivity), each shared by the surfaces with those inputs, and
@@ -46,8 +46,6 @@ transmitted solar and the radiant temperature are lists while they are
 built.  :func:`result_to_csv` writes the export to an open file in
 chunks of rows, so no whole-file string is built either.
 """
-
-from __future__ import annotations
 
 import math
 from array import array
@@ -244,15 +242,15 @@ class _SunTrack:
     altitude and azimuth, the sun-up mask, the sine and cosine of the
     altitude, and the global horizontal irradiance.  The track keeps the
     weather columns it reads, never the series itself, so the series that
-    holds the track forms no reference cycle with it.  The (beam,
-    diffuse) irradiance columns of an (azimuth, tilt), and the shading
-    column of an overhang geometry, are filled the first time a zone on
+    holds the track forms no reference cycle with it.  The beam column
+    of an (azimuth, tilt), the diffuse column of a tilt and the shading
+    column of an overhang geometry are filled the first time a zone on
     the track needs them.
     """
 
     __slots__ = ("step_s", "timestamps", "t_out", "direct", "diffuse", "wind",
                  "altitude", "azimuth", "up", "sin_alt", "cos_alt", "global_horizontal",
-                 "irradiance", "shading")
+                 "irradiance", "tilted_diffuse", "shading")
 
     def __init__(self, weather: WeatherSeries, latitude: float, longitude: float):
         records = weather.records
@@ -276,6 +274,7 @@ class _SunTrack:
             dhi + dni * s if up else dhi
             for up, s, dni, dhi in zip(self.up, self.sin_alt, self.direct, self.diffuse)])
         self.irradiance: dict[tuple[float, float], tuple[array, array]] = {}
+        self.tilted_diffuse: dict[float, array] = {}
         self.shading: dict[tuple[float, float, float, float], array] = {}
 
     def fill(self, orientations, geometries) -> None:
@@ -294,10 +293,9 @@ class _SunTrack:
         of incidence, clipped to 0 when the sun is behind the surface or
         below the horizon, and the diffuse from an isotropic sky plus the
         ground's reflection (:data:`GROUND_ALBEDO`) of the global
-        horizontal."""
-        tilt = tilt * DEG
-        sin_tilt, cos_tilt = math.sin(tilt), math.cos(tilt)
-        sky_view, ground_view = 1.0 + cos_tilt, 1.0 - cos_tilt
+        horizontal.  The diffuse depends on the tilt alone, so the
+        orientations of one tilt share one diffuse column."""
+        sin_tilt, cos_tilt = math.sin(tilt * DEG), math.cos(tilt * DEG)
         cos = math.cos
         # dni * max(0.0, cos_incidence), with the comparison inline
         beam = array("d", [
@@ -305,9 +303,12 @@ class _SunTrack:
                    else 0.0) if up else dni * 0.0
             for up, s, ca, z, dni in zip(self.up, self.sin_alt, self.cos_alt,
                                          self.azimuth, self.direct)])
-        diffuse = array("d", [
-            dhi * sky_view / 2.0 + GROUND_ALBEDO * ghi * ground_view / 2.0
-            for dhi, ghi in zip(self.diffuse, self.global_horizontal)])
+        diffuse = self.tilted_diffuse.get(tilt)
+        if diffuse is None:
+            sky_view, ground_view = 1.0 + cos_tilt, 1.0 - cos_tilt
+            diffuse = self.tilted_diffuse[tilt] = array("d", [
+                dhi * sky_view / 2.0 + GROUND_ALBEDO * ghi * ground_view / 2.0
+                for dhi, ghi in zip(self.diffuse, self.global_horizontal)])
         return beam, diffuse
 
     def _shading(self, depth: float, height: float, offset: float,

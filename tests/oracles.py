@@ -6,10 +6,19 @@ pressure oracle is the Hyland-Wexler correlation, the shading oracle
 casts rays against the overhang rectangle in 3-D, and the integrator
 oracle is the closed-form periodic response of a first-order lag.
 
-:func:`incidence_cosine` and :func:`surface_irradiance` are the other
-kind: the per-instant form of the expressions that
-``thermal._SunTrack`` evaluates as per-step columns.  The columns must
-equal them exactly, so they share the package's ground albedo.
+The others are per-point references: the form, one instant or one
+sample at a time, of what the package computes over a whole series.
+Its series must equal them exactly, so they share code with it:
+
+* :func:`solar_position` gives one instant's :class:`SolarPosition`
+  through ``ecodom.solar.sun_positions``, the package's sun routine;
+* :func:`incidence_cosine` and :func:`surface_irradiance` are the
+  expressions that ``thermal._SunTrack`` evaluates as per-step columns,
+  with the package's ground albedo;
+* :func:`classify` and :func:`upper_bound_at` test one sample against
+  the comfort polygon extended for its air speed, the flags and bounds
+  that ``comfort.discomfort_fraction`` takes in one pass; they use the
+  zone's ``extended_vertices`` and ``comfort._point_in_polygon``.
 """
 
 from __future__ import annotations
@@ -20,7 +29,8 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from ecodom.solar import GROUND_ALBEDO
+from ecodom.comfort import DEFAULT_ZONE, ComfortZone, PsychroPoint, _point_in_polygon
+from ecodom.solar import GROUND_ALBEDO, sun_positions
 
 _DEG = math.pi / 180.0
 _EARTH_MEAN_RADIUS_KM = 6371.01
@@ -75,6 +85,24 @@ def psa_solar_position(latitude: float, longitude: float,
     return 90.0 - math.degrees(zenith), math.degrees(azimuth)
 
 
+class SolarPosition:
+    """Sun altitude and azimuth in degrees (azimuth from North, clockwise)."""
+
+    __slots__ = ("altitude_deg", "azimuth_deg")
+
+    def __init__(self, altitude_deg: float, azimuth_deg: float):
+        self.altitude_deg = altitude_deg
+        self.azimuth_deg = azimuth_deg
+
+
+def solar_position(latitude_deg: float, longitude_deg: float,
+                   when: datetime) -> SolarPosition:
+    """Sun altitude/azimuth for a location and one instant, as
+    :func:`ecodom.solar.sun_positions` gives it."""
+    (altitude,), (azimuth,) = sun_positions(latitude_deg, longitude_deg, (when,))
+    return SolarPosition(altitude, azimuth)
+
+
 def incidence_cosine(sun, surface_azimuth_deg: float,
                      surface_tilt_deg: float) -> float:
     """cos(incidence angle) of beam radiation on a tilted surface, clipped
@@ -109,6 +137,18 @@ def surface_irradiance(sun, direct_normal: float, diffuse_horizontal: float,
         ghi += direct_normal * math.sin(sun.altitude_deg * _DEG)
     ground = GROUND_ALBEDO * ghi * (1.0 - math.cos(tilt)) / 2.0
     return beam, sky + ground
+
+
+def upper_bound_at(zone: ComfortZone, air_speed_m_s: float) -> float:
+    """Warm edge of ``zone`` extended for ``air_speed_m_s``, in degC."""
+    return max(t for t, _ in zone.extended_vertices(air_speed_m_s))
+
+
+def classify(point: PsychroPoint, zone: ComfortZone = DEFAULT_ZONE) -> bool:
+    """True when the point lies inside (or on the boundary of) the zone,
+    after the air-speed extension of the warm edge."""
+    polygon = zone.extended_vertices(point.air_speed_m_s)
+    return _point_in_polygon(point.temperature_c, point.humidity_ratio_g_kg, polygon)
 
 
 def hyland_wexler_pws(t_c: float) -> float:

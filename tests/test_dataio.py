@@ -41,7 +41,7 @@ class TestWeatherIO:
     def test_seven_day_fixture(self, clean_week):
         series, path = clean_week
         loaded = load_weather(path)
-        assert len(loaded) == 168
+        assert len(loaded.records) == 168
 
     def test_round_trip_exact(self, clean_week, tmp_path):
         series, path = clean_week

@@ -3,6 +3,7 @@
 Every named tuple in the package is read-only, copies with ``_replace``
 to an equal record with an equal hash, and a record that checks its
 values when it is built checks them on every ``_replace`` copy too.
+Its field annotations are evaluated types, not postponed strings.
 No other class in the package defines its own equality, hash, repr or
 ``_replace``.
 """
@@ -11,6 +12,7 @@ import enum
 import importlib
 import pkgutil
 import re
+import typing
 from datetime import datetime, timezone
 
 import pytest
@@ -37,7 +39,7 @@ from ecodom.comfort import (
     paired_offset,
 )
 from ecodom.dataio import IndoorRecord, load_building
-from ecodom.rules import Finding, compliance_report
+from ecodom.rules import Finding, Verdict, compliance_report
 from ecodom.thermal import simulate
 
 
@@ -84,7 +86,8 @@ def _samples() -> dict[type, tuple]:
         building.windows[0], room, room.facades[0], room.external_openings[0],
         building.facade_pairs[0], building.water_heater,
         validate(building._replace(latitude=99.0))[0], facade_porosities(building)[0],
-        default_catalogue(), report, report.failures()[0],
+        default_catalogue(), report,
+        next(f for f in report.findings if f.verdict is Verdict.FAIL),
         zone, zone.surfaces[0], zone.apertures,
         synthetic_weather(days=1).records[0],
         IndoorRecord(datetime(2026, 2, 1, tzinfo=timezone.utc), "z1", 28.0, 28.5, 60.0, 0.3),
@@ -131,6 +134,13 @@ def test_replace_copy_is_equal(cls):
     assert hash(copy) == expected
 
 
+@pytest.mark.parametrize("cls", RECORDS, ids=_ids(RECORDS))
+def test_field_annotations_are_evaluated_types(cls):
+    # a postponed (string) annotation becomes a ForwardRef in a named tuple
+    for name, annotation in cls.__annotations__.items():
+        assert not isinstance(annotation, (str, typing.ForwardRef)), name
+
+
 @pytest.mark.parametrize("cls", CHECKED, ids=_ids(CHECKED))
 def test_checked_record_refuses_out_of_range_copy(cls):
     change, message = OUT_OF_RANGE[cls]
@@ -146,7 +156,7 @@ def test_value_semantics_come_from_named_tuples_alone():
     # their base; the few plain classes left keep the defaults.
     plain = [cls for cls in CLASSES
              if not (_is_record(cls) or issubclass(cls, (enum.Enum, BaseException)))]
-    assert {cls.__name__ for cls in plain} == {"SolarPosition", "WeatherSeries", "_SunTrack"}
+    assert {cls.__name__ for cls in plain} == {"WeatherSeries", "_SunTrack"}
     for cls in plain:
         own = {"__eq__", "__hash__", "__repr__", "_replace"} & set(vars(cls))
         assert not own, f"{cls.__name__} defines {sorted(own)}"

@@ -4,11 +4,13 @@ from datetime import datetime, timezone
 
 import pytest
 
-from ecodom.solar import SolarPosition, overhang_shading_fraction, solar_position
+from ecodom.solar import overhang_shading_fraction
 from oracles import (
+    SolarPosition,
     incidence_cosine,
     psa_solar_position,
     ray_sampled_shading,
+    solar_position,
     surface_irradiance,
 )
 

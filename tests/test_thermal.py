@@ -19,7 +19,7 @@ from ecodom.archetypes import (
 from ecodom.comfort import PsychroPoint, discomfort_fraction, humidity_ratio
 from ecodom import thermal
 from ecodom.dataio import SeriesFormatError, WeatherRecord, WeatherSeries
-from ecodom.solar import SolarPosition, overhang_shading_fraction, solar_position, sun_positions
+from ecodom.solar import overhang_shading_fraction, sun_positions
 from ecodom.thermal import (
     ROOF_DECK_RESISTANCE,
     ScenarioError,
@@ -33,7 +33,7 @@ from ecodom.thermal import (
     ventilation_ach,
     zone_from_building,
 )
-from oracles import first_order_response, surface_irradiance
+from oracles import SolarPosition, first_order_response, solar_position, surface_irradiance
 
 _mean = lambda xs: sum(xs) / len(xs)
 
@@ -97,7 +97,7 @@ class TestSimulate:
 
     def test_output_length_matches_weather(self, week):
         result = simulate(compliant_zone(), week)
-        assert len(result.timestamps) == len(week)
+        assert len(result.timestamps) == len(week.records)
 
     def test_resultant_is_air_radiant_mean(self, week):
         result = simulate(compliant_zone(), week)
@@ -578,3 +578,12 @@ class TestSunColumns:
             [alt for alt, _ in angles], [az for _, az in angles]))
         track = thermal._sun_track(weather, *_SITES["south"])
         _expect_columns(track, weather.records, [SolarPosition(*a) for a in angles])
+
+    def test_orientations_of_one_tilt_share_one_diffuse_column(self):
+        track = thermal._sun_track(_SERIES["naive"](), *_SITES["south"])
+        track.fill(_ORIENTATIONS, ())
+        _, east = track.irradiance[(90.0, 90.0)]
+        _, west = track.irradiance[(270.0, 90.0)]
+        _, roof = track.irradiance[(0.0, 0.0)]
+        assert east is west
+        assert roof is not east and roof != east
