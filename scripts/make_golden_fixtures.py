@@ -9,8 +9,6 @@ and west, balconies on the north facade, bedroom windows replaced by
 2 m2 glazed doors with fanlights above the doors).
 """
 
-from __future__ import annotations
-
 import pathlib
 import sys
 

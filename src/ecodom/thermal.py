@@ -28,23 +28,25 @@ only a finer step or the continuous solution shows.
    longitude), so every zone simulated on the same series object at the
    same site shares all of these, a paired or repeated run computes
    them once, and they die with the series;
-2. per zone: one effective-irradiance column per distinct (orientation,
-   shading) and one sol-air column per distinct (orientation, shading,
-   absorptivity), each shared by the surfaces with those inputs, and
-   the solar transmitted through the glazing;
+2. per zone: each surface's :attr:`SurfaceModel.shading`, then one
+   effective-irradiance column per distinct (orientation, shading) and
+   one sol-air column per distinct (orientation, shading, absorptivity),
+   each shared by the surfaces with those inputs, and the solar
+   transmitted through the glazing;
 3. the ventilation and internal-gains columns, the backward-Euler
-   recurrence, then the flows, the energy residual and the radiant
-   temperature, with the arithmetic of the per-step balance in the same
-   order.
+   recurrence, then the flows, and one walk of the surface flows per
+   step whose envelope sum gives both the energy residual and the
+   radiant temperature, with the arithmetic of the per-step balance in
+   the same order.
 
 The :class:`SimulationResult` is a named tuple of series, one value per
 step.  Every per-step column that stages 2 and 3 keep, and every series
 of the result but the outdoor temperature, is an ``array('d')``: 8
 bytes a value, where a list of floats takes 32.  A year of one zone
-holds some forty such columns; only the running sums of the
-transmitted solar and the radiant temperature are lists while they are
-built.  :func:`result_to_csv` writes the export to an open file in
-chunks of rows, so no whole-file string is built either.
+holds some forty such columns; only the running sum of the
+transmitted solar is a list while it is built.  :func:`result_to_csv`
+writes the export to an open file in chunks of rows, so no whole-file
+string is built either.
 """
 
 import math
@@ -86,8 +88,10 @@ class SurfaceModel(NamedTuple):
 
     ``resistance_m2k_w`` is the full conduction chain including both film
     coefficients.  ``shade_fraction`` overrides the geometric overhang
-    shading when set (e.g. closed opaque louvers); otherwise the overhang
-    d/h/a geometry is evaluated against the sun position each step.
+    shading when set (e.g. closed opaque louvers); otherwise a surface
+    with no overhang, or tilted under 45 degrees, is unshaded, and the
+    overhang d/h/a geometry of any other is evaluated against the sun
+    position each step: :attr:`shading` decides which.
     ``solar_transmittance`` is nonzero for glazing only.
     """
 
@@ -105,14 +109,17 @@ class SurfaceModel(NamedTuple):
     solar_transmittance: float = 0.0
 
     @property
-    def fixed_shading(self) -> float | None:
-        """Beam shading fraction when it does not depend on the sun, else
-        None: the overhang is then evaluated at each step."""
+    def shading(self) -> float | tuple[float, float, float, float]:
+        """The beam shading fraction, clamped to [0, 1], when it does not
+        depend on the sun, else the overhang key (depth, height, offset,
+        azimuth) of the sun track's shading column; an overhang of no
+        height is taken as 1 m high."""
         if self.shade_fraction is not None:
             return min(max(self.shade_fraction, 0.0), 1.0)
         if self.overhang_depth_m <= 0 or self.tilt_deg < 45.0:
             return 0.0
-        return None
+        height = self.overhang_height_m if self.overhang_height_m > 0 else 1.0
+        return (self.overhang_depth_m, height, self.overhang_offset_m, self.azimuth_deg)
 
 
 class VentilationApertures(NamedTuple):
@@ -340,14 +347,7 @@ def _forcing(zone: ZoneModel, track: _SunTrack) -> tuple[list[array], array]:
     call.
     """
     orientations = [(s.azimuth_deg, s.tilt_deg) for s in zone.surfaces]
-    shades = []
-    for surface in zone.surfaces:
-        shade = surface.fixed_shading
-        if shade is None:
-            height = surface.overhang_height_m if surface.overhang_height_m > 0 else 1.0
-            shade = (surface.overhang_depth_m, height, surface.overhang_offset_m,
-                     surface.azimuth_deg)
-        shades.append(shade)
+    shades = [s.shading for s in zone.surfaces]
     track.fill(orientations, [shade for shade in shades if isinstance(shade, tuple)])
     h_exterior = zone.h_exterior
 
@@ -428,26 +428,24 @@ def simulate(zone: ZoneModel, weather: WeatherSeries) -> SimulationResult:
     q_vent = array("d", [hv * (tout - t) for hv, tout, t in zip(h_vent, t_out, t_new)])
     del sol_air, k_sol_air, h_vent
     max_residual = 0.0
+    q_envelope = array("d")
     rows = zip(*q_surfaces) if q_surfaces else repeat((), n)
     for row, qv, g, q_sun, q_int, t, t_prev in zip(
             rows, q_vent, gains_fixed, transmitted, internal, t_new,
             chain((t_out[0],), t_new)):
-        residual = (capacitance * (t - t_prev) / dt
-                    - (sum(row) + qv + g))
+        q = sum(row)
+        q_envelope.append(q)
+        residual = capacitance * (t - t_prev) / dt - (q + qv + g)
         gross = sum(map(abs, row)) + abs(qv) + q_sun + abs(q_int)
         if gross > 1e-9:
             max_residual = max(max_residual, abs(residual) / gross)
 
-    # Interior surface temperatures via the inner film, then the
-    # area-weighted mean radiant temperature.
+    # Each inner surface sits at t + q_i / (h_in A_i) behind its film, so
+    # the area-weighted mean radiant temperature is t + sum(q) / (h_in A).
     r_film_in = 1.0 / zone.h_interior
     total_area = sum(s.area_m2 for s in zone.surfaces)
-    t_rad = [0.0] * n
-    for surface, column in zip(zone.surfaces, q_surfaces):
-        area = surface.area_m2
-        t_rad = [acc + area * (t + (q / area) * r_film_in)
-                 for acc, t, q in zip(t_rad, t_new, column)]
-    t_rad = array("d", [acc / total_area for acc in t_rad]) if total_area > 0 else t_new
+    t_rad = (array("d", [t + r_film_in * q / total_area for t, q in zip(t_new, q_envelope)])
+             if total_area > 0 else t_new)
     t_res = array("d", [(t + tr) / 2.0 for t, tr in zip(t_new, t_rad)])
     if not all(map(math.isfinite, t_res)):
         at = next(ts for ts, t in zip(timestamps, t_res) if not math.isfinite(t))

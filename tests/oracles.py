@@ -3,8 +3,11 @@
 Most deliberately share no code with the package: the sun position
 oracle is the PSA algorithm (Blanco-Muriel et al., 2001), the saturation
 pressure oracle is the Hyland-Wexler correlation, the shading oracle
-casts rays against the overhang rectangle in 3-D, and the integrator
-oracle is the closed-form periodic response of a first-order lag.
+casts rays against the overhang rectangle in 3-D, the integrator
+oracle is the closed-form periodic response of a first-order lag, and
+the radiant oracle walks the surfaces one by one, where
+``thermal.simulate`` forms the radiant temperature from the step's
+envelope flux sum, so the two agree to rounding, not bit for bit.
 
 The others are per-point references: the form, one instant or one
 sample at a time, of what the package computes over a whole series.
@@ -216,3 +219,20 @@ def first_order_response(tau_s: float, omega_rad_s: float,
         a = 1.0 / (1.0 + dt_s / tau_s)
         response = (1.0 - a) / (1.0 - a * cmath.exp(-1j * omega_rad_s * dt_s))
     return abs(response), -cmath.phase(response)
+
+
+def area_weighted_radiant(zone, result) -> list[float]:
+    """The area-weighted mean of the inner-surface temperatures of each
+    step, each surface at ``t_air + q / (h_in A)`` behind its inner film,
+    with ``q`` its conducted gain from ``result.surface_gains_w``; the
+    air temperature for a zone without surfaces."""
+    total_area = sum(s.area_m2 for s in zone.surfaces)
+    if total_area <= 0:
+        return list(result.t_air_c)
+    r_film_in = 1.0 / zone.h_interior
+    weighted = [0.0] * len(result.t_air_c)
+    for surface in zone.surfaces:
+        area = surface.area_m2
+        weighted = [acc + area * (t + (q / area) * r_film_in) for acc, t, q in
+                    zip(weighted, result.t_air_c, result.surface_gains_w[surface.name])]
+    return [acc / total_area for acc in weighted]

@@ -1,6 +1,7 @@
 """The reference experiment prints its pinned report, carries the figures
-of the experiment scripts it replaced, and the golden fixture generator
-still describes the bundled golden buildings."""
+of the experiment scripts it replaced, the golden fixture generator
+still describes the bundled golden buildings, and the same-bytes check
+runs."""
 
 import importlib.util
 import json
@@ -106,3 +107,22 @@ def test_fixture_generator_matches_bundled_golden(upgraded, fixture):
     assert generated == json.loads(fixture.read_text("utf-8"))
     # the writer's bytes, key order included
     assert json.dumps(generated, indent=2) + "\n" == fixture.read_text("utf-8")
+
+
+def test_same_bytes_runs_on_this_interpreter(tmp_path):
+    proc = subprocess.run([sys.executable, "-I", str(SCRIPTS / "same_bytes.py"),
+                           sys.executable],
+                          cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].split() == ["output", "%d.%d.%d" % sys.version_info[:3]]
+    assert len(lines) == 1 + 9 + 1 and lines[-1] == "all equal"
+    assert not any(tmp_path.iterdir())
+
+
+def test_same_bytes_refuses_what_is_not_python(tmp_path):
+    proc = subprocess.run([sys.executable, "-I", str(SCRIPTS / "same_bytes.py"),
+                           str(tmp_path / "python")],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")

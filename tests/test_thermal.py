@@ -33,7 +33,8 @@ from ecodom.thermal import (
     ventilation_ach,
     zone_from_building,
 )
-from oracles import SolarPosition, first_order_response, solar_position, surface_irradiance
+from oracles import (SolarPosition, area_weighted_radiant, first_order_response,
+                     solar_position, surface_irradiance)
 
 _mean = lambda xs: sum(xs) / len(xs)
 
@@ -104,6 +105,45 @@ class TestSimulate:
         for t_air, t_rad, t_res in zip(result.t_air_c, result.t_radiant_c,
                                        result.t_resultant_c):
             assert t_res == pytest.approx((t_air + t_rad) / 2.0)
+
+    # The radiant temperature comes from each step's envelope flux sum;
+    # the per-surface mean of the inner-surface temperatures pins it.
+    @staticmethod
+    def _assert_radiant_is_area_weighted_mean(zone, weather):
+        result = simulate(zone, weather)
+        expected = area_weighted_radiant(zone, result)
+        assert len(expected) == len(result.t_radiant_c)
+        for t_rad, reference in zip(result.t_radiant_c, expected):
+            assert abs(t_rad - reference) <= 1e-12
+
+    @pytest.mark.parametrize("building", ["initial_building", "final_building"])
+    @pytest.mark.parametrize("scenario", [{}, {"interior_film_w_m2k": 3.0}],
+                             ids=["default-film", "film-3"])
+    def test_golden_radiant_is_area_weighted_mean(self, building, scenario, request, week):
+        zone = zone_from_building(request.getfixturevalue(building), scenario)
+        self._assert_radiant_is_area_weighted_mean(zone, week)
+
+    @pytest.mark.parametrize("zone", [uninsulated_zone(),
+                                      compliant_zone("intermediate", roof_exposed=False)],
+                             ids=["uninsulated", "intermediate"])
+    def test_flat_radiant_is_area_weighted_mean(self, zone, week):
+        self._assert_radiant_is_area_weighted_mean(zone, week)
+
+    def test_zone_without_surfaces(self):
+        zone = compliant_zone()._replace(surfaces=())
+        result = simulate(zone, synthetic_weather(2))
+        assert result.t_radiant_c == result.t_air_c
+        assert result.surface_gains_w == {} and result.surface_kinds == {}
+        for series in (result.t_air_c, result.t_radiant_c, result.t_resultant_c, result.ach,
+                       result.window_solar_w, result.ventilation_gain_w,
+                       result.internal_gain_w):
+            assert all(map(math.isfinite, series))
+        assert result.max_residual_fraction <= 1e-3
+        assert gain_breakdown(result) == {"roof": 0.0, "wall": 0.0, "window": 0.0}
+        lines = _csv(result).splitlines()
+        assert len(lines) == 1 + len(result.timestamps)
+        for line in lines[1:]:
+            assert line.split(",")[6:9] == ["0.000000"] * 3
 
     def test_energy_residual_below_tolerance(self, week):
         result = simulate(uninsulated_zone(), week)
