@@ -4,8 +4,11 @@ Each interpreter named on the command line runs this script once more,
 isolated (``-I``), as a child that hashes the outputs of this checkout:
 ``check`` of both golden buildings as text and as JSON, a paired
 ``simulate`` of the goldens on the hot-season week with both exports,
-``write_weather`` of that week, and the reference report of
-``reference_experiment.py``.  No interpreter is searched for.
+``write_weather`` of that week, ``comfort --scatter`` of a two-zone
+logger file made from that week (written by ``write_indoor``, with blank
+resultant and air-speed cells) with its scatter export, and the
+reference report of ``reference_experiment.py``.  No interpreter is
+searched for.
 
 Prints one table of hashes, one row per output and one column per
 interpreter.  Exits 0 when every row is equal, 1 when any differs, and 2
@@ -42,7 +45,7 @@ def child_hashes() -> dict:
     import reference_experiment
     from ecodom.archetypes import synthetic_weather
     from ecodom.cli import main
-    from ecodom.dataio import write_weather
+    from ecodom.dataio import IndoorRecord, write_indoor, write_weather
 
     def run(*argv) -> bytes:
         out = io.StringIO()
@@ -67,6 +70,19 @@ def child_hashes() -> dict:
             "--paired", goldens["final"], "--out", str(out), "--paired-out", str(paired_out)))
         hashes["simulate --out"] = _hash(out.read_bytes())
         hashes["simulate --paired-out"] = _hash(paired_out.read_bytes())
+        # two zones on the week's timestamps, so the offset line prints too
+        indoor, scatter = tmp / "indoor.csv", tmp / "scatter.csv"
+        records = []
+        for i, r in enumerate(synthetic_weather(7).records):
+            records.append(IndoorRecord(r.timestamp, "bedroom", r.temp_air_c + 1.5,
+                                        None, r.rh_pct, None))
+            records.append(IndoorRecord(r.timestamp, "living", r.temp_air_c + 0.5,
+                                        r.temp_air_c + 1.0 if i % 2 else None,
+                                        r.rh_pct, 0.1 * (i % 4) or None))
+        write_indoor(records, indoor)
+        hashes["comfort --scatter (stdout)"] = _hash(run(
+            "comfort", str(indoor), "--scatter", str(scatter)))
+        hashes["comfort scatter"] = _hash(scatter.read_bytes())
     report = io.StringIO()
     with contextlib.redirect_stdout(report):
         reference_experiment.main()

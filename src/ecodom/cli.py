@@ -22,10 +22,9 @@ from pathlib import Path
 from .catalogue import CATALOGUE_ENV_VAR, load_catalogue
 from .comfort import (
     DEFAULT_ZONE,
-    PsychroPoint,
     discomfort_fraction,
-    humidity_ratio,
     load_zone,
+    logger_points,
     paired_offset,
     psychro_scatter_rows,
 )
@@ -190,11 +189,7 @@ def _cmd_comfort(args) -> int:
         raise InputError(f"indoor series {args.indoor} is empty")
     zone = load_zone(args.zone) if args.zone else DEFAULT_ZONE
 
-    # rh_pct is the relative humidity of the air, at temp_air_c
-    points = [PsychroPoint(rec.comfort_temperature_c,
-                           humidity_ratio(rec.temp_air_c, rec.rh_pct),
-                           rec.air_speed_m_s or 0.0)
-              for rec in records]
+    points = logger_points(records)
     stats = discomfort_fraction(points, zone)
     print(f"samples: {stats.samples}")
     print(f"discomfort {stats.discomfort_fraction * 100:.1f}%")

@@ -11,12 +11,13 @@ from a zone file.
 Each sample is one immutable named tuple (``PsychroPoint``): the comfort
 temperature, placed against the humidity ratio of the air.  The ratio
 belongs to the air, so it comes from the dry bulb and its relative
-humidity, never from the resultant temperature.  A series is
-classified in one pass: each sample is tested once against the polygon
-extended for its air speed, and that polygon is built once per distinct
-air speed.  The discomfort statistics (``ComfortStats``, a named tuple
-that carries the flags as its last field) and the scatter export read
-the same flags.
+humidity, never from the resultant temperature.  ``logger_points`` is
+the one route from logger rows to points.  A series is classified in
+one pass: each sample is tested once against the polygon extended for
+its air speed, and that polygon and its warm edge are built once per
+distinct air speed.  The discomfort statistics (``ComfortStats``, a
+named tuple that carries the flags as its last field) and the scatter
+export read the same flags.
 """
 
 import math
@@ -57,10 +58,10 @@ def humidity_ratio(t_c: float, rh_pct: float) -> float:
 class PsychroPoint(NamedTuple):
     """One sample on the psychrometric plane.
 
-    ``temperature_c`` is the comfort temperature: the resultant when
-    measured, else the dry bulb.  ``humidity_ratio_g_kg`` is that of the
-    air, ``humidity_ratio(temp_air_c, rh_pct)`` for a logger row.  The
-    loader has already refused a negative air speed.
+    ``temperature_c`` is the comfort temperature and
+    ``humidity_ratio_g_kg`` that of the air; ``logger_points`` builds
+    them from logger rows.  The loader has already refused a negative
+    air speed.
     """
 
     temperature_c: float
@@ -68,20 +69,42 @@ class PsychroPoint(NamedTuple):
     air_speed_m_s: float = 0.0
 
 
-def _segments_cross(p1, p2, q1, q2) -> bool:
-    def orient(a, b, c):
-        v = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-        return 0 if abs(v) < 1e-12 else (1 if v > 0 else -1)
+def logger_points(records) -> list[PsychroPoint]:
+    """The point of each logger row (``dataio.IndoorRecord``): the
+    resultant temperature when measured, else the dry bulb, against
+    ``humidity_ratio(temp_air_c, rh_pct)``, since the RH is that of the
+    air; a blank air speed is still air."""
+    return [PsychroPoint(rec.temp_air_c if rec.temp_resultant_c is None
+                         else rec.temp_resultant_c,
+                         humidity_ratio(rec.temp_air_c, rec.rh_pct),
+                         rec.air_speed_m_s or 0.0)
+            for rec in records]
 
-    o1, o2 = orient(p1, p2, q1), orient(p1, p2, q2)
-    o3, o4 = orient(q1, q2, p1), orient(q1, q2, p2)
+
+def _orient(a, b, c) -> int:
+    v = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+    return 0 if abs(v) < 1e-12 else (1 if v > 0 else -1)
+
+
+def _segments_cross(p1, p2, q1, q2) -> bool:
+    o1, o2 = _orient(p1, p2, q1), _orient(p1, p2, q2)
+    o3, o4 = _orient(q1, q2, p1), _orient(q1, q2, p2)
     return o1 != o2 and o3 != o4
 
 
 def _is_simple_polygon(vertices) -> bool:
+    """True when no vertex repeats, no edge turns straight back along the
+    one before it and no two non-adjacent edges meet.  Two non-adjacent
+    edges that overlap on one line need no test of their own: the path
+    between them folds back on that line, or leaves it by an edge that
+    touches one of them."""
     n = len(vertices)
     if len(set(vertices)) != n:
         return False
+    for a, b, c in zip(vertices[-1:] + vertices[:-1], vertices, vertices[1:] + vertices[:1]):
+        if (_orient(a, b, c) == 0
+                and (b[0] - a[0]) * (c[0] - b[0]) + (b[1] - a[1]) * (c[1] - b[1]) < 0):
+            return False
     edges = [(vertices[i], vertices[(i + 1) % n]) for i in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
@@ -177,20 +200,6 @@ def _point_in_polygon(x: float, y: float,
     return inside
 
 
-def _inside_flags(points: list[PsychroPoint],
-                  zone: ComfortZone) -> tuple[tuple[bool, ...], dict]:
-    """Each point's inside flag against the zone extended for its air
-    speed, and those polygons, one per distinct air speed, keyed on it."""
-    polygons: dict = {}
-    flags = []
-    for t, w, speed in points:
-        polygon = polygons.get(speed)
-        if polygon is None:
-            polygon = polygons[speed] = zone.extended_vertices(speed)
-        flags.append(_point_in_polygon(t, w, polygon))
-    return tuple(flags), polygons
-
-
 class ComfortStats(NamedTuple):
     """Discomfort statistics of a series of ``samples`` points, with the
     per-sample classification the fraction counts in ``inside``
@@ -214,18 +223,26 @@ def discomfort_fraction(points: list[PsychroPoint],
     """
     if not points:
         raise ValueError("empty series")
-    inside, polygons = _inside_flags(points, zone)
-    # the warm edge of each extended polygon, once per distinct air speed
-    bounds = {speed: max(t for t, _ in polygon) for speed, polygon in polygons.items()}
-    exceedances = [max(0.0, p.temperature_c - bounds[p.air_speed_m_s])
-                   for p, flag in zip(points, inside) if not flag]
+    # the extended polygon and its warm edge, once per distinct air speed
+    extended: dict = {}
+    inside, exceedances = [], []
+    for t, w, speed in points:
+        pair = extended.get(speed)
+        if pair is None:
+            polygon = zone.extended_vertices(speed)
+            pair = extended[speed] = (polygon, max(x for x, _ in polygon))
+        polygon, warm_edge = pair
+        flag = _point_in_polygon(t, w, polygon)
+        inside.append(flag)
+        if not flag:
+            exceedances.append(max(0.0, t - warm_edge))
     outside = len(exceedances)
     return ComfortStats(
         samples=len(points),
         discomfort_fraction=outside / len(points),
         mean_exceedance_c=sum(exceedances) / outside if outside else 0.0,
         max_exceedance_c=max(exceedances) if outside else 0.0,
-        inside=inside,
+        inside=tuple(inside),
     )
 
 

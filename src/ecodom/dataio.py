@@ -6,9 +6,9 @@ All series files are CSV with ISO-8601 UTC timestamps and fixed, versioned
 headers; building descriptions are JSON (see docs/formats.md), whose
 format is the one table :data:`BUILDING_FORMAT` that both the building
 reader and the building writer walk.  Floats are written with Python's
-shortest repr so load(write(series)) round-trips exactly.  A row of an indoor file that repeats the previous row's
-timestamp, as the zones of an interleaved logger file do, reuses its
-parse.
+shortest repr so load(write(series)) round-trips exactly.  A row of an
+indoor file that repeats the previous row's timestamp, as the zones of
+an interleaved logger file do, reuses its parse.
 """
 
 import json
@@ -161,7 +161,8 @@ def write_weather(series: WeatherSeries, path: str | Path) -> None:
 # indoor monitoring series
 
 class IndoorRecord(NamedTuple):
-    """One logger sample."""
+    """One logger sample, as the file holds it: a blank cell is None.
+    ``comfort.logger_points`` turns records into comfort points."""
 
     timestamp: datetime
     zone: str
@@ -169,13 +170,6 @@ class IndoorRecord(NamedTuple):
     temp_resultant_c: float | None
     rh_pct: float
     air_speed_m_s: float | None
-
-    @property
-    def comfort_temperature_c(self) -> float:
-        """Resultant temperature when measured, else dry bulb."""
-        if self.temp_resultant_c is not None:
-            return self.temp_resultant_c
-        return self.temp_air_c
 
 
 def load_indoor(path: str | Path) -> tuple[IndoorRecord, ...]:

@@ -608,13 +608,15 @@ class TestInputBoundary:
         ("scenario", '{"volume_m3": 0}', "scenario volume_m3 must be a number > 0, got 0"),
         ("zone", '{"vertices": [[20, 3], [24, 3]]}',
          "comfort zone polygon needs at least 3 vertices"),
+        ("zone", '{"vertices": [[22, 4], [29, 4], [29, 17], [22, 17], [22, 10], [22, 12]]}',
+         "comfort zone polygon must be simple"),
     ], ids=["negative-irradiance", "negative-wind", "weather-cold-air", "under-a-day",
             "two-hour-step", "indoor-rh-101", "indoor-hot-air", "roof-area-zero",
             "glazed-area-zero", "negative-offset", "window-negative-depth", "null-external-facade",
             "pair-unknown-facade", "duplicate-opening", "wall-area-zero",
             "negative-opening-area", "latitude-91",
             "no-main-room", "schema-version-true", "schema-version-float",
-            "scenario-volume-zero", "zone-two-vertices"])
+            "scenario-volume-zero", "zone-two-vertices", "zone-edges-overlap"])
     def test_input_rule_exits_two(self, tmp_path, weather_csv, capsys,
                                   kind, change, fragment):
         if kind == "building":

@@ -227,6 +227,20 @@ class TestZoneFile:
         with pytest.raises(ValueError, match="simple"):
             ComfortZone(vertices=((22.0, 4.0), (29.0, 4.0), (22.0, 4.0)))
 
+    @pytest.mark.parametrize("vertices", [
+        ((22.0, 4.0), (29.0, 4.0), (25.0, 4.0)),
+        ((22.0, 4.0), (25.0, 4.0), (29.0, 4.0)),
+        ((22.0, 4.0), (25.0, 4.0), (29.0, 4.0), (27.0, 4.0)),
+        ((22.0, 4.0), (29.0, 4.0), (29.0, 17.0), (22.0, 17.0), (22.0, 10.0), (22.0, 12.0))],
+        ids=["folds-back", "one-line", "one-line-folds-back", "edges-overlap"])
+    def test_degenerate_polygon_rejected(self, vertices):
+        with pytest.raises(ValueError, match="simple"):
+            ComfortZone(vertices=vertices)
+
+    def test_straight_vertex_accepted(self):
+        zone = ComfortZone(((22.0, 4.0), (25.0, 4.0), (29.0, 4.0), (29.0, 17.0), (22.0, 17.0)))
+        assert zone.upper_temperature_c == 29.0
+
 
 def _seeded_points(seed: int = 7, n: int = 2000) -> list[PsychroPoint]:
     """Blank and zero air speeds, speeds past the cap, warm and cool

@@ -12,6 +12,7 @@ import pytest
 import ecodom
 from ecodom.archetypes import compliant_zone, synthetic_weather
 from ecodom.building import BuildingValidationError, validate
+from ecodom.comfort import humidity_ratio, logger_points
 from ecodom.dataio import (
     BUILDING_FORMAT,
     IndoorRecord,
@@ -232,7 +233,10 @@ class TestIndoorIO:
         rec = load_indoor(path)[0]
         assert rec.temp_resultant_c is None
         assert rec.air_speed_m_s is None
-        assert rec.comfort_temperature_c == 28.0
+        # the comfort point takes the dry bulb and still air
+        [point] = logger_points([rec])
+        assert point.temperature_c == 28.0
+        assert point.air_speed_m_s == 0.0
 
     def test_written_rows_pinned(self, tmp_path):
         records = (
@@ -247,7 +251,13 @@ class TestIndoorIO:
 
     def test_resultant_preferred_for_comfort(self):
         rec = _indoor(0, temp=28.0, resultant=29.1)
-        assert rec.comfort_temperature_c == 29.1
+        assert logger_points([rec])[0].temperature_c == 29.1
+
+    def test_humidity_ratio_is_the_airs_under_a_resultant(self):
+        rec = _indoor(0, temp=28.0, resultant=29.1, rh=60.0)
+        [point] = logger_points([rec])
+        assert point.humidity_ratio_g_kg == humidity_ratio(28.0, 60.0)
+        assert point.humidity_ratio_g_kg != humidity_ratio(29.1, 60.0)
 
     def test_out_of_order_zone_row_names_its_line(self, tmp_path):
         path = tmp_path / "indoor.csv"
@@ -356,7 +366,8 @@ class TestIndoorRecord:
         rec = _indoor(0, resultant=28.5, speed=0.3)
         twin = clone(rec)
         assert twin == rec and type(twin) is IndoorRecord
-        assert twin.comfort_temperature_c == 28.5
+        assert logger_points([twin]) == logger_points([rec])
+        assert logger_points([twin])[0].temperature_c == 28.5
 
 
 class TestBuildingIO:
