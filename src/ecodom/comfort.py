@@ -101,11 +101,11 @@ def _is_simple_polygon(vertices) -> bool:
     n = len(vertices)
     if len(set(vertices)) != n:
         return False
-    for a, b, c in zip(vertices[-1:] + vertices[:-1], vertices, vertices[1:] + vertices[:1]):
+    edges = [(vertices[i], vertices[(i + 1) % n]) for i in range(n)]
+    for (a, b), (_, c) in zip(edges, edges[1:] + edges[:1]):
         if (_orient(a, b, c) == 0
                 and (b[0] - a[0]) * (c[0] - b[0]) + (b[1] - a[1]) * (c[1] - b[1]) < 0):
             return False
-    edges = [(vertices[i], vertices[(i + 1) % n]) for i in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             if j == i + 1 or (i == 0 and j == n - 1):
