@@ -4,11 +4,13 @@ Each interpreter named on the command line runs this script once more,
 isolated (``-I``), as a child that hashes the outputs of this checkout:
 ``check`` of both golden buildings as text and as JSON, a paired
 ``simulate`` of the goldens on the hot-season week with both exports,
-``write_weather`` of that week, ``comfort --scatter`` of a two-zone
-logger file made from that week (written by ``write_indoor``, with blank
-resultant and air-speed cells) with its scatter export, and the
-reference report of ``reference_experiment.py``.  No interpreter is
-searched for.
+``write_weather`` of that week, ``simulate`` of that week with its first
+timestamp in the ISO basic format, which every supported Python must
+refuse, ``comfort --scatter`` of a two-zone logger file made from that
+week (written by ``write_indoor``, with blank resultant and air-speed
+cells) with its scatter export, and the reference report of
+``reference_experiment.py``.  Each command's hash covers its exit code
+and all it printed.  No interpreter is searched for.
 
 Prints one table of hashes, one row per output and one column per
 interpreter.  Exits 0 when every row is equal, 1 when any differs, and 2
@@ -48,8 +50,9 @@ def child_hashes() -> dict:
     from ecodom.dataio import IndoorRecord, write_indoor, write_weather
 
     def run(*argv) -> bytes:
+        """The exit code of ``main`` and what it printed, stdout and stderr."""
         out = io.StringIO()
-        with contextlib.redirect_stdout(out):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
             code = main(list(argv))
         return f"exit {code}\n{out.getvalue()}".encode("utf-8")
 
@@ -70,6 +73,12 @@ def child_hashes() -> dict:
             "--paired", goldens["final"], "--out", str(out), "--paired-out", str(paired_out)))
         hashes["simulate --out"] = _hash(out.read_bytes())
         hashes["simulate --paired-out"] = _hash(paired_out.read_bytes())
+        lines = weather.read_text("utf-8").splitlines()
+        lines[1] = lines[1][:19].replace("-", "").replace(":", "") + lines[1][25:]
+        basic = tmp / "basic.csv"
+        basic.write_text("\n".join(lines) + "\n", "utf-8")
+        hashes["simulate basic-format stamp"] = _hash(run(
+            "simulate", goldens["final"], "--weather", str(basic)))
         # two zones on the week's timestamps, so the offset line prints too
         indoor, scatter = tmp / "indoor.csv", tmp / "scatter.csv"
         records = []

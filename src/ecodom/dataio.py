@@ -13,6 +13,7 @@ an interleaved logger file do, reuses its parse.
 
 import json
 import math
+import re
 from collections.abc import Sequence
 from datetime import datetime, timezone
 from pathlib import Path
@@ -59,9 +60,28 @@ def _write_rows(path: str | Path, columns: tuple[str, ...], rows) -> None:
     Path(path).write_text("\n".join(lines) + "\n", "utf-8")
 
 
+#: The timestamp grammar, the same on every supported Python: that of
+#: ``datetime.fromisoformat`` on Python 3.10, plus a final ``Z`` for UTC.
+#: A date, then optionally any one separator character, a time
+#: HH[:MM[:SS[.fff[fff]]]] and an offset +HH:MM[:SS[.ffffff]] or Z.
+#: Compiled on first use, so a command that reads no series never pays it.
+_TIMESTAMP = (r"[0-9]{4}-[0-9]{2}-[0-9]{2}"
+              r"(?:.[0-9]{2}(?::[0-9]{2}(?::[0-9]{2}(?:\.[0-9]{3}(?:[0-9]{3})?)?)?)?"
+              r"(?:[+-][0-9]{2}:[0-9]{2}(?::[0-9]{2}(?:\.[0-9]{6})?)?|Z)?)?")
+
+
 def _parse_timestamp(text: str, line_no: int) -> datetime:
+    # The form isoformat() writes, YYYY-MM-DDTHH:MM:SS+HH:MM, passes on
+    # the place of its separators alone: any other character than a
+    # digit between them fails every Python's parse.
+    iso = text
     try:
-        ts = datetime.fromisoformat(text.replace("Z", "+00:00"))
+        if len(text) != 25 or text[4::3] != "--T::+:":
+            if not re.fullmatch(_TIMESTAMP, text, re.DOTALL):
+                raise ValueError("not in the timestamp grammar")
+            if text[-1] == "Z":
+                iso = text[:-1] + "+00:00"
+        ts = datetime.fromisoformat(iso)
     except ValueError as exc:
         raise SeriesFormatError(f"line {line_no}: bad timestamp {text!r}") from exc
     if ts.tzinfo is None:

@@ -61,6 +61,17 @@ def _reject_constant(name: str):
     raise ValueError(f"non-finite number {name} is not allowed")
 
 
+def _unique_keys(pairs: list) -> dict:
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValueError(f"duplicate key {key!r}")
+            seen.add(key)
+    return doc
+
+
 def read_json(source, error: type[InputError] = InputError) -> dict:
     """Parse a UTF-8 JSON file whose top level is an object.
 
@@ -68,13 +79,14 @@ def read_json(source, error: type[InputError] = InputError) -> dict:
     ``NaN``/``Infinity`` tokens and numbers beyond the float range are
     refused, so every number in the result converts to a finite float,
     and so are strings that cannot be written back as UTF-8 (a lone
-    ``\\ud800`` escape).  Any failure to parse raises ``error`` naming
-    the file.
+    ``\\ud800`` escape) and an object that holds one key twice.  Any
+    failure to parse raises ``error`` naming the file.
     """
     raw = source.read_bytes() if hasattr(source, "read_bytes") else Path(source).read_bytes()
     try:
-        doc = json.loads(raw.decode("utf-8"), parse_float=_finite_float,
-                         parse_int=_float_sized_int, parse_constant=_reject_constant)
+        doc = json.loads(raw.decode("utf-8"), object_pairs_hook=_unique_keys,
+                         parse_float=_finite_float, parse_int=_float_sized_int,
+                         parse_constant=_reject_constant)
         json.dumps(doc, ensure_ascii=False).encode("utf-8")
     except (ValueError, RecursionError) as exc:
         raise error(f"{source}: not valid JSON: {exc}") from exc

@@ -16,23 +16,23 @@ only a finer step or the continuous solution shows.
 :func:`simulate` runs in three stages:
 
 1. weather and site only, and the only stage that reads the
-   ``WeatherSeries``: the grid checks (:func:`weather_grid`: one base
-   step, whole multiples of it, at most one hour, at least 24 hours
-   covered), then a track holding per-step columns: the series' own,
-   the sun's altitude and azimuth (:func:`~ecodom.solar.sun_positions`,
-   one call for the whole series), the sun-up mask, the sine and cosine
-   of the altitude and the global horizontal irradiance.  Filled on
-   first use, it also holds one beam irradiance column per (azimuth,
-   tilt), one diffuse column per tilt and one shading column per
-   overhang geometry.  The series holds the track, per (latitude,
-   longitude), so every zone simulated on the same series object at the
-   same site shares all of these, a paired or repeated run computes
-   them once, and they die with the series;
-2. per zone: each surface's :attr:`SurfaceModel.shading`, then one
-   effective-irradiance column per distinct (orientation, shading) and
-   one sol-air column per distinct (orientation, shading, absorptivity),
-   each shared by the surfaces with those inputs, and the solar
-   transmitted through the glazing;
+   ``WeatherSeries``: every grid check, in :func:`weather_grid` (one
+   base step, whole multiples of it, no gap, at most one hour, at least
+   24 hours covered), then a track holding per-step columns: the
+   series' own, the sun's altitude and azimuth
+   (:func:`~ecodom.solar.sun_positions`, one call for the whole series),
+   the sun-up mask, the sine and cosine of the altitude and the global
+   horizontal irradiance.  Filled on first use, it also holds one beam
+   irradiance column per (azimuth, tilt), one diffuse column per tilt
+   and one shading column per overhang geometry.  The series holds the
+   track, per (latitude, longitude), so every zone simulated on the
+   same series object at the same site shares all of these, a paired or
+   repeated run computes them once, and they die with the series;
+2. per zone: from the shading each surface states (set by
+   :func:`zone_from_building`), one effective-irradiance column per
+   distinct (orientation, shading) and one sol-air column per distinct
+   (orientation, shading, absorptivity), each shared by the surfaces
+   with those inputs, and the solar transmitted through the glazing;
 3. the ventilation and internal-gains columns, the backward-Euler
    recurrence, then the flows, and one walk of the surface flows per
    step whose envelope sum gives both the energy residual and the
@@ -87,11 +87,10 @@ class SurfaceModel(NamedTuple):
     """One envelope surface of the zone.
 
     ``resistance_m2k_w`` is the full conduction chain including both film
-    coefficients.  ``shade_fraction`` overrides the geometric overhang
-    shading when set (e.g. closed opaque louvers); otherwise a surface
-    with no overhang, or tilted under 45 degrees, is unshaded, and the
-    overhang d/h/a geometry of any other is evaluated against the sun
-    position each step: :attr:`shading` decides which.
+    coefficients.  ``shading`` is the beam shading fraction when it does
+    not depend on the sun (0.0 unshaded, 1.0 fully shaded), else the
+    overhang key (depth, height, offset, azimuth) of the sun track's
+    shading column, evaluated against the sun position each step.
     ``solar_transmittance`` is nonzero for glazing only.
     """
 
@@ -102,24 +101,8 @@ class SurfaceModel(NamedTuple):
     tilt_deg: float
     absorptivity: float
     resistance_m2k_w: float
-    overhang_depth_m: float = 0.0
-    overhang_height_m: float = 0.0
-    overhang_offset_m: float = 0.0
-    shade_fraction: float | None = None
+    shading: float | tuple[float, float, float, float] = 0.0
     solar_transmittance: float = 0.0
-
-    @property
-    def shading(self) -> float | tuple[float, float, float, float]:
-        """The beam shading fraction, clamped to [0, 1], when it does not
-        depend on the sun, else the overhang key (depth, height, offset,
-        azimuth) of the sun track's shading column; an overhang of no
-        height is taken as 1 m high."""
-        if self.shade_fraction is not None:
-            return min(max(self.shade_fraction, 0.0), 1.0)
-        if self.overhang_depth_m <= 0 or self.tilt_deg < 45.0:
-            return 0.0
-        height = self.overhang_height_m if self.overhang_height_m > 0 else 1.0
-        return (self.overhang_depth_m, height, self.overhang_offset_m, self.azimuth_deg)
 
 
 class VentilationApertures(NamedTuple):
@@ -211,13 +194,15 @@ class SimulationResult(NamedTuple):
         return max(self.t_resultant_c)
 
 
-def weather_grid(timestamps: Sequence[datetime]) -> tuple[float, tuple[datetime, ...]]:
-    """Base step of increasing timestamps and the grid instants missing
-    between them.
+def weather_grid(timestamps: Sequence[datetime]) -> float:
+    """Base step, in seconds, of increasing timestamps on a whole grid.
 
-    The base step is the smallest spacing, in seconds; every spacing must
-    be a positive whole multiple of it, and no more steps may be missing
-    than there are timestamps, else SeriesFormatError.
+    The base step is the smallest spacing.  Every spacing must be a
+    positive whole multiple of it and no more steps may be missing than
+    there are timestamps, else SeriesFormatError; a missing step raises
+    :class:`WeatherGapError` listing the missing instants; the step must
+    be one hour or finer and the series must cover at least 24 hours,
+    else InputError.
     """
     if len(timestamps) < 2:
         raise SeriesFormatError("weather series too short")
@@ -237,19 +222,27 @@ def weather_grid(timestamps: Sequence[datetime]) -> tuple[float, tuple[datetime,
         raise SeriesFormatError(
             f"weather series misses {n_missing} steps of {step_s:.0f}s, "
             f"more than its {len(timestamps)} records")
-    step = timedelta(seconds=step_s)
-    return step_s, tuple(a + k * step for a, n in zip(timestamps, multiples)
-                         for k in range(1, n))
+    if n_missing:
+        step = timedelta(seconds=step_s)
+        raise WeatherGapError(a + k * step for a, n in zip(timestamps, multiples)
+                              for k in range(1, n))
+    if step_s > 3600.0 + 1e-6:
+        raise InputError("weather step must be one hour or finer")
+    span = (timestamps[-1] - timestamps[0]).total_seconds()
+    if span + step_s < 24 * 3600.0 - 1e-6:
+        raise InputError("weather must cover at least 24 hours")
+    return step_s
 
 
 class _SunTrack:
     """Stage 1: what a run takes from the weather series and the site alone.
 
-    The grid checks and the sun columns are made on creation: the sun's
-    altitude and azimuth, the sun-up mask, the sine and cosine of the
-    altitude, and the global horizontal irradiance.  The track keeps the
-    weather columns it reads, never the series itself, so the series that
-    holds the track forms no reference cycle with it.  The beam column
+    The grid checks (:func:`weather_grid`) and the sun columns are made
+    on creation: the sun's altitude and azimuth, the sun-up mask, the
+    sine and cosine of the altitude, and the global horizontal
+    irradiance.  The track keeps the weather columns it reads, never the
+    series itself, so the series that holds the track forms no reference
+    cycle with it.  The beam column
     of an (azimuth, tilt), the diffuse column of a tilt and the shading
     column of an overhang geometry are filled the first time a zone on
     the track needs them.
@@ -262,14 +255,7 @@ class _SunTrack:
     def __init__(self, weather: WeatherSeries, latitude: float, longitude: float):
         records = weather.records
         self.timestamps = tuple(r.timestamp for r in records)
-        self.step_s, missing = weather_grid(self.timestamps)
-        if missing:
-            raise WeatherGapError(missing)
-        if self.step_s > 3600.0 + 1e-6:
-            raise InputError("weather step must be one hour or finer")
-        span = (self.timestamps[-1] - self.timestamps[0]).total_seconds()
-        if span + self.step_s < 24 * 3600.0 - 1e-6:
-            raise InputError("weather must cover at least 24 hours")
+        self.step_s = weather_grid(self.timestamps)
         # a record is a tuple, so its columns come out in one transpose
         _, self.t_out, _, self.direct, self.diffuse, self.wind, _ = zip(*records)
         altitude, azimuth = sun_positions(latitude, longitude, self.timestamps)
@@ -347,15 +333,15 @@ def _forcing(zone: ZoneModel, track: _SunTrack) -> tuple[list[array], array]:
     call.
     """
     orientations = [(s.azimuth_deg, s.tilt_deg) for s in zone.surfaces]
-    shades = [s.shading for s in zone.surfaces]
-    track.fill(orientations, [shade for shade in shades if isinstance(shade, tuple)])
+    track.fill(orientations, [s.shading for s in zone.surfaces if isinstance(s.shading, tuple)])
     h_exterior = zone.h_exterior
 
     effective_of: dict[tuple, array] = {}
     sol_air_of: dict[tuple, array] = {}
     sol_air = []
     transmitted = [0.0] * len(track.t_out)
-    for surface, orientation, shade in zip(zone.surfaces, orientations, shades):
+    for surface, orientation in zip(zone.surfaces, orientations):
+        shade = surface.shading
         lit = (orientation, shade)
         effective = effective_of.get(lit)
         if effective is None:
@@ -518,6 +504,16 @@ class ScenarioError(InputError):
     """Unknown scenario key or out-of-rule scenario value."""
 
 
+def _overhang(depth: float, height: float, offset: float,
+              azimuth: float) -> float | tuple[float, float, float, float]:
+    """The :attr:`SurfaceModel.shading` of a facade of ``azimuth`` under
+    an overhang of ``depth``: 0.0 without one, else its shading key; an
+    overhang of no height is taken as 1 m high."""
+    if depth <= 0:
+        return 0.0
+    return (depth, height if height > 0 else 1.0, offset, azimuth)
+
+
 def zone_from_building(building: BuildingDescription,
                        scenario: dict | None = None) -> ZoneModel:
     """Derive a single-zone model from a building description.
@@ -526,7 +522,9 @@ def zone_from_building(building: BuildingDescription,
     supplies (or defaults fill in): floor area (defaults to the roof
     area), volume (floor area times 2.5 m), mass class and gains.
     ``roof_exposed: false`` models an intermediate-level flat whose
-    ceiling faces another dwelling instead of the sun.  Unknown keys and
+    ceiling faces another dwelling instead of the sun; it is the default
+    for a building with rooms none of which is under the roof, and a
+    building without rooms keeps its roof.  Unknown keys and
     values that break their key's rule raise :class:`ScenarioError`.
     """
     scenario = dict(scenario or {})
@@ -548,7 +546,8 @@ def zone_from_building(building: BuildingDescription,
     gains = scenario.get("internal_gains_w", 0.0)
 
     surfaces: list[SurfaceModel] = []
-    if scenario.get("roof_exposed", True):
+    rooms = building.rooms
+    if scenario.get("roof_exposed", not rooms or any(r.under_roof for r in rooms)):
         roof = building.roof
         surfaces.append(SurfaceModel(
             name="roof", kind="roof", area_m2=roof.area_m2,
@@ -563,9 +562,9 @@ def zone_from_building(building: BuildingDescription,
             absorptivity=wall.color.absorptivity,
             resistance_m2k_w=(films + wall.base_resistance
                               + wall.insulation.resistance),
-            overhang_depth_m=wall.overhang_depth_m,
-            overhang_height_m=wall.overhang_height_m,
-            shade_fraction=1.0 if wall.full_shading else None,
+            shading=(1.0 if wall.full_shading
+                     else _overhang(wall.overhang_depth_m, wall.overhang_height_m, 0.0,
+                                    wall.azimuth_deg)),
         ))
     shade_override = scenario.get("window_shade_fraction")
     for window in building.windows:
@@ -575,11 +574,10 @@ def zone_from_building(building: BuildingDescription,
             azimuth_deg=window.azimuth_deg, tilt_deg=90.0,
             absorptivity=0.1,
             resistance_m2k_w=films + 0.003,  # single glazing
-            overhang_depth_m=window.overhang_depth_m,
-            overhang_height_m=window.height_m,
-            overhang_offset_m=window.overhang_offset_m,
-            shade_fraction=(float(shade_override) if shade_override is not None
-                            else (0.8 if window.mobile_shading else None)),
+            shading=(float(shade_override) if shade_override is not None
+                     else 0.8 if window.mobile_shading
+                     else _overhang(window.overhang_depth_m, window.height_m,
+                                    window.overhang_offset_m, window.azimuth_deg)),
             solar_transmittance=tau,
         ))
 

@@ -570,6 +570,35 @@ class TestInputBoundary:
         err = _assert_one_error_line(code, capsys)
         assert f"zone file {zone}: unknown key max_extended_c" in err
 
+    @pytest.mark.parametrize("kind", ["building", "catalogue", "scenario", "zone"])
+    def test_duplicate_json_key_exits_two(self, tmp_path, weather_csv, capsys, kind):
+        # without the rule the last of two equal keys would win silently
+        path = tmp_path / f"{kind}.json"
+        if kind == "building":
+            roof = dict(json.loads(FINAL_FIXTURE.read_text())["roof"], insulation=None)
+            text = FINAL_FIXTURE.read_text().rstrip()
+            path.write_text(f'{text[:-1]}, "roof": {json.dumps(roof)}}}\n')
+            argv, key = ["check", str(path)], "roof"
+        elif kind == "catalogue":
+            text = (FINAL_FIXTURE.parent / "catalogue.json").read_text()
+            assert text.count('"porosity_threshold": 0.25,') == 1
+            path.write_text(text.replace('"porosity_threshold": 0.25,',
+                                         '"porosity_threshold": 0.5, "porosity_threshold": 0.25,'))
+            argv = ["check", str(FINAL_FIXTURE), "--catalogue", str(path)]
+            key = "porosity_threshold"
+        elif kind == "scenario":
+            path.write_text('{"volume_m3": 120, "volume_m3": 150}')
+            argv = ["simulate", str(FINAL_FIXTURE), "--weather", str(weather_csv),
+                    "--scenario", str(path)]
+            key = "volume_m3"
+        else:
+            path.write_text('{"vertices": [[20, 3], [24, 3], [24, 15]], '
+                            '"vertices": [[20, 3], [25, 3], [25, 15]]}')
+            argv = ["comfort", str(_indoor_series_csv(tmp_path)), "--zone", str(path)]
+            key = "vertices"
+        err = _assert_one_error_line(main(argv), capsys)
+        assert f"{path}: not valid JSON: duplicate key '{key}'" in err
+
     @pytest.mark.parametrize("kind,change,fragment", [
         ("weather", _cell(10, 3, "-1.0"), "line 11: solar irradiance must be >= 0"),
         ("weather", _cell(5, 5, "-0.5"), "line 6: wind speed must be >= 0"),
@@ -637,6 +666,26 @@ class TestInputBoundary:
             argv = (["simulate", str(FINAL_FIXTURE), "--weather", str(edited)]
                     if kind == "weather" else ["comfort", str(edited)])
         assert fragment in _assert_one_error_line(main(argv), capsys)
+
+    # Python 3.11 widened datetime.fromisoformat; each form names the
+    # instant the row held, so only the grammar can refuse it
+    @pytest.mark.parametrize("form", [
+        lambda ts: ts.strftime("%Y%m%dT%H%M%S"),
+        lambda ts: "%d-W%02d-%dT%s" % (*ts.isocalendar(), ts.strftime("%H:%M")),
+        lambda ts: ts.strftime("%Y-%m-%dT%H:%M:%S.0+00:00"),
+    ], ids=["basic-format", "week-date", "one-digit-fraction"])
+    @pytest.mark.parametrize("kind", ["weather", "indoor"])
+    def test_timestamp_outside_the_grammar_exits_two(self, tmp_path, weather_csv, capsys,
+                                                     kind, form):
+        source = weather_csv if kind == "weather" else _indoor_series_csv(tmp_path)
+        lines = source.read_text().splitlines()
+        stamp = form(datetime.fromisoformat(lines[1].split(",")[0]))
+        edited = tmp_path / "edited.csv"
+        edited.write_text("\n".join(_cell(1, 0, stamp)(lines)) + "\n")
+        argv = (["simulate", str(FINAL_FIXTURE), "--weather", str(edited)]
+                if kind == "weather" else ["comfort", str(edited)])
+        err = _assert_one_error_line(main(argv), capsys)
+        assert f"line 2: bad timestamp {stamp!r}" in err
 
     def test_misaligned_zones_print_no_offset(self, tmp_path, capsys):
         base = datetime(2026, 2, 1, tzinfo=timezone.utc)

@@ -116,7 +116,7 @@ def test_same_bytes_runs_on_this_interpreter(tmp_path):
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0].split() == ["output", "%d.%d.%d" % sys.version_info[:3]]
-    assert len(lines) == 1 + 11 + 1 and lines[-1] == "all equal"
+    assert len(lines) == 1 + 12 + 1 and lines[-1] == "all equal"
     assert not any(tmp_path.iterdir())
 
 

@@ -167,7 +167,8 @@ class TestSimulate:
     def test_larger_overhang_lowers_transmitted_solar(self, week):
         zone = uninsulated_zone()
         shaded_surfaces = tuple(
-            s._replace(overhang_depth_m=1.5)
+            # a 1.5 m deep overhang flush over a 1.2 m high window
+            s._replace(shading=(1.5, 1.2, 0.0, s.azimuth_deg))
             if s.kind == "window" else s
             for s in zone.surfaces)
         shaded = zone._replace(surfaces=shaded_surfaces)
@@ -280,9 +281,48 @@ class TestZoneFromBuilding:
             1 / 25 + 1 / 8 + ROOF_DECK_RESISTANCE
             + final_building.roof.insulation.resistance)
 
+    def test_shading_of_each_surface(self, initial_building, final_building):
+        # roof, walls north/south/east/west, then the windows; the
+        # kitchen window has mobile shading, and a window shade fraction
+        # overrides every window's overhang
+        south_wall, living = (0.8, 2.5, 0.0, 180.0), (0.6, 1.4, 0.0, 180.0)
+        north_wall, bedroom = (1.5, 2.5, 0.0, 0.0), (1.5, 2.1, 0.1, 0.0)
+        shaded = {"window_shade_fraction": 0.5}
+
+        def shading(zone):
+            return [s.shading for s in zone.surfaces]
+
+        assert shading(zone_from_building(initial_building)) == [
+            0.0, 0.0, south_wall, 0.0, 0.0, 0.0, 0.0, living, living, 0.8]
+        assert shading(zone_from_building(initial_building, shaded)) == [
+            0.0, 0.0, south_wall, 0.0, 0.0, 0.5, 0.5, 0.5, 0.5, 0.5]
+        assert shading(zone_from_building(final_building)) == [
+            0.0, north_wall, south_wall, 0.0, 0.0, bedroom, bedroom, living, living, 0.8]
+        assert shading(zone_from_building(final_building, shaded)) == [
+            0.0, north_wall, south_wall, 0.0, 0.0, 0.5, 0.5, 0.5, 0.5, 0.5]
+        # roof, walls north/east/south/west, then windows in that order
+        assert shading(compliant_zone()) == [
+            0.0, 0.0, 0.0, 0.0, 0.0, (0.72, 1.2, 0.0, 0.0), (0.96, 1.2, 0.0, 90.0),
+            (0.36, 1.2, 0.0, 180.0), (1.2, 1.2, 0.0, 270.0)]
+        assert shading(uninsulated_zone()) == [0.0] * 9
+
     def test_roof_exposed_flag(self, final_building):
         intermediate = zone_from_building(final_building, {"roof_exposed": False})
         assert all(s.kind != "roof" for s in intermediate.surfaces)
+
+    def test_roof_exposed_defaults_to_the_rooms_under_it(self, final_building):
+        def kinds(building, scenario=None):
+            return [s.kind for s in zone_from_building(building, scenario).surfaces]
+
+        assert any(r.under_roof for r in final_building.rooms)
+        assert kinds(final_building)[0] == "roof"
+        # the same dwelling one level down: no room under the roof
+        below = final_building._replace(rooms=tuple(
+            r._replace(under_roof=False) for r in final_building.rooms))
+        assert "roof" not in kinds(below)
+        assert kinds(below, {"roof_exposed": True})[0] == "roof"
+        # a building without rooms, as the archetype flats are, keeps its roof
+        assert kinds(final_building._replace(rooms=()))[0] == "roof"
 
     def test_scenario_overrides(self, final_building):
         zone = zone_from_building(final_building, {
