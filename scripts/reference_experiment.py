@@ -13,6 +13,7 @@ usage: python scripts/reference_experiment.py
 
 import pathlib
 import sys
+from array import array
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 sys.path.insert(0, str(SRC))
@@ -24,7 +25,7 @@ from ecodom.archetypes import (
     synthetic_weather,
     uninsulated_zone,
 )
-from ecodom.comfort import PsychroPoint, discomfort_fraction, humidity_ratio, paired_offset
+from ecodom.comfort import PsychroSeries, discomfort_fraction, humidity_ratio, paired_offset
 from ecodom.dataio import load_building
 from ecodom.thermal import gain_breakdown, simulate, ventilation_ach, zone_from_building
 
@@ -55,12 +56,12 @@ def main() -> None:
     print(f"  25% porosity, 4 m/s: {ach:.1f} ACH")
 
     print("golden dwellings, outdoor humidity ratio carried indoors")
+    outdoor_ratios = array("d", map(humidity_ratio, weather.temp_air_c, weather.rh_pct))
     for variant in ("initial", "final"):
         building = load_building(SRC / "ecodom" / "data" / f"decouverte_{variant}.json")
         result = simulate(zone_from_building(building), weather)
-        stats = discomfort_fraction([
-            PsychroPoint(t_res, humidity_ratio(rec.temp_air_c, rec.rh_pct))
-            for t_res, rec in zip(result.t_resultant_c, weather.records)])
+        stats = discomfort_fraction(PsychroSeries(
+            result.t_resultant_c, outdoor_ratios, array("d", [0.0]) * len(outdoor_ratios)))
         print(f"  {building.name}: mean resultant {result.mean_resultant_c():.2f} C, "
               f"peak {result.peak_resultant_c():.2f} C, "
               f"discomfort {stats.discomfort_fraction * 100:.1f}%, "

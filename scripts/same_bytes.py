@@ -8,8 +8,9 @@ isolated (``-I``), as a child that hashes the outputs of this checkout:
 timestamp in the ISO basic format, which every supported Python must
 refuse, ``comfort --scatter`` of a two-zone logger file made from that
 week (written by ``write_indoor``, with blank resultant and air-speed
-cells) with its scatter export, and the reference report of
-``reference_experiment.py``.  Each command's hash covers its exit code
+cells) with its scatter export, ``simulate`` and ``comfort`` of copies
+of the week's weather and logger files written without offsets, and
+the reference report of ``reference_experiment.py``.  Each command's hash covers its exit code
 and all it printed.  No interpreter is searched for.
 
 Prints one table of hashes, one row per output and one column per
@@ -37,6 +38,25 @@ def _hash(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:12]
 
 
+def two_zones(week):
+    """A logger series of a bedroom and a living room on the timestamps
+    of ``week``, with blank resultant and air-speed cells."""
+    from array import array
+
+    from ecodom.dataio import IndoorSeries
+
+    rows = []
+    for i, (ts, t, rh) in enumerate(zip(week.timestamps, week.temp_air_c, week.rh_pct)):
+        rows.append((ts, "bedroom", t + 1.5, None, rh, None))
+        rows.append((ts, "living", t + 0.5, t + 1.0 if i % 2 else None, rh,
+                     0.1 * (i % 4) or None))
+    timestamps, zones, air, resultant, rh, speed = zip(*rows)
+    return IndoorSeries(timestamps, zones, array("d", air),
+                        array("d", [0.0 if v is None else v for v in resultant]),
+                        array("d", rh), array("d", [0.0 if v is None else v for v in speed]),
+                        bytes(v is None for v in resultant), bytes(v is None for v in speed))
+
+
 def child_hashes() -> dict:
     """The hash of each output, in a fixed order, made in this process."""
     import contextlib
@@ -47,7 +67,7 @@ def child_hashes() -> dict:
     import reference_experiment
     from ecodom.archetypes import synthetic_weather
     from ecodom.cli import main
-    from ecodom.dataio import IndoorRecord, write_indoor, write_weather
+    from ecodom.dataio import write_indoor, write_weather
 
     def run(*argv) -> bytes:
         """The exit code of ``main`` and what it printed, stdout and stderr."""
@@ -81,17 +101,17 @@ def child_hashes() -> dict:
             "simulate", goldens["final"], "--weather", str(basic)))
         # two zones on the week's timestamps, so the offset line prints too
         indoor, scatter = tmp / "indoor.csv", tmp / "scatter.csv"
-        records = []
-        for i, r in enumerate(synthetic_weather(7).records):
-            records.append(IndoorRecord(r.timestamp, "bedroom", r.temp_air_c + 1.5,
-                                        None, r.rh_pct, None))
-            records.append(IndoorRecord(r.timestamp, "living", r.temp_air_c + 0.5,
-                                        r.temp_air_c + 1.0 if i % 2 else None,
-                                        r.rh_pct, 0.1 * (i % 4) or None))
-        write_indoor(records, indoor)
+        write_indoor(two_zones(synthetic_weather(7)), indoor)
         hashes["comfort --scatter (stdout)"] = _hash(run(
             "comfort", str(indoor), "--scatter", str(scatter)))
         hashes["comfort scatter"] = _hash(scatter.read_bytes())
+        # the same week's files with naive timestamps, which read as UTC
+        naive_weather, naive_indoor = tmp / "naive_week.csv", tmp / "naive_indoor.csv"
+        for source, copy in ((weather, naive_weather), (indoor, naive_indoor)):
+            copy.write_text(source.read_text("utf-8").replace("+00:00", ""), "utf-8")
+        hashes["simulate and comfort, naive stamps"] = _hash(
+            run("simulate", goldens["final"], "--weather", str(naive_weather))
+            + run("comfort", str(naive_indoor)))
     report = io.StringIO()
     with contextlib.redirect_stdout(report):
         reference_experiment.main()

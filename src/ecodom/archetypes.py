@@ -11,6 +11,7 @@ calibrated zones and simulated buildings share one set of physics.
 """
 
 import math
+from array import array
 from datetime import datetime, timedelta, timezone
 
 from .building import (
@@ -26,7 +27,7 @@ from .building import (
     WaterHeaterSpec,
     WindowSpec,
 )
-from .dataio import WeatherRecord, WeatherSeries
+from .dataio import WeatherSeries
 from .solar import sun_positions
 from .thermal import VentilationApertures, ZoneModel, zone_from_building
 
@@ -156,21 +157,17 @@ def synthetic_weather(days: int = 7) -> WeatherSeries:
     rh_amp = (_RH_AT_T_MIN_PCT - _RH_AT_T_MAX_PCT) / 2.0
 
     start = _START - timedelta(hours=clock_offset)
-    timestamps = [start + timedelta(hours=i) for i in range(days * 24)]
+    timestamps = tuple(start + timedelta(hours=i) for i in range(days * 24))
     altitudes, _ = sun_positions(latitude, longitude, timestamps)
-    records = []
-    for i, (ts, altitude) in enumerate(zip(timestamps, altitudes)):
+    temp, rh, direct, diffuse = (array("d") for _ in range(4))
+    for i, altitude in enumerate(altitudes):
         phase = 2.0 * math.pi * (i % 24 - _PEAK_HOUR_LOCAL) / 24.0  # local clock hour
-        temp = round(t_mid + t_amp * math.cos(phase), 6)
-        rh = round(rh_mid - rh_amp * math.cos(phase), 6)
+        temp.append(round(t_mid + t_amp * math.cos(phase), 6))
+        rh.append(round(rh_mid - rh_amp * math.cos(phase), 6))
         dni, dhi = _clear_sky(altitude)
-        records.append(WeatherRecord(
-            timestamp=ts,
-            temp_air_c=temp,
-            rh_pct=rh,
-            solar_direct_w_m2=round(dni, 6),
-            solar_diffuse_w_m2=round(dhi, 6),
-            wind_speed_m_s=_WIND_SPEED_M_S,
-            wind_dir_deg=_WIND_DIR_DEG,
-        ))
-    return WeatherSeries(records=tuple(records))
+        direct.append(round(dni, 6))
+        diffuse.append(round(dhi, 6))
+    steps = len(timestamps)
+    return WeatherSeries(timestamps, temp, rh, direct, diffuse,
+                         array("d", [_WIND_SPEED_M_S]) * steps,
+                         array("d", [_WIND_DIR_DEG]) * steps)

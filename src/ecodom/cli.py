@@ -16,7 +16,8 @@ Subcommands:
 import argparse
 import os
 import sys
-from collections import defaultdict
+from itertools import compress, repeat
+from operator import eq, not_
 from pathlib import Path
 
 from .catalogue import CATALOGUE_ENV_VAR, load_catalogue
@@ -165,38 +166,36 @@ def _print_offset(name_a: str, temps_a, name_b: str, temps_b) -> None:
           f"hours >= 1 C: {offsets.fraction_ge_1c * 100:.0f}%")
 
 
-def _print_zone_offset(records, points) -> None:
+def _print_zone_offset(series, temperatures) -> None:
     """The offset line of a series with two zones sharing every timestamp.
     The per-zone lists die with this call, before the scatter is built."""
-    # zones in first-seen order, each with its timestamps and temperatures
-    by_zone: defaultdict[str, tuple[list, list]] = defaultdict(lambda: ([], []))
-    for rec, point in zip(records, points):
-        times, temps = by_zone[rec.zone]
-        times.append(rec.timestamp)
-        temps.append(point.temperature_c)
-    if len(by_zone) != 2:
+    zones = dict.fromkeys(series.zones)  # in first-seen order
+    if len(zones) != 2:
         return
-    (name_a, (times_a, temps_a)), (name_b, (times_b, temps_b)) = by_zone.items()
-    if times_a == times_b:
-        _print_offset(name_a, temps_a, name_b, temps_b)
+    name_a, name_b = zones
+    in_a = list(map(eq, series.zones, repeat(name_a)))
+    in_b = list(map(not_, in_a))
+    if list(compress(series.timestamps, in_a)) == list(compress(series.timestamps, in_b)):
+        _print_offset(name_a, list(compress(temperatures, in_a)),
+                      name_b, list(compress(temperatures, in_b)))
 
 
 def _cmd_comfort(args) -> int:
     _refuse_overwrite({"indoor": args.indoor, "--zone": args.zone},
                       {"--scatter": args.scatter})
-    records = load_indoor(args.indoor)
-    if not records:
+    series = load_indoor(args.indoor)
+    if not series.timestamps:
         raise InputError(f"indoor series {args.indoor} is empty")
     zone = load_zone(args.zone) if args.zone else DEFAULT_ZONE
 
-    points = logger_points(records)
+    points = logger_points(series)
     stats = discomfort_fraction(points, zone)
     print(f"samples: {stats.samples}")
     print(f"discomfort {stats.discomfort_fraction * 100:.1f}%")
     print(f"exceedance: mean {stats.mean_exceedance_c:.2f} C, "
           f"max {stats.max_exceedance_c:.2f} C")
 
-    _print_zone_offset(records, points)
+    _print_zone_offset(series, points.temperature_c)
     if args.scatter:
         with open(args.scatter, "w", encoding="utf-8") as file:
             psychro_scatter_rows(points, stats.inside, zone, file)

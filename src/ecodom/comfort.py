@@ -8,25 +8,28 @@ warm-humid-climate zone (Givoni type): 22 to 29 degC between 4 and
 documented convention, not a measured constant, and can be overridden
 from a zone file.
 
-Each sample is one immutable named tuple (``PsychroPoint``): the comfort
-temperature, placed against the humidity ratio of the air.  The ratio
-belongs to the air, so it comes from the dry bulb and its relative
-humidity, never from the resultant temperature.  ``logger_points`` is
-the one route from logger rows to points.  A series is classified in
-one pass: each sample is tested once against the polygon extended for
-its air speed, and that polygon and its warm edge are built once per
-distinct air speed.  The discomfort statistics (``ComfortStats``, a
-named tuple that carries the flags as its last field) and the scatter
-export read the same flags.
+A series of samples is held as columns (``PsychroSeries``, three
+``array('d')``): the comfort temperature, placed against the humidity
+ratio of the air, and the air speed.  The ratio belongs to the air, so
+it comes from the dry bulb and its relative humidity, never from the
+resultant temperature.  ``logger_points`` is the one route from logger
+columns to points.  A series is classified in one pass: each sample is
+tested once against the polygon extended for its air speed, and that
+polygon, its warm edge and its bounding box are built once per distinct
+air speed.  The discomfort statistics (``ComfortStats``, a named tuple
+that carries the flags as its last field) and the scatter export read
+the same flags.
 """
 
 import math
+from array import array
 from collections.abc import Sequence
-from itertools import islice
+from itertools import islice, repeat
+from operator import add
 from pathlib import Path
 from typing import NamedTuple, TextIO
 
-from .errors import InputError, checked, field, number, read_json
+from .errors import InputError, checked, field, number, read_json, within
 
 STANDARD_PRESSURE_PA = 101325.0
 
@@ -55,30 +58,44 @@ def humidity_ratio(t_c: float, rh_pct: float) -> float:
     return 622.0 * partial / (STANDARD_PRESSURE_PA - partial)
 
 
-class PsychroPoint(NamedTuple):
-    """One sample on the psychrometric plane.
+class PsychroSeries(NamedTuple):
+    """Samples on the psychrometric plane, one column per coordinate.
 
     ``temperature_c`` is the comfort temperature and
     ``humidity_ratio_g_kg`` that of the air; ``logger_points`` builds
-    them from logger rows.  The loader has already refused a negative
+    them from logger columns.  The loader has already refused a negative
     air speed.
     """
 
-    temperature_c: float
-    humidity_ratio_g_kg: float
-    air_speed_m_s: float = 0.0
+    temperature_c: array
+    humidity_ratio_g_kg: array
+    air_speed_m_s: array
 
 
-def logger_points(records) -> list[PsychroPoint]:
-    """The point of each logger row (``dataio.IndoorRecord``): the
+def logger_points(series) -> PsychroSeries:
+    """The points of logger columns (``dataio.IndoorSeries``): the
     resultant temperature when measured, else the dry bulb, against
     ``humidity_ratio(temp_air_c, rh_pct)``, since the RH is that of the
-    air; a blank air speed is still air."""
-    return [PsychroPoint(rec.temp_air_c if rec.temp_resultant_c is None
-                         else rec.temp_resultant_c,
-                         humidity_ratio(rec.temp_air_c, rec.rh_pct),
-                         rec.air_speed_m_s or 0.0)
-            for rec in records]
+    air; a blank air speed is still air, and so is -0.0."""
+    air, rh = series.temp_air_c, series.rh_pct
+    if not (within(rh, 0.0, 100.0) and within(air, T_MIN_C, T_MAX_C)):
+        for t_c, rh_pct in zip(air, rh):
+            humidity_ratio(t_c, rh_pct)  # raises at the first sample out of range
+    exp = math.exp
+    # humidity_ratio's arithmetic, in its order, with no call per sample
+    ratios = array("d", [
+        622.0 * (partial := rh_pct / 100.0 * (610.94 * exp(17.625 * t_c / (t_c + 243.04))))
+        / (STANDARD_PRESSURE_PA - partial)
+        for t_c, rh_pct in zip(air, rh)])
+    temperatures = series.temp_resultant_c[:]
+    blank = series.blank_resultant
+    i = blank.find(1)
+    while i >= 0:
+        temperatures[i] = air[i]
+        i = blank.find(1, i + 1)
+    # x + 0.0 is x, but for -0.0, which it turns into 0.0, as x or 0.0 does
+    return PsychroSeries(temperatures, ratios,
+                         array("d", map(add, series.air_speed_m_s, repeat(0.0))))
 
 
 def _orient(a, b, c) -> int:
@@ -179,10 +196,14 @@ def load_zone(path: str | Path) -> ComfortZone:
         raise InputError(f"zone file {path}: {exc}") from exc
 
 
+#: How near an edge a point counts as on it.
+_EDGE_EPS = 1e-9
+
+
 def _point_in_polygon(x: float, y: float,
                       polygon: tuple[tuple[float, float], ...]) -> bool:
     """Even-odd point-in-polygon test, boundary inclusive."""
-    eps = 1e-9
+    eps = _EDGE_EPS
     inside = False
     ax, ay = polygon[-1]
     for bx, by in polygon:
@@ -212,7 +233,7 @@ class ComfortStats(NamedTuple):
     inside: tuple[bool, ...]
 
 
-def discomfort_fraction(points: list[PsychroPoint],
+def discomfort_fraction(points: PsychroSeries,
                         zone: ComfortZone = DEFAULT_ZONE) -> ComfortStats:
     """Share of samples outside the zone, with warm-side exceedance stats.
 
@@ -221,25 +242,35 @@ def discomfort_fraction(points: list[PsychroPoint],
     humidity axis count in the fraction but contribute zero exceedance.
     The returned stats carry the per-sample flags in ``inside``.
     """
-    if not points:
+    temperatures, ratios, speeds = points
+    samples = len(temperatures)
+    if not samples:
         raise ValueError("empty series")
-    # the extended polygon and its warm edge, once per distinct air speed
+    # Once per distinct air speed: the extended polygon, its warm edge
+    # and its bounding box widened by the edge epsilon.  A point outside
+    # that box is outside the polygon: no edge's band or crossing
+    # reaches it, and a ray from its left crosses an even number of
+    # edges.
     extended: dict = {}
     inside, exceedances = [], []
-    for t, w, speed in points:
-        pair = extended.get(speed)
-        if pair is None:
+    for t, w, speed in zip(temperatures, ratios, speeds):
+        shape = extended.get(speed)
+        if shape is None:
             polygon = zone.extended_vertices(speed)
-            pair = extended[speed] = (polygon, max(x for x, _ in polygon))
-        polygon, warm_edge = pair
-        flag = _point_in_polygon(t, w, polygon)
+            xs, ys = [x for x, _ in polygon], [y for _, y in polygon]
+            shape = extended[speed] = (polygon, max(xs), min(xs) - _EDGE_EPS,
+                                       max(xs) + _EDGE_EPS, min(ys) - _EDGE_EPS,
+                                       max(ys) + _EDGE_EPS)
+        polygon, warm_edge, x_low, x_high, y_low, y_high = shape
+        flag = (x_low <= t <= x_high and y_low <= w <= y_high
+                and _point_in_polygon(t, w, polygon))
         inside.append(flag)
         if not flag:
             exceedances.append(max(0.0, t - warm_edge))
     outside = len(exceedances)
     return ComfortStats(
-        samples=len(points),
-        discomfort_fraction=outside / len(points),
+        samples=samples,
+        discomfort_fraction=outside / samples,
         mean_exceedance_c=sum(exceedances) / outside if outside else 0.0,
         max_exceedance_c=max(exceedances) if outside else 0.0,
         inside=tuple(inside),
@@ -267,7 +298,7 @@ def paired_offset(series_a: Sequence[float], series_b: Sequence[float]) -> Offse
     )
 
 
-def psychro_scatter_rows(points: list[PsychroPoint], inside: tuple[bool, ...],
+def psychro_scatter_rows(points: PsychroSeries, inside: tuple[bool, ...],
                          zone: ComfortZone, out: TextIO) -> None:
     """Write CSV text with one row per point plus the zone polygon
     vertices, ready for any plotting tool, to ``out``, an open text
@@ -276,11 +307,12 @@ def psychro_scatter_rows(points: list[PsychroPoint], inside: tuple[bool, ...],
     ``inside`` are the points' flags as ``discomfort_fraction(points,
     zone).inside`` returns them, one per point; flags of another length
     raise ValueError before anything is written."""
-    if len(inside) != len(points):
-        raise ValueError(f"{len(inside)} flags for {len(points)} points")
+    temperatures, ratios, _ = points
+    if len(inside) != len(temperatures):
+        raise ValueError(f"{len(inside)} flags for {len(temperatures)} points")
     out.write("kind,temperature_c,humidity_ratio_g_kg,inside\n")
-    rows = (f"point,{p.temperature_c!r},{p.humidity_ratio_g_kg!r},{1 if flag else 0}\n"
-            for p, flag in zip(points, inside))
+    rows = (f"point,{t!r},{w!r},{1 if flag else 0}\n"
+            for t, w, flag in zip(temperatures, ratios, inside))
     while chunk := "".join(islice(rows, 1024)):
         out.write(chunk)
     out.write("".join(f"zone_vertex,{t!r},{w!r},\n" for t, w in zone.vertices))

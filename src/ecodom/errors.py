@@ -112,6 +112,17 @@ def number(value) -> float:
     return float(value)
 
 
+def within(column, low: float | None = None, high: float | None = None) -> bool:
+    """True when every value of the float ``column`` is finite and, where
+    a bound is given, in [low, high]: a few passes of C-level builtins,
+    not one comparison per value in Python."""
+    # a sum of finite values is finite unless it overflows
+    if not (math.isfinite(sum(column)) or all(map(math.isfinite, column))):
+        return False
+    return ((low is None or low <= min(column, default=low))
+            and (high is None or max(column, default=high) <= high))
+
+
 def field(doc, key: str, kind: type, default=REQUIRED):
     """``doc[key]`` checked against a JSON type, or ``default`` when absent.
 

@@ -19,7 +19,8 @@ only a finer step or the continuous solution shows.
    ``WeatherSeries``: every grid check, in :func:`weather_grid` (one
    base step, whole multiples of it, no gap, at most one hour, at least
    24 hours covered), then a track holding per-step columns: the
-   series' own, the sun's altitude and azimuth
+   series' own ``array('d')`` columns, read as the loader built them
+   with no copy or transpose, the sun's altitude and azimuth
    (:func:`~ecodom.solar.sun_positions`, one call for the whole series),
    the sun-up mask, the sine and cosine of the altitude and the global
    horizontal irradiance.  Filled on first use, it also holds one beam
@@ -41,7 +42,7 @@ only a finer step or the continuous solution shows.
 
 The :class:`SimulationResult` is a named tuple of series, one value per
 step.  Every per-step column that stages 2 and 3 keep, and every series
-of the result but the outdoor temperature, is an ``array('d')``: 8
+of the result, the outdoor temperature included, is an ``array('d')``: 8
 bytes a value, where a list of floats takes 32.  A year of one zone
 holds some forty such columns; only the running sum of the
 transmitted solar is a list while it is built.  :func:`result_to_csv`
@@ -169,13 +170,13 @@ class SimulationResult(NamedTuple):
     """Hourly (or finer) output series, one entry per weather record;
     ``len(result.timestamps)`` counts the steps.
 
-    Every per-step series but ``t_out_c`` (the weather's own tuple) is an
-    ``array('d')``, 8 bytes a value, as ``simulate`` built it; it is
-    not copied, so a caller that changes one changes the result.
+    Every per-step series is an ``array('d')``, 8 bytes a value, as
+    ``simulate`` built it or, for ``t_out_c``, as the weather holds it;
+    it is not copied, so a caller that changes one changes the result.
     """
 
     timestamps: tuple[datetime, ...]
-    t_out_c: tuple[float, ...]
+    t_out_c: array
     t_air_c: array
     t_radiant_c: array
     t_resultant_c: array
@@ -253,11 +254,10 @@ class _SunTrack:
                  "irradiance", "tilted_diffuse", "shading")
 
     def __init__(self, weather: WeatherSeries, latitude: float, longitude: float):
-        records = weather.records
-        self.timestamps = tuple(r.timestamp for r in records)
+        self.timestamps = weather.timestamps
         self.step_s = weather_grid(self.timestamps)
-        # a record is a tuple, so its columns come out in one transpose
-        _, self.t_out, _, self.direct, self.diffuse, self.wind, _ = zip(*records)
+        self.t_out, self.direct = weather.temp_air_c, weather.solar_direct_w_m2
+        self.diffuse, self.wind = weather.solar_diffuse_w_m2, weather.wind_speed_m_s
         altitude, azimuth = sun_positions(latitude, longitude, self.timestamps)
         self.altitude, self.azimuth = array("d", altitude), array("d", azimuth)
         self.up = bytes(a > 0.0 for a in altitude)

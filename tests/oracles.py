@@ -21,18 +21,32 @@ Its series must equal them exactly, so they share code with it:
 * :func:`classify` and :func:`upper_bound_at` test one sample against
   the comfort polygon extended for its air speed, the flags and bounds
   that ``comfort.discomfort_fraction`` takes in one pass; they use the
-  zone's ``extended_vertices`` and ``comfort._point_in_polygon``.
+  zone's ``extended_vertices`` and ``comfort._point_in_polygon``;
+* :func:`load_weather_rows` and :func:`load_indoor_rows` are the
+  row-wise loaders the column parse of ``ecodom.dataio`` replaced: one
+  named tuple per row, each value parsed and checked as the row is
+  read, with ``dataio``'s per-cell parsers.  The columns of
+  ``load_weather`` and ``load_indoor`` must hold their values bit for
+  bit, and a bad file must raise their message.
+
+The row types (:class:`WeatherRecord`, :class:`IndoorRecord`,
+:class:`PsychroPoint`) and the converters between rows and the
+package's column series let a test state a series row by row.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from array import array
 from datetime import datetime, timezone
+from typing import NamedTuple
 
 import numpy as np
 
-from ecodom.comfort import DEFAULT_ZONE, ComfortZone, PsychroPoint, _point_in_polygon
+from ecodom import dataio
+from ecodom.comfort import DEFAULT_ZONE, ComfortZone, PsychroSeries, _point_in_polygon
+from ecodom.dataio import IndoorSeries, SeriesFormatError, WeatherSeries
 from ecodom.solar import GROUND_ALBEDO, sun_positions
 
 _DEG = math.pi / 180.0
@@ -142,6 +156,24 @@ def surface_irradiance(sun, direct_normal: float, diffuse_horizontal: float,
     return beam, sky + ground
 
 
+class PsychroPoint(NamedTuple):
+    """One sample on the psychrometric plane: a row of a
+    :class:`~ecodom.comfort.PsychroSeries`."""
+
+    temperature_c: float
+    humidity_ratio_g_kg: float
+    air_speed_m_s: float = 0.0
+
+
+def psychro_series(points) -> PsychroSeries:
+    """The columns of ``points``."""
+    return PsychroSeries(*(array("d", [p[k] for p in points]) for k in range(3)))
+
+
+def psychro_points(series: PsychroSeries) -> list[PsychroPoint]:
+    return list(map(PsychroPoint, *series))
+
+
 def upper_bound_at(zone: ComfortZone, air_speed_m_s: float) -> float:
     """Warm edge of ``zone`` extended for ``air_speed_m_s``, in degC."""
     return max(t for t, _ in zone.extended_vertices(air_speed_m_s))
@@ -236,3 +268,125 @@ def area_weighted_radiant(zone, result) -> list[float]:
         weighted = [acc + area * (t + (q / area) * r_film_in) for acc, t, q in
                     zip(weighted, result.t_air_c, result.surface_gains_w[surface.name])]
     return [acc / total_area for acc in weighted]
+
+
+# ---------------------------------------------------------------------------
+# series row by row
+
+class WeatherRecord(NamedTuple):
+    timestamp: datetime
+    temp_air_c: float
+    rh_pct: float
+    solar_direct_w_m2: float
+    solar_diffuse_w_m2: float
+    wind_speed_m_s: float
+    wind_dir_deg: float
+
+
+class IndoorRecord(NamedTuple):
+    """One logger sample, as the file holds it: a blank cell is None."""
+
+    timestamp: datetime
+    zone: str
+    temp_air_c: float
+    temp_resultant_c: float | None
+    rh_pct: float
+    air_speed_m_s: float | None
+
+
+def weather_series(records) -> WeatherSeries:
+    """The column series of weather ``records``."""
+    columns = list(zip(*records)) or [()] * len(WeatherRecord._fields)
+    return WeatherSeries(tuple(columns[0]), *(array("d", c) for c in columns[1:]))
+
+
+def weather_records(series: WeatherSeries) -> tuple[WeatherRecord, ...]:
+    return tuple(map(WeatherRecord, series.timestamps, series.temp_air_c, series.rh_pct,
+                     series.solar_direct_w_m2, series.solar_diffuse_w_m2,
+                     series.wind_speed_m_s, series.wind_dir_deg))
+
+
+def indoor_series(records) -> IndoorSeries:
+    """The column series of logger ``records``; a blank (None) cell is a
+    1 in its mask and 0.0 in its column."""
+    records = tuple(records)
+    return IndoorSeries(
+        tuple(r.timestamp for r in records), tuple(r.zone for r in records),
+        array("d", [r.temp_air_c for r in records]),
+        array("d", [0.0 if r.temp_resultant_c is None else r.temp_resultant_c
+                    for r in records]),
+        array("d", [r.rh_pct for r in records]),
+        array("d", [0.0 if r.air_speed_m_s is None else r.air_speed_m_s for r in records]),
+        bytes(r.temp_resultant_c is None for r in records),
+        bytes(r.air_speed_m_s is None for r in records))
+
+
+def indoor_records(series: IndoorSeries) -> tuple[IndoorRecord, ...]:
+    return tuple(
+        IndoorRecord(ts, zone, air, None if no_resultant else resultant, rh,
+                     None if no_speed else speed)
+        for ts, zone, air, resultant, rh, speed, no_resultant, no_speed in zip(*series))
+
+
+def load_weather_rows(path) -> tuple[WeatherRecord, ...]:
+    """Parse a weather CSV row by row, checking each row's values and
+    that its timestamp comes after the previous row's."""
+    records = []
+    last_ts: datetime | None = None
+    for line_no, cells in dataio._rows(dataio._read_lines(path, dataio.WEATHER_COLUMNS),
+                                       dataio.WEATHER_COLUMNS):
+        ts = dataio._parse_timestamp(cells[0], line_no)
+        if last_ts is not None and ts <= last_ts:
+            raise SeriesFormatError(
+                f"line {line_no}: timestamp {cells[0]} not after previous record")
+        last_ts = ts
+        rec = WeatherRecord(
+            ts,
+            dataio._parse_temperature(cells[1], "temp_air_c", line_no),
+            dataio._parse_float(cells[2], "rh_pct", line_no),
+            dataio._parse_float(cells[3], "solar_direct_w_m2", line_no),
+            dataio._parse_float(cells[4], "solar_diffuse_w_m2", line_no),
+            dataio._parse_float(cells[5], "wind_speed_m_s", line_no),
+            dataio._parse_float(cells[6], "wind_dir_deg", line_no),
+        )
+        if not 0.0 <= rec.rh_pct <= 100.0:
+            raise SeriesFormatError(f"line {line_no}: rh_pct {rec.rh_pct} outside [0, 100]")
+        if rec.solar_direct_w_m2 < 0 or rec.solar_diffuse_w_m2 < 0:
+            raise SeriesFormatError(f"line {line_no}: solar irradiance must be >= 0")
+        if rec.wind_speed_m_s < 0:
+            raise SeriesFormatError(f"line {line_no}: wind speed must be >= 0")
+        records.append(rec)
+    return tuple(records)
+
+
+def load_indoor_rows(path) -> tuple[IndoorRecord, ...]:
+    """Parse a logger CSV row by row; a row that repeats the previous
+    row's timestamp text reuses its parse."""
+    records = []
+    last_ts: dict[str, datetime] = {}
+    text, timestamp = None, None
+    for line_no, parts in dataio._rows(dataio._read_lines(path, dataio.INDOOR_COLUMNS),
+                                       dataio.INDOOR_COLUMNS):
+        rh = dataio._parse_float(parts[4], "rh_pct", line_no)
+        if not 0.0 <= rh <= 100.0:
+            raise SeriesFormatError(f"line {line_no}: rh_pct {rh} outside [0, 100]")
+        if parts[0] != text:
+            text, timestamp = parts[0], dataio._parse_timestamp(parts[0], line_no)
+        zone = parts[1]
+        prev = last_ts.get(zone)
+        if prev is None:
+            if not zone.strip():
+                raise SeriesFormatError(f"line {line_no}: zone is blank")
+        elif timestamp <= prev:
+            raise SeriesFormatError(f"line {line_no}: timestamp {parts[0]} not after "
+                                    f"previous record of zone {zone}")
+        last_ts[zone] = timestamp
+        air = dataio._parse_temperature(parts[2], "temp_air_c", line_no)
+        resultant = (None if parts[3] == ""
+                     else dataio._parse_temperature(parts[3], "temp_resultant_c", line_no))
+        speed = (None if parts[5] == ""
+                 else dataio._parse_float(parts[5], "air_speed_m_s", line_no))
+        if speed is not None and speed < 0:
+            raise SeriesFormatError(f"line {line_no}: air_speed_m_s {speed} must be >= 0")
+        records.append(IndoorRecord(timestamp, zone, air, resultant, rh, speed))
+    return tuple(records)

@@ -36,11 +36,11 @@ from ecodom.building import (
 )
 from ecodom.cli import main
 from ecodom.comfort import humidity_ratio, saturation_vapor_pressure
-from ecodom.dataio import WeatherSeries, load_building, write_weather
+from ecodom.dataio import load_building, write_weather
 from ecodom.rules import Verdict, compliance_report
 from ecodom.solar import overhang_shading_fraction
 from ecodom.thermal import gain_breakdown, simulate, ventilation_ach
-from oracles import hyland_wexler_pws, ray_sampled_shading
+from oracles import hyland_wexler_pws, ray_sampled_shading, weather_records, weather_series
 
 _mean = lambda xs: sum(xs) / len(xs)
 
@@ -260,11 +260,11 @@ def test_criterion_7_numerical_property_suites():
         assert hourly.max_residual_fraction <= 1e-3
 
         halved_records = []
-        for rec in weather.records:
+        for rec in weather_records(weather):
             halved_records.append(rec)
             halved_records.append(rec._replace(
                 timestamp=rec.timestamp + timedelta(minutes=30)))
-        halved = simulate(zone, WeatherSeries(records=tuple(halved_records)))
+        halved = simulate(zone, weather_series(tuple(halved_records)))
         assert abs(_mean(hourly.t_air_c[-24:])
                    - _mean(halved.t_air_c[-48:])) < 0.05
 

@@ -8,7 +8,9 @@ import pytest
 from conftest import FINAL_FIXTURE, INITIAL_FIXTURE
 from ecodom.archetypes import synthetic_weather
 from ecodom.cli import EXIT_INPUT_ERROR, EXIT_NONCOMPLIANT, EXIT_OK, main
-from ecodom.dataio import IndoorRecord, write_indoor, write_weather
+from ecodom.comfort import logger_points
+from ecodom.dataio import write_indoor, write_weather
+from oracles import IndoorRecord, indoor_series, psychro_points
 
 
 @pytest.fixture
@@ -204,7 +206,7 @@ def _indoor_series_csv(tmp_path, split=(90, 10)):
         records.append(IndoorRecord(base + timedelta(hours=inside + i), "flat",
                                     36.0, None, 55.0, None))
     path = tmp_path / "indoor.csv"
-    write_indoor(records, path)
+    write_indoor(indoor_series(records), path)
     return path
 
 
@@ -239,7 +241,7 @@ class TestComfort:
             ts = base + timedelta(hours=i)
             records.append(IndoorRecord(ts, "intermediate", 28.0, None, 55.0, None))
         path = tmp_path / "two.csv"
-        write_indoor(records, path)
+        write_indoor(indoor_series(records), path)
         assert main(["comfort", str(path)]) == EXIT_OK
         out = capsys.readouterr().out
         assert "offset (under_roof - intermediate): mean 1.20 C" in out
@@ -272,7 +274,7 @@ class TestComfort:
                                 speeds[i % len(speeds)])
                    for zone in ("bedroom", "living") for i in range(60)]
         path = tmp_path / "two.csv"
-        write_indoor(records, path)
+        write_indoor(indoor_series(records), path)
         calls = {"polygon": 0, "extended": []}
         point_in_polygon = comfort._point_in_polygon
         extended_vertices = comfort.ComfortZone.extended_vertices
@@ -289,7 +291,17 @@ class TestComfort:
         monkeypatch.setattr(comfort.ComfortZone, "extended_vertices", count_extended)
         scatter = tmp_path / "scatter.csv"
         assert main(["comfort", str(path), "--scatter", str(scatter)]) == EXIT_OK
-        assert calls["polygon"] == len(records) == 120
+        # one test per sample inside the bounding box of its extended
+        # polygon, widened by the edge epsilon; a sample outside it is
+        # outside the polygon without one
+        points = psychro_points(logger_points(indoor_series(records)))
+        in_box = 0
+        for t, w, speed in points:
+            polygon = extended_vertices(comfort.DEFAULT_ZONE, speed)
+            in_box += (min(x for x, _ in polygon) - 1e-9 <= t <= max(x for x, _ in polygon) + 1e-9
+                       and min(y for _, y in polygon) - 1e-9 <= w
+                       <= max(y for _, y in polygon) + 1e-9)
+        assert calls["polygon"] == in_box and 0 < in_box < len(records) == 120
         assert sorted(calls["extended"]) == [0.0, 0.3, 1.0, 4.0]
 
 
@@ -301,7 +313,7 @@ class TestComfort:
         records = [IndoorRecord(base + timedelta(hours=i), "flat", 22.0, 26.0, 90.0, None)
                    for i in range(4)]
         path = tmp_path / "indoor.csv"
-        write_indoor(records, path)
+        write_indoor(indoor_series(records), path)
         scatter = tmp_path / "scatter.csv"
         assert main(["comfort", str(path), "--scatter", str(scatter)]) == EXIT_OK
         assert "discomfort 0.0%" in capsys.readouterr().out
@@ -694,7 +706,7 @@ class TestInputBoundary:
         records += [IndoorRecord(base + timedelta(hours=i, minutes=30), "b", 26.0,
                                  None, 55.0, None) for i in range(4)]
         path = tmp_path / "indoor.csv"
-        write_indoor(records, path)
+        write_indoor(indoor_series(records), path)
         assert main(["comfort", str(path)]) == EXIT_OK
         captured = capsys.readouterr()
         assert "discomfort" in captured.out and "offset" not in captured.out

@@ -1,8 +1,10 @@
 import copy
 import hashlib
 import io
+import math
 import pickle
 import random
+from datetime import datetime, timezone
 
 import pytest
 from hypothesis import given, settings
@@ -11,16 +13,27 @@ from hypothesis import strategies as st
 from ecodom.comfort import (
     DEFAULT_ZONE,
     ComfortZone,
-    PsychroPoint,
+    PsychroSeries,
     discomfort_fraction,
     humidity_ratio,
     _point_in_polygon,
     load_zone,
+    logger_points,
     paired_offset,
     psychro_scatter_rows,
     saturation_vapor_pressure,
 )
-from oracles import classify, hyland_wexler_pws, upper_bound_at
+from oracles import (
+    IndoorRecord,
+    PsychroPoint,
+    classify,
+    hyland_wexler_pws,
+    indoor_series,
+    psychro_series,
+    upper_bound_at,
+)
+
+START = datetime(2026, 2, 1, tzinfo=timezone.utc)
 
 
 def _point(t: float, rh: float, air_speed_m_s: float = 0.0) -> PsychroPoint:
@@ -31,7 +44,7 @@ def _point(t: float, rh: float, air_speed_m_s: float = 0.0) -> PsychroPoint:
 def _scatter(points, inside) -> str:
     """The scatter export of ``points`` on the default zone, as text."""
     out = io.StringIO()
-    psychro_scatter_rows(points, inside, DEFAULT_ZONE, out)
+    psychro_scatter_rows(psychro_series(points), inside, DEFAULT_ZONE, out)
     return out.getvalue()
 
 
@@ -127,24 +140,24 @@ class TestClassify:
 class TestDiscomfortStats:
     def test_all_inside(self):
         points = [_point(25.0, 50.0)] * 10
-        stats = discomfort_fraction(points)
+        stats = discomfort_fraction(psychro_series(points))
         assert stats.discomfort_fraction == 0.0
         assert stats.mean_exceedance_c == 0.0
 
     def test_all_far_above(self):
         points = [_point(49.0, 10.0)] * 5
-        stats = discomfort_fraction(points)
+        stats = discomfort_fraction(psychro_series(points))
         assert stats.discomfort_fraction == 1.0
         assert stats.max_exceedance_c == pytest.approx(49.0 - 29.0)
 
     def test_constructed_ninety_ten_split(self):
         points = [_point(25.0, 50.0)] * 90 + [_point(35.0, 50.0)] * 10
-        stats = discomfort_fraction(points)
+        stats = discomfort_fraction(psychro_series(points))
         assert stats.discomfort_fraction == pytest.approx(0.10)
 
     def test_empty_series_rejected(self):
         with pytest.raises(ValueError):
-            discomfort_fraction([])
+            discomfort_fraction(psychro_series([]))
 
     @given(
         temps=st.lists(st.floats(22.0, 45.0), min_size=1, max_size=40),
@@ -156,8 +169,8 @@ class TestDiscomfortStats:
         # series warmer can only push points out across the warm edge.
         base = [_point(t, 40.0) for t in temps]
         warmer = [_point(min(t + shift, 59.0), 40.0) for t in temps]
-        assert (discomfort_fraction(warmer).discomfort_fraction
-                >= discomfort_fraction(base).discomfort_fraction)
+        assert (discomfort_fraction(psychro_series(warmer)).discomfort_fraction
+                >= discomfort_fraction(psychro_series(base)).discomfort_fraction)
 
 
 class TestPairedOffset:
@@ -187,7 +200,7 @@ class TestPairedOffset:
 class TestScatterExport:
     def test_row_count_and_flags(self):
         points = [_point(25.0, 50.0), _point(40.0, 30.0)]
-        text = _scatter(points, discomfort_fraction(points).inside)
+        text = _scatter(points, discomfort_fraction(psychro_series(points)).inside)
         lines = text.strip().splitlines()
         assert lines[0] == "kind,temperature_c,humidity_ratio_g_kg,inside"
         point_rows = [l for l in lines if l.startswith("point,")]
@@ -199,7 +212,7 @@ class TestScatterExport:
 
     def test_deterministic_bytes(self):
         points = [_point(25.0 + i * 0.3, 50.0) for i in range(20)]
-        inside = discomfort_fraction(points).inside
+        inside = discomfort_fraction(psychro_series(points)).inside
         assert _scatter(points, inside) == _scatter(points, inside)
 
 
@@ -280,7 +293,7 @@ class TestOnePass:
                        for p, flag in zip(points, flags) if not flag]
         outside = len(exceedances)
         assert 0 < outside < len(points)
-        stats = discomfort_fraction(points, zone)
+        stats = discomfort_fraction(psychro_series(points), zone)
         assert stats.discomfort_fraction == outside / len(points)
         assert stats.mean_exceedance_c == sum(exceedances) / outside
         assert stats.max_exceedance_c == max(exceedances)
@@ -289,7 +302,7 @@ class TestOnePass:
                              ids=["default", "no-extension"])
     def test_stats_carry_the_classify_flags(self, zone):
         points = _seeded_points()
-        assert discomfort_fraction(points, zone).inside == tuple(
+        assert discomfort_fraction(psychro_series(points), zone).inside == tuple(
             classify(p, zone) for p in points)
 
     def test_series_covers_every_case(self):
@@ -305,7 +318,7 @@ class TestOnePass:
         points = _seeded_points(n=10)
         out = io.StringIO()
         with pytest.raises(ValueError):
-            psychro_scatter_rows(points, (True,) * 9, DEFAULT_ZONE, out)
+            psychro_scatter_rows(psychro_series(points), (True,) * 9, DEFAULT_ZONE, out)
         assert out.getvalue() == ""
 
     def test_empty_scatter_is_header_and_vertices(self):
@@ -318,25 +331,64 @@ class TestOnePass:
             "189fbec1454795c469f32f41880d892dc9543cb07015541741525aac009237c6")
 
 
+class TestLoggerPoints:
+    """``logger_points`` takes the columns in bulk; its values are those
+    of the per-sample rule."""
+
+    def test_columns_equal_the_per_sample_rule(self):
+        rng = random.Random(5)
+        records = [IndoorRecord(START, f"z{i}", rng.uniform(-20.0, 60.0),
+                                rng.choice([None, -0.0, rng.uniform(-20.0, 60.0)]),
+                                rng.uniform(0.0, 100.0),
+                                rng.choice([None, -0.0, 0.0, rng.uniform(0.0, 3.0)]))
+                   for i in range(500)]
+        points = logger_points(indoor_series(records))
+        expected = [PsychroPoint(r.temp_air_c if r.temp_resultant_c is None
+                                 else r.temp_resultant_c,
+                                 humidity_ratio(r.temp_air_c, r.rh_pct),
+                                 r.air_speed_m_s or 0.0) for r in records]
+        assert points == psychro_series(expected)
+        # bit for bit, the sign of a zero included: a -0.0 resultant stays
+        # -0.0, and a blank or -0.0 air speed reads 0.0
+        assert [column.tobytes() for column in points] == [
+            column.tobytes() for column in psychro_series(expected)]
+        assert any(math.copysign(1.0, t) < 0 for t in points.temperature_c if t == 0.0)
+
+    @pytest.mark.parametrize("air,rh,message", [
+        (61.0, 50.0, "outside supported range"), (float("nan"), 50.0, "outside supported range"),
+        (28.0, 100.5, "relative humidity"), (28.0, float("nan"), "relative humidity"),
+        (float("inf"), 101.0, "relative humidity")],
+        ids=["hot", "nan-air", "humid", "nan-rh", "both"])
+    def test_series_out_of_range_raises_the_per_sample_error(self, air, rh, message):
+        # a series built in code is checked as each sample would be
+        records = [IndoorRecord(START, "z", 28.0, None, 50.0, None),
+                   IndoorRecord(START, "z", air, None, rh, None)]
+        with pytest.raises(ValueError, match=message):
+            logger_points(indoor_series(records))
+
+
 class TestPointRecord:
     def test_fields_are_read_only(self):
-        point = PsychroPoint(26.0, 11.7, 0.3)
+        points = psychro_series([PsychroPoint(26.0, 11.7, 0.3)])
         for name in ("temperature_c", "humidity_ratio_g_kg", "air_speed_m_s"):
             with pytest.raises(AttributeError):
-                setattr(point, name, 1.0)
+                setattr(points, name, 1.0)
 
     def test_equal_and_hash_by_value(self):
-        a, b = PsychroPoint(26.0, 11.7, 0.3), PsychroPoint(26.0, 11.7, 0.3)
-        assert a is not b and a == b and hash(a) == hash(b)
-        assert a != PsychroPoint(26.0, 11.7, 0.4)
+        # columns are arrays, which compare by value and have no hash
+        a, b = (psychro_series([PsychroPoint(26.0, 11.7, 0.3)]) for _ in range(2))
+        assert a is not b and a == b
+        assert a != psychro_series([PsychroPoint(26.0, 11.7, 0.4)])
+        with pytest.raises(TypeError):
+            hash(a)
 
     @pytest.mark.parametrize("clone", [
         copy.copy, copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p))],
         ids=["copy", "deepcopy", "pickle"])
     def test_copies_are_equal(self, clone):
-        point = PsychroPoint(26.0, 11.7, 0.3)
-        twin = clone(point)
-        assert twin == point and type(twin) is PsychroPoint
+        points = psychro_series([PsychroPoint(26.0, 11.7, 0.3), PsychroPoint(31.0, 18.0)])
+        twin = clone(points)
+        assert twin == points and type(twin) is PsychroSeries
 
 
 # a notch cut into the warm-humid corner: non-convex, with slanted edges

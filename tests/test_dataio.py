@@ -15,10 +15,9 @@ from ecodom.building import BuildingValidationError, validate
 from ecodom.comfort import humidity_ratio, logger_points
 from ecodom.dataio import (
     BUILDING_FORMAT,
-    IndoorRecord,
+    IndoorSeries,
     SchemaVersionError,
     SeriesFormatError,
-    WeatherSeries,
     building_from_dict,
     building_to_dict,
     load_building,
@@ -28,6 +27,14 @@ from ecodom.dataio import (
     write_weather,
 )
 from ecodom.thermal import WeatherGapError, simulate
+from oracles import (
+    IndoorRecord,
+    indoor_records,
+    indoor_series,
+    psychro_points,
+    weather_records,
+    weather_series,
+)
 
 
 @pytest.fixture
@@ -42,12 +49,12 @@ class TestWeatherIO:
     def test_seven_day_fixture(self, clean_week):
         series, path = clean_week
         loaded = load_weather(path)
-        assert len(loaded.records) == 168
+        assert len(loaded.timestamps) == 168
 
     def test_round_trip_exact(self, clean_week, tmp_path):
         series, path = clean_week
         loaded = load_weather(path)
-        assert loaded.records == series.records
+        assert weather_records(loaded) == weather_records(series)
         again = tmp_path / "again.csv"
         write_weather(loaded, again)
         assert again.read_bytes() == path.read_bytes()
@@ -113,11 +120,12 @@ class TestWeatherIO:
     def test_spacing_not_a_multiple_of_the_step_rejected(self, clean_week, tmp_path):
         series, _ = clean_week
         # one 90-minute spacing among hourly rows
-        records = series.records[:40] + tuple(
+        records = weather_records(series)
+        records = records[:40] + tuple(
             r._replace(timestamp=r.timestamp + timedelta(minutes=30))
-            for r in series.records[40:])
+            for r in records[40:])
         path = tmp_path / "skewed.csv"
-        write_weather(WeatherSeries(records=records), path)
+        write_weather(weather_series(records), path)
         loaded = load_weather(path)
         with pytest.raises(SeriesFormatError, match="multiple"):
             simulate(compliant_zone(), loaded)
@@ -153,14 +161,14 @@ class TestWeatherIO:
 class TestSyntheticWeather:
     def test_extremes_sampled_exactly(self):
         series = synthetic_weather(days=1)
-        temps = [r.temp_air_c for r in series.records]
+        temps = list(series.temp_air_c)
         assert len(temps) == 24
         assert max(temps) == pytest.approx(31.0, abs=0.01)
         assert min(temps) == pytest.approx(24.0, abs=0.01)
 
     def test_solar_zero_at_night(self):
         series = synthetic_weather(days=2)
-        night = [r for r in series.records
+        night = [r for r in weather_records(series)
                  if r.solar_direct_w_m2 == 0.0 and r.solar_diffuse_w_m2 == 0.0]
         assert len(night) >= 16  # roughly half the records
 
@@ -204,6 +212,11 @@ def test_file_io_loads_no_model(module, absent):
     assert [name for name in absent if name in loaded] == []
 
 
+def _points(records):
+    """The comfort points of logger rows, one per row."""
+    return psychro_points(logger_points(indoor_series(records)))
+
+
 def _indoor(ts_minutes, zone="z1", temp=28.0, resultant=None, rh=60.0, speed=None):
     base = datetime(2026, 2, 1, tzinfo=timezone.utc)
     return IndoorRecord(
@@ -220,21 +233,21 @@ class TestIndoorIO:
             _indoor(0, zone="z2", temp=27.0),
         )
         path = tmp_path / "indoor.csv"
-        write_indoor(records, path)
+        write_indoor(indoor_series(records), path)
         loaded = load_indoor(path)
-        assert loaded == records
-        assert [r.zone for r in loaded] == ["z1", "z1", "z2"]
+        assert indoor_records(loaded) == records
+        assert loaded.zones == ("z1", "z1", "z2")
 
     def test_optional_fields_blank(self, tmp_path):
         path = tmp_path / "indoor.csv"
         path.write_text(
             "timestamp,zone,temp_air_c,temp_resultant_c,rh_pct,air_speed_m_s\n"
             "2026-02-01T00:00:00+00:00,z1,28.0,,60.0,\n")
-        rec = load_indoor(path)[0]
+        [rec] = indoor_records(load_indoor(path))
         assert rec.temp_resultant_c is None
         assert rec.air_speed_m_s is None
         # the comfort point takes the dry bulb and still air
-        [point] = logger_points([rec])
+        [point] = _points([rec])
         assert point.temperature_c == 28.0
         assert point.air_speed_m_s == 0.0
 
@@ -243,7 +256,7 @@ class TestIndoorIO:
             _indoor(0, zone="bedroom", rh=61.5),
             _indoor(0, zone="living", temp=27.25, resultant=27.5, rh=55.0, speed=0.3))
         path = tmp_path / "indoor.csv"
-        write_indoor(records, path)
+        write_indoor(indoor_series(records), path)
         assert path.read_text("utf-8") == (
             "timestamp,zone,temp_air_c,temp_resultant_c,rh_pct,air_speed_m_s\n"
             "2026-02-01T00:00:00+00:00,bedroom,28.0,,61.5,\n"
@@ -251,11 +264,11 @@ class TestIndoorIO:
 
     def test_resultant_preferred_for_comfort(self):
         rec = _indoor(0, temp=28.0, resultant=29.1)
-        assert logger_points([rec])[0].temperature_c == 29.1
+        assert _points([rec])[0].temperature_c == 29.1
 
     def test_humidity_ratio_is_the_airs_under_a_resultant(self):
         rec = _indoor(0, temp=28.0, resultant=29.1, rh=60.0)
-        [point] = logger_points([rec])
+        [point] = _points([rec])
         assert point.humidity_ratio_g_kg == humidity_ratio(28.0, 60.0)
         assert point.humidity_ratio_g_kg != humidity_ratio(29.1, 60.0)
 
@@ -270,11 +283,11 @@ class TestIndoorIO:
 
     def test_interleaved_zones_allowed(self, tmp_path):
         path = tmp_path / "indoor.csv"
-        write_indoor((
+        write_indoor(indoor_series((
             _indoor(0, zone="a"), _indoor(0, zone="b"),
-            _indoor(30, zone="a"), _indoor(30, zone="b")), path)
+            _indoor(30, zone="a"), _indoor(30, zone="b"))), path)
         loaded = load_indoor(path)
-        assert [r.zone for r in loaded].count("a") == 2
+        assert loaded.zones.count("a") == 2
 
     def test_non_finite_value_reports_line_and_column(self, tmp_path):
         path = tmp_path / "indoor.csv"
@@ -308,66 +321,63 @@ class TestIndoorIO:
         with pytest.raises(SeriesFormatError, match="^line 3: zone is blank$"):
             load_indoor(path)
 
-    def test_shared_timestamps_parsed_once(self, tmp_path, monkeypatch):
-        import ecodom.dataio as dataio
+    def test_shared_timestamps_parsed_once(self, tmp_path):
         instants = 50
         records = [_indoor(10 * i, zone=zone, temp=26.0 + 0.01 * i)
                    for i in range(instants) for zone in ("a", "b")]
         path = tmp_path / "indoor.csv"
-        write_indoor(records, path)
-        calls = []
-        parse = dataio._parse_timestamp
+        write_indoor(indoor_series(records), path)
+        loaded = load_indoor(path)
+        assert indoor_records(loaded) == tuple(records)
+        # the two rows of an instant hold the one parse of its text
+        assert len(set(map(id, loaded.timestamps))) == instants
+        assert all(a is b for a, b in zip(loaded.timestamps[::2], loaded.timestamps[1::2]))
 
-        def counted(text, line_no):
-            calls.append(text)
-            return parse(text, line_no)
-
-        monkeypatch.setattr(dataio, "_parse_timestamp", counted)
-        assert load_indoor(path) == tuple(records)
-        assert len(calls) == len(set(calls)) == instants
-
-    def test_zone_major_file_parses_every_row(self, tmp_path, monkeypatch):
+    def test_zone_major_file_parses_every_row(self, tmp_path):
         # only the previous row's parse is reused: no table of every text
-        import ecodom.dataio as dataio
         records = [_indoor(10 * i, zone=zone) for zone in ("a", "b") for i in range(20)]
         path = tmp_path / "indoor.csv"
-        write_indoor(records, path)
-        calls = []
-        parse = dataio._parse_timestamp
-        monkeypatch.setattr(dataio, "_parse_timestamp",
-                            lambda text, line_no: calls.append(text) or parse(text, line_no))
-        assert load_indoor(path) == tuple(records)
-        assert len(calls) == len(records)
+        write_indoor(indoor_series(records), path)
+        loaded = load_indoor(path)
+        assert indoor_records(loaded) == tuple(records)
+        assert len(set(map(id, loaded.timestamps))) == len(records)
 
 
 class TestIndoorRecord:
     def test_fields_are_read_only(self):
-        rec = _indoor(0)
-        for name in ("timestamp", "zone", "temp_air_c", "temp_resultant_c",
-                     "rh_pct", "air_speed_m_s"):
+        series = indoor_series([_indoor(0)])
+        for name in IndoorSeries._fields:
             with pytest.raises(AttributeError):
-                setattr(rec, name, None)
+                setattr(series, name, None)
 
     def test_equal_and_hash_by_value(self):
-        a, b = _indoor(0, resultant=28.5, speed=0.3), _indoor(0, resultant=28.5, speed=0.3)
-        assert a is not b and a == b and hash(a) == hash(b)
-        assert a != _indoor(0, resultant=28.5, speed=0.4)
+        # columns are arrays, which compare by value and have no hash
+        a, b = (indoor_series([_indoor(0, resultant=28.5, speed=0.3), _indoor(0, zone="z2")])
+                for _ in range(2))
+        assert a is not b and a == b
+        assert a != indoor_series([_indoor(0, resultant=28.5, speed=0.4), _indoor(0, zone="z2")])
+        # a blank cell differs from a measured 0.0
+        assert indoor_series([_indoor(0)]) != indoor_series([_indoor(0, speed=0.0)])
+        with pytest.raises(TypeError):
+            hash(a)
 
     def test_repr_names_every_field(self):
-        assert repr(_indoor(0, zone="bedroom", resultant=28.5, speed=0.3)) == (
-            "IndoorRecord(timestamp=datetime.datetime(2026, 2, 1, 0, 0, "
-            "tzinfo=datetime.timezone.utc), zone='bedroom', temp_air_c=28.0, "
-            "temp_resultant_c=28.5, rh_pct=60.0, air_speed_m_s=0.3)")
+        assert repr(indoor_series([_indoor(0, zone="bedroom", resultant=28.5, speed=0.3)])) == (
+            "IndoorSeries(timestamps=(datetime.datetime(2026, 2, 1, 0, 0, "
+            "tzinfo=datetime.timezone.utc),), zones=('bedroom',), "
+            "temp_air_c=array('d', [28.0]), temp_resultant_c=array('d', [28.5]), "
+            "rh_pct=array('d', [60.0]), air_speed_m_s=array('d', [0.3]), "
+            "blank_resultant=b'\\x00', blank_air_speed=b'\\x00')")
 
     @pytest.mark.parametrize("clone", [
         copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))],
         ids=["copy", "deepcopy", "pickle"])
     def test_copies_are_equal(self, clone):
-        rec = _indoor(0, resultant=28.5, speed=0.3)
-        twin = clone(rec)
-        assert twin == rec and type(twin) is IndoorRecord
-        assert logger_points([twin]) == logger_points([rec])
-        assert logger_points([twin])[0].temperature_c == 28.5
+        series = indoor_series([_indoor(0, resultant=28.5, speed=0.3), _indoor(0, zone="z2")])
+        twin = clone(series)
+        assert twin == series and type(twin) is IndoorSeries
+        assert logger_points(twin) == logger_points(series)
+        assert list(logger_points(twin).temperature_c) == [28.5, 28.0]
 
 
 class TestBuildingIO:

@@ -8,8 +8,10 @@ No other class in the package defines its own equality, hash, repr or
 ``_replace``.
 """
 
+import copy
 import enum
 import importlib
+import pickle
 import pkgutil
 import re
 import typing
@@ -34,13 +36,14 @@ from ecodom.catalogue import default_catalogue
 from ecodom.comfort import (
     DEFAULT_ZONE,
     ComfortZone,
-    PsychroPoint,
     discomfort_fraction,
+    logger_points,
     paired_offset,
 )
-from ecodom.dataio import IndoorRecord, load_building
+from ecodom.dataio import load_building
 from ecodom.rules import Finding, Verdict, compliance_report
 from ecodom.thermal import simulate
+from oracles import IndoorRecord, PsychroPoint, indoor_series, psychro_series
 
 
 def _classes() -> list[type]:
@@ -76,6 +79,12 @@ OUT_OF_RANGE = {
 }
 
 
+#: A logger series with blank resultant and air-speed cells.
+INDOOR = indoor_series([
+    IndoorRecord(datetime(2026, 2, 1, tzinfo=timezone.utc), "z1", 28.0, 28.5, 60.0, 0.3),
+    IndoorRecord(datetime(2026, 2, 1, tzinfo=timezone.utc), "z2", 27.0, None, 65.0, None)])
+
+
 def _samples() -> dict[type, tuple]:
     building = load_building(INITIAL_FIXTURE)
     room = building.rooms[0]
@@ -89,10 +98,9 @@ def _samples() -> dict[type, tuple]:
         default_catalogue(), report,
         next(f for f in report.findings if f.verdict is Verdict.FAIL),
         zone, zone.surfaces[0], zone.apertures,
-        synthetic_weather(days=1).records[0],
-        IndoorRecord(datetime(2026, 2, 1, tzinfo=timezone.utc), "z1", 28.0, 28.5, 60.0, 0.3),
-        PsychroPoint(26.0, 11.7, 0.3), DEFAULT_ZONE, paired_offset([1.0, 2.0], [0.5, 0.5]),
-        discomfort_fraction([PsychroPoint(26.0, 11.7, 0.3), PsychroPoint(31.0, 18.0)]),
+        INDOOR, logger_points(INDOOR), DEFAULT_ZONE, paired_offset([1.0, 2.0], [0.5, 0.5]),
+        discomfort_fraction(psychro_series([PsychroPoint(26.0, 11.7, 0.3),
+                                            PsychroPoint(31.0, 18.0)])),
         simulate(zone, synthetic_weather(days=1)),
     )
     return {type(record): record for record in samples}
@@ -160,3 +168,16 @@ def test_value_semantics_come_from_named_tuples_alone():
     for cls in plain:
         own = {"__eq__", "__hash__", "__repr__", "_replace"} & set(vars(cls))
         assert not own, f"{cls.__name__} defines {sorted(own)}"
+
+
+@pytest.mark.parametrize("clone", [
+    copy.copy, copy.deepcopy, lambda series: pickle.loads(pickle.dumps(series))],
+    ids=["copy", "deepcopy", "pickle"])
+@pytest.mark.parametrize("series", [INDOOR, logger_points(INDOOR)],
+                         ids=["IndoorSeries", "PsychroSeries"])
+def test_series_with_blank_cells_copy_equal(series, clone):
+    # a blank cell is a mask bit over a 0.0, never a NaN, which would
+    # compare unequal to itself in every copy
+    assert 1 in INDOOR.blank_resultant and 1 in INDOOR.blank_air_speed
+    twin = clone(series)
+    assert twin == series and type(twin) is type(series)

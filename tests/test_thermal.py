@@ -16,9 +16,9 @@ from ecodom.archetypes import (
     synthetic_weather,
     uninsulated_zone,
 )
-from ecodom.comfort import PsychroPoint, discomfort_fraction, humidity_ratio
+from ecodom.comfort import discomfort_fraction, humidity_ratio
 from ecodom import thermal
-from ecodom.dataio import SeriesFormatError, WeatherRecord, WeatherSeries
+from ecodom.dataio import SeriesFormatError
 from ecodom.solar import overhang_shading_fraction, sun_positions
 from ecodom.thermal import (
     ROOF_DECK_RESISTANCE,
@@ -33,8 +33,9 @@ from ecodom.thermal import (
     ventilation_ach,
     zone_from_building,
 )
-from oracles import (SolarPosition, area_weighted_radiant, first_order_response,
-                     solar_position, surface_irradiance)
+from oracles import (PsychroPoint, SolarPosition, WeatherRecord, area_weighted_radiant,
+                     first_order_response, psychro_series, solar_position,
+                     surface_irradiance, weather_records, weather_series)
 
 _mean = lambda xs: sum(xs) / len(xs)
 
@@ -79,16 +80,17 @@ def _calm_weather(days=2, t_out=28.0):
     base = synthetic_weather(days=days)
     records = tuple(r._replace(
         temp_air_c=t_out, solar_direct_w_m2=0.0, solar_diffuse_w_m2=0.0,
-        wind_speed_m_s=0.0) for r in base.records)
-    return WeatherSeries(records=records)
+        wind_speed_m_s=0.0) for r in weather_records(base))
+    return weather_series(records)
 
 
 class TestSimulate:
     def test_short_or_coarse_weather_is_an_input_error(self, week):
         from ecodom.errors import InputError
-        for records in (week.records[:1], week.records[:12], week.records[::2]):
+        rows = weather_records(week)
+        for records in (rows[:1], rows[:12], rows[::2]):
             with pytest.raises(InputError):
-                simulate(compliant_zone(), WeatherSeries(records=records))
+                simulate(compliant_zone(), weather_series(records))
 
     def test_equilibrium_without_forcing(self):
         zone = compliant_zone()
@@ -98,7 +100,7 @@ class TestSimulate:
 
     def test_output_length_matches_weather(self, week):
         result = simulate(compliant_zone(), week)
-        assert len(result.timestamps) == len(week.records)
+        assert len(result.timestamps) == len(week.timestamps)
 
     def test_resultant_is_air_radiant_mean(self, week):
         result = simulate(compliant_zone(), week)
@@ -184,29 +186,31 @@ class TestSimulate:
     def test_night_indoor_never_below_outdoor_in_calm_air(self):
         # weak night breezes: the closed zone can only drift towards, not
         # below, the outdoor temperature
-        weather = WeatherSeries(records=tuple(
+        weather = weather_series(tuple(
             r._replace(wind_speed_m_s=0.05)
-            for r in synthetic_weather(days=3).records))
+            for r in weather_records(synthetic_weather(days=3))))
         result = simulate(compliant_zone(), weather)
-        night = [i for i, r in enumerate(weather.records)
+        night = [i for i, r in enumerate(weather_records(weather))
                  if r.solar_direct_w_m2 == 0.0 and i > 24]
         for i in night:
             assert result.t_air_c[i] >= result.t_out_c[i] - 1e-9
 
     def test_gap_raises_with_missing_hours(self, week):
-        records = week.records[:30] + week.records[32:]
-        broken = WeatherSeries(records=records)
+        rows = weather_records(week)
+        records = rows[:30] + rows[32:]
+        broken = weather_series(records)
         with pytest.raises(WeatherGapError) as err:
             simulate(compliant_zone(), broken)
         assert len(err.value.missing) == 2
 
     def test_repeated_timestamp_in_code_built_series(self, week):
-        records = week.records[:30] + week.records[29:]
+        rows = weather_records(week)
+        records = rows[:30] + rows[29:]
         with pytest.raises(SeriesFormatError, match="not after previous record"):
-            simulate(compliant_zone(), WeatherSeries(records=records))
+            simulate(compliant_zone(), weather_series(records))
 
     def test_too_short_series_rejected(self, week):
-        short = WeatherSeries(records=week.records[:12])
+        short = weather_series(weather_records(week)[:12])
         with pytest.raises(ValueError, match="24"):
             simulate(compliant_zone(), short)
 
@@ -214,11 +218,11 @@ class TestSimulate:
         zone = compliant_zone()
         hourly = simulate(zone, week)
         halved_records = []
-        for rec in week.records:
+        for rec in weather_records(week):
             halved_records.append(rec)
             halved_records.append(rec._replace(
                 timestamp=rec.timestamp + timedelta(minutes=30)))
-        halved = simulate(zone, WeatherSeries(records=tuple(halved_records)))
+        halved = simulate(zone, weather_series(tuple(halved_records)))
         day = lambda xs, n: _mean(xs[-n:])
         assert abs(day(hourly.t_air_c, 24) - day(halved.t_air_c, 48)) < 0.05
 
@@ -366,9 +370,9 @@ def test_upgraded_golden_is_cooler_and_less_uncomfortable(initial_building,
     zone's cap in 105 of 168 hours, so both read 62.5 %."""
     def run(building):
         result = simulate(zone_from_building(building), week)
-        stats = discomfort_fraction([
+        stats = discomfort_fraction(psychro_series([
             PsychroPoint(t_res, humidity_ratio(rec.temp_air_c, rec.rh_pct))
-            for t_res, rec in zip(result.t_resultant_c, week.records)])
+            for t_res, rec in zip(result.t_resultant_c, weather_records(week))]))
         return result.peak_resultant_c(), stats.mean_exceedance_c
 
     initial_peak, initial_exceedance = run(initial_building)
@@ -404,7 +408,7 @@ class TestIntegratorOracle:
         omega = 2.0 * math.pi / self.PERIOD_S
         start = datetime(2026, 1, 5, tzinfo=timezone.utc)
         steps = round(5 * self.PERIOD_S / dt)
-        weather = WeatherSeries(records=tuple(WeatherRecord(
+        weather = weather_series(tuple(WeatherRecord(
             start + timedelta(seconds=k * dt),
             self.MEAN_C + self.SWING_C * math.sin(omega * k * dt),
             70.0, 0.0, 0.0, self.WIND_M_S, 90.0) for k in range(steps)))
@@ -492,21 +496,21 @@ class TestStagedRun:
     # The export writes 1024 rows at a time.
     @pytest.mark.parametrize("steps", [1023, 1024, 1025])
     def test_export_rows_across_chunk_boundaries(self, steps):
-        weather = WeatherSeries(records=synthetic_weather(days=43).records[:steps])
+        weather = weather_series(weather_records(synthetic_weather(days=43))[:steps])
         lines = _csv(simulate(compliant_zone(), weather)).split("\n")
         assert lines[-1] == "" and lines[-2] != ""
         assert len(lines[:-1]) == steps + 1
         assert {len(line.split(",")) for line in lines[:-1]} == {12}
 
     def test_second_zone_on_shared_series_matches_fresh_series(self, week):
-        shared = WeatherSeries(records=week.records)
+        shared = weather_series(weather_records(week))
         simulate(compliant_zone(), shared)
         other = _turned(uninsulated_zone(), 45.0)
         assert (simulate(other, shared)
-                == simulate(other, WeatherSeries(records=week.records)))
+                == simulate(other, weather_series(weather_records(week))))
 
     def test_sun_track_and_columns_computed_once_per_series(self, week, solar_calls):
-        shared = WeatherSeries(records=week.records)
+        shared = weather_series(weather_records(week))
         simulate(compliant_zone(), shared)
         simulate(_turned(compliant_zone(), 45.0), shared)
         # one sun track; 5 orientations for the first zone, one more for
@@ -521,7 +525,7 @@ class TestStagedRun:
         twinned = zone._replace(surfaces=zone.surfaces + (twin,))
         # a fresh series: the module's ``week`` holds the shading columns
         # that earlier tests filled on its track
-        result = simulate(twinned, WeatherSeries(records=week.records))
+        result = simulate(twinned, weather_series(weather_records(week)))
         # 5 windows under overhangs, in 4 geometries
         assert solar_calls["shading"] == 4
         gains = result.surface_gains_w
@@ -529,34 +533,34 @@ class TestStagedRun:
 
     @pytest.mark.parametrize("site", [{"latitude": -15.0}, {"longitude": 45.0}])
     def test_other_site_never_reuses_the_track(self, week, solar_calls, site):
-        shared = WeatherSeries(records=week.records)
+        shared = weather_series(weather_records(week))
         here = simulate(compliant_zone(), shared)
         moved = compliant_zone()._replace(**site)
         there = simulate(moved, shared)
         assert solar_calls == {"position": 2, "irradiance": 10, "shading": 8}
         assert there != here
-        assert there == simulate(moved, WeatherSeries(records=week.records))
+        assert there == simulate(moved, weather_series(weather_records(week)))
 
     def test_equal_timestamps_other_irradiance_never_reuses(self, week, solar_calls):
-        bright = simulate(compliant_zone(), WeatherSeries(records=week.records))
-        dim = WeatherSeries(records=tuple(
+        bright = simulate(compliant_zone(), weather_series(weather_records(week)))
+        dim = weather_series(tuple(
             r._replace(solar_direct_w_m2=r.solar_direct_w_m2 / 2)
-            for r in week.records))
+            for r in weather_records(week)))
         result = simulate(compliant_zone(), dim)
         assert solar_calls == {"position": 2, "irradiance": 10, "shading": 8}
         assert sum(result.window_solar_w) < sum(bright.window_solar_w)
 
     def test_gains_schedule_follows_utc_hour_for_any_offset(self, week):
         plus4 = timezone(timedelta(hours=4))
-        local = WeatherSeries(records=tuple(
+        local = weather_series(tuple(
             r._replace(timestamp=r.timestamp.astimezone(plus4))
-            for r in week.records))
+            for r in weather_records(week)))
         zone = compliant_zone()._replace(internal_gains_w=[2000.0 if h == 15 else 0.0
                                                            for h in range(24)])
         assert simulate(zone, local) == simulate(zone, week)
 
     def test_memo_keeps_no_series_alive(self, week):
-        series = WeatherSeries(records=week.records)
+        series = weather_series(weather_records(week))
         simulate(compliant_zone(), series)
         ref = weakref.ref(series)
         del series
@@ -564,7 +568,7 @@ class TestStagedRun:
         assert ref() is None
 
     def test_simulated_series_is_freed_without_the_cycle_collector(self, week):
-        series = WeatherSeries(records=week.records)
+        series = weather_series(weather_records(week))
         simulate(compliant_zone(), series)
         ref = weakref.ref(series)
         enabled = gc.isenabled()
@@ -592,7 +596,7 @@ def _solar_series(first, step, hours=25):
     """A weather series from ``first`` every ``step`` over ``hours``, with
     beam and diffuse irradiance by day and by night."""
     n = int(timedelta(hours=hours) / step)
-    return WeatherSeries(records=tuple(
+    return weather_series(tuple(
         WeatherRecord(first + k * step, 28.0, 70.0, 300.0 + 7.0 * (k % 90),
                       40.0 + 3.0 * (k % 50), 2.0, 90.0)
         for k in range(n)))
@@ -643,7 +647,7 @@ class TestSunColumns:
         assert any(sun.altitude_deg > 0.0
                    and math.cos(math.radians(sun.azimuth_deg - facade)) <= 0.0
                    for sun in suns for _, _, _, facade in _GEOMETRIES)
-        _expect_columns(track, weather.records, suns)
+        _expect_columns(track, weather_records(weather), suns)
 
     def test_sun_at_the_horizon_and_edge_angles(self, monkeypatch):
         weather = _SERIES["naive"]()
@@ -653,11 +657,11 @@ class TestSunColumns:
         cases = [(0.0, 180.0), (-0.0, 90.0), (5e-324, 180.0), (-5e-324, 180.0),
                  (90.0, 0.0), (-90.0, 0.0), (30.0, 270.0), (30.0, 127.3), (45.0, 180.0),
                  (12.5, 0.0), (60.0, 33.0)]
-        angles = [cases[k % len(cases)] for k in range(len(weather.records))]
+        angles = [cases[k % len(cases)] for k in range(len(weather.timestamps))]
         monkeypatch.setattr(thermal, "sun_positions", lambda lat, lon, timestamps: (
             [alt for alt, _ in angles], [az for _, az in angles]))
         track = thermal._sun_track(weather, *_SITES["south"])
-        _expect_columns(track, weather.records, [SolarPosition(*a) for a in angles])
+        _expect_columns(track, weather_records(weather), [SolarPosition(*a) for a in angles])
 
     def test_orientations_of_one_tilt_share_one_diffuse_column(self):
         track = thermal._sun_track(_SERIES["naive"](), *_SITES["south"])
