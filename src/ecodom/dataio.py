@@ -9,9 +9,9 @@ reader and the building writer walk.  Floats are written with Python's
 shortest repr so load(write(series)) round-trips exactly.
 
 A series is held as columns: a tuple of timestamps and one ``array('d')``
-per value column, with no object per row.  A series file is parsed a few
-thousand lines at a time, each chunk's cells turned into its columns at
-once, and the columns are then checked in bulk.  When a check fails, the
+per value column, with no object per row.  A series file is parsed about
+a thousand lines at a time, each chunk's cells turned into its columns
+at once, and the columns are then checked in bulk.  When a check fails, the
 rows are walked with the per-row checks, in file order, so the error
 names the first bad line.  A row of an indoor file that repeats the
 previous row's timestamp, as the zones of an interleaved logger file do,
@@ -207,14 +207,15 @@ def load_weather(path: str | Path) -> WeatherSeries:
     before.  The grid is checked when the series is simulated
     (:func:`ecodom.thermal.weather_grid`)."""
     lines = _read_lines(path, WEATHER_COLUMNS)
+    width = len(WEATHER_COLUMNS)
     timestamps: list[datetime] = []
     columns = [array("d") for _ in WEATHER_COLUMNS[1:]]
     temp, rh, direct, diffuse, wind, wind_dir = columns
     try:
-        for cells in _cell_chunks(lines, len(WEATHER_COLUMNS)):
-            timestamps.extend(_parse_timestamps(cells[0::7]))
+        for cells in _cell_chunks(lines, width):
+            timestamps.extend(_parse_timestamps(cells[0::width]))
             for k, column in enumerate(columns, start=1):
-                column.extend(map(float, cells[k::7]))
+                column.extend(map(float, cells[k::width]))
         if not (within(temp, T_MIN_C, T_MAX_C) and within(rh, 0.0, 100.0)
                 and within(direct, 0.0) and within(diffuse, 0.0)
                 and within(wind, 0.0) and within(wind_dir) and _increasing(timestamps)):
@@ -303,19 +304,21 @@ def load_indoor(path: str | Path) -> IndoorSeries:
     air, resultant, rh, speed = (array("d") for _ in range(4))
     blank_resultant, blank_speed = bytearray(), bytearray()
     text, instant = None, None  # the previous row's timestamp text and its parse
+    width = len(INDOOR_COLUMNS)
     try:
-        for cells in _cell_chunks(lines, len(INDOOR_COLUMNS)):
-            texts = cells[0::6]
-            # a row whose text repeats the row before it reuses its parse
+        for cells in _cell_chunks(lines, width):
+            texts = cells[0::width]
+            # a row whose text repeats the row before it reuses its parse:
+            # parsed[k] is the instant of the chunk's k-th fresh text
             fresh = list(map(ne, texts, chain((text,), texts)))
             parsed = [instant, *_parse_timestamps(list(compress(texts, fresh)))]
             timestamps.extend(map(parsed.__getitem__, accumulate(fresh)))
             text, instant = texts[-1], parsed[-1]
-            zones.extend(map(sys.intern, cells[1::6]))
-            air.extend(map(float, cells[2::6]))
-            _extend_optional(resultant, blank_resultant, cells[3::6])
-            rh.extend(map(float, cells[4::6]))
-            _extend_optional(speed, blank_speed, cells[5::6])
+            zones.extend(map(sys.intern, cells[1::width]))
+            air.extend(map(float, cells[2::width]))
+            _extend_optional(resultant, blank_resultant, cells[3::width])
+            rh.extend(map(float, cells[4::width]))
+            _extend_optional(speed, blank_speed, cells[5::width])
         if not (within(rh, 0.0, 100.0) and within(air, T_MIN_C, T_MAX_C)
                 and within(resultant, T_MIN_C, T_MAX_C) and within(speed, 0.0)
                 and all(map(str.strip, dict.fromkeys(zones)))

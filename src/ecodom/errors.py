@@ -1,5 +1,6 @@
 """The input boundary: one error type for bad input files, one strict
-JSON reader and the hook that checks a record's values when it is made.
+JSON reader, the hook that checks a record's values when it is made and
+the bulk check of a column of floats.
 
 Every loader raises a subclass of :class:`InputError`, and the CLI maps
 that one type to exit code 2.  This module imports nothing from ecodom,
