@@ -29,7 +29,7 @@ from .building import (
 )
 from .dataio import WeatherSeries
 from .solar import sun_positions
-from .thermal import VentilationApertures, ZoneModel, zone_from_building
+from .thermal import Scenario, VentilationApertures, ZoneModel, zone_from_building
 
 #: Latitude and longitude (deg) of the reference site, on Reunion island.
 _SITE = (-21.1, 55.5)
@@ -77,7 +77,7 @@ def _flat(name: str, roof: RoofSpec, wall: dict, window_area_m2: float,
         rooms=(), facade_pairs=(),
         water_heater=WaterHeaterSpec(WaterHeaterKind.ELECTRIC),
     )
-    zone = zone_from_building(building, {"roof_exposed": roof_exposed})
+    zone = zone_from_building(building, Scenario(roof_exposed=roof_exposed))
     return zone._replace(apertures=apertures)
 
 

@@ -4,8 +4,8 @@ The quantitative content of the standard lives in a versioned JSON data
 file (tables for roof insulation, wall overhangs, wall insulation, window
 shading ratios, solar water heaters, plus the porosity threshold), so a
 regulation revision means shipping a new data file, not new code.  The
-file embeds a checksum over its tables; the loader refuses a file whose
-tables do not match it.
+loader refuses a file whose tables do not match its checksum, or that
+holds a key :data:`CATALOGUE_FORMAT` does not declare.
 
 Known catalogue quirks, kept as published:
 
@@ -24,7 +24,7 @@ from importlib import resources
 from typing import NamedTuple
 
 from .building import ColorClass, Orientation, WallConstruction
-from .errors import InputError, field, number, read_json
+from .errors import REQUIRED, InputError, load_json, read_format
 
 #: Environment variable naming a catalogue file to use instead of the bundled one.
 CATALOGUE_ENV_VAR = "ECODOM_CATALOGUE"
@@ -55,7 +55,7 @@ class RuleCatalogue(NamedTuple):
 
     version: str
     porosity_threshold: float
-    reference_conductivities: dict[str, float]
+    reference_conductivities_w_mk: dict[str, float]
     roof_insulation_cm: dict[str, dict[str, dict[str, float]]]
     wall_overhang_ratio: dict[str, dict[str, dict[str, float]]]
     wall_insulation_cm: dict[str, dict[str, dict[str, float]]]
@@ -66,11 +66,11 @@ class RuleCatalogue(NamedTuple):
 
     @property
     def lambda_polystyrene(self) -> float:
-        return self.reference_conductivities["polystyrene"]
+        return self.reference_conductivities_w_mk["polystyrene"]
 
     @property
     def lambda_polyurethane(self) -> float:
-        return self.reference_conductivities["polyurethane"]
+        return self.reference_conductivities_w_mk["polyurethane"]
 
     def roof_cm(self, regime: str, color: ColorClass, reference: str) -> float:
         return self.roof_insulation_cm[regime][color.value][reference]
@@ -105,72 +105,66 @@ def tables_checksum(tables: dict) -> str:
     return "sha256:" + hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+def _catalogue(catalogue_version: str, checksum: str, tables: dict) -> RuleCatalogue:
+    bounds = tables.pop("tank_volume_per_collector_l_m2")
+    return RuleCatalogue(catalogue_version, **tables,
+                         tank_volume_bounds_l_m2=(bounds["min"], bounds["max"]))
+
+
+_REFERENCES = dict.fromkeys(("polystyrene", "polyurethane"), float)
+_ORIENTATIONS = dict.fromkeys([o.value for o in Orientation], float)
+_ROOF_COLORS = dict.fromkeys([c.value for c in ColorClass], _REFERENCES)
+_WALL_COLORS = dict.fromkeys([ColorClass.LIGHT.value, ColorClass.MEDIUM.value], _ORIENTATIONS)
+
+#: The catalogue file format (see ``errors.read_format``): each table holds
+#: exactly the cells the rules look up.  The checksum is checked before
+#: the walk, the cells >= 0 and the scalar ranges after it.
+CATALOGUE_FORMAT = {"catalogue": (_catalogue, (
+    ("catalogue_version", str, REQUIRED),
+    ("checksum", str, REQUIRED),
+    ("tables", {
+        "porosity_threshold": float,
+        "reference_conductivities_w_mk": _REFERENCES,
+        "roof_insulation_cm": dict.fromkeys(("simple", "well_ventilated_attic"), _ROOF_COLORS),
+        "wall_overhang_ratio": dict.fromkeys(_OVERHANG_ROW.values(), _WALL_COLORS),
+        "wall_insulation_cm": dict.fromkeys(_INSULATION_ROW.values(), _WALL_COLORS),
+        "window_shading_ratio": _ORIENTATIONS,
+        "solar_collector_area_m2": {int: float},
+        "tank_volume_per_collector_l_m2": dict.fromkeys(("min", "max"), float),
+        "solar_productivity_floor_kwh_m2": float,
+    }, REQUIRED),
+))}
+
+
 def catalogue_from_dict(doc: dict) -> RuleCatalogue:
-    for key in ("catalogue_version", "checksum", "tables"):
-        if key not in doc:
-            raise CatalogueError(f"catalogue file missing {key!r}")
-    tables = doc["tables"]
-    expected = tables_checksum(tables)
-    if doc["checksum"] != expected:
+    expected = tables_checksum(doc.get("tables"))
+    if "tables" in doc and doc.get("checksum", expected) != expected:
         raise CatalogueError(
             f"catalogue checksum mismatch: file says {doc['checksum']}, "
             f"tables hash to {expected}")
-    try:
-        bounds = field(tables, "tank_volume_per_collector_l_m2", dict)
-        cat = RuleCatalogue(
-            version=str(doc["catalogue_version"]),
-            porosity_threshold=field(tables, "porosity_threshold", float),
-            reference_conductivities={
-                k: number(v)
-                for k, v in field(tables, "reference_conductivities_w_mk", dict).items()},
-            roof_insulation_cm=field(tables, "roof_insulation_cm", dict),
-            wall_overhang_ratio=field(tables, "wall_overhang_ratio", dict),
-            wall_insulation_cm=field(tables, "wall_insulation_cm", dict),
-            window_shading_ratio=field(tables, "window_shading_ratio", dict),
-            solar_collector_area_m2={
-                int(k): number(v)
-                for k, v in field(tables, "solar_collector_area_m2", dict).items()},
-            tank_volume_bounds_l_m2=(field(bounds, "min", float),
-                                     field(bounds, "max", float)),
-            solar_productivity_floor_kwh_m2=field(
-                tables, "solar_productivity_floor_kwh_m2", float),
-        )
-    except (TypeError, ValueError) as exc:
-        raise CatalogueError(f"catalogue tables malformed: {exc}") from exc
-    _check_complete(cat)
+    cat = read_format(doc, "catalogue", CATALOGUE_FORMAT, CatalogueError)
+    _check_ranges(cat, doc["tables"])
     return cat
 
 
-def _check_complete(cat: RuleCatalogue) -> None:
-    """Every cell the rules can look up must hold a finite number >= 0,
-    and every scalar must lie in its range."""
-    lookups = [("roof", cat.roof_cm, (regime, color, ref))
-               for regime in ("simple", "well_ventilated_attic")
-               for color in ColorClass
-               for ref in ("polystyrene", "polyurethane")]
-    for construction in WallConstruction:
-        for color in (ColorClass.LIGHT, ColorClass.MEDIUM):
-            for orientation in Orientation:
-                args = (construction, color, orientation)
-                lookups += [("wall overhang", cat.overhang_ratio, args),
-                            ("wall insulation", cat.insulation_cm, args)]
-    lookups += [("window", cat.window_ratio, (o,)) for o in Orientation]
-    for table, lookup, args in lookups:
-        where = "/".join(getattr(a, "value", a) for a in args)
-        try:
-            value = number(lookup(*args))
-        except (KeyError, TypeError) as exc:
-            raise CatalogueError(f"{table} table incomplete or malformed: {where}") from exc
-        if value < 0:
-            raise CatalogueError(f"{table} table cell {where} must be >= 0, got {value}")
+def _cells(value, where: str):
+    """Yield the path and the value of every number in a table, or of a number."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _cells(item, f"{where}.{key}")
+    else:
+        yield where, value
+
+
+def _check_ranges(cat: RuleCatalogue, tables: dict) -> None:
+    """The rules the format's types do not state: some scalars in their
+    ranges, then every number of the ``tables`` read as ``cat`` >= 0."""
     for ref in ("polystyrene", "polyurethane"):
-        if not cat.reference_conductivities.get(ref, 0.0) > 0:
+        if not cat.reference_conductivities_w_mk[ref] > 0:
             raise CatalogueError(f"reference conductivity of {ref} must be > 0")
     collector = sorted(cat.solar_collector_area_m2)
     if not collector or collector != list(range(1, len(collector) + 1)):
         raise CatalogueError("solar collector table must list dwelling types 1 to N")
-    if any(area < 0 for area in cat.solar_collector_area_m2.values()):
-        raise CatalogueError("solar collector areas must be >= 0")
     if not 0 < cat.porosity_threshold <= 1:
         raise CatalogueError(
             f"porosity threshold must be in (0, 1], got {cat.porosity_threshold}")
@@ -178,9 +172,9 @@ def _check_complete(cat: RuleCatalogue) -> None:
     if not 0 <= low <= high:
         raise CatalogueError(
             f"tank volume bounds must satisfy 0 <= min <= max, got {low} and {high}")
-    if cat.solar_productivity_floor_kwh_m2 < 0:
-        raise CatalogueError("solar productivity floor must be >= 0, "
-                             f"got {cat.solar_productivity_floor_kwh_m2}")
+    for where, value in _cells(tables, "tables"):
+        if value < 0:
+            raise CatalogueError(f"{where} must be >= 0, got {value}")
 
 
 def load_catalogue(path: str | os.PathLike | None = None) -> RuleCatalogue:
@@ -190,11 +184,7 @@ def load_catalogue(path: str | os.PathLike | None = None) -> RuleCatalogue:
         path = os.environ.get(CATALOGUE_ENV_VAR) or None
     if path is None:
         return default_catalogue()
-    doc = read_json(path, CatalogueError)
-    try:
-        return catalogue_from_dict(doc)
-    except CatalogueError as exc:
-        raise CatalogueError(f"{path}: {exc}") from exc
+    return load_json(path, catalogue_from_dict, CatalogueError)
 
 
 @functools.cache
@@ -204,5 +194,5 @@ def default_catalogue() -> RuleCatalogue:
     Parsed once per process; every caller shares the returned object, so
     its tables must not be mutated.
     """
-    return catalogue_from_dict(
-        read_json(resources.files("ecodom.data").joinpath(_BUNDLED), CatalogueError))
+    return load_json(resources.files("ecodom.data").joinpath(_BUNDLED), catalogue_from_dict,
+                     CatalogueError)

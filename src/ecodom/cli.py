@@ -30,11 +30,12 @@ from .comfort import (
     psychro_scatter_rows,
 )
 from .dataio import load_building, load_indoor, load_weather
-from .errors import InputError, read_json
+from .errors import InputError
 from .rules import compliance_report
 from .thermal import (
-    ScenarioError,
+    Scenario,
     gain_breakdown,
+    load_scenario,
     result_to_csv,
     simulate,
     zone_from_building,
@@ -115,7 +116,7 @@ def _cmd_check(args) -> int:
     return EXIT_OK if report.overall_pass else EXIT_NONCOMPLIANT
 
 
-def _simulate_one(building_path: str, weather, scenario: dict, out: str | None):
+def _simulate_one(building_path: str, weather, scenario: Scenario, out: str | None):
     building = load_building(building_path)
     zone = zone_from_building(building, scenario)
     result = simulate(zone, weather)
@@ -145,7 +146,7 @@ def _cmd_simulate(args) -> int:
          "--weather": args.weather, "--scenario": args.scenario},
         {"--out": args.out, "--paired-out": args.paired_out})
     weather = load_weather(args.weather)
-    scenario = read_json(args.scenario, ScenarioError) if args.scenario else {}
+    scenario = load_scenario(args.scenario) if args.scenario else Scenario()
     name, result = _simulate_one(args.building, weather, scenario, args.out)
     if args.paired:
         # The offset needs only the resultant series of the first run, so

@@ -29,7 +29,7 @@ from operator import add
 from pathlib import Path
 from typing import NamedTuple, TextIO
 
-from .errors import InputError, checked, field, number, read_json, within
+from .errors import REQUIRED, InputError, checked, load_json, read_format, within
 
 STANDARD_PRESSURE_PA = 101325.0
 
@@ -176,24 +176,18 @@ DEFAULT_ZONE = ComfortZone(
 )
 
 
+#: The zone file format; the record refuses a polygon that is not simple.
+ZONE_FORMAT = {"zone": (ComfortZone, (
+    ("vertices", [(float, float)], REQUIRED),
+    ("extension_c_per_m_s", float, 2.0),
+    ("max_extended_temp_c", float, 32.0),
+))}
+
+
 def load_zone(path: str | Path) -> ComfortZone:
-    """Read a zone override file: {"vertices": [[T, w], ...],
-    "extension_c_per_m_s": k, "max_extended_temp_c": cap}; any other key
-    is refused."""
-    doc = read_json(path)
-    unknown = [key for key in doc
-               if key not in ("vertices", "extension_c_per_m_s", "max_extended_temp_c")]
-    if unknown:
-        raise InputError(f"zone file {path}: unknown key {', '.join(unknown)}")
-    try:
-        return ComfortZone(
-            vertices=tuple((number(t), number(w))
-                           for t, w in field(doc, "vertices", list)),
-            extension_c_per_m_s=field(doc, "extension_c_per_m_s", float, 2.0),
-            max_extended_temp_c=field(doc, "max_extended_temp_c", float, 32.0),
-        )
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"zone file {path}: {exc}") from exc
+    """Read a zone override file (docs/formats.md)."""
+    return load_json(path, lambda doc: read_format(doc, "zone", ZONE_FORMAT, InputError),
+                     InputError)
 
 
 #: How near an edge a point counts as on it.

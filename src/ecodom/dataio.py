@@ -3,10 +3,10 @@ description files.  No model code: the reference hot-season week lives
 with the archetype flats in :mod:`ecodom.archetypes`.
 
 All series files are CSV with ISO-8601 UTC timestamps and fixed, versioned
-headers; building descriptions are JSON (see docs/formats.md), whose
-format is the one table :data:`BUILDING_FORMAT` that both the building
-reader and the building writer walk.  Floats are written with Python's
-shortest repr so load(write(series)) round-trips exactly.
+headers; building descriptions are JSON (see docs/formats.md), read
+and written by the one table :data:`BUILDING_FORMAT`.  Floats are
+written with Python's shortest repr so load(write(series)) round-trips
+exactly.
 
 A series is held as columns: a tuple of timestamps and one ``array('d')``
 per value column, with no object per row.  A series file is parsed about
@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 from . import building as bm
 from .comfort import T_MAX_C, T_MIN_C
-from .errors import REQUIRED, InputError, field, read_json, within
+from .errors import JSON_TYPES, REQUIRED, InputError, load_json, read_format, within
 
 BUILDING_SCHEMA_VERSION = 1
 
@@ -377,15 +377,9 @@ def write_indoor(series: IndoorSeries, path: str | Path) -> None:
 # ---------------------------------------------------------------------------
 # building description files
 
-#: The building file format, stated once: the reader and the writer both
-#: walk it.  Each object kind names the record it becomes and its keys,
-#: in the order :func:`save_building` writes them.  A key is ``(name,
-#: kind, default)``, named as its record's field.  Its kind is a JSON
-#: type (``float`` takes any finite number), an enum read from its value,
-#: the name of an object kind, or that name in a list for a list of those
-#: objects.  ``null`` reads as absent for an optional object (an
-#: insulation layer) and for a key whose default is None, and for no
-#: other key.  The top-level ``schema_version`` is not a record field.
+#: The building file format, stated once: ``errors.read_format`` reads by
+#: it, and :func:`_write` writes by it, each object kind's keys in the
+#: order they are listed.  ``schema_version`` is not a record field.
 BUILDING_FORMAT = {
     "building": (bm.BuildingDescription, (
         ("name", str, REQUIRED),
@@ -470,38 +464,6 @@ BUILDING_FORMAT = {
     )),
 }
 
-_JSON_TYPES = (str, float, int, bool)
-
-
-def _read(doc, kind: str, where: str, unknown: list[str]):
-    """The record of ``kind`` that the object ``doc`` at path ``where``
-    describes; appends the path of each key that ``kind`` lacks to
-    ``unknown``.  A missing key, or a value of the wrong JSON type or one
-    a record refuses, raises ValueError or TypeError."""
-    if not isinstance(doc, dict):
-        raise TypeError(f"{where} must be an object, got {doc!r}")
-    record, keys = BUILDING_FORMAT[kind]
-    prefix = f"{where}." if where else ""
-    known = {name for name, _, _ in keys}
-    unknown.extend(prefix + key for key in doc if key not in known)
-    values = {}
-    for name, form, default in keys:
-        if doc.get(name) is None and default is not REQUIRED and (
-                default is None or isinstance(form, str)):
-            values[name] = default  # absent, or a null the key accepts
-        elif isinstance(form, str):
-            values[name] = _read(field(doc, name, dict), form, prefix + name, unknown)
-        elif isinstance(form, list):
-            values[name] = tuple(
-                _read(item, form[0], f"{prefix}{name}[{i}]", unknown)
-                for i, item in enumerate(field(doc, name, list, ())))
-        elif form in _JSON_TYPES:
-            values[name] = field(doc, name, form, default)
-        else:  # an enum, read from its value
-            values[name] = form(field(doc, name, str, default))
-    return record(**values)
-
-
 def _write(record, kind: str) -> dict:
     """The object of ``kind`` that describes ``record``."""
     doc = {}
@@ -511,21 +473,16 @@ def _write(record, kind: str) -> dict:
             value = _write(value, form)
         elif isinstance(form, list):
             value = [_write(item, form[0]) for item in value]
-        elif form not in _JSON_TYPES:
+        elif form not in JSON_TYPES:
             value = value.value
         doc[name] = value
     return doc
 
 
 def building_from_dict(doc: dict) -> bm.BuildingDescription:
-    """Construct a description from a parsed building file.
-
-    A missing key, or a value of the wrong JSON type or one a record
-    refuses, raises ValueError or TypeError at once.  Keys the format
-    does not define raise SeriesFormatError, naming each path, once every
-    present key has been read.  Semantic problems are left to
-    :func:`building.validate`.
-    """
+    """Construct a description from a parsed building file; a malformed or
+    unknown key raises SeriesFormatError.  Semantic problems are left to
+    :func:`building.validate`."""
     doc = dict(doc)
     version = doc.pop("schema_version", None)
     # JSON true and 1.0 compare equal to 1, yet are not the version 1
@@ -533,11 +490,7 @@ def building_from_dict(doc: dict) -> bm.BuildingDescription:
         raise SchemaVersionError(
             f"building schema version {version!r} not supported "
             f"(expected {BUILDING_SCHEMA_VERSION})")
-    unknown: list[str] = []
-    description = _read(doc, "building", "", unknown)
-    if unknown:
-        raise SeriesFormatError(f"unknown key {', '.join(unknown)}")
-    return description
+    return read_format(doc, "building", BUILDING_FORMAT, SeriesFormatError)
 
 
 def building_to_dict(b: bm.BuildingDescription) -> dict:
@@ -545,17 +498,8 @@ def building_to_dict(b: bm.BuildingDescription) -> dict:
 
 
 def load_building(path: str | Path) -> bm.BuildingDescription:
-    """Load and validate a building description file; a key the format
-    does not define is refused by its path."""
-    doc = read_json(path, SeriesFormatError)
-    try:
-        description = building_from_dict(doc)
-    except SeriesFormatError as exc:
-        raise SeriesFormatError(f"{path}: {exc}") from None
-    except InputError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise SeriesFormatError(f"{path}: missing or malformed field: {exc}") from exc
+    """Load and validate a building description file (docs/formats.md)."""
+    description = load_json(path, building_from_dict, SeriesFormatError)
     issues = bm.validate(description)
     if issues:
         raise bm.BuildingValidationError(issues)

@@ -1,6 +1,7 @@
 """The input boundary: one error type for bad input files, one strict
-JSON reader, the hook that checks a record's values when it is made and
-the bulk check of a column of floats.
+JSON reader, one walker of the declared format of every JSON document,
+the hook that checks a record's values when it is made and the bulk
+check of a column of floats.
 
 Every loader raises a subclass of :class:`InputError`, and the CLI maps
 that one type to exit code 2.  This module imports nothing from ecodom,
@@ -12,7 +13,7 @@ import math
 import sys
 from pathlib import Path
 
-#: The ``default`` of a key that :func:`field` requires.
+#: The ``default`` of a key that :func:`read_format` requires.
 REQUIRED = object()
 
 
@@ -98,19 +99,13 @@ def read_json(source, error: type[InputError] = InputError) -> dict:
 
 _KIND_NAMES = {float: "a finite number", int: "an integer", str: "a string",
                bool: "true or false", list: "a list", dict: "an object"}
+JSON_TYPES = (float, str, int, bool)
 
 
 def is_number(value) -> bool:
     """True for a finite int or float; a JSON ``true``/``false`` is not a number."""
     return (isinstance(value, (int, float)) and not isinstance(value, bool)
             and math.isfinite(value))
-
-
-def number(value) -> float:
-    """A finite number as a float; anything else raises TypeError."""
-    if not is_number(value):
-        raise TypeError(f"expected a finite number, got {value!r}")
-    return float(value)
 
 
 def within(column, low: float | None = None, high: float | None = None) -> bool:
@@ -124,24 +119,92 @@ def within(column, low: float | None = None, high: float | None = None) -> bool:
             and (high is None or max(column, default=high) <= high))
 
 
-def field(doc, key: str, kind: type, default=REQUIRED):
-    """``doc[key]`` checked against a JSON type, or ``default`` when absent.
+def read_format(doc: dict, kind: str, formats: dict, error: type[InputError]):
+    """The record of ``kind`` that the JSON object ``doc`` describes.
 
-    ``kind`` is ``float`` (any finite number, returned as a float),
-    ``int``, ``str``, ``bool``, ``list`` or ``dict``; booleans match only
-    ``bool``.  A missing required key raises ValueError, a wrong type
-    TypeError; loaders turn both into their own InputError.
+    ``formats`` maps each object kind to its record and its keys, each
+    ``(name, form, default)``, ``name`` a keyword of the record and
+    ``default`` REQUIRED for a key that must be present.  A form is a JSON
+    type (``float`` takes any finite number, as a float), an enum,
+    ``object`` (any value), an object kind's name, a list of one form or a
+    tuple of forms (a JSON list, read to a tuple), a dict of forms (a table
+    of exactly those keys) or ``{int: form}`` (a table keyed by dwelling
+    type).  ``null`` reads as absent for an optional object and for a key
+    whose default is None.  A missing key, a wrong type or a value its
+    record refuses raises ``error`` at once; the paths of the keys the
+    format does not define are named together once the walk ends.
     """
-    if not isinstance(doc, dict):
-        raise TypeError(f"expected an object holding {key!r}, got {doc!r}")
-    if key not in doc:
-        if default is REQUIRED:
-            raise ValueError(f"missing field {key!r}")
-        return default
-    value = doc[key]
+    unknown: list[str] = []
+
+    def read(value, form, where: str, key: str | None = None):
+        # ``value`` at path ``where``, as ``form``; an error names a key of
+        # an object kind by ``key``, anything else by its path
+        if isinstance(form, type):  # a JSON type, an enum or object
+            if form is object:
+                return value
+            if form in _KIND_NAMES:
+                return _typed(value, form, where, key)
+            return form(_typed(value, str, where, key))  # an enum, read from its value
+        value = _typed(value, dict if isinstance(form, (str, dict)) else list, where, key)
+        prefix = f"{where}." if where else ""
+        if isinstance(form, str):  # an object kind
+            record, keys = formats[form]
+            names = {name for name, _, _ in keys}
+            unknown.extend(prefix + name for name in value if name not in names)
+            values = {}
+            for name, item, default in keys:
+                if value.get(name) is None and default is not REQUIRED and (
+                        name not in value or default is None or isinstance(item, str)):
+                    values[name] = default  # absent, or a null the key accepts
+                elif name not in value:
+                    raise ValueError(f"missing field {name!r}")
+                elif item in JSON_TYPES:
+                    values[name] = _typed(value[name], item, "", name)
+                else:
+                    values[name] = read(value[name], item, prefix + name, name)
+            return record(**values)
+        if isinstance(form, dict):  # a table
+            by_type = int in form
+            if by_type:  # 1, 2, 3 ...: not every text int() reads, such as " 1" or "01"
+                form = {name: form[int] for name in value
+                        if name.isascii() and name.isdigit() and name[0] != "0"}
+            unknown.extend(prefix + name for name in value if name not in form)
+            missing = [name for name in form if name not in value]
+            if missing:
+                raise ValueError(f"missing field {prefix + missing[0]!r}")
+            return {int(name) if by_type else name: read(value[name], item, prefix + name)
+                    for name, item in form.items()}
+        forms = form * len(value) if isinstance(form, list) else form
+        if len(value) != len(forms):
+            raise TypeError(f"{where if key is None else repr(key)} must be a list of "
+                            f"{len(form)} values, got {value!r}")
+        return tuple(read(item, item_form, f"{where}[{i}]")
+                     for i, (item, item_form) in enumerate(zip(value, forms)))
+
+    try:
+        record = read(doc, kind, "")
+    except (TypeError, ValueError) as exc:
+        raise error(f"missing or malformed field: {exc}") from exc
+    if unknown:
+        raise error(f"unknown key {', '.join(unknown)}")
+    return record
+
+
+def load_json(source, read, error: type[InputError]):
+    """``read`` of the JSON file ``source``; every ``error`` names the file."""
+    doc = read_json(source, error)
+    try:
+        return read(doc)
+    except error as exc:
+        raise error(f"{source}: {exc}") from None
+
+
+def _typed(value, kind: type, where: str, key: str | None = None):
+    """``value`` as the JSON type ``kind``; an error names ``key``, else ``where``."""
     if kind is float and is_number(value):
         return float(value)
     if (kind is float or not isinstance(value, kind)
             or (isinstance(value, bool) and kind is not bool)):
-        raise TypeError(f"{key!r} must be {_KIND_NAMES[kind]}, got {value!r}")
+        raise TypeError(f"{where if key is None else repr(key)} must be {_KIND_NAMES[kind]}, "
+                        f"got {value!r}")
     return value

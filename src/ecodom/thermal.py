@@ -60,7 +60,7 @@ from typing import NamedTuple, TextIO
 
 from .building import BuildingDescription, facade_porosities
 from .dataio import SeriesFormatError, WeatherSeries
-from .errors import InputError, is_number
+from .errors import InputError, checked, is_number, load_json, read_format
 from .solar import DEG, GROUND_ALBEDO, overhang_shading_fraction, sun_positions
 
 AIR_DENSITY = 1.2          # kg/m3
@@ -70,7 +70,6 @@ DEFAULT_H_EXTERIOR = 25.0  # W/(m2.K)
 DEFAULT_H_INTERIOR = 8.0   # W/(m2.K)
 DEFAULT_CD = 0.6
 DEFAULT_DELTA_CP = 0.5
-DEFAULT_WINDOW_TRANSMITTANCE = 0.85
 
 # Lumped capacitance presets per m2 of floor, J/(K.m2).  Calibration
 # knobs for the two construction weights, not published constants.
@@ -475,33 +474,57 @@ def gain_breakdown(result: SimulationResult) -> dict[str, float]:
 # ---------------------------------------------------------------------------
 # building description -> zone model
 
-#: Scenario keys understood by :func:`zone_from_building`.
-SCENARIO_KEYS = frozenset({
-    "floor_area_m2", "volume_m3", "mass_class", "internal_gains_w",
-    "discharge_coefficient", "delta_cp", "exterior_film_w_m2k",
-    "interior_film_w_m2k", "window_transmittance", "window_shade_fraction",
-    "roof_exposed",
-})
-
-
-def _scenario_rule(key: str, value) -> str | None:
-    """The rule a known scenario key's value breaks, or None if it meets it."""
-    if key == "roof_exposed":
-        return None if isinstance(value, bool) else "true or false"
-    if key == "mass_class":
-        known = isinstance(value, str) and value in MASS_CLASS_CAPACITANCE
-        return None if known else "'light' or 'heavy'"
-    if key == "internal_gains_w":
-        schedule = (isinstance(value, (list, tuple)) and len(value) == 24
-                    and all(is_number(g) for g in value))
-        return None if is_number(value) or schedule else "a number or a list of 24 numbers"
-    if key in ("window_transmittance", "window_shade_fraction"):
-        return None if is_number(value) and 0.0 <= value <= 1.0 else "a number in [0, 1]"
-    return None if is_number(value) and value > 0 else "a number > 0"
-
-
 class ScenarioError(InputError):
     """Unknown scenario key or out-of-rule scenario value."""
+
+
+@checked
+class Scenario(NamedTuple):
+    """The zone-level quantities a building file does not carry (see
+    docs/formats.md); :func:`zone_from_building` derives a None one."""
+
+    floor_area_m2: float | None = None
+    volume_m3: float | None = None
+    mass_class: str = "heavy"
+    internal_gains_w: float | Sequence[float] = 0.0
+    discharge_coefficient: float = DEFAULT_CD
+    delta_cp: float = DEFAULT_DELTA_CP
+    exterior_film_w_m2k: float = DEFAULT_H_EXTERIOR
+    interior_film_w_m2k: float = DEFAULT_H_INTERIOR
+    window_transmittance: float = 0.85  # single glazing
+    window_shade_fraction: float | None = None
+    roof_exposed: bool | None = None
+
+    def _check(self) -> None:
+        gains = self.internal_gains_w
+        if not (is_number(gains) or isinstance(gains, (list, tuple)) and len(gains) == 24
+                and all(map(is_number, gains))):
+            raise ValueError("scenario internal_gains_w must be a number or a list of "
+                             f"24 numbers, got {gains!r}")
+        if self.mass_class not in MASS_CLASS_CAPACITANCE:
+            raise ValueError("scenario mass_class must be 'light' or 'heavy', "
+                             f"got {self.mass_class!r}")
+        for name in ("floor_area_m2", "volume_m3", "discharge_coefficient", "delta_cp",
+                     "exterior_film_w_m2k", "interior_film_w_m2k", "window_transmittance",
+                     "window_shade_fraction"):
+            value, fraction = getattr(self, name), name.startswith("window_")
+            if value is not None and not (0.0 <= value <= 1.0 if fraction else value > 0):
+                raise ValueError(f"scenario {name} must be a number "
+                                 f"{'in [0, 1]' if fraction else '> 0'}, got {value!r}")
+
+
+#: The scenario file format: every field of :class:`Scenario` with the
+#: record's default, a number but for three (see ``errors.read_format``).
+_SCENARIO_FORMS = {"mass_class": str, "internal_gains_w": object, "roof_exposed": bool}
+SCENARIO_FORMAT = {"scenario": (Scenario, tuple(
+    (name, _SCENARIO_FORMS.get(name, float), default)
+    for name, default in Scenario._field_defaults.items()))}
+
+
+def load_scenario(path) -> Scenario:
+    """Read a scenario file (docs/formats.md)."""
+    return load_json(path, lambda doc: read_format(doc, "scenario", SCENARIO_FORMAT,
+                                                   ScenarioError), ScenarioError)
 
 
 def _overhang(depth: float, height: float, offset: float,
@@ -515,39 +538,23 @@ def _overhang(depth: float, height: float, offset: float,
 
 
 def zone_from_building(building: BuildingDescription,
-                       scenario: dict | None = None) -> ZoneModel:
+                       scenario: Scenario = Scenario()) -> ZoneModel:
     """Derive a single-zone model from a building description.
 
-    The description carries no interior geometry, so the scenario file
+    The description carries no interior geometry, so the scenario
     supplies (or defaults fill in): floor area (defaults to the roof
     area), volume (floor area times 2.5 m), mass class and gains.
-    ``roof_exposed: false`` models an intermediate-level flat whose
+    ``roof_exposed=False`` models an intermediate-level flat whose
     ceiling faces another dwelling instead of the sun; it is the default
     for a building with rooms none of which is under the roof, and a
-    building without rooms keeps its roof.  Unknown keys and
-    values that break their key's rule raise :class:`ScenarioError`.
+    building without rooms keeps its roof.
     """
-    scenario = dict(scenario or {})
-    for key, value in scenario.items():
-        if key not in SCENARIO_KEYS:
-            raise ScenarioError(f"unknown scenario key: {key!r}")
-        rule = _scenario_rule(key, value)
-        if rule is not None:
-            raise ScenarioError(f"scenario {key} must be {rule}, got {value!r}")
-
-    h_out = float(scenario.get("exterior_film_w_m2k", DEFAULT_H_EXTERIOR))
-    h_in = float(scenario.get("interior_film_w_m2k", DEFAULT_H_INTERIOR))
-    tau = float(scenario.get("window_transmittance", DEFAULT_WINDOW_TRANSMITTANCE))
-    films = 1.0 / h_out + 1.0 / h_in
-
-    floor_area = float(scenario.get("floor_area_m2", building.roof.area_m2))
-    volume = float(scenario.get("volume_m3", floor_area * 2.5))
-    mass_class = scenario.get("mass_class", "heavy")
-    gains = scenario.get("internal_gains_w", 0.0)
+    films = 1.0 / scenario.exterior_film_w_m2k + 1.0 / scenario.interior_film_w_m2k
+    floor_area = scenario.floor_area_m2 or building.roof.area_m2
 
     surfaces: list[SurfaceModel] = []
-    rooms = building.rooms
-    if scenario.get("roof_exposed", not rooms or any(r.under_roof for r in rooms)):
+    exposed, rooms = scenario.roof_exposed, building.rooms
+    if exposed or exposed is None and (not rooms or any(r.under_roof for r in rooms)):
         roof = building.roof
         surfaces.append(SurfaceModel(
             name="roof", kind="roof", area_m2=roof.area_m2,
@@ -566,7 +573,7 @@ def zone_from_building(building: BuildingDescription,
                      else _overhang(wall.overhang_depth_m, wall.overhang_height_m, 0.0,
                                     wall.azimuth_deg)),
         ))
-    shade_override = scenario.get("window_shade_fraction")
+    shade_override = scenario.window_shade_fraction
     for window in building.windows:
         surfaces.append(SurfaceModel(
             name=f"window:{window.id}", kind="window",
@@ -574,11 +581,11 @@ def zone_from_building(building: BuildingDescription,
             azimuth_deg=window.azimuth_deg, tilt_deg=90.0,
             absorptivity=0.1,
             resistance_m2k_w=films + 0.003,  # single glazing
-            shading=(float(shade_override) if shade_override is not None
+            shading=(shade_override if shade_override is not None
                      else 0.8 if window.mobile_shading
                      else _overhang(window.overhang_depth_m, window.height_m,
                                     window.overhang_offset_m, window.azimuth_deg)),
-            solar_transmittance=tau,
+            solar_transmittance=scenario.window_transmittance,
         ))
 
     inlet = outlet = 0.0
@@ -589,21 +596,22 @@ def zone_from_building(building: BuildingDescription,
     apertures = VentilationApertures(
         inlet_area_m2=inlet,
         outlet_area_m2=outlet,
-        discharge_coefficient=float(scenario.get("discharge_coefficient", DEFAULT_CD)),
-        delta_cp=float(scenario.get("delta_cp", DEFAULT_DELTA_CP)),
+        discharge_coefficient=scenario.discharge_coefficient,
+        delta_cp=scenario.delta_cp,
     )
 
+    gains = scenario.internal_gains_w
     return ZoneModel(
         name=building.name,
         latitude=building.latitude,
         longitude=building.longitude,
-        volume_m3=volume,
-        capacitance_j_k=MASS_CLASS_CAPACITANCE[mass_class] * floor_area,
+        volume_m3=scenario.volume_m3 or floor_area * 2.5,
+        capacitance_j_k=MASS_CLASS_CAPACITANCE[scenario.mass_class] * floor_area,
         surfaces=tuple(surfaces),
         apertures=apertures,
         internal_gains_w=gains if is_number(gains) else tuple(map(float, gains)),
-        h_exterior=h_out,
-        h_interior=h_in,
+        h_exterior=scenario.exterior_film_w_m2k,
+        h_interior=scenario.interior_film_w_m2k,
     )
 
 

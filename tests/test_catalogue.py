@@ -135,6 +135,30 @@ def test_incomplete_catalogue_rejected():
         catalogue_from_dict(doc)
 
 
+@pytest.mark.parametrize("key", [" 1", "+1", "01", "1_0", "0", "-1", "1.0", "١", ""])
+def test_dwelling_type_keys_are_canonical(key):
+    # only 1, 2, 3 ... name a dwelling type, though int() reads " 1", "01" or "١" as 1
+    from ecodom.catalogue import _BUNDLED
+    from importlib import resources
+    doc = json.loads(resources.files("ecodom.data").joinpath(_BUNDLED).read_text())
+    doc["tables"]["solar_collector_area_m2"][key] = 9.0
+    doc["checksum"] = tables_checksum(doc["tables"])
+    with pytest.raises(CatalogueError) as caught:
+        catalogue_from_dict(doc)
+    assert str(caught.value) == f"unknown key tables.solar_collector_area_m2.{key}"
+
+
+@pytest.mark.parametrize("key,value", [("catalogue_version", 3), ("catalogue_version", None),
+                                       ("checksum", 1)])
+def test_version_and_checksum_must_be_strings(key, value):
+    from ecodom.catalogue import _BUNDLED
+    from importlib import resources
+    doc = json.loads(resources.files("ecodom.data").joinpath(_BUNDLED).read_text())
+    doc[key] = value
+    with pytest.raises(CatalogueError, match=key if key != "checksum" else "checksum mismatch"):
+        catalogue_from_dict(doc)
+
+
 def test_env_var_override(tmp_path, monkeypatch, catalogue):
     from ecodom.catalogue import CATALOGUE_ENV_VAR, _BUNDLED
     from importlib import resources
@@ -156,7 +180,7 @@ def test_bundled_catalogue_parsed_once(monkeypatch):
 @pytest.mark.parametrize("edit,message", [
     (lambda t: t["roof_insulation_cm"]["simple"]["light"].update(polystyrene=None),
      "roof"),
-    (lambda t: t["wall_overhang_ratio"].update(wood=[]), "wall overhang"),
+    (lambda t: t["wall_overhang_ratio"].update(wood=[]), "wall_overhang_ratio.wood"),
     (lambda t: t["reference_conductivities_w_mk"].update(polystyrene=0.0),
      "polystyrene"),
     (lambda t: t["solar_collector_area_m2"].pop("3"), "collector"),
@@ -167,13 +191,16 @@ def test_bundled_catalogue_parsed_once(monkeypatch):
     (lambda t: t["tank_volume_per_collector_l_m2"].update(min=150, max=50),
      "tank volume bounds"),
     (lambda t: t["tank_volume_per_collector_l_m2"].update(min=-10), "tank volume bounds"),
-    (lambda t: t.update(solar_productivity_floor_kwh_m2=-1), "productivity floor"),
+    (lambda t: t.update(solar_productivity_floor_kwh_m2=-1),
+     "tables.solar_productivity_floor_kwh_m2 must be >= 0"),
     (lambda t: t["roof_insulation_cm"]["simple"]["dark"].update(polyurethane=-8),
-     "roof table cell simple/dark/polyurethane"),
+     "tables.roof_insulation_cm.simple.dark.polyurethane must be >= 0"),
     (lambda t: t["wall_overhang_ratio"]["wood"]["medium"].update(west=-0.2),
-     "wall overhang table cell wood/medium/west"),
-    (lambda t: t["window_shading_ratio"].update(north=-0.6), "window table cell north"),
-    (lambda t: t["solar_collector_area_m2"].update({"4": -2.5}), "collector areas"),
+     "tables.wall_overhang_ratio.wood.medium.west must be >= 0"),
+    (lambda t: t["window_shading_ratio"].update(north=-0.6),
+     "tables.window_shading_ratio.north must be >= 0"),
+    (lambda t: t["solar_collector_area_m2"].update({"4": -2.5}),
+     "tables.solar_collector_area_m2.4 must be >= 0"),
 ], ids=["null-cell", "list-row", "zero-conductivity", "collector-gap", "missing-bound",
         "negative-threshold", "zero-threshold", "threshold-above-one",
         "inverted-tank-bounds", "negative-tank-min", "negative-productivity-floor",

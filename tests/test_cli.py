@@ -580,7 +580,42 @@ class TestInputBoundary:
         zone.write_text('{"vertices": [[20, 3], [24, 3], [24, 15]], "max_extended_c": 30}')
         code = main(["comfort", str(_indoor_series_csv(tmp_path)), "--zone", str(zone)])
         err = _assert_one_error_line(code, capsys)
-        assert f"zone file {zone}: unknown key max_extended_c" in err
+        assert f"{zone}: unknown key max_extended_c\n" in err
+
+    @pytest.mark.parametrize("kind,edit,key", [
+        ("building", lambda doc: doc["walls"][0].update(x=1), "walls[0].x"),
+        ("scenario", lambda doc: doc.update(volume_m=150), "volume_m"),
+        ("zone", lambda doc: doc.update(extension=2.0), "extension"),
+        ("catalogue", lambda doc: doc.update(comment="revised"), "comment"),
+        ("catalogue", lambda doc: doc["tables"].update(porosity_treshold=0.3),
+         "tables.porosity_treshold"),
+        ("catalogue", lambda doc: doc["tables"]["window_shading_ratio"].update(nort=5),
+         "tables.window_shading_ratio.nort"),
+    ], ids=["building", "scenario", "zone", "catalogue-top-level", "catalogue-table",
+            "catalogue-cell"])
+    def test_unknown_json_key_exits_two(self, tmp_path, weather_csv, capsys, kind, edit, key):
+        # one wording for every document: the file, then the key's path
+        path = tmp_path / f"{kind}.json"
+        if kind == "building":
+            doc = json.loads(FINAL_FIXTURE.read_text())
+            argv = ["check", str(path)]
+        elif kind == "scenario":
+            doc = {"volume_m3": 150}
+            argv = ["simulate", str(FINAL_FIXTURE), "--weather", str(weather_csv),
+                    "--scenario", str(path)]
+        elif kind == "zone":
+            doc = {"vertices": [[20, 3], [24, 3], [24, 15]]}
+            argv = ["comfort", str(_indoor_series_csv(tmp_path)), "--zone", str(path)]
+        else:
+            doc = _bundled_catalogue()
+            argv = ["check", str(FINAL_FIXTURE), "--catalogue", str(path)]
+        edit(doc)
+        if kind == "catalogue":
+            from ecodom.catalogue import tables_checksum
+            doc["checksum"] = tables_checksum(doc["tables"])
+        path.write_text(json.dumps(doc))
+        err = _assert_one_error_line(main(argv), capsys)
+        assert err == f"error: {path}: unknown key {key}\n"
 
     @pytest.mark.parametrize("kind", ["building", "catalogue", "scenario", "zone"])
     def test_duplicate_json_key_exits_two(self, tmp_path, weather_csv, capsys, kind):

@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import inspect
 import json
 import pathlib
 import pickle
@@ -12,7 +13,8 @@ import pytest
 import ecodom
 from ecodom.archetypes import compliant_zone, synthetic_weather
 from ecodom.building import BuildingValidationError, validate
-from ecodom.comfort import humidity_ratio, logger_points
+from ecodom.catalogue import CATALOGUE_FORMAT
+from ecodom.comfort import ZONE_FORMAT, humidity_ratio, logger_points
 from ecodom.dataio import (
     BUILDING_FORMAT,
     IndoorSeries,
@@ -26,7 +28,7 @@ from ecodom.dataio import (
     write_indoor,
     write_weather,
 )
-from ecodom.thermal import WeatherGapError, simulate
+from ecodom.thermal import SCENARIO_FORMAT, WeatherGapError, simulate
 from oracles import (
     IndoorRecord,
     indoor_records,
@@ -407,16 +409,28 @@ class TestBuildingIO:
             "opening door_l0.facade_id: internal opening names no facade"]
 
     def test_format_table_names_every_record_field(self):
-        # a record field added without a file key fails here
-        kinds = set(BUILDING_FORMAT)
-        for kind, (record, keys) in BUILDING_FORMAT.items():
-            names = [name for name, _, _ in keys]
-            fields = [f for f in record._fields
-                      if (kind, f) != ("internal_opening", "facade_id")]
-            assert sorted(names) == sorted(fields), kind
-            for name, form, _ in keys:
-                if isinstance(form, (str, list)):
-                    assert (form if isinstance(form, str) else form[0]) in kinds, name
+        # a record field added without a file key fails here, in every
+        # declared JSON format, and so does a form naming no object kind
+        def named_kinds(form):
+            if isinstance(form, str):
+                yield form
+            elif isinstance(form, (list, tuple)):
+                for item in form:
+                    yield from named_kinds(item)
+            elif isinstance(form, dict):
+                for item in form.values():
+                    yield from named_kinds(item)
+
+        for formats in (BUILDING_FORMAT, SCENARIO_FORMAT, ZONE_FORMAT, CATALOGUE_FORMAT):
+            for kind, (record, keys) in formats.items():
+                names = [name for name, _, _ in keys]
+                # a record's fields, or the parameters of a function that builds it
+                parameters = (getattr(record, "_fields", None)
+                              or inspect.signature(record).parameters)
+                fields = [f for f in parameters if (kind, f) != ("internal_opening", "facade_id")]
+                assert sorted(names) == sorted(fields), kind
+                for name, form, _ in keys:
+                    assert set(named_kinds(form)) <= set(formats), name
 
     def test_unknown_keys_reported_after_the_whole_document_is_read(self, final_building):
         doc = building_to_dict(final_building)

@@ -7,7 +7,9 @@ the written CSV files is finite.  Every input file kind is covered:
 building, weather, indoor series, scenario, comfort zone and catalogue,
 each as arbitrary JSON or text, as a mutated golden document (values
 replaced, deleted or, for numbers, set to an extreme finite magnitude
-such as 1e308 or 5e-324), or with random CSV cells.  The examples are
+such as 1e308 or 5e-324), or with random CSV cells.  A JSON document
+given one key that its format does not define, in any of its objects,
+exits 2 with an error that names the key's path.  The examples are
 derandomized so the suite stays deterministic; raise ``MAX_EXAMPLES``
 locally to search further.
 """
@@ -122,6 +124,20 @@ def _mutated(data, doc, actions=("replace", "delete", "extreme")):
     return doc
 
 
+def _with_unknown_key(data, doc) -> tuple[dict, str]:
+    """A copy of ``doc`` with one key that no format defines inserted in
+    one of its objects, and that key's path as an error names it."""
+    doc = copy.deepcopy(doc)
+    path = data.draw(st.sampled_from([p for p in _paths(doc) if isinstance(_at(doc, p), dict)]))
+    target = _at(doc, path)
+    key = "x" + data.draw(st.text(alphabet="abc_019 .[]", max_size=4))
+    target[key] = data.draw(JSON_VALUES)
+    where = ""
+    for part in path + (key,):
+        where += f"[{part}]" if isinstance(part, int) else f".{part}" if where else part
+    return doc, where
+
+
 def _json_file(data, golden) -> bytes:
     """Bytes of a JSON file: arbitrary text, an arbitrary JSON value or a
     mutated copy of ``golden``."""
@@ -163,9 +179,10 @@ def _assert_finite_output(stdout: str, csv_paths) -> None:
                 assert math.isfinite(value), (path.name, line)
 
 
-def _run(files: dict[str, bytes], argv: list[str]) -> None:
+def _run(files: dict[str, bytes], argv: list[str]) -> tuple[int, str]:
     """Write ``files``, run the CLI on ``argv`` (names resolved in the
-    temporary directory) and check the exit-code contract."""
+    temporary directory) and check the exit-code contract; return the
+    exit code and the standard error."""
     with tempfile.TemporaryDirectory() as tmp:
         for name, content in files.items():
             (Path(tmp) / name).write_bytes(content)
@@ -181,6 +198,7 @@ def _run(files: dict[str, bytes], argv: list[str]) -> None:
     assert "Traceback" not in stderr and "internal error" not in stderr, stderr
     if code == 2:
         assert stderr.startswith("error:") and stderr.count("\n") == 1, stderr
+    return code, stderr
 
 
 @FUZZ
@@ -250,3 +268,28 @@ def test_comfort_indoor_and_zone(data):
         files["zone.json"] = _json_file(data, ZONE)
     _run(files, ["comfort", "indoor.csv", "--zone", "zone.json",
                  "--scatter", "scatter.out"])
+
+
+@FUZZ
+@given(st.data())
+def test_unknown_key_named_by_its_path(data):
+    kind = data.draw(st.sampled_from(["building", "scenario", "zone", "catalogue"]))
+    golden = {"building": GOLDEN[data.draw(st.sampled_from(sorted(GOLDEN)))],
+              "scenario": SCENARIO, "zone": ZONE, "catalogue": CATALOGUE}[kind]
+    doc, where = _with_unknown_key(data, golden)
+    if kind == "catalogue":
+        doc["checksum"] = tables_checksum(doc["tables"])
+    files = {f"{kind}.json": json.dumps(doc).encode("utf-8")}
+    if kind == "building":
+        argv = ["check", "building.json"]
+    elif kind == "catalogue":
+        argv = ["check", str(FINAL_FIXTURE), "--catalogue", "catalogue.json"]
+    elif kind == "scenario":
+        files["weather.csv"] = ("\n".join(WEATHER_LINES) + "\n").encode("utf-8")
+        argv = ["simulate", str(FINAL_FIXTURE), "--weather", "weather.csv",
+                "--scenario", "scenario.json"]
+    else:
+        files["indoor.csv"] = ("\n".join(INDOOR_LINES) + "\n").encode("utf-8")
+        argv = ["comfort", "indoor.csv", "--zone", "zone.json"]
+    code, stderr = _run(files, argv)
+    assert code == 2 and stderr.endswith(f"{kind}.json: unknown key {where}\n"), stderr

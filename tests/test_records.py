@@ -42,7 +42,7 @@ from ecodom.comfort import (
 )
 from ecodom.dataio import load_building
 from ecodom.rules import Finding, Verdict, compliance_report
-from ecodom.thermal import simulate
+from ecodom.thermal import Scenario, simulate
 from oracles import IndoorRecord, PsychroPoint, indoor_series, psychro_series
 
 
@@ -76,6 +76,7 @@ OUT_OF_RANGE = {
     ComfortZone: ({"vertices": ((20.0, 3.0), (24.0, 3.0))},
                   "comfort zone polygon needs at least 3 vertices"),
     Finding: ({"measured": None}, "a Fail finding must carry both measured and required"),
+    Scenario: ({"volume_m3": -1.0}, "scenario volume_m3 must be a number > 0"),
 }
 
 
@@ -97,7 +98,7 @@ def _samples() -> dict[type, tuple]:
         validate(building._replace(latitude=99.0))[0], facade_porosities(building)[0],
         default_catalogue(), report,
         next(f for f in report.findings if f.verdict is Verdict.FAIL),
-        zone, zone.surfaces[0], zone.apertures,
+        zone, zone.surfaces[0], zone.apertures, Scenario(),
         INDOOR, logger_points(INDOOR), DEFAULT_ZONE, paired_offset([1.0, 2.0], [0.5, 0.5]),
         discomfort_fraction(psychro_series([PsychroPoint(26.0, 11.7, 0.3),
                                             PsychroPoint(31.0, 18.0)])),
@@ -118,7 +119,7 @@ def _ids(classes):
     return [cls.__name__ for cls in classes]
 
 
-def test_the_eight_checked_records():
+def test_the_nine_checked_records():
     assert set(CHECKED) == set(OUT_OF_RANGE)
 
 

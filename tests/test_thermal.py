@@ -19,9 +19,11 @@ from ecodom.archetypes import (
 from ecodom.comfort import discomfort_fraction, humidity_ratio
 from ecodom import thermal
 from ecodom.dataio import SeriesFormatError
+from ecodom.errors import read_format
 from ecodom.solar import overhang_shading_fraction, sun_positions
 from ecodom.thermal import (
     ROOF_DECK_RESISTANCE,
+    SCENARIO_FORMAT,
     ScenarioError,
     SurfaceModel,
     VentilationApertures,
@@ -36,6 +38,12 @@ from ecodom.thermal import (
 from oracles import (PsychroPoint, SolarPosition, WeatherRecord, area_weighted_radiant,
                      first_order_response, psychro_series, solar_position,
                      surface_irradiance, weather_records, weather_series)
+
+
+def _scenario(doc: dict):
+    """The scenario record that a scenario file holding ``doc`` reads to."""
+    return read_format(doc, "scenario", SCENARIO_FORMAT, ScenarioError)
+
 
 _mean = lambda xs: sum(xs) / len(xs)
 
@@ -122,7 +130,7 @@ class TestSimulate:
     @pytest.mark.parametrize("scenario", [{}, {"interior_film_w_m2k": 3.0}],
                              ids=["default-film", "film-3"])
     def test_golden_radiant_is_area_weighted_mean(self, building, scenario, request, week):
-        zone = zone_from_building(request.getfixturevalue(building), scenario)
+        zone = zone_from_building(request.getfixturevalue(building), _scenario(scenario))
         self._assert_radiant_is_area_weighted_mean(zone, week)
 
     @pytest.mark.parametrize("zone", [uninsulated_zone(),
@@ -291,7 +299,7 @@ class TestZoneFromBuilding:
         # overrides every window's overhang
         south_wall, living = (0.8, 2.5, 0.0, 180.0), (0.6, 1.4, 0.0, 180.0)
         north_wall, bedroom = (1.5, 2.5, 0.0, 0.0), (1.5, 2.1, 0.1, 0.0)
-        shaded = {"window_shade_fraction": 0.5}
+        shaded = _scenario({"window_shade_fraction": 0.5})
 
         def shading(zone):
             return [s.shading for s in zone.surfaces]
@@ -311,12 +319,13 @@ class TestZoneFromBuilding:
         assert shading(uninsulated_zone()) == [0.0] * 9
 
     def test_roof_exposed_flag(self, final_building):
-        intermediate = zone_from_building(final_building, {"roof_exposed": False})
+        intermediate = zone_from_building(final_building, _scenario({"roof_exposed": False}))
         assert all(s.kind != "roof" for s in intermediate.surfaces)
 
     def test_roof_exposed_defaults_to_the_rooms_under_it(self, final_building):
         def kinds(building, scenario=None):
-            return [s.kind for s in zone_from_building(building, scenario).surfaces]
+            return [s.kind for s in zone_from_building(building, _scenario(scenario or {}))
+                    .surfaces]
 
         assert any(r.under_roof for r in final_building.rooms)
         assert kinds(final_building)[0] == "roof"
@@ -329,16 +338,16 @@ class TestZoneFromBuilding:
         assert kinds(final_building._replace(rooms=()))[0] == "roof"
 
     def test_scenario_overrides(self, final_building):
-        zone = zone_from_building(final_building, {
+        zone = zone_from_building(final_building, _scenario({
             "floor_area_m2": 50.0, "volume_m3": 120.0, "mass_class": "light",
-            "internal_gains_w": 150.0})
+            "internal_gains_w": 150.0}))
         assert zone.volume_m3 == 120.0
         assert zone.capacitance_j_k == pytest.approx(80e3 * 50.0)
         assert zone.internal_gains_w == 150.0
 
     def test_unknown_scenario_key(self, final_building):
-        with pytest.raises(ScenarioError, match="hvac_mode"):
-            zone_from_building(final_building, {"hvac_mode": "off"})
+        with pytest.raises(ScenarioError, match="^unknown key hvac_mode$"):
+            _scenario({"hvac_mode": "off"})
 
     @pytest.mark.parametrize("key,value", [
         ("floor_area_m2", 0), ("volume_m3", -1.0), ("discharge_coefficient", True),
@@ -348,10 +357,15 @@ class TestZoneFromBuilding:
         ("window_transmittance", 1.5), ("roof_exposed", 0)])
     def test_scenario_value_rules(self, final_building, key, value):
         with pytest.raises(ScenarioError, match=key):
-            zone_from_building(final_building, {key: value})
+            _scenario({key: value})
+
+    def test_scenario_null_leaves_a_building_default(self):
+        assert _scenario({"volume_m3": None, "roof_exposed": None}) == _scenario({})
+        with pytest.raises(ScenarioError, match="'delta_cp' must be a finite number"):
+            _scenario({"delta_cp": None})
 
     def test_scenario_schedule_accepts_24_values(self, final_building):
-        zone = zone_from_building(final_building, {"internal_gains_w": [10] * 24})
+        zone = zone_from_building(final_building, _scenario({"internal_gains_w": [10] * 24}))
         assert zone.internal_gains_w == (10.0,) * 24
 
     def test_simulates_end_to_end(self, final_building, week):
