@@ -10,7 +10,8 @@ logger or psychrometric) is held as columns, one ``array('d')`` per
 value, never as one object per row: the logger and psychrometric series
 are named tuples of columns, and ``WeatherSeries`` is a small slotted
 class, which holds the simulation's memo of its sun track and so
-compares by identity.
+compares by identity.  Each input file is read by the one table that
+declares it: a column table per series file, a format per JSON document.
 """
 
 __version__ = "0.1.0"

@@ -348,11 +348,13 @@ class ValidationIssue(NamedTuple):
 
 
 class BuildingValidationError(InputError):
-    """Raised when a description with validation issues is used anyway."""
+    """Raised when a description with validation issues is used anyway;
+    the message names the ``source`` file when one is given."""
 
-    def __init__(self, issues: list[ValidationIssue]):
+    def __init__(self, issues: list[ValidationIssue], source=None):
         self.issues = issues
-        super().__init__("; ".join(str(i) for i in issues))
+        prefix = "" if source is None else f"{source}: "
+        super().__init__(prefix + "; ".join(str(i) for i in issues))
 
 
 def validate(building: BuildingDescription) -> list[ValidationIssue]:

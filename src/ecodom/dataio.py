@@ -2,20 +2,21 @@
 description files.  No model code: the reference hot-season week lives
 with the archetype flats in :mod:`ecodom.archetypes`.
 
-All series files are CSV with ISO-8601 UTC timestamps and fixed, versioned
-headers; building descriptions are JSON (see docs/formats.md), read
-and written by the one table :data:`BUILDING_FORMAT`.  Floats are
-written with Python's shortest repr so load(write(series)) round-trips
-exactly.
+Each file format is stated once, as a table that one reader and one
+writer walk: the series files are CSV with ISO-8601 UTC timestamps, by
+:data:`WEATHER_FORMAT` and :data:`INDOOR_FORMAT`, and building
+descriptions JSON, by :data:`BUILDING_FORMAT` (see docs/formats.md).
+Floats are written with Python's shortest repr so load(write(series))
+round-trips exactly.
 
 A series is held as columns: a tuple of timestamps and one ``array('d')``
 per value column, with no object per row.  A series file is parsed about
 a thousand lines at a time, each chunk's cells turned into its columns
-at once, and the columns are then checked in bulk.  When a check fails, the
-rows are walked with the per-row checks, in file order, so the error
-names the first bad line.  A row of an indoor file that repeats the
-previous row's timestamp, as the zones of an interleaved logger file do,
-reuses its parse.
+at once, and the columns are then checked in bulk.  When a check fails,
+the rows are walked by the same table, in file order, so the error names
+the first bad line.  A row of an indoor file that repeats the previous
+row's timestamp, as the zones of an interleaved logger file do, reuses
+its parse.
 """
 
 import json
@@ -36,17 +37,12 @@ from .errors import JSON_TYPES, REQUIRED, InputError, load_json, read_format, wi
 
 BUILDING_SCHEMA_VERSION = 1
 
-WEATHER_COLUMNS = ("timestamp", "temp_air_c", "rh_pct", "solar_direct_w_m2",
-                   "solar_diffuse_w_m2", "wind_speed_m_s", "wind_dir_deg")
-INDOOR_COLUMNS = ("timestamp", "zone", "temp_air_c", "temp_resultant_c",
-                  "rh_pct", "air_speed_m_s")
-
 
 class SeriesFormatError(InputError):
     """Malformed series; the message names the offending line or record."""
 
 
-class SchemaVersionError(InputError):
+class SchemaVersionError(SeriesFormatError):
     """Building file declares a schema version this code does not read."""
 
 
@@ -56,18 +52,6 @@ def _read_lines(path: str | Path, columns: tuple[str, ...]) -> list[str]:
     if not lines or tuple(lines[0].split(",")) != columns:
         raise SeriesFormatError(f"line 1: expected header {','.join(columns)}")
     return lines
-
-
-def _rows(lines: list[str], columns: tuple[str, ...]):
-    """Yield ``(line_no, cells)`` for each non-blank line after the header."""
-    for line_no, line in enumerate(islice(lines, 1, None), start=2):
-        if not line.strip():
-            continue
-        cells = line.split(",")
-        if len(cells) != len(columns):
-            raise SeriesFormatError(
-                f"line {line_no}: expected {len(columns)} columns, got {len(cells)}")
-        yield line_no, cells
 
 
 #: Lines per chunk of the bulk parse: its cell lists stay small next to
@@ -89,12 +73,6 @@ def _cell_chunks(lines: list[str], width: int):
                 raise ValueError("a line has another number of cells")
         if chunk:
             yield ",".join(chunk).split(",")
-
-
-def _write_rows(path: str | Path, columns: tuple[str, ...], rows) -> None:
-    lines = [",".join(columns)]
-    lines.extend(",".join(cells) for cells in rows)
-    Path(path).write_text("\n".join(lines) + "\n", "utf-8")
 
 
 #: The timestamp grammar, the same on every supported Python: that of
@@ -158,19 +136,116 @@ def _parse_float(text: str, column: str, line_no: int) -> float:
     return value
 
 
-def _parse_temperature(text: str, column: str, line_no: int) -> float:
-    """An air or resultant temperature, weather or indoor, in the range
-    the psychrometric model supports."""
-    value = _parse_float(text, column, line_no)
-    if not T_MIN_C <= value <= T_MAX_C:
-        raise SeriesFormatError(f"line {line_no}: {column} {value} outside "
-                                f"the supported [{T_MIN_C}, {T_MAX_C}] degC")
-    return value
+def _increasing(timestamps, zones=None) -> bool:
+    """True when the timestamps increase in file order, each zone's
+    apart when ``zones`` is given."""
+    if zones is None:
+        return all(map(lt, timestamps, islice(timestamps, 1, None)))
+    own: dict[str, list] = {zone: [] for zone in dict.fromkeys(zones)}
+    # append each row's timestamp to its zone's list, with no Python loop
+    deque(map(list.append, map(own.__getitem__, zones), timestamps), maxlen=0)
+    return all(map(_increasing, own.values()))
 
 
-def _increasing(timestamps) -> bool:
-    return all(map(lt, timestamps, islice(timestamps, 1, None)))
+def _load(path: str | Path, table: tuple) -> list:
+    """The columns of the series file ``path`` that ``table`` declares, in
+    file order, then the blank mask of each optional column.  Every rule
+    is checked in bulk; a file that breaks one raises the error of its
+    first bad row (:func:`_check_rows`)."""
+    kinds = [kind for _, kind, _, _ in table]
+    lines = _read_lines(path, tuple(name for name, _, _, _ in table))
+    columns = [[] if kind in (datetime, str) else array("d") for kind in kinds]
+    masks = [bytearray() for kind in kinds if kind not in (datetime, str, float)]
+    zones = columns[kinds.index(str)] if str in kinds else None
+    text, instant = None, None  # the previous row's timestamp text and its parse
+    width = len(table)
+    try:
+        for cells in _cell_chunks(lines, width):
+            blanks = iter(masks)
+            for k, (column, kind) in enumerate(zip(columns, kinds)):
+                texts = cells[k::width]
+                if kind is float:
+                    column.extend(map(float, texts))
+                elif kind is str:
+                    column.extend(map(sys.intern, texts))
+                elif kind is not datetime:  # a blank reads 0.0
+                    column.extend(map(float, map({"": "0"}.get, texts, texts)))
+                    next(blanks).extend(map(not_, texts))
+                elif zones is None:
+                    column.extend(_parse_timestamps(texts))
+                else:
+                    # a row whose text repeats the row before it reuses its
+                    # parse: parsed[i] is the instant of the chunk's i-th fresh text
+                    fresh = list(map(ne, texts, chain((text,), texts)))
+                    parsed = [instant, *_parse_timestamps(list(compress(texts, fresh)))]
+                    column.extend(map(parsed.__getitem__, accumulate(fresh)))
+                    text, instant = texts[-1], parsed[-1]
+        if not (all(within(column, low, high) for column, (_, kind, low, high)
+                    in zip(columns, table) if kind not in (datetime, str))
+                and (zones is None or all(map(str.strip, dict.fromkeys(zones))))
+                and _increasing(columns[0], zones)):
+            raise ValueError("a value is out of its rule")
+    except ValueError as exc:
+        _check_rows(lines, table)
+        raise AssertionError("the row checks passed a file the bulk checks refused") from exc
+    return [*columns, *map(bytes, masks)]
 
+
+def _check_rows(lines: list[str], table: tuple) -> None:
+    """Raise the error of the first bad row.  A row is checked in order:
+    its timestamp; its zone, then the timestamp after the previous row's
+    (of its zone, when there is a zone column); then each number cell in
+    column order, parsed, then held to its range."""
+    kinds = [kind for _, kind, _, _ in table]
+    zone_at = kinds.index(str) if str in kinds else None
+    last: dict = {}  # each zone's last instant; the file's under None
+    text, instant = None, None
+    for line_no, line in enumerate(islice(lines, 1, None), start=2):
+        if not line.strip():
+            continue
+        cells = line.split(",")
+        if len(cells) != len(table):
+            raise SeriesFormatError(
+                f"line {line_no}: expected {len(table)} columns, got {len(cells)}")
+        if cells[0] != text:
+            text, instant = cells[0], _parse_timestamp(cells[0], line_no)
+        zone = None if zone_at is None else cells[zone_at]
+        if zone is not None and not zone.strip():
+            raise SeriesFormatError(f"line {line_no}: zone is blank")
+        previous = last.get(zone)
+        if previous is not None and instant <= previous:
+            of_zone = "" if zone is None else f" of zone {zone}"
+            raise SeriesFormatError(
+                f"line {line_no}: timestamp {text} not after previous record{of_zone}")
+        last[zone] = instant
+        for cell, (name, kind, low, high) in zip(cells, table):
+            if kind is float or kind not in (datetime, str) and cell:
+                value = _parse_float(cell, name, line_no)
+                if not ((low is None or low <= value) and (high is None or value <= high)):
+                    rule = f"must be >= {low:g}" if high is None else f"outside [{low:g}, {high:g}]"
+                    raise SeriesFormatError(f"line {line_no}: {name} {value} {rule}")
+
+
+def _write_series(path: str | Path, table: tuple, columns) -> None:
+    """Write ``columns``, as :func:`_load` returns them, as the file of
+    ``table``: timestamps by ``isoformat``, numbers by ``repr``, and a
+    blank optional cell empty."""
+    masks = iter(columns[len(table):])
+    cells = []
+    for column, (_, kind, _, _) in zip(columns, table):
+        if kind is datetime:
+            column = map(datetime.isoformat, column)
+        elif kind is float:
+            column = map(repr, column)
+        elif kind is not str:
+            column = ("" if blank else repr(value) for value, blank in zip(column, next(masks)))
+        cells.append(column)
+    lines = [",".join(name for name, _, _, _ in table), *map(",".join, zip(*cells))]
+    Path(path).write_text("\n".join(lines) + "\n", "utf-8")
+
+
+# ---------------------------------------------------------------------------
+# weather series
 
 class WeatherSeries:
     """Weather columns in file order: the timestamps and one
@@ -200,59 +275,35 @@ class WeatherSeries:
         self.sun_tracks: dict = {}
 
 
+#: A series file's columns in file order, each (name, kind, low, high):
+#: first the timestamp, of kind ``datetime``; a ``str`` zone, whose rows
+#: are ordered apart; a ``float`` cell holds a finite number in [low,
+#: high], a bound of None being open, and a ``float | None`` cell holds
+#: one or is blank, which reads 0.0, so 0 lies in its range.  The
+#: temperatures are held to the range the psychrometric model supports.
+WEATHER_FORMAT = (
+    ("timestamp", datetime, None, None),
+    ("temp_air_c", float, T_MIN_C, T_MAX_C),
+    ("rh_pct", float, 0.0, 100.0),
+    ("solar_direct_w_m2", float, 0.0, None),
+    ("solar_diffuse_w_m2", float, 0.0, None),
+    ("wind_speed_m_s", float, 0.0, None),
+    ("wind_dir_deg", float, None, None),
+)
+WEATHER_COLUMNS = tuple(name for name, _, _, _ in WEATHER_FORMAT)
+
+
 def load_weather(path: str | Path) -> WeatherSeries:
-    """Parse a weather CSV: every value finite, the temperature in the
-    psychrometric range, the humidity in [0, 100], the irradiances and
-    the wind speed not negative, and each timestamp after the one
-    before.  The grid is checked when the series is simulated
+    """Parse a weather CSV by :data:`WEATHER_FORMAT`, each timestamp after
+    the one before.  The grid is checked when the series is simulated
     (:func:`ecodom.thermal.weather_grid`)."""
-    lines = _read_lines(path, WEATHER_COLUMNS)
-    width = len(WEATHER_COLUMNS)
-    timestamps: list[datetime] = []
-    columns = [array("d") for _ in WEATHER_COLUMNS[1:]]
-    temp, rh, direct, diffuse, wind, wind_dir = columns
-    try:
-        for cells in _cell_chunks(lines, width):
-            timestamps.extend(_parse_timestamps(cells[0::width]))
-            for k, column in enumerate(columns, start=1):
-                column.extend(map(float, cells[k::width]))
-        if not (within(temp, T_MIN_C, T_MAX_C) and within(rh, 0.0, 100.0)
-                and within(direct, 0.0) and within(diffuse, 0.0)
-                and within(wind, 0.0) and within(wind_dir) and _increasing(timestamps)):
-            raise ValueError("a weather value is out of its rule")
-    except ValueError as exc:
-        _check_weather_rows(lines)
-        raise AssertionError("the row checks passed a file the bulk checks refused") from exc
+    timestamps, *columns = _load(path, WEATHER_FORMAT)
     return WeatherSeries(tuple(timestamps), *columns)
 
 
-def _check_weather_rows(lines: list[str]) -> None:
-    """Raise the error of the first bad row, checking each row's values
-    and that its timestamp comes after the previous row's."""
-    last_ts: datetime | None = None
-    for line_no, cells in _rows(lines, WEATHER_COLUMNS):
-        ts = _parse_timestamp(cells[0], line_no)
-        if last_ts is not None and ts <= last_ts:
-            raise SeriesFormatError(
-                f"line {line_no}: timestamp {cells[0]} not after previous record")
-        last_ts = ts
-        _parse_temperature(cells[1], "temp_air_c", line_no)
-        rh, direct, diffuse, wind, _ = (_parse_float(text, column, line_no) for text, column
-                                        in zip(cells[2:], WEATHER_COLUMNS[2:]))
-        if not 0.0 <= rh <= 100.0:
-            raise SeriesFormatError(f"line {line_no}: rh_pct {rh} outside [0, 100]")
-        if direct < 0 or diffuse < 0:
-            raise SeriesFormatError(f"line {line_no}: solar irradiance must be >= 0")
-        if wind < 0:
-            raise SeriesFormatError(f"line {line_no}: wind speed must be >= 0")
-
-
 def write_weather(series: WeatherSeries, path: str | Path) -> None:
-    _write_rows(path, WEATHER_COLUMNS, zip(
-        map(datetime.isoformat, series.timestamps),
-        *(map(repr, column) for column in (
-            series.temp_air_c, series.rh_pct, series.solar_direct_w_m2,
-            series.solar_diffuse_w_m2, series.wind_speed_m_s, series.wind_dir_deg))))
+    _write_series(path, WEATHER_FORMAT, [series.timestamps, *(
+        getattr(series, name) for name in WEATHER_COLUMNS[1:])])
 
 
 # ---------------------------------------------------------------------------
@@ -275,103 +326,27 @@ class IndoorSeries(NamedTuple):
     blank_air_speed: bytes
 
 
-#: An optional cell's text as the column parses it: a blank reads 0.0,
-#: which lies in every range its column is checked against.
-_BLANK_AS_ZERO = {"": "0"}
-
-
-def _extend_optional(column: array, mask: bytearray, cells: list[str]) -> None:
-    column.extend(map(float, map(_BLANK_AS_ZERO.get, cells, cells)))
-    mask.extend(map(not_, cells))
-
-
-def _increasing_per_zone(zones, timestamps) -> bool:
-    """True when each zone's timestamps increase in file order."""
-    own: dict[str, list] = {zone: [] for zone in dict.fromkeys(zones)}
-    # append each row's timestamp to its zone's list, with no Python loop
-    deque(map(list.append, map(own.__getitem__, zones), timestamps), maxlen=0)
-    return all(map(_increasing, own.values()))
+#: The logger file's columns, as :data:`WEATHER_FORMAT` states them.
+INDOOR_FORMAT = (
+    ("timestamp", datetime, None, None),
+    ("zone", str, None, None),
+    ("temp_air_c", float, T_MIN_C, T_MAX_C),
+    ("temp_resultant_c", float | None, T_MIN_C, T_MAX_C),
+    ("rh_pct", float, 0.0, 100.0),
+    ("air_speed_m_s", float | None, 0.0, None),
+)
+INDOOR_COLUMNS = tuple(name for name, _, _, _ in INDOOR_FORMAT)
 
 
 def load_indoor(path: str | Path) -> IndoorSeries:
-    """Logger samples in file order; the only place they are checked.
-    Every value is finite, the temperatures in the psychrometric range,
-    the humidity in [0, 100] and the air speed not negative; no zone is
-    blank and each zone's timestamps increase."""
-    lines = _read_lines(path, INDOOR_COLUMNS)
-    timestamps: list[datetime] = []
-    zones: list[str] = []
-    air, resultant, rh, speed = (array("d") for _ in range(4))
-    blank_resultant, blank_speed = bytearray(), bytearray()
-    text, instant = None, None  # the previous row's timestamp text and its parse
-    width = len(INDOOR_COLUMNS)
-    try:
-        for cells in _cell_chunks(lines, width):
-            texts = cells[0::width]
-            # a row whose text repeats the row before it reuses its parse:
-            # parsed[k] is the instant of the chunk's k-th fresh text
-            fresh = list(map(ne, texts, chain((text,), texts)))
-            parsed = [instant, *_parse_timestamps(list(compress(texts, fresh)))]
-            timestamps.extend(map(parsed.__getitem__, accumulate(fresh)))
-            text, instant = texts[-1], parsed[-1]
-            zones.extend(map(sys.intern, cells[1::width]))
-            air.extend(map(float, cells[2::width]))
-            _extend_optional(resultant, blank_resultant, cells[3::width])
-            rh.extend(map(float, cells[4::width]))
-            _extend_optional(speed, blank_speed, cells[5::width])
-        if not (within(rh, 0.0, 100.0) and within(air, T_MIN_C, T_MAX_C)
-                and within(resultant, T_MIN_C, T_MAX_C) and within(speed, 0.0)
-                and all(map(str.strip, dict.fromkeys(zones)))
-                and _increasing_per_zone(zones, timestamps)):
-            raise ValueError("an indoor value is out of its rule")
-    except ValueError as exc:
-        _check_indoor_rows(lines)
-        raise AssertionError("the row checks passed a file the bulk checks refused") from exc
-    return IndoorSeries(tuple(timestamps), tuple(zones), air, resultant, rh, speed,
-                        bytes(blank_resultant), bytes(blank_speed))
-
-
-def _check_indoor_rows(lines: list[str]) -> None:
-    """Raise the error of the first bad row, checking each row's values
-    and that its timestamp comes after the previous row of its zone."""
-    last_ts: dict[str, datetime] = {}
-    text, timestamp = None, None
-    for line_no, parts in _rows(lines, INDOOR_COLUMNS):
-        rh = _parse_float(parts[4], "rh_pct", line_no)
-        if not 0.0 <= rh <= 100.0:
-            raise SeriesFormatError(f"line {line_no}: rh_pct {rh} outside [0, 100]")
-        if parts[0] != text:
-            text, timestamp = parts[0], _parse_timestamp(parts[0], line_no)
-        zone = parts[1]
-        prev = last_ts.get(zone)
-        if prev is None:
-            # a zone's first row: a blank name never gets past it
-            if not zone.strip():
-                raise SeriesFormatError(f"line {line_no}: zone is blank")
-        elif timestamp <= prev:
-            raise SeriesFormatError(f"line {line_no}: timestamp {parts[0]} not after "
-                                    f"previous record of zone {zone}")
-        last_ts[zone] = timestamp
-        _parse_temperature(parts[2], "temp_air_c", line_no)
-        if parts[3] != "":
-            _parse_temperature(parts[3], "temp_resultant_c", line_no)
-        if parts[5] != "":
-            speed = _parse_float(parts[5], "air_speed_m_s", line_no)
-            if speed < 0:
-                raise SeriesFormatError(f"line {line_no}: air_speed_m_s {speed} must be >= 0")
-
-
-def _optional_cells(column: array, mask: bytes):
-    return ("" if blank else repr(value) for value, blank in zip(column, mask))
+    """Logger samples in file order, parsed and checked by
+    :data:`INDOOR_FORMAT`; the only place they are checked."""
+    timestamps, zones, *columns = _load(path, INDOOR_FORMAT)
+    return IndoorSeries(tuple(timestamps), tuple(zones), *columns)
 
 
 def write_indoor(series: IndoorSeries, path: str | Path) -> None:
-    _write_rows(path, INDOOR_COLUMNS, zip(
-        map(datetime.isoformat, series.timestamps), series.zones,
-        map(repr, series.temp_air_c),
-        _optional_cells(series.temp_resultant_c, series.blank_resultant),
-        map(repr, series.rh_pct),
-        _optional_cells(series.air_speed_m_s, series.blank_air_speed)))
+    _write_series(path, INDOOR_FORMAT, series)
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +477,7 @@ def load_building(path: str | Path) -> bm.BuildingDescription:
     description = load_json(path, building_from_dict, SeriesFormatError)
     issues = bm.validate(description)
     if issues:
-        raise bm.BuildingValidationError(issues)
+        raise bm.BuildingValidationError(issues, path)
     return description
 
 

@@ -125,27 +125,31 @@ def read_format(doc: dict, kind: str, formats: dict, error: type[InputError]):
     ``formats`` maps each object kind to its record and its keys, each
     ``(name, form, default)``, ``name`` a keyword of the record and
     ``default`` REQUIRED for a key that must be present.  A form is a JSON
-    type (``float`` takes any finite number, as a float), an enum,
-    ``object`` (any value), an object kind's name, a list of one form or a
-    tuple of forms (a JSON list, read to a tuple), a dict of forms (a table
-    of exactly those keys) or ``{int: form}`` (a table keyed by dwelling
-    type).  ``null`` reads as absent for an optional object and for a key
-    whose default is None.  A missing key, a wrong type or a value its
-    record refuses raises ``error`` at once; the paths of the keys the
-    format does not define are named together once the walk ends.
+    type (``float`` takes any finite number, as a float), an enum, an
+    object kind's name, a list of one form or a tuple of forms (a JSON
+    list, read to a tuple), a dict of forms (a table of exactly those
+    keys), ``{int: form}`` (a table keyed by dwelling type) or a frozenset
+    of a list form and one other (a JSON list read by the list form, any
+    other value by the other).  ``null`` reads as absent for an optional
+    object and for a key whose default is None.  A missing key, a wrong
+    type or a value its record refuses raises ``error`` at once, naming
+    the key by its path; the paths of the keys the format does not define
+    are named together once the walk ends.
     """
     unknown: list[str] = []
 
-    def read(value, form, where: str, key: str | None = None):
-        # ``value`` at path ``where``, as ``form``; an error names a key of
-        # an object kind by ``key``, anything else by its path
-        if isinstance(form, type):  # a JSON type, an enum or object
-            if form is object:
-                return value
+    def read(value, form, where: str, label: str | None = None):
+        # ``value`` at path ``where``, as ``form``; an error names it by
+        # ``label``, a key of an object kind by its quoted path, else by its path
+        label = where if label is None else label
+        if isinstance(form, type):  # a JSON type or an enum
             if form in _KIND_NAMES:
-                return _typed(value, form, where, key)
-            return form(_typed(value, str, where, key))  # an enum, read from its value
-        value = _typed(value, dict if isinstance(form, (str, dict)) else list, where, key)
+                return _typed(value, form, label)
+            return form(_typed(value, str, label))  # an enum, read from its value
+        if isinstance(form, frozenset):  # the list form for a list, else the other
+            form = next(f for f in form if isinstance(f, (list, tuple)) == isinstance(value, list))
+            return read(value, form, where, label)
+        value = _typed(value, dict if isinstance(form, (str, dict)) else list, label)
         prefix = f"{where}." if where else ""
         if isinstance(form, str):  # an object kind
             record, keys = formats[form]
@@ -153,15 +157,16 @@ def read_format(doc: dict, kind: str, formats: dict, error: type[InputError]):
             unknown.extend(prefix + name for name in value if name not in names)
             values = {}
             for name, item, default in keys:
+                path = prefix + name
                 if value.get(name) is None and default is not REQUIRED and (
                         name not in value or default is None or isinstance(item, str)):
                     values[name] = default  # absent, or a null the key accepts
                 elif name not in value:
-                    raise ValueError(f"missing field {name!r}")
+                    raise ValueError(f"missing field {path!r}")
                 elif item in JSON_TYPES:
-                    values[name] = _typed(value[name], item, "", name)
+                    values[name] = _typed(value[name], item, repr(path))
                 else:
-                    values[name] = read(value[name], item, prefix + name, name)
+                    values[name] = read(value[name], item, path, repr(path))
             return record(**values)
         if isinstance(form, dict):  # a table
             by_type = int in form
@@ -176,8 +181,7 @@ def read_format(doc: dict, kind: str, formats: dict, error: type[InputError]):
                     for name, item in form.items()}
         forms = form * len(value) if isinstance(form, list) else form
         if len(value) != len(forms):
-            raise TypeError(f"{where if key is None else repr(key)} must be a list of "
-                            f"{len(form)} values, got {value!r}")
+            raise TypeError(f"{label} must be a list of {len(form)} values, got {value!r}")
         return tuple(read(item, item_form, f"{where}[{i}]")
                      for i, (item, item_form) in enumerate(zip(value, forms)))
 
@@ -191,20 +195,20 @@ def read_format(doc: dict, kind: str, formats: dict, error: type[InputError]):
 
 
 def load_json(source, read, error: type[InputError]):
-    """``read`` of the JSON file ``source``; every ``error`` names the file."""
+    """``read`` of the JSON file ``source``; every ``error``, of its own
+    subclass, names the file."""
     doc = read_json(source, error)
     try:
         return read(doc)
     except error as exc:
-        raise error(f"{source}: {exc}") from None
+        raise type(exc)(f"{source}: {exc}") from None
 
 
-def _typed(value, kind: type, where: str, key: str | None = None):
-    """``value`` as the JSON type ``kind``; an error names ``key``, else ``where``."""
+def _typed(value, kind: type, label: str):
+    """``value`` as the JSON type ``kind``; an error names it ``label``."""
     if kind is float and is_number(value):
         return float(value)
     if (kind is float or not isinstance(value, kind)
             or (isinstance(value, bool) and kind is not bool)):
-        raise TypeError(f"{where if key is None else repr(key)} must be {_KIND_NAMES[kind]}, "
-                        f"got {value!r}")
+        raise TypeError(f"{label} must be {_KIND_NAMES[kind]}, got {value!r}")
     return value

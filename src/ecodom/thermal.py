@@ -486,7 +486,7 @@ class Scenario(NamedTuple):
     floor_area_m2: float | None = None
     volume_m3: float | None = None
     mass_class: str = "heavy"
-    internal_gains_w: float | Sequence[float] = 0.0
+    internal_gains_w: float | tuple[float, ...] = 0.0
     discharge_coefficient: float = DEFAULT_CD
     delta_cp: float = DEFAULT_DELTA_CP
     exterior_film_w_m2k: float = DEFAULT_H_EXTERIOR
@@ -497,9 +497,9 @@ class Scenario(NamedTuple):
 
     def _check(self) -> None:
         gains = self.internal_gains_w
-        if not (is_number(gains) or isinstance(gains, (list, tuple)) and len(gains) == 24
+        if not (is_number(gains) or isinstance(gains, tuple) and len(gains) == 24
                 and all(map(is_number, gains))):
-            raise ValueError("scenario internal_gains_w must be a number or a list of "
+            raise ValueError("scenario internal_gains_w must be a number or a tuple of "
                              f"24 numbers, got {gains!r}")
         if self.mass_class not in MASS_CLASS_CAPACITANCE:
             raise ValueError("scenario mass_class must be 'light' or 'heavy', "
@@ -514,8 +514,10 @@ class Scenario(NamedTuple):
 
 
 #: The scenario file format: every field of :class:`Scenario` with the
-#: record's default, a number but for three (see ``errors.read_format``).
-_SCENARIO_FORMS = {"mass_class": str, "internal_gains_w": object, "roof_exposed": bool}
+#: record's default, a number but for three (see ``errors.read_format``);
+#: the gains are a number or a list of 24, one per UTC hour.
+_SCENARIO_FORMS = {"mass_class": str, "internal_gains_w": frozenset((float, (float,) * 24)),
+                   "roof_exposed": bool}
 SCENARIO_FORMAT = {"scenario": (Scenario, tuple(
     (name, _SCENARIO_FORMS.get(name, float), default)
     for name, default in Scenario._field_defaults.items()))}
@@ -600,7 +602,6 @@ def zone_from_building(building: BuildingDescription,
         delta_cp=scenario.delta_cp,
     )
 
-    gains = scenario.internal_gains_w
     return ZoneModel(
         name=building.name,
         latitude=building.latitude,
@@ -609,7 +610,7 @@ def zone_from_building(building: BuildingDescription,
         capacitance_j_k=MASS_CLASS_CAPACITANCE[scenario.mass_class] * floor_area,
         surfaces=tuple(surfaces),
         apertures=apertures,
-        internal_gains_w=gains if is_number(gains) else tuple(map(float, gains)),
+        internal_gains_w=scenario.internal_gains_w,
         h_exterior=scenario.exterior_film_w_m2k,
         h_interior=scenario.interior_film_w_m2k,
     )

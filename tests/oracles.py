@@ -25,9 +25,10 @@ Its series must equal them exactly, so they share code with it:
 * :func:`load_weather_rows` and :func:`load_indoor_rows` are the
   row-wise loaders the column parse of ``ecodom.dataio`` replaced: one
   named tuple per row, each value parsed and checked as the row is
-  read, with ``dataio``'s per-cell parsers.  The columns of
-  ``load_weather`` and ``load_indoor`` must hold their values bit for
-  bit, and a bad file must raise their message.
+  read, with ``dataio``'s cell parsers and ranges of their own, not
+  ``dataio``'s column tables.  The columns of ``load_weather`` and
+  ``load_indoor`` must hold their values bit for bit, and a bad file
+  must raise their message.
 
 The row types (:class:`WeatherRecord`, :class:`IndoorRecord`,
 :class:`PsychroPoint`) and the converters between rows and the
@@ -328,48 +329,61 @@ def indoor_records(series: IndoorSeries) -> tuple[IndoorRecord, ...]:
         for ts, zone, air, resultant, rh, speed, no_resultant, no_speed in zip(*series))
 
 
+def _rows(path, columns: tuple[str, ...]):
+    """Yield ``(line_no, cells)`` for each non-blank line after the header."""
+    lines = dataio._read_lines(path, columns)
+    for line_no, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        cells = line.split(",")
+        if len(cells) != len(columns):
+            raise SeriesFormatError(
+                f"line {line_no}: expected {len(columns)} columns, got {len(cells)}")
+        yield line_no, cells
+
+
+def _number(text: str, column: str, line_no: int, low: float | None = None,
+            high: float | None = None) -> float:
+    """A number cell, parsed, then held to [low, high]."""
+    value = dataio._parse_float(text, column, line_no)
+    if high is not None and not low <= value <= high:
+        raise SeriesFormatError(f"line {line_no}: {column} {value} outside [{low:g}, {high:g}]")
+    if low is not None and value < low:
+        raise SeriesFormatError(f"line {line_no}: {column} {value} must be >= {low:g}")
+    return value
+
+
 def load_weather_rows(path) -> tuple[WeatherRecord, ...]:
-    """Parse a weather CSV row by row, checking each row's values and
-    that its timestamp comes after the previous row's."""
+    """Parse a weather CSV row by row: the timestamp, after the previous
+    row's, then each value in column order."""
     records = []
     last_ts: datetime | None = None
-    for line_no, cells in dataio._rows(dataio._read_lines(path, dataio.WEATHER_COLUMNS),
-                                       dataio.WEATHER_COLUMNS):
+    for line_no, cells in _rows(path, dataio.WEATHER_COLUMNS):
         ts = dataio._parse_timestamp(cells[0], line_no)
         if last_ts is not None and ts <= last_ts:
             raise SeriesFormatError(
                 f"line {line_no}: timestamp {cells[0]} not after previous record")
         last_ts = ts
-        rec = WeatherRecord(
+        records.append(WeatherRecord(
             ts,
-            dataio._parse_temperature(cells[1], "temp_air_c", line_no),
-            dataio._parse_float(cells[2], "rh_pct", line_no),
-            dataio._parse_float(cells[3], "solar_direct_w_m2", line_no),
-            dataio._parse_float(cells[4], "solar_diffuse_w_m2", line_no),
-            dataio._parse_float(cells[5], "wind_speed_m_s", line_no),
-            dataio._parse_float(cells[6], "wind_dir_deg", line_no),
-        )
-        if not 0.0 <= rec.rh_pct <= 100.0:
-            raise SeriesFormatError(f"line {line_no}: rh_pct {rec.rh_pct} outside [0, 100]")
-        if rec.solar_direct_w_m2 < 0 or rec.solar_diffuse_w_m2 < 0:
-            raise SeriesFormatError(f"line {line_no}: solar irradiance must be >= 0")
-        if rec.wind_speed_m_s < 0:
-            raise SeriesFormatError(f"line {line_no}: wind speed must be >= 0")
-        records.append(rec)
+            _number(cells[1], "temp_air_c", line_no, -20.0, 60.0),
+            _number(cells[2], "rh_pct", line_no, 0.0, 100.0),
+            _number(cells[3], "solar_direct_w_m2", line_no, 0.0),
+            _number(cells[4], "solar_diffuse_w_m2", line_no, 0.0),
+            _number(cells[5], "wind_speed_m_s", line_no, 0.0),
+            _number(cells[6], "wind_dir_deg", line_no),
+        ))
     return tuple(records)
 
 
 def load_indoor_rows(path) -> tuple[IndoorRecord, ...]:
-    """Parse a logger CSV row by row; a row that repeats the previous
-    row's timestamp text reuses its parse."""
+    """Parse a logger CSV row by row: the timestamp, the zone and its
+    order, then each value in column order; a row that repeats the
+    previous row's timestamp text reuses its parse."""
     records = []
     last_ts: dict[str, datetime] = {}
     text, timestamp = None, None
-    for line_no, parts in dataio._rows(dataio._read_lines(path, dataio.INDOOR_COLUMNS),
-                                       dataio.INDOOR_COLUMNS):
-        rh = dataio._parse_float(parts[4], "rh_pct", line_no)
-        if not 0.0 <= rh <= 100.0:
-            raise SeriesFormatError(f"line {line_no}: rh_pct {rh} outside [0, 100]")
+    for line_no, parts in _rows(path, dataio.INDOOR_COLUMNS):
         if parts[0] != text:
             text, timestamp = parts[0], dataio._parse_timestamp(parts[0], line_no)
         zone = parts[1]
@@ -381,12 +395,10 @@ def load_indoor_rows(path) -> tuple[IndoorRecord, ...]:
             raise SeriesFormatError(f"line {line_no}: timestamp {parts[0]} not after "
                                     f"previous record of zone {zone}")
         last_ts[zone] = timestamp
-        air = dataio._parse_temperature(parts[2], "temp_air_c", line_no)
+        air = _number(parts[2], "temp_air_c", line_no, -20.0, 60.0)
         resultant = (None if parts[3] == ""
-                     else dataio._parse_temperature(parts[3], "temp_resultant_c", line_no))
-        speed = (None if parts[5] == ""
-                 else dataio._parse_float(parts[5], "air_speed_m_s", line_no))
-        if speed is not None and speed < 0:
-            raise SeriesFormatError(f"line {line_no}: air_speed_m_s {speed} must be >= 0")
+                     else _number(parts[3], "temp_resultant_c", line_no, -20.0, 60.0))
+        rh = _number(parts[4], "rh_pct", line_no, 0.0, 100.0)
+        speed = None if parts[5] == "" else _number(parts[5], "air_speed_m_s", line_no, 0.0)
         records.append(IndoorRecord(timestamp, zone, air, resultant, rh, speed))
     return tuple(records)

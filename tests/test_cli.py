@@ -481,6 +481,34 @@ class TestInputBoundary:
         err = _assert_one_error_line(main(argv), capsys)
         assert "wall north.id: duplicate wall id" in err
 
+    @pytest.mark.parametrize("edit,line", [
+        (lambda doc: doc.update(schema_version=2),
+         "building schema version 2 not supported (expected 1)"),
+        (lambda doc: doc["walls"].append(dict(doc["walls"][1], id="north")),
+         "wall north.id: duplicate wall id"),
+    ], ids=["schema-version-2", "duplicate-wall-id"])
+    def test_building_error_line_names_its_file(self, tmp_path, capsys, edit, line):
+        doc = json.loads(FINAL_FIXTURE.read_text())
+        edit(doc)
+        path = tmp_path / "building.json"
+        path.write_text(json.dumps(doc))
+        assert _assert_one_error_line(main(["check", str(path)]), capsys) == (
+            f"error: {path}: {line}\n")
+
+    @pytest.mark.parametrize("edit,line", [
+        (lambda doc: doc["walls"][3].pop("id"), "missing field 'walls[3].id'"),
+        (lambda doc: doc["roof"].update(area_m2="x"),
+         "'roof.area_m2' must be a finite number, got 'x'"),
+        (lambda doc: doc.pop("roof"), "missing field 'roof'"),
+    ], ids=["nested-missing", "nested-mistyped", "top-level-missing"])
+    def test_json_key_error_names_its_path(self, tmp_path, capsys, edit, line):
+        doc = json.loads(FINAL_FIXTURE.read_text())
+        edit(doc)
+        path = tmp_path / "building.json"
+        path.write_text(json.dumps(doc))
+        assert _assert_one_error_line(main(["check", str(path)]), capsys) == (
+            f"error: {path}: missing or malformed field: {line}\n")
+
     def test_facade_pair_of_one_facade_exits_two(self, tmp_path, capsys):
         from ecodom.dataio import building_to_dict, load_building
         doc = building_to_dict(load_building(FINAL_FIXTURE))
@@ -647,16 +675,15 @@ class TestInputBoundary:
         assert f"{path}: not valid JSON: duplicate key '{key}'" in err
 
     @pytest.mark.parametrize("kind,change,fragment", [
-        ("weather", _cell(10, 3, "-1.0"), "line 11: solar irradiance must be >= 0"),
-        ("weather", _cell(5, 5, "-0.5"), "line 6: wind speed must be >= 0"),
-        ("weather", _cell(7, 1, "-300"),
-         "line 8: temp_air_c -300.0 outside the supported [-20.0, 60.0] degC"),
+        ("weather", _cell(10, 3, "-1.0"), "line 11: solar_direct_w_m2 -1.0 must be >= 0"),
+        ("weather", _cell(5, 5, "-0.5"), "line 6: wind_speed_m_s -0.5 must be >= 0"),
+        ("weather", _cell(7, 1, "-300"), "line 8: temp_air_c -300.0 outside [-20, 60]"),
         ("weather", lambda lines: lines[:13], "weather must cover at least 24 hours"),
         ("weather", lambda lines: lines[:1] + lines[1::2],
          "weather step must be one hour or finer"),
         ("indoor", _cell(3, 4, "101"), "line 4: rh_pct 101.0 outside [0, 100]"),
         ("indoor", lambda lines: _cell(3, 3, "30.0")(_cell(3, 2, "70.0")(lines)),
-         "line 4: temp_air_c 70.0 outside the supported [-20.0, 60.0] degC"),
+         "line 4: temp_air_c 70.0 outside [-20, 60]"),
         ("building", (("roof", "area_m2"), 0),
          "missing or malformed field: roof area must be > 0"),
         ("building", (("windows", 0, "glazed_area_m2"), 0),

@@ -17,6 +17,10 @@ from ecodom.catalogue import CATALOGUE_FORMAT
 from ecodom.comfort import ZONE_FORMAT, humidity_ratio, logger_points
 from ecodom.dataio import (
     BUILDING_FORMAT,
+    INDOOR_COLUMNS,
+    INDOOR_FORMAT,
+    WEATHER_COLUMNS,
+    WEATHER_FORMAT,
     IndoorSeries,
     SchemaVersionError,
     SeriesFormatError,
@@ -343,6 +347,66 @@ class TestIndoorIO:
         loaded = load_indoor(path)
         assert indoor_records(loaded) == tuple(records)
         assert len(set(map(id, loaded.timestamps))) == len(records)
+
+
+#: One out-of-range cell per bounded column, and the line it raises.
+OUT_OF_RANGE_CELLS = [
+    ("weather", "temp_air_c", "60.5", "temp_air_c 60.5 outside [-20, 60]"),
+    ("weather", "rh_pct", "-1", "rh_pct -1.0 outside [0, 100]"),
+    ("weather", "solar_direct_w_m2", "-2.5", "solar_direct_w_m2 -2.5 must be >= 0"),
+    ("weather", "solar_diffuse_w_m2", "-1e-3", "solar_diffuse_w_m2 -0.001 must be >= 0"),
+    ("weather", "wind_speed_m_s", "-0.5", "wind_speed_m_s -0.5 must be >= 0"),
+    ("indoor", "temp_air_c", "-20.5", "temp_air_c -20.5 outside [-20, 60]"),
+    ("indoor", "temp_resultant_c", "75", "temp_resultant_c 75.0 outside [-20, 60]"),
+    ("indoor", "rh_pct", "100.5", "rh_pct 100.5 outside [0, 100]"),
+    ("indoor", "air_speed_m_s", "-0.1", "air_speed_m_s -0.1 must be >= 0"),
+]
+TABLES = {"weather": WEATHER_FORMAT, "indoor": INDOOR_FORMAT}
+
+
+class TestSeriesTables:
+    def test_columns_named_once_and_unchanged(self):
+        assert WEATHER_COLUMNS == (
+            "timestamp", "temp_air_c", "rh_pct", "solar_direct_w_m2", "solar_diffuse_w_m2",
+            "wind_speed_m_s", "wind_dir_deg")
+        assert INDOOR_COLUMNS == (
+            "timestamp", "zone", "temp_air_c", "temp_resultant_c", "rh_pct", "air_speed_m_s")
+        for table, columns in ((WEATHER_FORMAT, WEATHER_COLUMNS),
+                               (INDOOR_FORMAT, INDOOR_COLUMNS)):
+            assert tuple(name for name, _, _, _ in table) == columns
+            assert len(set(columns)) == len(columns)
+
+    def test_written_header_is_the_table(self, tmp_path):
+        path = tmp_path / "series.csv"
+        write_weather(synthetic_weather(days=1), path)
+        assert path.read_text().splitlines()[0] == ",".join(WEATHER_COLUMNS)
+        write_indoor(indoor_series([_indoor(0)]), path)
+        assert path.read_text().splitlines()[0] == ",".join(INDOOR_COLUMNS)
+
+    def test_every_bounded_column_has_a_case(self):
+        bounded = {(kind, name) for kind, table in TABLES.items()
+                   for name, _, low, high in table if (low, high) != (None, None)}
+        assert {(kind, name) for kind, name, _, _ in OUT_OF_RANGE_CELLS} == bounded
+
+    @pytest.mark.parametrize("kind,column,text,line", OUT_OF_RANGE_CELLS,
+                             ids=[f"{k}-{c}" for k, c, _, _ in OUT_OF_RANGE_CELLS])
+    def test_out_of_range_cell_raises_its_rule(self, tmp_path, kind, column, text, line):
+        path = tmp_path / "series.csv"
+        if kind == "weather":
+            write_weather(synthetic_weather(days=1), path)
+            load, columns = load_weather, WEATHER_COLUMNS
+        else:
+            write_indoor(indoor_series([_indoor(10 * i, resultant=28.5, speed=0.2)
+                                        for i in range(6)]), path)
+            load, columns = load_indoor, INDOOR_COLUMNS
+        lines = path.read_text().splitlines()
+        cells = lines[3].split(",")
+        cells[columns.index(column)] = text
+        lines[3] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SeriesFormatError) as caught:
+            load(path)
+        assert str(caught.value) == f"line 4: {line}"
 
 
 class TestIndoorRecord:

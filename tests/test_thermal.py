@@ -24,6 +24,7 @@ from ecodom.solar import overhang_shading_fraction, sun_positions
 from ecodom.thermal import (
     ROOF_DECK_RESISTANCE,
     SCENARIO_FORMAT,
+    Scenario,
     ScenarioError,
     SurfaceModel,
     VentilationApertures,
@@ -32,6 +33,7 @@ from ecodom.thermal import (
     gain_breakdown,
     result_to_csv,
     simulate,
+    load_scenario,
     ventilation_ach,
     zone_from_building,
 )
@@ -367,6 +369,16 @@ class TestZoneFromBuilding:
     def test_scenario_schedule_accepts_24_values(self, final_building):
         zone = zone_from_building(final_building, _scenario({"internal_gains_w": [10] * 24}))
         assert zone.internal_gains_w == (10.0,) * 24
+
+    @pytest.mark.parametrize("gains,expected", [
+        ([100] * 24, (100.0,) * 24), (200, 200.0)], ids=["schedule", "constant"])
+    def test_scenario_file_gains_read_to_one_type(self, tmp_path, gains, expected):
+        path = tmp_path / "scenario.json"
+        path.write_text(f'{{"internal_gains_w": {gains}}}')
+        scenario = load_scenario(path)
+        assert type(scenario.internal_gains_w) is type(expected)
+        assert scenario == Scenario(internal_gains_w=expected)
+        assert hash(scenario) == hash(Scenario(internal_gains_w=expected))
 
     def test_simulates_end_to_end(self, final_building, week):
         result = simulate(zone_from_building(final_building), week)
