@@ -2,16 +2,19 @@
 
 Domain types for a naturally ventilated tropical dwelling (roof, walls,
 windows, rooms, facade pairs, water heater), the geometric quantities
-derived from them (cross-ventilation porosities), and structural
-validation of a parsed description.
+derived from them (cross-ventilation porosities), and the validation
+of a description.
 
-Every record is an immutable named tuple; every function here is pure.
+Every record is an immutable named tuple that checks nothing when it
+is built: :func:`validate` holds every value rule and every reference
+rule of a building, so a file's faults are named together.  Every
+function here is pure.
 """
 
 import enum
 from typing import NamedTuple
 
-from .errors import InputError, checked
+from .errors import InputError
 
 
 class Orientation(enum.Enum):
@@ -124,7 +127,6 @@ class WaterHeaterKind(enum.Enum):
 _MINERAL_WOOL_MARKERS = ("mineral", "wool", "laine")
 
 
-@checked
 class InsulationLayer(NamedTuple):
     """A homogeneous insulation layer.
 
@@ -139,12 +141,6 @@ class InsulationLayer(NamedTuple):
     conductivity_w_mk: float
     thickness_cm: float
     humidity_protected: bool = False
-
-    def _check(self) -> None:
-        if self.conductivity_w_mk <= 0:
-            raise ValueError("insulation conductivity must be > 0")
-        if self.thickness_cm < 0:
-            raise ValueError("insulation thickness must be >= 0")
 
     @property
     def resistance(self) -> float:
@@ -161,19 +157,13 @@ class InsulationLayer(NamedTuple):
 NO_INSULATION = InsulationLayer("none", 0.041, 0.0)
 
 
-@checked
 class RoofSpec(NamedTuple):
     color: ColorClass
     attic: AtticRegime
     insulation: InsulationLayer
     area_m2: float
 
-    def _check(self) -> None:
-        if self.area_m2 <= 0:
-            raise ValueError("roof area must be > 0")
 
-
-@checked
 class WallSpec(NamedTuple):
     """An exterior wall with its solar-protection attributes.
 
@@ -195,12 +185,6 @@ class WallSpec(NamedTuple):
     insulation: InsulationLayer = NO_INSULATION
     full_shading: bool = False
 
-    def _check(self) -> None:
-        if self.area_m2 <= 0:
-            raise ValueError(f"wall {self.id}: area must be > 0")
-        if self.overhang_depth_m < 0:
-            raise ValueError(f"wall {self.id}: overhang depth must be >= 0")
-
     @property
     def orientation(self) -> Orientation:
         return orientation_from_azimuth(self.azimuth_deg)
@@ -217,7 +201,6 @@ class WallSpec(NamedTuple):
         return self.overhang_depth_m / self.overhang_height_m
 
 
-@checked
 class WindowSpec(NamedTuple):
     id: str
     azimuth_deg: float
@@ -227,14 +210,6 @@ class WindowSpec(NamedTuple):
     overhang_depth_m: float = 0.0
     overhang_offset_m: float = 0.0  # a: overhang underside to window top (case 1)
     mobile_shading: bool = False    # venetian blinds / opaque mobile louvers
-
-    def _check(self) -> None:
-        if self.glazed_area_m2 <= 0:
-            raise ValueError(f"window {self.id}: glazed area must be > 0")
-        if self.overhang_depth_m < 0:
-            raise ValueError(f"window {self.id}: overhang depth must be >= 0")
-        if self.overhang_offset_m < 0:
-            raise ValueError(f"window {self.id}: overhang offset must be >= 0")
 
     @property
     def orientation(self) -> Orientation:
@@ -255,7 +230,6 @@ class WindowSpec(NamedTuple):
         return self.overhang_depth_m / self.shading_height_m
 
 
-@checked
 class Opening(NamedTuple):
     """A net free opening; an external opening names the facade it pierces,
     an internal one names none."""
@@ -263,10 +237,6 @@ class Opening(NamedTuple):
     id: str
     net_area_m2: float
     facade_id: str | None = None
-
-    def _check(self) -> None:
-        if self.net_area_m2 < 0:
-            raise ValueError(f"opening {self.id}: net area must be >= 0")
 
 
 class FacadeMembership(NamedTuple):
@@ -297,18 +267,12 @@ class FacadePair(NamedTuple):
         return f"{self.facade_1_id}/{self.facade_2_id}"
 
 
-@checked
 class WaterHeaterSpec(NamedTuple):
     kind: WaterHeaterKind
     collector_area_m2: float = 0.0
     tank_volume_l: float = 0.0
     annual_productivity_kwh_m2: float = 0.0
     certified: bool = False
-
-    def _check(self) -> None:
-        for name in ("collector_area_m2", "tank_volume_l", "annual_productivity_kwh_m2"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"water heater: {name} must be >= 0")
 
 
 class BuildingDescription(NamedTuple):
@@ -358,15 +322,30 @@ class BuildingValidationError(InputError):
 
 
 def validate(building: BuildingDescription) -> list[ValidationIssue]:
-    """Check type invariants and referential integrity of a description.
+    """Check the values and the references of a description: every rule
+    a building holds to, none of which its records check when built.
 
     Returns an empty list iff the description is well formed.  Errors are
-    collected rather than raised so a report can list all of them.
+    collected rather than raised so a report can list all of them, in
+    this order: the building's own fields, the roof, the walls and the
+    windows (ids, azimuths, areas and overhang depths), the rooms and
+    their openings, each wall's overhang height and insulation, each
+    window's height and overhang offset, the facade pairs and the water
+    heater.
     """
     issues: list[ValidationIssue] = []
 
     def err(entity: str, fld: str, message: str) -> None:
         issues.append(ValidationIssue(entity, fld, message))
+
+    def floor(entity: str, fld: str, value: float, strict: bool = False) -> None:
+        # ``value`` must be >= 0, or > 0 when ``strict``
+        if value < 0 or strict and value == 0:
+            err(entity, fld, "must be > 0" if strict else "must be >= 0")
+
+    def insulation(entity: str, layer: InsulationLayer) -> None:
+        floor(entity, "insulation.conductivity_w_mk", layer.conductivity_w_mk, strict=True)
+        floor(entity, "insulation.thickness_cm", layer.thickness_cm)
 
     if building.dwelling_type < 1:
         err("building", "dwelling_type", "must be >= 1")
@@ -374,14 +353,20 @@ def validate(building: BuildingDescription) -> list[ValidationIssue]:
         err("building", "latitude", "must be in [-90, 90]")
     if not -180.0 <= building.longitude <= 180.0:
         err("building", "longitude", "must be in [-180, 180]")
-    for kind, surfaces in (("wall", building.walls), ("window", building.windows)):
+    floor("roof", "area_m2", building.roof.area_m2, strict=True)
+    insulation("roof", building.roof.insulation)
+    for kind, surfaces, area in (("wall", building.walls, "area_m2"),
+                                 ("window", building.windows, "glazed_area_m2")):
         ids: set[str] = set()
         for surface in surfaces:
+            entity = f"{kind} {surface.id}"
             if surface.id in ids:
-                err(f"{kind} {surface.id}", "id", f"duplicate {kind} id")
+                err(entity, "id", f"duplicate {kind} id")
             ids.add(surface.id)
             if not 0.0 <= surface.azimuth_deg < 360.0:
-                err(f"{kind} {surface.id}", "azimuth_deg", "must be in [0, 360)")
+                err(entity, "azimuth_deg", "must be in [0, 360)")
+            floor(entity, area, getattr(surface, area), strict=True)
+            floor(entity, "overhang_depth_m", surface.overhang_depth_m)
 
     facade_ids = building.declared_facade_ids()
     opening_ids: set[str] = set()
@@ -398,32 +383,31 @@ def validate(building: BuildingDescription) -> list[ValidationIssue]:
                 m.gross_area_m2 > 0 for m in room.facades):
             err(f"room {room.id}", "facades",
                 "a main room must contribute positive gross area to at least one facade")
-        for opening in room.external_openings:
+        external = len(room.external_openings)
+        for i, opening in enumerate(room.external_openings + room.internal_openings):
+            entity = f"opening {opening.id}"
             if opening.id in opening_ids:
-                err(f"opening {opening.id}", "id", "duplicate opening id")
+                err(entity, "id", "duplicate opening id")
             opening_ids.add(opening.id)
-            if opening.facade_id is None:
-                err(f"opening {opening.id}", "facade_id",
-                    "external opening must name its facade")
+            floor(entity, "net_area_m2", opening.net_area_m2)
+            if i >= external:
+                if opening.facade_id is not None:
+                    err(entity, "facade_id", "internal opening names no facade")
+            elif opening.facade_id is None:
+                err(entity, "facade_id", "external opening must name its facade")
             elif opening.facade_id not in facade_ids:
-                err(f"opening {opening.id}", "facade_id",
-                    f"unknown facade {opening.facade_id!r}")
-        for opening in room.internal_openings:
-            if opening.id in opening_ids:
-                err(f"opening {opening.id}", "id", "duplicate opening id")
-            opening_ids.add(opening.id)
-            if opening.facade_id is not None:
-                err(f"opening {opening.id}", "facade_id",
-                    "internal opening names no facade")
+                err(entity, "facade_id", f"unknown facade {opening.facade_id!r}")
 
     for wall in building.walls:
         if wall.overhang_depth_m > 0 and wall.overhang_height_m <= 0:
             err(f"wall {wall.id}", "overhang_height_m",
                 "must be > 0 when an overhang depth is given")
+        insulation(f"wall {wall.id}", wall.insulation)
 
     for window in building.windows:
         if window.height_m <= 0:
             err(f"window {window.id}", "height_m", "must be > 0")
+        floor(f"window {window.id}", "overhang_offset_m", window.overhang_offset_m)
         if (window.shading_case is ShadingCase.CASE_2
                 and window.overhang_offset_m != 0):
             err(f"window {window.id}", "overhang_offset_m",
@@ -444,6 +428,8 @@ def validate(building: BuildingDescription) -> list[ValidationIssue]:
                 err(f"facade pair {pair.id}", "facade_id",
                     f"unknown facade {fid!r}")
 
+    for name in ("collector_area_m2", "tank_volume_l", "annual_productivity_kwh_m2"):
+        floor("water heater", name, getattr(building.water_heater, name))
     return issues
 
 

@@ -59,11 +59,18 @@ def _read_lines(path: str | Path, columns: tuple[str, ...]) -> list[str]:
 _CHUNK_LINES = 1024
 
 
+def _plain(text: str) -> bool:
+    """True when ``text`` holds none of the characters that ``float``
+    reads besides the number cell grammar: only ASCII, and no underscore,
+    space or tab (a line holds no other ASCII whitespace)."""
+    return text.isascii() and "_" not in text and " " not in text and "\t" not in text
+
+
 def _cell_chunks(lines: list[str], width: int):
     """Yield the cells of the lines after the header, ``_CHUNK_LINES``
     lines at a time, as one flat list per chunk, ``width`` cells to a
-    line; whitespace-only lines are skipped.  A line of another width
-    raises ValueError."""
+    line, with whether the chunk's text is :func:`_plain`; whitespace-only
+    lines are skipped.  A line of another width raises ValueError."""
     commas = {width - 1}
     for start in range(1, len(lines), _CHUNK_LINES):
         chunk = lines[start:start + _CHUNK_LINES]
@@ -72,7 +79,8 @@ def _cell_chunks(lines: list[str], width: int):
             if chunk and set(map(str.count, chunk, repeat(","))) != commas:
                 raise ValueError("a line has another number of cells")
         if chunk:
-            yield ",".join(chunk).split(",")
+            text = ",".join(chunk)
+            yield text.split(","), _plain(text)
 
 
 #: The timestamp grammar, the same on every supported Python: that of
@@ -126,6 +134,8 @@ def _parse_timestamps(texts: list[str]):
 
 def _parse_float(text: str, column: str, line_no: int) -> float:
     try:
+        if not _plain(text):
+            raise ValueError("not in the number grammar")
         value = float(text)
     except ValueError as exc:
         raise SeriesFormatError(
@@ -160,10 +170,13 @@ def _load(path: str | Path, table: tuple) -> list:
     text, instant = None, None  # the previous row's timestamp text and its parse
     width = len(table)
     try:
-        for cells in _cell_chunks(lines, width):
+        for cells, plain in _cell_chunks(lines, width):
             blanks = iter(masks)
             for k, (column, kind) in enumerate(zip(columns, kinds)):
                 texts = cells[k::width]
+                # a zone or a timestamp may fail the chunk's scan, a number may not
+                if not (plain or kind in (datetime, str) or _plain("".join(texts))):
+                    raise ValueError("a number cell is outside the cell grammar")
                 if kind is float:
                     column.extend(map(float, texts))
                 elif kind is str:

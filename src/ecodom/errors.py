@@ -86,10 +86,14 @@ def read_json(source, error: type[InputError] = InputError) -> dict:
     """
     raw = source.read_bytes() if hasattr(source, "read_bytes") else Path(source).read_bytes()
     try:
-        doc = json.loads(raw.decode("utf-8"), object_pairs_hook=_unique_keys,
+        text = raw.decode("utf-8")
+        doc = json.loads(text, object_pairs_hook=_unique_keys,
                          parse_float=_finite_float, parse_int=_float_sized_int,
                          parse_constant=_reject_constant)
-        json.dumps(doc, ensure_ascii=False).encode("utf-8")
+        # a lone surrogate comes only from a \uDxxx escape: the UTF-8
+        # decode refuses an encoded one
+        if "\\ud" in text or "\\uD" in text:
+            json.dumps(doc, ensure_ascii=False).encode("utf-8")
     except (ValueError, RecursionError) as exc:
         raise error(f"{source}: not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):

@@ -68,10 +68,18 @@ class TestColorAndMaterials:
         assert WallConstruction.WOOD.base_resistance == 0.5
 
     def test_insulation_invariants(self):
-        with pytest.raises(ValueError):
-            InsulationLayer("x", 0.0, 5.0)
-        with pytest.raises(ValueError):
-            InsulationLayer("x", 0.04, -1.0)
+        from ecodom.building import WallSpec
+        b = _simple_building()
+        bad = InsulationLayer("x", 0.0, -1.0)
+        wall = WallSpec(id="w1", construction=WallConstruction.WOOD,
+                        color=ColorClass.LIGHT, azimuth_deg=0.0, area_m2=10.0,
+                        insulation=bad)
+        issues = validate(b._replace(roof=b.roof._replace(insulation=bad), walls=(wall,)))
+        assert [str(i) for i in issues] == [
+            "roof.insulation.conductivity_w_mk: must be > 0",
+            "roof.insulation.thickness_cm: must be >= 0",
+            "wall w1.insulation.conductivity_w_mk: must be > 0",
+            "wall w1.insulation.thickness_cm: must be >= 0"]
         layer = InsulationLayer("polystyrene", 0.041, 4.1)
         assert layer.resistance == pytest.approx(1.0)
 

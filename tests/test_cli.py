@@ -373,6 +373,18 @@ def _cell(row, column, value):
     return edit
 
 
+def _document_argv(kind, path, weather_csv, tmp_path) -> list[str]:
+    """The command that reads ``path`` as the JSON document of ``kind``."""
+    if kind == "building":
+        return ["check", str(path)]
+    if kind == "catalogue":
+        return ["check", str(FINAL_FIXTURE), "--catalogue", str(path)]
+    if kind == "scenario":
+        return ["simulate", str(FINAL_FIXTURE), "--weather", str(weather_csv),
+                "--scenario", str(path)]
+    return ["comfort", str(_indoor_series_csv(tmp_path)), "--zone", str(path)]
+
+
 def _assert_one_error_line(code, capsys) -> str:
     assert code == EXIT_INPUT_ERROR
     err = capsys.readouterr().err
@@ -653,26 +665,48 @@ class TestInputBoundary:
             roof = dict(json.loads(FINAL_FIXTURE.read_text())["roof"], insulation=None)
             text = FINAL_FIXTURE.read_text().rstrip()
             path.write_text(f'{text[:-1]}, "roof": {json.dumps(roof)}}}\n')
-            argv, key = ["check", str(path)], "roof"
+            key = "roof"
         elif kind == "catalogue":
             text = (FINAL_FIXTURE.parent / "catalogue.json").read_text()
             assert text.count('"porosity_threshold": 0.25,') == 1
             path.write_text(text.replace('"porosity_threshold": 0.25,',
                                          '"porosity_threshold": 0.5, "porosity_threshold": 0.25,'))
-            argv = ["check", str(FINAL_FIXTURE), "--catalogue", str(path)]
             key = "porosity_threshold"
         elif kind == "scenario":
             path.write_text('{"volume_m3": 120, "volume_m3": 150}')
-            argv = ["simulate", str(FINAL_FIXTURE), "--weather", str(weather_csv),
-                    "--scenario", str(path)]
             key = "volume_m3"
         else:
             path.write_text('{"vertices": [[20, 3], [24, 3], [24, 15]], '
                             '"vertices": [[20, 3], [25, 3], [25, 15]]}')
-            argv = ["comfort", str(_indoor_series_csv(tmp_path)), "--zone", str(path)]
             key = "vertices"
+        argv = _document_argv(kind, path, weather_csv, tmp_path)
         err = _assert_one_error_line(main(argv), capsys)
         assert f"{path}: not valid JSON: duplicate key '{key}'" in err
+
+    # JSON text may write any code point as an escape; a lone surrogate,
+    # in either case of its hex digits, has no UTF-8 form and is refused
+    # before the document is read
+    @pytest.mark.parametrize("escape", ["\\ud800", "\\uD800", "\\udFFF"])
+    @pytest.mark.parametrize("kind", ["building", "catalogue", "scenario", "zone"])
+    def test_lone_surrogate_escape_exits_two(self, tmp_path, weather_csv, capsys,
+                                             kind, escape):
+        path = tmp_path / f"{kind}.json"
+        path.write_text('{"name": "' + escape + '"}')
+        err = _assert_one_error_line(main(_document_argv(kind, path, weather_csv, tmp_path)),
+                                     capsys)
+        assert f"{path}: not valid JSON: " in err and "surrogates not allowed" in err
+
+    # an escaped pair is one code point; an escaped backslash before
+    # "ud800" is no escape
+    @pytest.mark.parametrize("text,name", [('"\\ud83d\\ude00"', "\U0001f600"),
+                                           ('"\\\\ud800"', "\\ud800")],
+                             ids=["pair", "backslash"])
+    def test_escape_that_is_no_lone_surrogate_loads(self, tmp_path, capsys, text, name):
+        doc = json.loads(FINAL_FIXTURE.read_text())
+        path = tmp_path / "building.json"
+        path.write_text(json.dumps(dict(doc, name="NAME")).replace('"NAME"', text))
+        assert main(["check", str(path)]) == EXIT_OK
+        assert name in capsys.readouterr().out
 
     @pytest.mark.parametrize("kind,change,fragment", [
         ("weather", _cell(10, 3, "-1.0"), "line 11: solar_direct_w_m2 -1.0 must be >= 0"),
@@ -684,23 +718,22 @@ class TestInputBoundary:
         ("indoor", _cell(3, 4, "101"), "line 4: rh_pct 101.0 outside [0, 100]"),
         ("indoor", lambda lines: _cell(3, 3, "30.0")(_cell(3, 2, "70.0")(lines)),
          "line 4: temp_air_c 70.0 outside [-20, 60]"),
-        ("building", (("roof", "area_m2"), 0),
-         "missing or malformed field: roof area must be > 0"),
+        ("building", (("roof", "area_m2"), 0), "roof.area_m2: must be > 0"),
         ("building", (("windows", 0, "glazed_area_m2"), 0),
-         "window glz_bedroom_l0: glazed area must be > 0"),
+         "window glz_bedroom_l0.glazed_area_m2: must be > 0"),
         ("building", (("windows", 0, "overhang_offset_m"), -1),
-         "window glz_bedroom_l0: overhang offset must be >= 0"),
+         "window glz_bedroom_l0.overhang_offset_m: must be >= 0"),
         ("building", (("windows", 0, "overhang_depth_m"), -1),
-         "window glz_bedroom_l0: overhang depth must be >= 0"),
+         "window glz_bedroom_l0.overhang_depth_m: must be >= 0"),
         ("building", (("rooms", 0, "external_openings", 0, "facade_id"), None),
          "opening glz_bedroom_l0.facade_id: external opening must name its facade"),
         ("building", (("facade_pairs", 0, "facade_2_id"), "nowhere"),
          "facade pair north_l0/nowhere.facade_id: unknown facade 'nowhere'"),
         ("building", (("rooms", 0, "internal_openings", 1, "id"), "door_l0"),
          "opening door_l0.id: duplicate opening id"),
-        ("building", (("walls", 0, "area_m2"), 0), "wall north: area must be > 0"),
+        ("building", (("walls", 0, "area_m2"), 0), "wall north.area_m2: must be > 0"),
         ("building", (("rooms", 0, "external_openings", 0, "net_area_m2"), -1),
-         "opening glz_bedroom_l0: net area must be >= 0"),
+         "opening glz_bedroom_l0.net_area_m2: must be >= 0"),
         ("building", (("latitude",), 91), "building.latitude: must be in [-90, 90]"),
         ("building", (("rooms",), []),
          "building.rooms: at least one main room is required"),
@@ -723,7 +756,7 @@ class TestInputBoundary:
     def test_input_rule_exits_two(self, tmp_path, weather_csv, capsys,
                                   kind, change, fragment):
         if kind == "building":
-            argv = ["check", str(_edited_final(tmp_path, *change))]
+            argv = ["check", str(_edited_final(tmp_path, change))]
         elif kind == "scenario":
             scenario = tmp_path / "scenario.json"
             scenario.write_text(change)
@@ -740,6 +773,50 @@ class TestInputBoundary:
             argv = (["simulate", str(FINAL_FIXTURE), "--weather", str(edited)]
                     if kind == "weather" else ["comfort", str(edited)])
         assert fragment in _assert_one_error_line(main(argv), capsys)
+
+    # Each value rule of a building record is named by its entity and
+    # field, and every broken rule of one file in the same error line
+    @pytest.mark.parametrize("edits,lines", [
+        ({("roof", "insulation", "conductivity_w_mk"): 0},
+         ["roof.insulation.conductivity_w_mk: must be > 0"]),
+        ({("roof", "insulation", "thickness_cm"): -1},
+         ["roof.insulation.thickness_cm: must be >= 0"]),
+        ({("walls", 0, "insulation", "conductivity_w_mk"): 0},
+         ["wall north.insulation.conductivity_w_mk: must be > 0"]),
+        ({("walls", 0, "insulation", "thickness_cm"): -1},
+         ["wall north.insulation.thickness_cm: must be >= 0"]),
+        ({("roof", "area_m2"): 0}, ["roof.area_m2: must be > 0"]),
+        ({("walls", 0, "area_m2"): 0}, ["wall north.area_m2: must be > 0"]),
+        ({("walls", 0, "overhang_depth_m"): -1},
+         ["wall north.overhang_depth_m: must be >= 0"]),
+        ({("windows", 0, "glazed_area_m2"): 0},
+         ["window glz_bedroom_l0.glazed_area_m2: must be > 0"]),
+        ({("windows", 0, "overhang_depth_m"): -1},
+         ["window glz_bedroom_l0.overhang_depth_m: must be >= 0"]),
+        ({("windows", 0, "overhang_offset_m"): -1},
+         ["window glz_bedroom_l0.overhang_offset_m: must be >= 0"]),
+        ({("rooms", 0, "external_openings", 0, "net_area_m2"): -1},
+         ["opening glz_bedroom_l0.net_area_m2: must be >= 0"]),
+        ({("rooms", 0, "internal_openings", 0, "net_area_m2"): -1},
+         ["opening door_l0.net_area_m2: must be >= 0"]),
+        ({("water_heater", "collector_area_m2"): -1},
+         ["water heater.collector_area_m2: must be >= 0"]),
+        ({("water_heater", "tank_volume_l"): -1}, ["water heater.tank_volume_l: must be >= 0"]),
+        ({("water_heater", "annual_productivity_kwh_m2"): -1},
+         ["water heater.annual_productivity_kwh_m2: must be >= 0"]),
+        ({("roof", "area_m2"): 0, ("walls", 0, "area_m2"): 0,
+          ("windows", 0, "overhang_offset_m"): -1, ("latitude",): 91},
+         ["building.latitude: must be in [-90, 90]", "roof.area_m2: must be > 0",
+          "wall north.area_m2: must be > 0",
+          "window glz_bedroom_l0.overhang_offset_m: must be >= 0"]),
+    ], ids=["roof-conductivity", "roof-thickness", "wall-conductivity", "wall-thickness",
+            "roof-area", "wall-area", "wall-depth", "window-area", "window-depth",
+            "window-offset", "external-opening-area", "internal-opening-area",
+            "collector-area", "tank-volume", "productivity", "four-faults"])
+    def test_building_value_rule_exits_two(self, tmp_path, capsys, edits, lines):
+        building = _edited_final(tmp_path, *edits.items())
+        err = _assert_one_error_line(main(["check", str(building)]), capsys)
+        assert err == f"error: {building}: {'; '.join(lines)}\n"
 
     # Python 3.11 widened datetime.fromisoformat; each form names the
     # instant the row held, so only the grammar can refuse it
@@ -786,12 +863,14 @@ class TestInputBoundary:
         assert err == "internal error: ZeroDivisionError: division by zero\n"
 
 
-def _edited_final(tmp_path, path, value):
+def _edited_final(tmp_path, *edits):
+    """The final golden with each ``(path, value)`` edit made."""
     doc = json.loads(FINAL_FIXTURE.read_text())
-    target = doc
-    for key in path[:-1]:
-        target = target[key]
-    target[path[-1]] = value
+    for path, value in edits:
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
     out = tmp_path / "building.json"
     out.write_text(json.dumps(doc))
     return out
@@ -812,7 +891,7 @@ class TestOutOfScale:
             "roof-conductivity-huge", "wall-conductivity-huge"])
     def test_overflow_exits_two(self, tmp_path, weather_csv, capsys,
                                 command, path, value):
-        building = str(_edited_final(tmp_path, path, value))
+        building = str(_edited_final(tmp_path, (path, value)))
         argv = (["simulate", building, "--weather", str(weather_csv)]
                 if command == "simulate" else ["check", building, "--format", "json"])
         err = _assert_one_error_line(main(argv), capsys)

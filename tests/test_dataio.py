@@ -391,22 +391,51 @@ class TestSeriesTables:
     @pytest.mark.parametrize("kind,column,text,line", OUT_OF_RANGE_CELLS,
                              ids=[f"{k}-{c}" for k, c, _, _ in OUT_OF_RANGE_CELLS])
     def test_out_of_range_cell_raises_its_rule(self, tmp_path, kind, column, text, line):
-        path = tmp_path / "series.csv"
-        if kind == "weather":
-            write_weather(synthetic_weather(days=1), path)
-            load, columns = load_weather, WEATHER_COLUMNS
-        else:
-            write_indoor(indoor_series([_indoor(10 * i, resultant=28.5, speed=0.2)
-                                        for i in range(6)]), path)
-            load, columns = load_indoor, INDOOR_COLUMNS
-        lines = path.read_text().splitlines()
-        cells = lines[3].split(",")
-        cells[columns.index(column)] = text
-        lines[3] = ",".join(cells)
-        path.write_text("\n".join(lines) + "\n")
+        load = _series_with_cell(tmp_path, kind, 3, column, text)
         with pytest.raises(SeriesFormatError) as caught:
-            load(path)
+            load()
         assert str(caught.value) == f"line 4: {line}"
+
+    # float() also reads these, as 28, 28, 29 and 29
+    @pytest.mark.parametrize("text", ["2_8", "\u0662\u0668", " 29 ", "29\t"],
+                             ids=["underscore", "arabic-indic-digits", "spaces", "tab"])
+    @pytest.mark.parametrize("kind", ["weather", "indoor"])
+    def test_number_cell_outside_the_grammar_names_its_line(self, tmp_path, kind, text):
+        load = _series_with_cell(tmp_path, kind, 3, "temp_air_c", text)
+        with pytest.raises(SeriesFormatError) as caught:
+            load()
+        assert str(caught.value) == f"line 4: column 'temp_air_c' is not a number: {text!r}"
+
+    @pytest.mark.parametrize("zone", ["living_room", "s\u00e9jour", "salle d'eau"])
+    def test_zone_name_may_hold_what_a_number_may_not(self, tmp_path, zone):
+        # such a zone fails the scan of the whole chunk, so each number
+        # column is scanned on its own, and still refuses a bad cell
+        load = _series_with_cell(tmp_path, "indoor", 3, "rh_pct", "60", zone=zone)
+        assert load().zones == (zone,) * 6
+        load = _series_with_cell(tmp_path, "indoor", 3, "rh_pct", "6_0", zone=zone)
+        with pytest.raises(SeriesFormatError) as caught:
+            load()
+        assert str(caught.value) == "line 4: column 'rh_pct' is not a number: '6_0'"
+
+
+def _series_with_cell(tmp_path, kind, row, column, text, zone="z1"):
+    """Write a small series file of ``kind``, each row of ``zone``, to
+    tmp_path/series.csv with the cell ``column`` of line ``row + 1``
+    set to ``text``; return a call that loads it."""
+    path = tmp_path / "series.csv"
+    if kind == "weather":
+        write_weather(synthetic_weather(days=1), path)
+        load, columns = load_weather, WEATHER_COLUMNS
+    else:
+        write_indoor(indoor_series([_indoor(10 * i, zone=zone, resultant=28.5, speed=0.2)
+                                    for i in range(6)]), path)
+        load, columns = load_indoor, INDOOR_COLUMNS
+    lines = path.read_text().splitlines()
+    cells = lines[row].split(",")
+    cells[columns.index(column)] = text
+    lines[row] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    return lambda: load(path)
 
 
 class TestIndoorRecord:
