@@ -29,7 +29,7 @@ from operator import add
 from pathlib import Path
 from typing import NamedTuple, TextIO
 
-from .errors import REQUIRED, InputError, checked, load_json, read_format, within
+from .errors import REQUIRED, InputError, load_json, read_format, within
 
 STANDARD_PRESSURE_PA = 101325.0
 
@@ -132,28 +132,19 @@ def _is_simple_polygon(vertices) -> bool:
     return True
 
 
-@checked
 class ComfortZone(NamedTuple):
     """Comfort polygon in (temperature degC, humidity ratio g/kg) space.
 
     Air movement extends the warm edge: every vertex on the polygon's
     maximum-temperature boundary is shifted right by
     ``extension_c_per_m_s`` degC per m/s of air speed, but never beyond
-    ``max_extended_temp_c``.
+    ``max_extended_temp_c``.  The record checks nothing when built:
+    :func:`comfort_zone_from_dict` holds the value rules of a zone file.
     """
 
     vertices: tuple[tuple[float, float], ...]
     extension_c_per_m_s: float = 2.0
     max_extended_temp_c: float = 32.0
-
-    def _check(self) -> None:
-        if len(self.vertices) < 3:
-            raise ValueError("comfort zone polygon needs at least 3 vertices")
-        if self.extension_c_per_m_s < 0:
-            raise ValueError("air-speed extension must be >= 0")
-        if not _is_simple_polygon(self.vertices):
-            raise ValueError("comfort zone polygon must be simple "
-                             "(no self-intersection, no repeated vertices)")
 
     @property
     def upper_temperature_c(self) -> float:
@@ -176,7 +167,7 @@ DEFAULT_ZONE = ComfortZone(
 )
 
 
-#: The zone file format; the record refuses a polygon that is not simple.
+#: The zone file format (see ``errors.read_format``).
 ZONE_FORMAT = {"zone": (ComfortZone, (
     ("vertices", [(float, float)], REQUIRED),
     ("extension_c_per_m_s", float, 2.0),
@@ -184,10 +175,26 @@ ZONE_FORMAT = {"zone": (ComfortZone, (
 ))}
 
 
+def comfort_zone_from_dict(doc: dict) -> ComfortZone:
+    """The comfort zone that a zone file holding ``doc`` describes.  A
+    malformed or unknown key raises InputError, and so does a value out of
+    its rule, every such fault named in one message in field order."""
+    zone = read_format(doc, "zone", ZONE_FORMAT, InputError)
+    faults = []
+    if len(zone.vertices) < 3:
+        faults.append("zone.vertices: must hold at least 3 vertices")
+    elif not _is_simple_polygon(zone.vertices):
+        faults.append("zone.vertices: must be a simple polygon")
+    if zone.extension_c_per_m_s < 0:
+        faults.append("zone.extension_c_per_m_s: must be >= 0")
+    if faults:
+        raise InputError("; ".join(faults))
+    return zone
+
+
 def load_zone(path: str | Path) -> ComfortZone:
     """Read a zone override file (docs/formats.md)."""
-    return load_json(path, lambda doc: read_format(doc, "zone", ZONE_FORMAT, InputError),
-                     InputError)
+    return load_json(path, comfort_zone_from_dict, InputError)
 
 
 #: How near an edge a point counts as on it.

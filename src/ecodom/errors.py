@@ -1,7 +1,7 @@
 """The input boundary: one error type for bad input files, one strict
-JSON reader, one walker of the declared format of every JSON document,
-the hook that checks a record's values when it is made and the bulk
-check of a column of floats.
+JSON reader, one walker of the declared format of every JSON document
+and the bulk check of a column of floats.  A document's value rules run
+in its own reader, after the walk.
 
 Every loader raises a subclass of :class:`InputError`, and the CLI maps
 that one type to exit code 2.  This module imports nothing from ecodom,
@@ -15,30 +15,6 @@ from pathlib import Path
 
 #: The ``default`` of a key that :func:`read_format` requires.
 REQUIRED = object()
-
-
-def checked(cls):
-    """Class decorator: the named-tuple record ``cls`` runs its ``_check``
-    method on every new record, ``_replace`` copies included.
-
-    ``_replace`` builds its copy through ``_make``, which skips
-    ``__new__``, so both are wrapped; ``_check`` raises ValueError.
-    """
-    new, make = cls.__new__, cls._make.__func__
-
-    def __new__(klass, *args, **kwargs):
-        record = new(klass, *args, **kwargs)
-        record._check()
-        return record
-
-    def _make(klass, iterable):
-        record = make(klass, iterable)
-        record._check()
-        return record
-
-    cls.__new__ = staticmethod(__new__)
-    cls._make = classmethod(_make)
-    return cls
 
 
 class InputError(ValueError):
@@ -135,10 +111,10 @@ def read_format(doc: dict, kind: str, formats: dict, error: type[InputError]):
     keys), ``{int: form}`` (a table keyed by dwelling type) or a frozenset
     of a list form and one other (a JSON list read by the list form, any
     other value by the other).  ``null`` reads as absent for an optional
-    object and for a key whose default is None.  A missing key, a wrong
-    type or a value its record refuses raises ``error`` at once, naming
-    the key by its path; the paths of the keys the format does not define
-    are named together once the walk ends.
+    object and for a key whose default is None.  A missing key or a wrong
+    type raises ``error`` at once, naming the key by its path; the paths
+    of the keys the format does not define are named together once the
+    walk ends.  The record's values are not checked here.
     """
     unknown: list[str] = []
 

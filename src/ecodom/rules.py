@@ -29,7 +29,7 @@ from .building import (
     facade_porosities,
 )
 from .catalogue import RuleCatalogue
-from .errors import InputError, checked
+from .errors import InputError
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -40,7 +40,6 @@ class Verdict(enum.Enum):
     INFORMATIONAL = "informational"
 
 
-@checked
 class Finding(NamedTuple):
     """Verdict of one rule applied to one subject."""
 
@@ -53,12 +52,6 @@ class Finding(NamedTuple):
     remediation: str = ""
     remediation_quantity: float | None = None
 
-    def _check(self) -> None:
-        if self.verdict is Verdict.FAIL and (self.measured is None or self.required is None):
-            raise ValueError(
-                f"{self.rule_id}[{self.subject}]: a Fail finding must carry "
-                "both measured and required values")
-
 
 class ComplianceReport(NamedTuple):
     building_name: str
@@ -69,18 +62,15 @@ class ComplianceReport(NamedTuple):
     def overall_pass(self) -> bool:
         return all(f.verdict is not Verdict.FAIL for f in self.findings)
 
-    def to_json_dict(self) -> dict:
-        return {
+    def to_json(self) -> str:
+        return json.dumps({
             "schema_version": REPORT_SCHEMA_VERSION,
             "building": self.building_name,
             "catalogue_version": self.catalogue_version,
             "overall": "pass" if self.overall_pass else "fail",
             "findings": [{**f._asdict(), "verdict": f.verdict.value}
                          for f in self.findings],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, allow_nan=False) + "\n"
+        }, indent=2, allow_nan=False) + "\n"
 
     def to_text(self) -> str:
         tag = {
@@ -452,7 +442,9 @@ def compliance_report(building: BuildingDescription, catalogue: RuleCatalogue,
     ``load_building`` returns it.
 
     Raises InputError naming the rule and the subject when a finding's
-    number is not finite (a finite but out-of-scale input can overflow).
+    number is not finite (a finite but out-of-scale input can overflow),
+    and ValueError, a defect in a check, when a Fail finding lacks its
+    measured or required value.
     Findings are ordered by (rule id, subject) so identical
     inputs always produce identical reports.
     """
@@ -466,6 +458,9 @@ def compliance_report(building: BuildingDescription, catalogue: RuleCatalogue,
     findings.append(_site_finding(building))
 
     for f in findings:
+        if f.verdict is Verdict.FAIL and (f.measured is None or f.required is None):
+            raise ValueError(f"{f.rule_id}[{f.subject}]: a Fail finding must carry "
+                             "both measured and required values")
         for name in ("measured", "required", "remediation_quantity"):
             _finite(getattr(f, name), f.rule_id, f.subject, name)
     findings.sort(key=lambda f: (f.rule_id, f.subject))

@@ -60,7 +60,7 @@ from typing import NamedTuple, TextIO
 
 from .building import BuildingDescription, facade_porosities
 from .dataio import SeriesFormatError, WeatherSeries
-from .errors import InputError, checked, is_number, load_json, read_format
+from .errors import InputError, is_number, load_json, read_format
 from .solar import DEG, GROUND_ALBEDO, overhang_shading_fraction, sun_positions
 
 AIR_DENSITY = 1.2          # kg/m3
@@ -478,10 +478,11 @@ class ScenarioError(InputError):
     """Unknown scenario key or out-of-rule scenario value."""
 
 
-@checked
 class Scenario(NamedTuple):
     """The zone-level quantities a building file does not carry (see
-    docs/formats.md); :func:`zone_from_building` derives a None one."""
+    docs/formats.md); :func:`zone_from_building` derives a None one.  The
+    record checks nothing when built: :func:`scenario_from_dict` holds
+    the value rules of a scenario file."""
 
     floor_area_m2: float | None = None
     volume_m3: float | None = None
@@ -495,23 +496,6 @@ class Scenario(NamedTuple):
     window_shade_fraction: float | None = None
     roof_exposed: bool | None = None
 
-    def _check(self) -> None:
-        gains = self.internal_gains_w
-        if not (is_number(gains) or isinstance(gains, tuple) and len(gains) == 24
-                and all(map(is_number, gains))):
-            raise ValueError("scenario internal_gains_w must be a number or a tuple of "
-                             f"24 numbers, got {gains!r}")
-        if self.mass_class not in MASS_CLASS_CAPACITANCE:
-            raise ValueError("scenario mass_class must be 'light' or 'heavy', "
-                             f"got {self.mass_class!r}")
-        for name in ("floor_area_m2", "volume_m3", "discharge_coefficient", "delta_cp",
-                     "exterior_film_w_m2k", "interior_film_w_m2k", "window_transmittance",
-                     "window_shade_fraction"):
-            value, fraction = getattr(self, name), name.startswith("window_")
-            if value is not None and not (0.0 <= value <= 1.0 if fraction else value > 0):
-                raise ValueError(f"scenario {name} must be a number "
-                                 f"{'in [0, 1]' if fraction else '> 0'}, got {value!r}")
-
 
 #: The scenario file format: every field of :class:`Scenario` with the
 #: record's default, a number but for three (see ``errors.read_format``);
@@ -523,10 +507,30 @@ SCENARIO_FORMAT = {"scenario": (Scenario, tuple(
     for name, default in Scenario._field_defaults.items()))}
 
 
+def scenario_from_dict(doc: dict) -> Scenario:
+    """The scenario that a scenario file holding ``doc`` describes.  A
+    malformed or unknown key raises ScenarioError, and so does a value out
+    of its rule, every such fault named in one message in field order."""
+    scenario = read_format(doc, "scenario", SCENARIO_FORMAT, ScenarioError)
+    faults = []
+    for name, value in scenario._asdict().items():
+        if name == "mass_class":
+            if value not in MASS_CLASS_CAPACITANCE:
+                faults.append("scenario.mass_class: must be 'light' or 'heavy'")
+        elif name.startswith("window_"):
+            if value is not None and not 0.0 <= value <= 1.0:
+                faults.append(f"scenario.{name}: must be in [0, 1]")
+        elif name not in ("internal_gains_w", "roof_exposed"):
+            if value is not None and value <= 0:
+                faults.append(f"scenario.{name}: must be > 0")
+    if faults:
+        raise ScenarioError("; ".join(faults))
+    return scenario
+
+
 def load_scenario(path) -> Scenario:
     """Read a scenario file (docs/formats.md)."""
-    return load_json(path, lambda doc: read_format(doc, "scenario", SCENARIO_FORMAT,
-                                                   ScenarioError), ScenarioError)
+    return load_json(path, scenario_from_dict, ScenarioError)
 
 
 def _overhang(depth: float, height: float, offset: float,

@@ -741,11 +741,11 @@ class TestInputBoundary:
          "building schema version True not supported (expected 1)"),
         ("building", (("schema_version",), 1.0),
          "building schema version 1.0 not supported (expected 1)"),
-        ("scenario", '{"volume_m3": 0}', "scenario volume_m3 must be a number > 0, got 0"),
+        ("scenario", '{"volume_m3": 0}', "scenario.volume_m3: must be > 0"),
         ("zone", '{"vertices": [[20, 3], [24, 3]]}',
-         "comfort zone polygon needs at least 3 vertices"),
+         "zone.vertices: must hold at least 3 vertices"),
         ("zone", '{"vertices": [[22, 4], [29, 4], [29, 17], [22, 17], [22, 10], [22, 12]]}',
-         "comfort zone polygon must be simple"),
+         "zone.vertices: must be a simple polygon"),
     ], ids=["negative-irradiance", "negative-wind", "weather-cold-air", "under-a-day",
             "two-hour-step", "indoor-rh-101", "indoor-hot-air", "roof-area-zero",
             "glazed-area-zero", "negative-offset", "window-negative-depth", "null-external-facade",
@@ -817,6 +817,30 @@ class TestInputBoundary:
         building = _edited_final(tmp_path, *edits.items())
         err = _assert_one_error_line(main(["check", str(building)]), capsys)
         assert err == f"error: {building}: {'; '.join(lines)}\n"
+
+    # A scenario or zone file's value faults are named together, in field
+    # order, as a building's are; a missing key or a wrong type keeps its
+    # label and stops the read at the first one
+    @pytest.mark.parametrize("kind,text,lines", [
+        ("scenario", '{"volume_m3": 0, "window_transmittance": 2, "mass_class": "medium"}',
+         ["scenario.volume_m3: must be > 0", "scenario.mass_class: must be 'light' or 'heavy'",
+          "scenario.window_transmittance: must be in [0, 1]"]),
+        ("zone", '{"vertices": [[20, 3], [24, 3]], "extension_c_per_m_s": -1}',
+         ["zone.vertices: must hold at least 3 vertices",
+          "zone.extension_c_per_m_s: must be >= 0"]),
+        ("scenario", '{"volume_m3": "x", "delta_cp": 0}',
+         ["missing or malformed field: 'volume_m3' must be a finite number, got 'x'"]),
+        ("zone", '{"extension_c_per_m_s": -1}',
+         ["missing or malformed field: missing field 'vertices'"]),
+    ], ids=["scenario-three-faults", "zone-two-faults", "scenario-wrong-type",
+            "zone-missing-key"])
+    def test_document_faults_share_one_line(self, tmp_path, weather_csv, capsys,
+                                            kind, text, lines):
+        path = tmp_path / f"{kind}.json"
+        path.write_text(text)
+        err = _assert_one_error_line(main(_document_argv(kind, path, weather_csv, tmp_path)),
+                                     capsys)
+        assert err == f"error: {path}: {'; '.join(lines)}\n"
 
     # Python 3.11 widened datetime.fromisoformat; each form names the
     # instant the row held, so only the grammar can refuse it

@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import io
+import json
 import math
 import pickle
 import random
@@ -17,12 +18,14 @@ from ecodom.comfort import (
     discomfort_fraction,
     humidity_ratio,
     _point_in_polygon,
+    comfort_zone_from_dict,
     load_zone,
     logger_points,
     paired_offset,
     psychro_scatter_rows,
     saturation_vapor_pressure,
 )
+from ecodom.errors import InputError
 from oracles import (
     IndoorRecord,
     PsychroPoint,
@@ -216,6 +219,11 @@ class TestScatterExport:
         assert _scatter(points, inside) == _scatter(points, inside)
 
 
+def _zone(vertices) -> ComfortZone:
+    """The comfort zone that a zone file giving only ``vertices`` reads to."""
+    return comfort_zone_from_dict({"vertices": [list(v) for v in vertices]})
+
+
 class TestZoneFile:
     def test_load_zone_override(self, tmp_path):
         path = tmp_path / "zone.json"
@@ -231,14 +239,20 @@ class TestZoneFile:
         with pytest.raises(ValueError):
             load_zone(path)
 
+    def test_default_zone_read_from_its_file(self, tmp_path):
+        # the in-code default passes the reader's rules unchanged
+        path = tmp_path / "zone.json"
+        path.write_text(json.dumps(DEFAULT_ZONE._asdict()))
+        assert load_zone(path) == DEFAULT_ZONE
+
     def test_self_intersecting_polygon_rejected(self):
         bow_tie = ((22.0, 4.0), (29.0, 17.0), (29.0, 4.0), (22.0, 17.0))
-        with pytest.raises(ValueError, match="simple"):
-            ComfortZone(vertices=bow_tie)
+        with pytest.raises(InputError, match="simple"):
+            _zone(bow_tie)
 
     def test_repeated_vertex_rejected(self):
-        with pytest.raises(ValueError, match="simple"):
-            ComfortZone(vertices=((22.0, 4.0), (29.0, 4.0), (22.0, 4.0)))
+        with pytest.raises(InputError, match="simple"):
+            _zone(((22.0, 4.0), (29.0, 4.0), (22.0, 4.0)))
 
     @pytest.mark.parametrize("vertices", [
         ((22.0, 4.0), (29.0, 4.0), (25.0, 4.0)),
@@ -247,8 +261,8 @@ class TestZoneFile:
         ((22.0, 4.0), (29.0, 4.0), (29.0, 17.0), (22.0, 17.0), (22.0, 10.0), (22.0, 12.0))],
         ids=["folds-back", "one-line", "one-line-folds-back", "edges-overlap"])
     def test_degenerate_polygon_rejected(self, vertices):
-        with pytest.raises(ValueError, match="simple"):
-            ComfortZone(vertices=vertices)
+        with pytest.raises(InputError, match="simple"):
+            _zone(vertices)
 
     def test_straight_vertex_accepted(self):
         zone = ComfortZone(((22.0, 4.0), (25.0, 4.0), (29.0, 4.0), (29.0, 17.0), (22.0, 17.0)))

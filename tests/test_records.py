@@ -1,9 +1,10 @@
 """Contract of the record types.
 
-Every named tuple in the package is read-only, copies with ``_replace``
-to an equal record with an equal hash, and a record that checks its
-values when it is built checks them on every ``_replace`` copy too.
-Its field annotations are evaluated types, not postponed strings.
+Every named tuple in the package is read-only and copies with
+``_replace`` to an equal record with an equal hash.  No record checks
+its own values: a file's value rules run in the reader of that file, so
+a record built in code is taken as it is.  Field annotations are
+evaluated types, not postponed strings.
 No other class in the package defines its own equality, hash, repr or
 ``_replace``.
 """
@@ -13,7 +14,6 @@ import enum
 import importlib
 import pickle
 import pkgutil
-import re
 import typing
 from datetime import datetime, timezone
 
@@ -21,18 +21,18 @@ import pytest
 
 import ecodom
 from conftest import INITIAL_FIXTURE
+from ecodom import errors
 from ecodom.archetypes import compliant_zone, synthetic_weather
 from ecodom.building import facade_porosities, validate
 from ecodom.catalogue import default_catalogue
 from ecodom.comfort import (
     DEFAULT_ZONE,
-    ComfortZone,
     discomfort_fraction,
     logger_points,
     paired_offset,
 )
 from ecodom.dataio import load_building
-from ecodom.rules import Finding, Verdict, compliance_report
+from ecodom.rules import Verdict, compliance_report
 from ecodom.thermal import Scenario, simulate
 from oracles import IndoorRecord, PsychroPoint, indoor_series, psychro_series
 
@@ -54,15 +54,6 @@ def _is_record(cls: type) -> bool:
 
 CLASSES = _classes()
 RECORDS = [cls for cls in CLASSES if _is_record(cls)]
-CHECKED = [cls for cls in RECORDS if hasattr(cls, "_check")]
-
-#: A value each checked record refuses, and the start of its message.
-OUT_OF_RANGE = {
-    ComfortZone: ({"vertices": ((20.0, 3.0), (24.0, 3.0))},
-                  "comfort zone polygon needs at least 3 vertices"),
-    Finding: ({"measured": None}, "a Fail finding must carry both measured and required"),
-    Scenario: ({"volume_m3": -1.0}, "scenario volume_m3 must be a number > 0"),
-}
 
 
 #: A logger series with blank resultant and air-speed cells.
@@ -104,8 +95,9 @@ def _ids(classes):
     return [cls.__name__ for cls in classes]
 
 
-def test_the_three_checked_records():
-    assert set(CHECKED) == set(OUT_OF_RANGE)
+def test_no_record_checks_itself():
+    assert [cls.__name__ for cls in CLASSES if hasattr(cls, "_check")] == []
+    assert not hasattr(errors, "checked")
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=_ids(RECORDS))
@@ -133,16 +125,6 @@ def test_field_annotations_are_evaluated_types(cls):
     # a postponed (string) annotation becomes a ForwardRef in a named tuple
     for name, annotation in cls.__annotations__.items():
         assert not isinstance(annotation, (str, typing.ForwardRef)), name
-
-
-@pytest.mark.parametrize("cls", CHECKED, ids=_ids(CHECKED))
-def test_checked_record_refuses_out_of_range_copy(cls):
-    change, message = OUT_OF_RANGE[cls]
-    record = _sample(cls)
-    with pytest.raises(ValueError, match=re.escape(message)):
-        cls(**{**record._asdict(), **change})
-    with pytest.raises(ValueError, match=re.escape(message)):
-        record._replace(**change)
 
 
 def test_value_semantics_come_from_named_tuples_alone():

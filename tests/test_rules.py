@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import FINAL_FIXTURE
+from ecodom import rules
 from ecodom.building import (
     AtticRegime,
     ColorClass,
@@ -15,7 +17,10 @@ from ecodom.building import (
     WaterHeaterKind,
     WaterHeaterSpec,
     WindowSpec,
+    validate,
 )
+from ecodom.cli import EXIT_INTERNAL_ERROR, main
+from ecodom.errors import InputError
 from ecodom.rules import (
     ComplianceReport,
     Finding,
@@ -28,6 +33,15 @@ from ecodom.rules import (
     compliance_report,
     required_roof_insulation,
 )
+
+def _edited(building, name, **change):
+    """``building`` with the fields ``change`` of its record ``name``
+    replaced; of a tuple of records, the first is the one edited."""
+    part = getattr(building, name)
+    if not hasattr(part, "_replace"):
+        return building._replace(**{name: (part[0]._replace(**change),) + part[1:]})
+    return building._replace(**{name: part._replace(**change)})
+
 
 POLYSTYRENE = lambda cm: InsulationLayer("polystyrene", 0.041, cm)
 POLYURETHANE = lambda cm: InsulationLayer("polyurethane", 0.029, cm)
@@ -380,11 +394,59 @@ class TestReport:
         b = compliance_report(initial_building, catalogue).to_json()
         assert a == b
 
-    def test_fail_findings_carry_values(self, initial_building, catalogue):
-        findings = compliance_report(initial_building, catalogue).findings
-        for finding in [f for f in findings if f.verdict is Verdict.FAIL]:
+    @pytest.mark.parametrize("golden,edit,target", [
+        ("initial_building", lambda b: b, ("roof.insulation", "roof", "cm")),
+        ("final_building",
+         lambda b: _edited(b, "roof", insulation=b.roof.insulation._replace(thickness_cm=0.0)),
+         ("roof.insulation", "roof", "cm")),
+        ("final_building", lambda b: _edited(b, "walls", color=ColorClass.DARK),
+         ("wall.solar_protection", "wall north (north)", "solar absorptivity")),
+        ("final_building", lambda b: _edited(b, "walls", overhang_depth_m=0.0),
+         ("wall.solar_protection", "wall north (north)", "d/h")),
+        ("final_building", lambda b: _edited(b, "windows", overhang_depth_m=0.0),
+         ("window.solar_protection", "window glz_bedroom_l0 (north)", "ratio")),
+        ("final_building", lambda b: b._replace(facade_pairs=()),
+         ("ventilation.porosity", "building", "porosity")),
+        ("final_building", lambda b: _edited(b, "facade_pairs", facade_1_area_m2=16.0),
+         ("ventilation.porosity", "facade pair north_l0/south_l0", "porosity")),
+        ("final_building", lambda b: _edited(b, "rooms", internal_openings=()),
+         ("ventilation.layout", "room bedroom_l0", "flow path")),
+        ("final_building",
+         lambda b: _edited(b, "water_heater", kind=WaterHeaterKind.ELECTRIC, certified=False),
+         ("water_heater.certification", "water heater (electric)", "certified")),
+        ("final_building", lambda b: _edited(b, "water_heater", collector_area_m2=1.0),
+         ("water_heater.solar", "water heater (solar)", "m2")),
+        ("final_building", lambda b: _edited(b, "water_heater", tank_volume_l=1000.0),
+         ("water_heater.solar", "water heater (solar)", "L/m2")),
+        ("final_building",
+         lambda b: _edited(b, "water_heater", annual_productivity_kwh_m2=100.0),
+         ("water_heater.solar", "water heater (solar)", "kWh/m2.yr")),
+        ("final_building", lambda b: _edited(b, "water_heater", certified=False),
+         ("water_heater.solar", "water heater (solar)", "certified")),
+    ], ids=["initial", "roof", "wall-dark", "wall-overhang-ratio", "window",
+            "no-facade-pairs", "porosity-deficit", "room-layout", "heater-certification",
+            "collector-area", "tank-ratio", "productivity", "solar-certification"])
+    def test_fail_findings_carry_values(self, catalogue, request, golden, edit, target):
+        # each one-edit golden reaches one Fail return of the checks
+        building = edit(request.getfixturevalue(golden))
+        assert validate(building) == []
+        failures = [f for f in compliance_report(building, catalogue).findings
+                    if f.verdict is Verdict.FAIL]
+        assert target in {(f.rule_id, f.subject, f.unit) for f in failures}
+        for finding in failures:
             assert finding.measured is not None
             assert finding.required is not None
+
+    def test_fail_finding_without_values_is_a_defect(self, monkeypatch, capsys, catalogue,
+                                                     final_building):
+        # the report refuses it, and the CLI names it an internal error
+        monkeypatch.setattr(rules, "check_roof", lambda roof, catalogue: Finding(
+            "roof.insulation", "roof", Verdict.FAIL, required=8.0, unit="cm"))
+        with pytest.raises(ValueError, match="must carry both measured and required") as info:
+            compliance_report(final_building, catalogue)
+        assert not isinstance(info.value, InputError)
+        assert main(["check", str(FINAL_FIXTURE)]) == EXIT_INTERNAL_ERROR
+        assert "must carry both measured and required" in capsys.readouterr().err
 
 
 def test_json_report_refuses_non_finite_numbers():

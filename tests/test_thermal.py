@@ -19,11 +19,9 @@ from ecodom.archetypes import (
 from ecodom.comfort import discomfort_fraction, humidity_ratio
 from ecodom import thermal
 from ecodom.dataio import SeriesFormatError
-from ecodom.errors import read_format
 from ecodom.solar import overhang_shading_fraction, sun_positions
 from ecodom.thermal import (
     ROOF_DECK_RESISTANCE,
-    SCENARIO_FORMAT,
     Scenario,
     ScenarioError,
     SurfaceModel,
@@ -34,6 +32,7 @@ from ecodom.thermal import (
     result_to_csv,
     simulate,
     load_scenario,
+    scenario_from_dict,
     ventilation_ach,
     zone_from_building,
 )
@@ -44,7 +43,7 @@ from oracles import (PsychroPoint, SolarPosition, WeatherRecord, area_weighted_r
 
 def _scenario(doc: dict):
     """The scenario record that a scenario file holding ``doc`` reads to."""
-    return read_format(doc, "scenario", SCENARIO_FORMAT, ScenarioError)
+    return scenario_from_dict(doc)
 
 
 _mean = lambda xs: sum(xs) / len(xs)
@@ -360,6 +359,10 @@ class TestZoneFromBuilding:
     def test_scenario_value_rules(self, final_building, key, value):
         with pytest.raises(ScenarioError, match=key):
             _scenario({key: value})
+
+    def test_default_scenario_is_the_empty_file(self):
+        # the in-code default passes the reader's rules unchanged
+        assert Scenario() == _scenario({})
 
     def test_scenario_null_leaves_a_building_default(self):
         assert _scenario({"volume_m3": None, "roof_exposed": None}) == _scenario({})
