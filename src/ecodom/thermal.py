@@ -505,6 +505,10 @@ _SCENARIO_FORMS = {"mass_class": str, "internal_gains_w": frozenset((float, (flo
 SCENARIO_FORMAT = {"scenario": (Scenario, tuple(
     (name, _SCENARIO_FORMS.get(name, float), default)
     for name, default in Scenario._field_defaults.items()))}
+#: The scenario fields that must be > 0, and those in [0, 1], when given.
+_SCENARIO_POSITIVE = ("floor_area_m2", "volume_m3", "discharge_coefficient", "delta_cp",
+                      "exterior_film_w_m2k", "interior_film_w_m2k")
+_SCENARIO_FRACTIONS = ("window_transmittance", "window_shade_fraction")
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
@@ -514,15 +518,14 @@ def scenario_from_dict(doc: dict) -> Scenario:
     scenario = read_format(doc, "scenario", SCENARIO_FORMAT, ScenarioError)
     faults = []
     for name, value in scenario._asdict().items():
-        if name == "mass_class":
-            if value not in MASS_CLASS_CAPACITANCE:
-                faults.append("scenario.mass_class: must be 'light' or 'heavy'")
-        elif name.startswith("window_"):
-            if value is not None and not 0.0 <= value <= 1.0:
-                faults.append(f"scenario.{name}: must be in [0, 1]")
-        elif name not in ("internal_gains_w", "roof_exposed"):
-            if value is not None and value <= 0:
-                faults.append(f"scenario.{name}: must be > 0")
+        if name == "mass_class" and value not in MASS_CLASS_CAPACITANCE:
+            faults.append("scenario.mass_class: must be 'light' or 'heavy'")
+        elif value is None:
+            continue
+        elif name in _SCENARIO_POSITIVE and value <= 0:
+            faults.append(f"scenario.{name}: must be > 0")
+        elif name in _SCENARIO_FRACTIONS and not 0.0 <= value <= 1.0:
+            faults.append(f"scenario.{name}: must be in [0, 1]")
     if faults:
         raise ScenarioError("; ".join(faults))
     return scenario

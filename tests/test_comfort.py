@@ -133,7 +133,7 @@ class TestClassify:
         point = _point(26.0, 55.0)
         vertices = DEFAULT_ZONE.vertices
         for shift in range(len(vertices)):
-            rotated = ComfortZone(vertices[shift:] + vertices[:shift])
+            rotated = _zone(vertices[shift:] + vertices[:shift])
             assert classify(point, rotated) == classify(point, DEFAULT_ZONE)
 
     def test_too_humid_outside(self):
@@ -265,8 +265,11 @@ class TestZoneFile:
             _zone(vertices)
 
     def test_straight_vertex_accepted(self):
-        zone = ComfortZone(((22.0, 4.0), (25.0, 4.0), (29.0, 4.0), (29.0, 17.0), (22.0, 17.0)))
+        zone = _zone(((22.0, 4.0), (25.0, 4.0), (29.0, 4.0), (29.0, 17.0), (22.0, 17.0)))
         assert zone.upper_temperature_c == 29.0
+
+    def test_concave_polygon_accepted(self):
+        assert _zone(NOTCHED_ZONE.vertices) == NOTCHED_ZONE
 
 
 def _seeded_points(seed: int = 7, n: int = 2000) -> list[PsychroPoint]:

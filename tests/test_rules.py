@@ -34,6 +34,7 @@ from ecodom.rules import (
     required_roof_insulation,
 )
 
+
 def _edited(building, name, **change):
     """``building`` with the fields ``change`` of its record ``name``
     replaced; of a tuple of records, the first is the one edited."""
