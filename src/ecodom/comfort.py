@@ -160,19 +160,15 @@ class ComfortZone(NamedTuple):
                      for t, w in self.vertices)
 
 
-DEFAULT_ZONE = ComfortZone(
-    vertices=((22.0, 4.0), (29.0, 4.0), (29.0, 17.0), (22.0, 17.0)),
-    extension_c_per_m_s=2.0,
-    max_extended_temp_c=32.0,
-)
+DEFAULT_ZONE = ComfortZone(vertices=((22.0, 4.0), (29.0, 4.0), (29.0, 17.0), (22.0, 17.0)))
 
 
-#: The zone file format (see ``errors.read_format``).
-ZONE_FORMAT = {"zone": (ComfortZone, (
-    ("vertices", [(float, float)], REQUIRED),
-    ("extension_c_per_m_s", float, 2.0),
-    ("max_extended_temp_c", float, 32.0),
-))}
+#: The zone file format (see ``errors.read_format``): every field of
+#: :class:`ComfortZone` with the record's default, the vertices required.
+ZONE_FORMAT = {"zone": (ComfortZone, tuple(
+    (name, [(float, float)] if name == "vertices" else float,
+     ComfortZone._field_defaults.get(name, REQUIRED))
+    for name in ComfortZone._fields))}
 
 
 def comfort_zone_from_dict(doc: dict) -> ComfortZone:

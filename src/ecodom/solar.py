@@ -1,4 +1,4 @@
-"""Solar geometry: sun position and overhang shading.
+"""Solar geometry: the sun's position.
 
 The sun position routine follows the NOAA solar calculator formulation
 (declination and equation of time from the mean solar elements), which is
@@ -23,27 +23,31 @@ def sun_positions(latitude_deg: float, longitude_deg: float,
 
     Longitude is positive East.  Azimuth is measured from North,
     clockwise, so 90 is East and 270 is West.  Each timestamp is turned
-    to UTC once; the latitude's sine and cosine are taken once.
+    to UTC once; the latitude's sine and cosine are taken once, and the
+    Julian whole days once per UTC date.
     """
-    sin, cos = math.sin, math.cos
+    sin, cos, tan, asin, acos = math.sin, math.cos, math.tan, math.asin, math.acos
     lat = latitude_deg * DEG
     sin_lat, cos_lat = sin(lat), cos(lat)
     altitudes: list[float] = []
     azimuths: list[float] = []
+    last_date = None
     for when in timestamps:
         if when.tzinfo is not None:
             when = when.astimezone(timezone.utc)
         utc_hours = when.hour + when.minute / 60.0 + when.second / 3600.0
 
         # Julian day, then Julian century from J2000
-        year, month = when.year, when.month
-        if month <= 2:
-            year -= 1
-            month += 12
-        a = year // 100
-        b = 2 - a + a // 4
-        jd = (int(365.25 * (year + 4716)) + int(30.6001 * (month + 1))
-              + when.day + utc_hours / 24.0 + b - 1524.5)
+        if (date := when.date()) != last_date:
+            last_date = date
+            year, month = when.year, when.month
+            if month <= 2:
+                year -= 1
+                month += 12
+            a = year // 100
+            b = 2 - a + a // 4
+            whole_days = int(365.25 * (year + 4716)) + int(30.6001 * (month + 1)) + when.day
+        jd = whole_days + utc_hours / 24.0 + b - 1524.5
         jc = (jd - 2451545.0) / 36525.0
 
         # declination (deg) and equation of time (minutes) from the mean
@@ -63,9 +67,9 @@ def sun_positions(latitude_deg: float, longitude_deg: float,
         mean_obliq = 23.0 + (26.0 + seconds / 60.0) / 60.0
         obliq_rad = (mean_obliq + 0.00256 * cos(omega_rad)) * DEG
 
-        declination = math.asin(sin(obliq_rad) * sin(app_long * DEG)) / DEG
+        declination = asin(sin(obliq_rad) * sin(app_long * DEG)) / DEG
 
-        y = math.tan(obliq_rad / 2.0) ** 2
+        y = tan(obliq_rad / 2.0) ** 2
         long_rad = 2 * mean_long * DEG
         eot = (y * sin(long_rad)
                - 2.0 * eccent * sin_m
@@ -81,8 +85,10 @@ def sun_positions(latitude_deg: float, longitude_deg: float,
         dec = declination * DEG
         sin_dec = sin(dec)
         cos_zenith = sin_lat * sin_dec + cos_lat * cos(dec) * cos(hour_angle * DEG)
-        cos_zenith = max(-1.0, min(1.0, cos_zenith))
-        zenith = math.acos(cos_zenith)
+        # max(-1.0, min(1.0, x)) without the two calls, NaN included
+        cos_zenith = cos_zenith if cos_zenith < 1.0 else 1.0
+        cos_zenith = cos_zenith if cos_zenith > -1.0 else -1.0
+        zenith = acos(cos_zenith)
         altitudes.append(90.0 - zenith / DEG)
 
         sin_zenith = sin(zenith)
@@ -90,39 +96,11 @@ def sun_positions(latitude_deg: float, longitude_deg: float,
             azimuth = 180.0 if latitude_deg > declination else 0.0
         else:
             cos_az = (sin_dec - sin_lat * cos_zenith) / (cos_lat * sin_zenith)
-            cos_az = max(-1.0, min(1.0, cos_az))
-            azimuth = math.acos(cos_az) / DEG
+            cos_az = cos_az if cos_az < 1.0 else 1.0
+            cos_az = cos_az if cos_az > -1.0 else -1.0
+            azimuth = acos(cos_az) / DEG
             if hour_angle > 0:
                 azimuth = 360.0 - azimuth
             azimuth %= 360.0
         azimuths.append(azimuth)
     return altitudes, azimuths
-
-
-# ---------------------------------------------------------------------------
-# overhang shading
-
-def overhang_shading_fraction(depth_m: float, height_m: float, offset_m: float,
-                              altitude_deg: float, azimuth_deg: float,
-                              facade_azimuth_deg: float) -> float:
-    """Fraction of a vertical surface shaded by an infinite-width
-    horizontal overhang, with the sun at ``altitude_deg`` and
-    ``azimuth_deg``.
-
-    ``depth_m`` is the horizontal projection of the overhang, ``height_m``
-    the vertical extent of the protected surface and ``offset_m`` the gap
-    between the overhang underside and the top of that surface.  When the
-    surface receives no beam at all (sun below the horizon or behind the
-    facade) the result is 1.0: an unlit surface is fully "shaded" for
-    gain purposes.  Callers pass a height > 0; files refuse a negative
-    depth or offset.
-    """
-    if altitude_deg <= 0.0:
-        return 1.0
-    gamma = math.cos((azimuth_deg - facade_azimuth_deg) * DEG)
-    if gamma <= 0.0:
-        return 1.0
-    # Shadow line below the overhang along the facade (profile angle projection).
-    drop = depth_m * math.tan(altitude_deg * DEG) / gamma
-    shaded = min(max(drop - offset_m, 0.0), height_m)
-    return shaded / height_m

@@ -24,16 +24,24 @@ only a finer step or the continuous solution shows.
    (:func:`~ecodom.solar.sun_positions`, one call for the whole series),
    the sun-up mask, the sine and cosine of the altitude and the global
    horizontal irradiance.  Filled on first use, it also holds one beam
-   irradiance column per (azimuth, tilt), one diffuse column per tilt
-   and one shading column per overhang geometry.  The series holds the
-   track, per (latitude, longitude), so every zone simulated on the
-   same series object at the same site shares all of these, a paired or
-   repeated run computes them once, and they die with the series;
+   irradiance column per (azimuth, tilt), one diffuse column per tilt,
+   one shading column per overhang geometry and, from the first export
+   of a result on it, each row's timestamp and outdoor temperature
+   text.  The series holds the track, per (latitude, longitude), so
+   every zone simulated on the same series object at the same site
+   shares all of these, a paired or repeated run computes them once,
+   and they die with the series.  The series' columns are taken as
+   fixed: a column changed in place after a run does not remake what
+   the track derived from it;
 2. per zone: from the shading each surface states (set by
    :func:`zone_from_building`), one effective-irradiance column per
-   distinct (orientation, shading) and one sol-air column per distinct
-   (orientation, shading, absorptivity), each shared by the surfaces
-   with those inputs, and the solar transmitted through the glazing;
+   distinct (orientation, shading), which dies with the run, and one
+   sol-air column per distinct (orientation, shading, absorptivity,
+   exterior film), each shared by the surfaces with those inputs, and
+   the solar transmitted through the glazing.  The track keeps the
+   sol-air table of the last zone run on it, until the next zone's
+   replaces it: a zone takes from it the columns it shares with that
+   zone, so a pair computes a column they share once;
 3. the ventilation and internal-gains columns, the backward-Euler
    recurrence, then the flows, and one walk of the surface flows per
    step whose envelope sum gives both the energy residual and the
@@ -55,13 +63,13 @@ from array import array
 from collections.abc import Sequence
 from datetime import datetime, timedelta, timezone
 from itertools import chain, islice, repeat
-from operator import mul
+from operator import mul, sub
 from typing import NamedTuple, TextIO
 
 from .building import BuildingDescription, facade_porosities
 from .dataio import SeriesFormatError, WeatherSeries
 from .errors import InputError, is_number, load_json, read_format
-from .solar import DEG, GROUND_ALBEDO, overhang_shading_fraction, sun_positions
+from .solar import DEG, GROUND_ALBEDO, sun_positions
 
 AIR_DENSITY = 1.2          # kg/m3
 AIR_HEAT_CAPACITY = 1006.0  # J/(kg.K)
@@ -165,27 +173,33 @@ class WeatherGapError(InputError):
         super().__init__(f"weather series has missing steps: {stamps}{more}")
 
 
-class SimulationResult(NamedTuple):
+class SimulationResult(NamedTuple("SimulationResult", (
+        ("timestamps", tuple[datetime, ...]),
+        ("t_out_c", array),
+        ("t_air_c", array),
+        ("t_radiant_c", array),
+        ("t_resultant_c", array),
+        ("ach", array),
+        ("surface_gains_w", dict[str, array]),
+        ("window_solar_w", array),
+        ("ventilation_gain_w", array),
+        ("internal_gain_w", array),
+        ("surface_kinds", dict[str, str]),
+        ("max_residual_fraction", float)))):
     """Hourly (or finer) output series, one entry per weather record;
     ``len(result.timestamps)`` counts the steps.
 
     Every per-step series is an ``array('d')``, 8 bytes a value, as
     ``simulate`` built it or, for ``t_out_c``, as the weather holds it;
     it is not copied, so a caller that changes one changes the result.
+
+    A result that :func:`simulate` made also holds, outside its fields
+    and so outside its equality, the sun track it ran on (``_track``):
+    :func:`result_to_csv` reads the texts that every result on that track
+    shares from it.  A copy made by ``_replace`` holds no track.
     """
 
-    timestamps: tuple[datetime, ...]
-    t_out_c: array
-    t_air_c: array
-    t_radiant_c: array
-    t_resultant_c: array
-    ach: array
-    surface_gains_w: dict[str, array]
-    window_solar_w: array
-    ventilation_gain_w: array
-    internal_gain_w: array
-    surface_kinds: dict[str, str]
-    max_residual_fraction: float
+    _track = None
 
     def mean_resultant_c(self) -> float:
         return sum(self.t_resultant_c) / len(self.t_resultant_c)
@@ -206,6 +220,22 @@ def weather_grid(timestamps: Sequence[datetime]) -> float:
     """
     if len(timestamps) < 2:
         raise SeriesFormatError("weather series too short")
+    first = timestamps[1] - timestamps[0]
+    if first > timedelta(0) and all(map(first.__eq__, map(sub, timestamps[1:], timestamps))):
+        step_s = first.total_seconds()  # uniform: no spacing to name, no step missing
+    else:
+        step_s = _base_step(timestamps)
+    if step_s > 3600.0 + 1e-6:
+        raise InputError("weather step must be one hour or finer")
+    span = (timestamps[-1] - timestamps[0]).total_seconds()
+    if span + step_s < 24 * 3600.0 - 1e-6:
+        raise InputError("weather must cover at least 24 hours")
+    return step_s
+
+
+def _base_step(timestamps: Sequence[datetime]) -> float:
+    """The base step, in seconds, of a grid whose spacings differ, after
+    the spacing and gap checks of :func:`weather_grid`."""
     spans = [(b - a).total_seconds() for a, b in zip(timestamps, timestamps[1:])]
     step_s = min(spans)
     if step_s <= 0:
@@ -226,11 +256,6 @@ def weather_grid(timestamps: Sequence[datetime]) -> float:
         step = timedelta(seconds=step_s)
         raise WeatherGapError(a + k * step for a, n in zip(timestamps, multiples)
                               for k in range(1, n))
-    if step_s > 3600.0 + 1e-6:
-        raise InputError("weather step must be one hour or finer")
-    span = (timestamps[-1] - timestamps[0]).total_seconds()
-    if span + step_s < 24 * 3600.0 - 1e-6:
-        raise InputError("weather must cover at least 24 hours")
     return step_s
 
 
@@ -245,12 +270,20 @@ class _SunTrack:
     cycle with it.  The beam column
     of an (azimuth, tilt), the diffuse column of a tilt and the shading
     column of an overhang geometry are filled the first time a zone on
-    the track needs them.
+    the track needs them, and kept as long as the track.
+
+    Two more tables are kept across runs.  ``sol_air`` holds the sol-air
+    columns of the last zone run on the track, keyed by (orientation,
+    shading, absorptivity, exterior film): the next zone reuses those it
+    shares, then :func:`_forcing` replaces the table with its own, so one
+    zone's table at most outlives its run.  ``row_heads``, filled by the
+    first export of a result on the track (:meth:`heads`), holds each
+    row's timestamp and outdoor temperature text for every later export.
     """
 
     __slots__ = ("step_s", "timestamps", "t_out", "direct", "diffuse", "wind",
                  "altitude", "azimuth", "up", "sin_alt", "cos_alt", "global_horizontal",
-                 "irradiance", "tilted_diffuse", "shading")
+                 "irradiance", "tilted_diffuse", "shading", "sol_air", "row_heads")
 
     def __init__(self, weather: WeatherSeries, latitude: float, longitude: float):
         self.timestamps = weather.timestamps
@@ -268,6 +301,8 @@ class _SunTrack:
         self.irradiance: dict[tuple[float, float], tuple[array, array]] = {}
         self.tilted_diffuse: dict[float, array] = {}
         self.shading: dict[tuple[float, float, float, float], array] = {}
+        self.sol_air: dict[tuple, array] = {}
+        self.row_heads: list[str] | None = None
 
     def fill(self, orientations, geometries) -> None:
         """Compute the irradiance columns of ``orientations`` and the
@@ -305,9 +340,37 @@ class _SunTrack:
 
     def _shading(self, depth: float, height: float, offset: float,
                  azimuth: float) -> array:
-        """Overhang shading column of a facade of ``azimuth``."""
-        return array("d", [overhang_shading_fraction(depth, height, offset, alt, z, azimuth)
-                           for alt, z in zip(self.altitude, self.azimuth)])
+        """Overhang shading column of a facade of ``azimuth``: the fraction
+        of a surface ``height`` high that an infinite-width overhang
+        ``depth`` deep, ``offset`` above the surface, shades from the beam.
+        A surface the beam does not reach (the sun below the horizon or
+        behind the facade) counts as fully shaded, 1.0."""
+        cos, tan = math.cos, math.tan
+        column = array("d")
+        append = column.append
+        for alt, z in zip(self.altitude, self.azimuth):
+            if alt <= 0.0 or (gamma := cos((z - azimuth) * DEG)) <= 0.0:
+                append(1.0)
+                continue
+            # the shadow line's drop below the overhang (profile angle
+            # projection), less the offset, clipped to [0, height] as
+            # min(max(drop - offset, 0.0), height)
+            shaded = depth * tan(alt * DEG) / gamma - offset
+            shaded = 0.0 if 0.0 > shaded else shaded
+            append((height if height < shaded else shaded) / height)
+        return column
+
+    def heads(self) -> list[str]:
+        """The export's row heads (:func:`_row_heads`) on this track, made
+        on the first call and kept as long as the track."""
+        if self.row_heads is None:
+            self.row_heads = list(_row_heads(self.timestamps, self.t_out))
+        return self.row_heads
+
+
+def _row_heads(timestamps: Sequence[datetime], t_out: array):
+    """Each row's ``timestamp,t_out`` text of the CSV export, in order."""
+    return map("%s,%.6f".__mod__, zip(map(datetime.isoformat, timestamps), t_out))
 
 
 def _sun_track(weather: WeatherSeries, latitude: float, longitude: float) -> _SunTrack:
@@ -326,39 +389,45 @@ def _forcing(zone: ZoneModel, track: _SunTrack) -> tuple[list[array], array]:
     shading column of each sun-dependent overhang, keyed by (depth,
     height, offset, azimuth), so every zone on it shares them.  This
     zone's own columns are computed once per distinct input: one
-    effective-irradiance column per (orientation, shading) and one sol-air
-    column per (orientation, shading, absorptivity).  Surfaces that share
-    an input share the column object.  These two tables die with the
-    call.
+    effective-irradiance column per (orientation, shading), which dies
+    with the call, and one sol-air column per (orientation, shading,
+    absorptivity, exterior film).  Surfaces that share an input share the
+    column object.  A sol-air column the last zone on the track made for
+    the same input is taken from the track's table instead, and this
+    zone's table then replaces that one on the track.
     """
     orientations = [(s.azimuth_deg, s.tilt_deg) for s in zone.surfaces]
     track.fill(orientations, [s.shading for s in zone.surfaces if isinstance(s.shading, tuple)])
     h_exterior = zone.h_exterior
 
     effective_of: dict[tuple, array] = {}
-    sol_air_of: dict[tuple, array] = {}
+
+    def effective(orientation, shade) -> array:
+        column = effective_of.get((orientation, shade))
+        if column is None:
+            beam, diffuse = track.irradiance[orientation]
+            fractions = track.shading.get(shade, repeat(shade))
+            column = effective_of[orientation, shade] = array("d", [
+                b * (1.0 - f) + d for b, f, d in zip(beam, fractions, diffuse)])
+        return column
+
+    held, sol_air_of = track.sol_air, {}
     sol_air = []
     transmitted = [0.0] * len(track.t_out)
     for surface, orientation in zip(zone.surfaces, orientations):
-        shade = surface.shading
-        lit = (orientation, shade)
-        effective = effective_of.get(lit)
-        if effective is None:
-            beam, diffuse = track.irradiance[orientation]
-            fractions = track.shading.get(shade, repeat(shade))
-            effective = effective_of[lit] = array("d", [
-                b * (1.0 - f) + d for b, f, d in zip(beam, fractions, diffuse)])
-        absorptivity = surface.absorptivity
-        key = (lit, absorptivity)
-        temperatures = sol_air_of.get(key)
-        if temperatures is None:
+        shade, absorptivity = surface.shading, surface.absorptivity
+        key = (orientation, shade, absorptivity, h_exterior)
+        if key not in sol_air_of:
             # sol-air temperature, T_sa = T_out + a * I / h_e
-            temperatures = sol_air_of[key] = array("d", [
-                t + absorptivity * e / h_exterior for t, e in zip(track.t_out, effective)])
-        sol_air.append(temperatures)
+            sol_air_of[key] = held[key] if key in held else array("d", [
+                t + absorptivity * e / h_exterior
+                for t, e in zip(track.t_out, effective(orientation, shade))])
+        sol_air.append(sol_air_of[key])
         if surface.solar_transmittance > 0:
             tau, area = surface.solar_transmittance, surface.area_m2
-            transmitted = [acc + tau * e * area for acc, e in zip(transmitted, effective)]
+            transmitted = [acc + tau * e * area
+                           for acc, e in zip(transmitted, effective(orientation, shade))]
+    track.sol_air = sol_air_of
     return sol_air, array("d", transmitted)
 
 
@@ -369,7 +438,9 @@ def simulate(zone: ZoneModel, weather: WeatherSeries) -> SimulationResult:
     than one hour; a non-uniform grid raises :class:`WeatherGapError`
     listing the missing instants.  A zone or radiant temperature that
     is not finite raises InputError naming the zone and the timestamp.
-    Zones run on the same series object share its weather-only stage.
+    Zones run on the same series object share its weather-only stage,
+    the export's row heads, and the sol-air columns that a zone and the
+    zone run just before it have in common.
     """
     track = _sun_track(weather, zone.latitude, zone.longitude)
     sol_air, transmitted = _forcing(zone, track)
@@ -377,12 +448,13 @@ def simulate(zone: ZoneModel, weather: WeatherSeries) -> SimulationResult:
     n = len(t_out)
 
     apertures, volume, capacitance = zone.apertures, zone.volume_m3, zone.capacitance_j_k
-    # The apertures are fixed, so the flow depends on the wind alone:
-    # one call per distinct speed.
+    # The apertures are fixed, so the flow and its conductance depend on
+    # the wind alone: one of each per distinct speed.
     ach_of = {wind: ventilation_ach(apertures, volume, wind) for wind in set(track.wind)}
-    ach = array("d", [ach_of[wind] for wind in track.wind])
+    ach = array("d", map(ach_of.__getitem__, track.wind))
     rho_cp = AIR_DENSITY * AIR_HEAT_CAPACITY
-    h_vent = array("d", [rho_cp * a * volume / 3600.0 for a in ach])
+    h_vent_of = {wind: rho_cp * a * volume / 3600.0 for wind, a in ach_of.items()}
+    h_vent = array("d", map(h_vent_of.__getitem__, track.wind))
     gains = zone.internal_gains_w
     if is_number(gains):
         internal = array("d", [float(gains)]) * n
@@ -422,8 +494,9 @@ def simulate(zone: ZoneModel, weather: WeatherSeries) -> SimulationResult:
         q_envelope.append(q)
         residual = capacitance * (t - t_prev) / dt - (q + qv + g)
         gross = sum(map(abs, row)) + abs(qv) + q_sun + abs(q_int)
-        if gross > 1e-9:
-            max_residual = max(max_residual, abs(residual) / gross)
+        # max(max_residual, fraction) without the call
+        if gross > 1e-9 and (fraction := abs(residual) / gross) > max_residual:
+            max_residual = fraction
 
     # Each inner surface sits at t + q_i / (h_in A_i) behind its film, so
     # the area-weighted mean radiant temperature is t + sum(q) / (h_in A).
@@ -438,7 +511,7 @@ def simulate(zone: ZoneModel, weather: WeatherSeries) -> SimulationResult:
             f"zone {zone.name}: temperature is not finite at {at}; "
             "an area, volume or conductivity is out of scale")
 
-    return SimulationResult(
+    result = SimulationResult(
         timestamps=timestamps,
         t_out_c=t_out,
         t_air_c=t_new,
@@ -452,6 +525,8 @@ def simulate(zone: ZoneModel, weather: WeatherSeries) -> SimulationResult:
         surface_kinds={s.name: s.kind for s in zone.surfaces},
         max_residual_fraction=max_residual,
     )
+    result._track = track
+    return result
 
 
 def gain_breakdown(result: SimulationResult) -> dict[str, float]:
@@ -630,16 +705,18 @@ def result_to_csv(result: SimulationResult, out: TextIO) -> None:
     header = ("timestamp,t_out_c,t_air_c,t_radiant_c,t_resultant_c,ach,"
               "q_roof_w,q_wall_w,q_window_cond_w,q_window_solar_w,"
               "q_vent_w,q_internal_w\n")
+    track = result._track
+    heads = (track.heads() if track is not None
+             else _row_heads(result.timestamps, result.t_out_c))
     columns_by_kind: dict[str, list] = {"roof": [], "wall": [], "window": []}
     for name, kind in result.surface_kinds.items():
         columns_by_kind[kind].append(result.surface_gains_w[name])
     q_roof, q_wall, q_window = (
         map(sum, zip(*columns)) if columns else repeat(0, len(result.timestamps))
         for columns in columns_by_kind.values())
-    row = "%s" + ",%.6f" * 11 + "\n"
+    row = "%s" + ",%.6f" * 10 + "\n"
     rows = map(row.__mod__, zip(
-        map(datetime.isoformat, result.timestamps), result.t_out_c, result.t_air_c,
-        result.t_radiant_c, result.t_resultant_c, result.ach,
+        heads, result.t_air_c, result.t_radiant_c, result.t_resultant_c, result.ach,
         q_roof, q_wall, q_window, result.window_solar_w,
         result.ventilation_gain_w, result.internal_gain_w))
     out.write(header)

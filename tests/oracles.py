@@ -15,9 +15,10 @@ Its series must equal them exactly, so they share code with it:
 
 * :func:`solar_position` gives one instant's :class:`SolarPosition`
   through ``ecodom.solar.sun_positions``, the package's sun routine;
-* :func:`incidence_cosine` and :func:`surface_irradiance` are the
-  expressions that ``thermal._SunTrack`` evaluates as per-step columns,
-  with the package's ground albedo;
+* :func:`incidence_cosine`, :func:`surface_irradiance` and
+  :func:`overhang_shading_fraction` are the expressions that
+  ``thermal._SunTrack`` evaluates as per-step columns, with the
+  package's ground albedo, in the same order of operations;
 * :func:`classify` and :func:`upper_bound_at` test one sample against
   the comfort polygon extended for its air speed, the flags and bounds
   that ``comfort.discomfort_fraction`` takes in one pass; they use the
@@ -155,6 +156,31 @@ def surface_irradiance(sun, direct_normal: float, diffuse_horizontal: float,
         ghi += direct_normal * math.sin(sun.altitude_deg * _DEG)
     ground = GROUND_ALBEDO * ghi * (1.0 - math.cos(tilt)) / 2.0
     return beam, sky + ground
+
+
+def overhang_shading_fraction(depth_m: float, height_m: float, offset_m: float,
+                              altitude_deg: float, azimuth_deg: float,
+                              facade_azimuth_deg: float) -> float:
+    """Fraction of a vertical surface shaded by an infinite-width
+    horizontal overhang, with the sun at ``altitude_deg`` and
+    ``azimuth_deg``.
+
+    ``depth_m`` is the horizontal projection of the overhang, ``height_m``
+    the vertical extent of the protected surface and ``offset_m`` the gap
+    between the overhang underside and the top of that surface.  When the
+    surface receives no beam at all (sun below the horizon or behind the
+    facade) the result is 1.0: an unlit surface is fully "shaded" for
+    gain purposes.  Callers pass a height > 0.
+    """
+    if altitude_deg <= 0.0:
+        return 1.0
+    gamma = math.cos((azimuth_deg - facade_azimuth_deg) * _DEG)
+    if gamma <= 0.0:
+        return 1.0
+    # Shadow line below the overhang along the facade (profile angle projection).
+    drop = depth_m * math.tan(altitude_deg * _DEG) / gamma
+    shaded = min(max(drop - offset_m, 0.0), height_m)
+    return shaded / height_m
 
 
 class PsychroPoint(NamedTuple):

@@ -38,9 +38,9 @@ from ecodom.cli import main
 from ecodom.comfort import humidity_ratio, saturation_vapor_pressure
 from ecodom.dataio import load_building, write_weather
 from ecodom.rules import Verdict, compliance_report
-from ecodom.solar import overhang_shading_fraction
 from ecodom.thermal import gain_breakdown, simulate, ventilation_ach
-from oracles import hyland_wexler_pws, ray_sampled_shading, weather_records, weather_series
+from oracles import (hyland_wexler_pws, overhang_shading_fraction, ray_sampled_shading,
+                     weather_records, weather_series)
 
 _mean = lambda xs: sum(xs) / len(xs)
 

@@ -245,6 +245,17 @@ class TestZoneFile:
         path.write_text(json.dumps(DEFAULT_ZONE._asdict()))
         assert load_zone(path) == DEFAULT_ZONE
 
+    def test_omitted_keys_read_to_the_record_defaults(self, tmp_path):
+        # the file format takes its defaults from the record, so a file
+        # naming only the vertices reads to the record built from them
+        vertices = ((20.0, 3.0), (28.0, 3.0), (28.0, 15.0), (20.0, 15.0))
+        path = tmp_path / "zone.json"
+        path.write_text(json.dumps({"vertices": vertices}))
+        zone = load_zone(path)
+        assert zone == ComfortZone(vertices)
+        assert zone.extension_c_per_m_s == ComfortZone._field_defaults["extension_c_per_m_s"]
+        assert zone.max_extended_temp_c == ComfortZone._field_defaults["max_extended_temp_c"]
+
     def test_self_intersecting_polygon_rejected(self):
         bow_tie = ((22.0, 4.0), (29.0, 17.0), (29.0, 4.0), (22.0, 17.0))
         with pytest.raises(InputError, match="simple"):

@@ -4,10 +4,10 @@ from datetime import datetime, timezone
 
 import pytest
 
-from ecodom.solar import overhang_shading_fraction
 from oracles import (
     SolarPosition,
     incidence_cosine,
+    overhang_shading_fraction,
     psa_solar_position,
     ray_sampled_shading,
     solar_position,

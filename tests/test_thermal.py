@@ -16,10 +16,11 @@ from ecodom.archetypes import (
     synthetic_weather,
     uninsulated_zone,
 )
+from ecodom.building import ColorClass
 from ecodom.comfort import discomfort_fraction, humidity_ratio
 from ecodom import thermal
 from ecodom.dataio import SeriesFormatError
-from ecodom.solar import overhang_shading_fraction, sun_positions
+from ecodom.solar import sun_positions
 from ecodom.thermal import (
     ROOF_DECK_RESISTANCE,
     Scenario,
@@ -37,8 +38,8 @@ from ecodom.thermal import (
     zone_from_building,
 )
 from oracles import (PsychroPoint, SolarPosition, WeatherRecord, area_weighted_radiant,
-                     first_order_response, psychro_series, solar_position,
-                     surface_irradiance, weather_records, weather_series)
+                     first_order_response, overhang_shading_fraction, psychro_series,
+                     solar_position, surface_irradiance, weather_records, weather_series)
 
 
 def _scenario(doc: dict):
@@ -610,10 +611,117 @@ class TestStagedRun:
                 gc.enable()
 
 
+def _bits(result) -> dict:
+    """Every field of ``result`` in a form whose equality is bit for bit:
+    the bytes of each column and the hex of each float."""
+    def exact(value):
+        if isinstance(value, array):
+            return value.tobytes()
+        if isinstance(value, float):
+            return value.hex()
+        if isinstance(value, dict):
+            return {key: exact(item) for key, item in value.items()}
+        return value
+    return {name: exact(value) for name, value in result._asdict().items()}
+
+
+def _sol_air_keys(zone) -> set:
+    """The keys of the sol-air columns a run of ``zone`` makes."""
+    return {((s.azimuth_deg, s.tilt_deg), s.shading, s.absorptivity, zone.h_exterior)
+            for s in zone.surfaces}
+
+
+def _variant(building):
+    """``building`` after the edits of a design sweep: a darker roof, a
+    wall added at a new azimuth under an overhang, and a deeper overhang
+    over the first window."""
+    wall = building.walls[0]._replace(id="added", azimuth_deg=135.0, area_m2=9.5,
+                                      overhang_depth_m=1.0, overhang_height_m=2.5)
+    window = building.windows[0]._replace(overhang_depth_m=1.5)
+    return building._replace(
+        roof=building.roof._replace(color=ColorClass.DARK), walls=building.walls + (wall,),
+        windows=(window,) + building.windows[1:])
+
+
+class TestPairedRun:
+    """Zones run one after another on one weather series share the
+    track's sol-air columns and export texts; no result may show it."""
+
+    @pytest.fixture
+    def pairs(self, initial_building, final_building):
+        final = zone_from_building(final_building)
+        recoloured = final_building._replace(
+            roof=final_building.roof._replace(color=ColorClass.LIGHT))
+        return {
+            "variant, final": (zone_from_building(_variant(final_building)), final),
+            "final, variant": (final, zone_from_building(_variant(final_building))),
+            "initial, final": (zone_from_building(initial_building), final),
+            "same zone": (final, final),
+            "exterior film only": (
+                zone_from_building(final_building, Scenario(exterior_film_w_m2k=17.0)), final),
+            "roof colour only": (zone_from_building(recoloured), final),
+        }
+
+    @pytest.mark.parametrize("pair", ["variant, final", "final, variant", "initial, final",
+                                      "same zone", "exterior film only", "roof colour only"])
+    def test_second_run_equals_a_fresh_run_bit_for_bit(self, pairs, pair):
+        first, second = pairs[pair]
+        shared = synthetic_weather(days=3)
+        simulate(first, shared)
+        track = thermal._sun_track(shared, second.latitude, second.longitude)
+        held = dict(track.sol_air)
+        after = simulate(second, shared)
+        assert _bits(after) == _bits(simulate(second, synthetic_weather(days=3)))
+        # the columns the two zones share were taken from the track, and
+        # no other: a film or a colour that differs keys a column apart
+        reused = {key for key, column in track.sol_air.items() if held.get(key) is column}
+        assert reused == _sol_air_keys(first) & _sol_air_keys(second)
+        if pair == "exterior film only":
+            assert not reused
+        if pair == "roof colour only":
+            assert len(reused) == len(_sol_air_keys(second)) - 1
+
+    def test_track_holds_one_zone_table_at_most(self, pairs):
+        shared = synthetic_weather(days=3)
+        zones = [zone for pair in ("variant, final", "initial, final", "exterior film only")
+                 for zone in pairs[pair]][:5]
+        track = thermal._sun_track(shared, zones[0].latitude, zones[0].longitude)
+        for zone in zones:
+            simulate(zone, shared)
+            assert set(track.sol_air) == _sol_air_keys(zone)
+        assert len(zones) == 5 and zones[-1] != zones[-2]
+
+    def test_signed_zero_gains_export_bytes_pinned(self):
+        zone = compliant_zone()._replace(internal_gains_w=(0.0,) * 12 + (-0.0,) * 12)
+        text = _csv(simulate(zone, synthetic_weather(2)))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+            "388042479c16d52c7c5391793c2328aa75470f52ccb22045e6bcd8dc9ac38339")
+        assert sum(line.endswith(",-0.000000") for line in text.splitlines()) == 24
+
+    def test_results_on_one_weather_export_as_when_run_alone(self, initial_building,
+                                                             final_building, monkeypatch):
+        zones = (zone_from_building(initial_building), zone_from_building(final_building))
+        shared = synthetic_weather(2)
+        first, second = (simulate(zone, shared) for zone in zones)
+        alone = [_csv(simulate(zone, synthetic_weather(2))) for zone in zones]
+        calls = []
+        monkeypatch.setattr(thermal, "_row_heads", lambda *columns, _fn=thermal._row_heads: (
+            calls.append(1) or _fn(*columns)))
+        # the second result exports first, so the first reads the texts
+        # its export left on the track
+        assert _csv(second) == alone[1]
+        assert _csv(first) == alone[0]
+        assert len(calls) == 1
+        # a copy holds no track and makes its own
+        assert _csv(first._replace()) == alone[0]
+        assert len(calls) == 2
+
+
 # Stage 1's columns against the per-instant references, compared with
 # ``==``: the sun positions against ``solar_position``, the irradiance
-# against the oracle ``surface_irradiance`` and the shading against the
-# scalar ``overhang_shading_fraction``.
+# against the oracle ``surface_irradiance`` and the shading, which the
+# track computes inline, against the oracle ``overhang_shading_fraction``,
+# also byte for byte.
 _SITES = {"south": (-21.1, 55.5), "north": (48.0, 2.0)}
 _ORIENTATIONS = [(0.0, 0.0), (0.0, 90.0), (90.0, 90.0), (180.0, 90.0), (270.0, 90.0),
                  (37.3, 90.0), (213.7, 27.5)]
@@ -650,10 +758,14 @@ def _expect_columns(track, records, suns):
             surface_irradiance(sun, r.solar_direct_w_m2, r.solar_diffuse_w_m2, azimuth, tilt)
             for sun, r in zip(suns, records)]
     for depth, height, offset, azimuth in _GEOMETRIES:
-        assert list(track.shading[(depth, height, offset, azimuth)]) == [
+        expected = array("d", [
             overhang_shading_fraction(depth, height, offset,
                                       sun.altitude_deg, sun.azimuth_deg, azimuth)
-            for sun in suns]
+            for sun in suns])
+        assert track.shading[(depth, height, offset, azimuth)] == expected
+        # the inline column keeps the oracle's order of operations, down
+        # to the sign of a zero
+        assert track.shading[(depth, height, offset, azimuth)].tobytes() == expected.tobytes()
 
 
 class TestSunColumns:
