@@ -6,9 +6,9 @@ derived from them (cross-ventilation porosities), and the validation
 of a description.
 
 Every record is an immutable named tuple that checks nothing when it
-is built: :func:`validate` holds every value rule and every reference
-rule of a building, so a file's faults are named together.  Every
-function here is pure.
+is built: the building file format (``dataio.BUILDING_FORMAT``) holds
+the range of each number, and :func:`validate` every rule across fields
+and every reference rule.  Every function here is pure.
 """
 
 import enum
@@ -322,63 +322,38 @@ class BuildingValidationError(InputError):
 
 
 def validate(building: BuildingDescription) -> list[ValidationIssue]:
-    """Check the values and the references of a description: every rule
-    a building holds to, none of which its records check when built.
+    """Check the rules of a description that span fields or check
+    references.  The range of each number is declared in the building
+    file format (``dataio.BUILDING_FORMAT``) and checked as the file is
+    read, so a description built in code is not range-checked.
 
-    Returns an empty list iff the description is well formed.  Errors are
+    Returns an empty list iff no such rule is broken.  Errors are
     collected rather than raised so a report can list all of them, in
-    this order: the building's own fields, the roof, the walls and the
-    windows (ids, azimuths, areas and overhang depths), the rooms and
-    their openings, each wall's overhang height and insulation, each
-    window's height and overhang offset, the facade pairs and the water
-    heater.
+    this order: duplicate wall and window ids; at least one main room;
+    each room's positive facade area if it is a main room, then its
+    openings (duplicate ids, the declared facade an external opening
+    names, none for an internal one); each wall's overhang height when
+    it has a depth; no window offset under case 2; the facade pairs
+    (two different facades, no repeated pair, declared facades).
     """
     issues: list[ValidationIssue] = []
 
     def err(entity: str, fld: str, message: str) -> None:
         issues.append(ValidationIssue(entity, fld, message))
 
-    def floor(entity: str, fld: str, value: float, strict: bool = False) -> None:
-        # ``value`` must be >= 0, or > 0 when ``strict``
-        if value < 0 or strict and value == 0:
-            err(entity, fld, "must be > 0" if strict else "must be >= 0")
-
-    def insulation(entity: str, layer: InsulationLayer) -> None:
-        floor(entity, "insulation.conductivity_w_mk", layer.conductivity_w_mk, strict=True)
-        floor(entity, "insulation.thickness_cm", layer.thickness_cm)
-
-    if building.dwelling_type < 1:
-        err("building", "dwelling_type", "must be >= 1")
-    if not -90.0 <= building.latitude <= 90.0:
-        err("building", "latitude", "must be in [-90, 90]")
-    if not -180.0 <= building.longitude <= 180.0:
-        err("building", "longitude", "must be in [-180, 180]")
-    floor("roof", "area_m2", building.roof.area_m2, strict=True)
-    insulation("roof", building.roof.insulation)
-    for kind, surfaces, area in (("wall", building.walls, "area_m2"),
-                                 ("window", building.windows, "glazed_area_m2")):
+    for kind, surfaces in (("wall", building.walls), ("window", building.windows)):
         ids: set[str] = set()
         for surface in surfaces:
-            entity = f"{kind} {surface.id}"
             if surface.id in ids:
-                err(entity, "id", f"duplicate {kind} id")
+                err(f"{kind} {surface.id}", "id", f"duplicate {kind} id")
             ids.add(surface.id)
-            if not 0.0 <= surface.azimuth_deg < 360.0:
-                err(entity, "azimuth_deg", "must be in [0, 360)")
-            floor(entity, area, getattr(surface, area), strict=True)
-            floor(entity, "overhang_depth_m", surface.overhang_depth_m)
 
     facade_ids = building.declared_facade_ids()
     opening_ids: set[str] = set()
-    main_rooms = building.main_rooms()
-    if not main_rooms:
+    if not building.main_rooms():
         err("building", "rooms", "at least one main room is required")
 
     for room in building.rooms:
-        for membership in room.facades:
-            if membership.gross_area_m2 <= 0:
-                err(f"room {room.id}", "facades",
-                    f"gross area on facade {membership.facade_id} must be > 0")
         if room.kind is RoomKind.MAIN and not any(
                 m.gross_area_m2 > 0 for m in room.facades):
             err(f"room {room.id}", "facades",
@@ -389,7 +364,6 @@ def validate(building: BuildingDescription) -> list[ValidationIssue]:
             if opening.id in opening_ids:
                 err(entity, "id", "duplicate opening id")
             opening_ids.add(opening.id)
-            floor(entity, "net_area_m2", opening.net_area_m2)
             if i >= external:
                 if opening.facade_id is not None:
                     err(entity, "facade_id", "internal opening names no facade")
@@ -402,12 +376,8 @@ def validate(building: BuildingDescription) -> list[ValidationIssue]:
         if wall.overhang_depth_m > 0 and wall.overhang_height_m <= 0:
             err(f"wall {wall.id}", "overhang_height_m",
                 "must be > 0 when an overhang depth is given")
-        insulation(f"wall {wall.id}", wall.insulation)
 
     for window in building.windows:
-        if window.height_m <= 0:
-            err(f"window {window.id}", "height_m", "must be > 0")
-        floor(f"window {window.id}", "overhang_offset_m", window.overhang_offset_m)
         if (window.shading_case is ShadingCase.CASE_2
                 and window.overhang_offset_m != 0):
             err(f"window {window.id}", "overhang_offset_m",
@@ -415,8 +385,6 @@ def validate(building: BuildingDescription) -> list[ValidationIssue]:
 
     pairs: set[frozenset[str]] = set()
     for pair in building.facade_pairs:
-        if pair.facade_1_area_m2 <= 0 or pair.facade_2_area_m2 <= 0:
-            err(f"facade pair {pair.id}", "areas", "facade areas must be > 0")
         if pair.facade_1_id == pair.facade_2_id:
             err(f"facade pair {pair.id}", "facade_id", "must name two different facades")
         axis = frozenset((pair.facade_1_id, pair.facade_2_id))
@@ -427,9 +395,6 @@ def validate(building: BuildingDescription) -> list[ValidationIssue]:
             if fid not in facade_ids:
                 err(f"facade pair {pair.id}", "facade_id",
                     f"unknown facade {fid!r}")
-
-    for name in ("collector_area_m2", "tank_volume_l", "annual_productivity_kwh_m2"):
-        floor("water heater", name, getattr(building.water_heater, name))
     return issues
 
 
@@ -454,8 +419,6 @@ class FacadePorosities(NamedTuple):
 
 def _pair_porosities(building: BuildingDescription, pair: FacadePair) -> FacadePorosities:
     sp = (pair.facade_1_area_m2 + pair.facade_2_area_m2) / 2.0
-    if sp <= 0:
-        raise ValueError(f"facade pair {pair.id}: mean facade area is zero")
 
     so = {pair.facade_1_id: 0.0, pair.facade_2_id: 0.0}
     si = {pair.facade_1_id: 0.0, pair.facade_2_id: 0.0}

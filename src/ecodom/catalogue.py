@@ -5,7 +5,7 @@ file (tables for roof insulation, wall overhangs, wall insulation, window
 shading ratios, solar water heaters, plus the porosity threshold), so a
 regulation revision means shipping a new data file, not new code.  The
 loader refuses a file whose tables do not match its checksum, or that
-holds a key :data:`CATALOGUE_FORMAT` does not declare.
+breaks :data:`CATALOGUE_FORMAT` (an unknown key, a cell out of range).
 
 Known catalogue quirks, kept as published:
 
@@ -24,7 +24,7 @@ from importlib import resources
 from typing import NamedTuple
 
 from .building import ColorClass, Orientation, WallConstruction
-from .errors import REQUIRED, InputError, load_json, read_format
+from .errors import NON_NEGATIVE, POSITIVE, REQUIRED, InputError, Range, load_json, read_format
 
 #: Environment variable naming a catalogue file to use instead of the bundled one.
 CATALOGUE_ENV_VAR = "ECODOM_CATALOGUE"
@@ -89,8 +89,6 @@ class RuleCatalogue(NamedTuple):
         return self.window_shading_ratio[orientation.value]
 
     def collector_area(self, dwelling_type: int) -> float:
-        if dwelling_type < 1:
-            raise ValueError("dwelling type must be >= 1")
         capped = min(dwelling_type, max(self.solar_collector_area_m2))
         return self.solar_collector_area_m2[capped]
 
@@ -111,27 +109,28 @@ def _catalogue(catalogue_version: str, checksum: str, tables: dict) -> RuleCatal
                          tank_volume_bounds_l_m2=(bounds["min"], bounds["max"]))
 
 
-_REFERENCES = dict.fromkeys(("polystyrene", "polyurethane"), float)
-_ORIENTATIONS = dict.fromkeys([o.value for o in Orientation], float)
-_ROOF_COLORS = dict.fromkeys([c.value for c in ColorClass], _REFERENCES)
+_REFERENCES = ("polystyrene", "polyurethane")
+_ORIENTATIONS = dict.fromkeys([o.value for o in Orientation], NON_NEGATIVE)
+_ROOF_COLORS = dict.fromkeys([c.value for c in ColorClass],
+                             dict.fromkeys(_REFERENCES, NON_NEGATIVE))
 _WALL_COLORS = dict.fromkeys([ColorClass.LIGHT.value, ColorClass.MEDIUM.value], _ORIENTATIONS)
 
 #: The catalogue file format (see ``errors.read_format``): each table holds
-#: exactly the cells the rules look up.  The checksum is checked before
-#: the walk, the cells >= 0 and the scalar ranges after it.
-CATALOGUE_FORMAT = {"catalogue": (_catalogue, (
+#: exactly the cells the rules look up, each cell held to its range.  The
+#: checksum is checked before the walk, and the rules across cells after it.
+CATALOGUE_FORMAT = {"catalogue": (_catalogue, "catalogue", (
     ("catalogue_version", str, REQUIRED),
     ("checksum", str, REQUIRED),
     ("tables", {
-        "porosity_threshold": float,
-        "reference_conductivities_w_mk": _REFERENCES,
+        "porosity_threshold": Range(0.0, 1.0, low_open=True),
+        "reference_conductivities_w_mk": dict.fromkeys(_REFERENCES, POSITIVE),
         "roof_insulation_cm": dict.fromkeys(("simple", "well_ventilated_attic"), _ROOF_COLORS),
         "wall_overhang_ratio": dict.fromkeys(_OVERHANG_ROW.values(), _WALL_COLORS),
         "wall_insulation_cm": dict.fromkeys(_INSULATION_ROW.values(), _WALL_COLORS),
         "window_shading_ratio": _ORIENTATIONS,
-        "solar_collector_area_m2": {int: float},
-        "tank_volume_per_collector_l_m2": dict.fromkeys(("min", "max"), float),
-        "solar_productivity_floor_kwh_m2": float,
+        "solar_collector_area_m2": {int: NON_NEGATIVE},
+        "tank_volume_per_collector_l_m2": dict.fromkeys(("min", "max"), NON_NEGATIVE),
+        "solar_productivity_floor_kwh_m2": NON_NEGATIVE,
     }, REQUIRED),
 ))}
 
@@ -143,38 +142,14 @@ def catalogue_from_dict(doc: dict) -> RuleCatalogue:
             f"catalogue checksum mismatch: file says {doc['checksum']}, "
             f"tables hash to {expected}")
     cat = read_format(doc, "catalogue", CATALOGUE_FORMAT, CatalogueError)
-    _check_ranges(cat, doc["tables"])
-    return cat
-
-
-def _cells(value, where: str):
-    """Yield the path and the value of every number in a table, or of a number."""
-    if isinstance(value, dict):
-        for key, item in value.items():
-            yield from _cells(item, f"{where}.{key}")
-    else:
-        yield where, value
-
-
-def _check_ranges(cat: RuleCatalogue, tables: dict) -> None:
-    """The rules the format's types do not state: some scalars in their
-    ranges, then every number of the ``tables`` read as ``cat`` >= 0."""
-    for ref in ("polystyrene", "polyurethane"):
-        if not cat.reference_conductivities_w_mk[ref] > 0:
-            raise CatalogueError(f"reference conductivity of {ref} must be > 0")
     collector = sorted(cat.solar_collector_area_m2)
     if not collector or collector != list(range(1, len(collector) + 1)):
         raise CatalogueError("solar collector table must list dwelling types 1 to N")
-    if not 0 < cat.porosity_threshold <= 1:
-        raise CatalogueError(
-            f"porosity threshold must be in (0, 1], got {cat.porosity_threshold}")
     low, high = cat.tank_volume_bounds_l_m2
-    if not 0 <= low <= high:
+    if not low <= high:
         raise CatalogueError(
             f"tank volume bounds must satisfy 0 <= min <= max, got {low} and {high}")
-    for where, value in _cells(tables, "tables"):
-        if value < 0:
-            raise CatalogueError(f"{where} must be >= 0, got {value}")
+    return cat
 
 
 def load_catalogue(path: str | os.PathLike | None = None) -> RuleCatalogue:

@@ -29,7 +29,7 @@ from operator import add
 from pathlib import Path
 from typing import NamedTuple, TextIO
 
-from .errors import REQUIRED, InputError, load_json, read_format, within
+from .errors import NON_NEGATIVE, REQUIRED, InputError, load_json, read_format, within
 
 STANDARD_PRESSURE_PA = 101325.0
 
@@ -165,26 +165,22 @@ DEFAULT_ZONE = ComfortZone(vertices=((22.0, 4.0), (29.0, 4.0), (29.0, 17.0), (22
 
 #: The zone file format (see ``errors.read_format``): every field of
 #: :class:`ComfortZone` with the record's default, the vertices required.
-ZONE_FORMAT = {"zone": (ComfortZone, tuple(
-    (name, [(float, float)] if name == "vertices" else float,
-     ComfortZone._field_defaults.get(name, REQUIRED))
+_ZONE_FORMS = {"vertices": [(float, float)], "extension_c_per_m_s": NON_NEGATIVE,
+               "max_extended_temp_c": float}
+ZONE_FORMAT = {"zone": (ComfortZone, "zone", tuple(
+    (name, _ZONE_FORMS[name], ComfortZone._field_defaults.get(name, REQUIRED))
     for name in ComfortZone._fields))}
 
 
 def comfort_zone_from_dict(doc: dict) -> ComfortZone:
     """The comfort zone that a zone file holding ``doc`` describes.  A
-    malformed or unknown key raises InputError, and so does a value out of
-    its rule, every such fault named in one message in field order."""
+    malformed or unknown key raises InputError, then a number out of its
+    range, then vertices that make no simple polygon."""
     zone = read_format(doc, "zone", ZONE_FORMAT, InputError)
-    faults = []
     if len(zone.vertices) < 3:
-        faults.append("zone.vertices: must hold at least 3 vertices")
-    elif not _is_simple_polygon(zone.vertices):
-        faults.append("zone.vertices: must be a simple polygon")
-    if zone.extension_c_per_m_s < 0:
-        faults.append("zone.extension_c_per_m_s: must be >= 0")
-    if faults:
-        raise InputError("; ".join(faults))
+        raise InputError("zone.vertices: must hold at least 3 vertices")
+    if not _is_simple_polygon(zone.vertices):
+        raise InputError("zone.vertices: must be a simple polygon")
     return zone
 
 

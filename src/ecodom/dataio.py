@@ -33,7 +33,10 @@ from typing import NamedTuple
 
 from . import building as bm
 from .comfort import T_MAX_C, T_MIN_C
-from .errors import JSON_TYPES, REQUIRED, InputError, load_json, read_format, within
+from .errors import (
+    JSON_TYPES, NON_NEGATIVE, POSITIVE, REQUIRED, InputError, Range, load_json, read_format,
+    within,
+)
 
 BUILDING_SCHEMA_VERSION = 1
 
@@ -235,8 +238,8 @@ def _check_rows(lines: list[str], table: tuple) -> None:
             if kind is float or kind not in (datetime, str) and cell:
                 value = _parse_float(cell, name, line_no)
                 if not ((low is None or low <= value) and (high is None or value <= high)):
-                    rule = f"must be >= {low:g}" if high is None else f"outside [{low:g}, {high:g}]"
-                    raise SeriesFormatError(f"line {line_no}: {name} {value} {rule}")
+                    raise SeriesFormatError(
+                        f"line {line_no}: {name} {value} {Range(low, high).rule('outside')}")
 
 
 def _write_series(path: str | Path, table: tuple, columns) -> None:
@@ -367,13 +370,16 @@ def write_indoor(series: IndoorSeries, path: str | Path) -> None:
 
 #: The building file format, stated once: ``errors.read_format`` reads by
 #: it, and :func:`_write` writes by it, each object kind's keys in the
-#: order they are listed.  ``schema_version`` is not a record field.
+#: order they are listed.  An insulation layer or a facade membership
+#: names no entity: its range faults are named within its roof, wall or
+#: room.  ``schema_version`` is not a record field.
+_AZIMUTH = Range(0.0, 360.0, high_open=True)
 BUILDING_FORMAT = {
-    "building": (bm.BuildingDescription, (
+    "building": (bm.BuildingDescription, "building", (
         ("name", str, REQUIRED),
-        ("latitude", float, REQUIRED),
-        ("longitude", float, REQUIRED),
-        ("dwelling_type", int, REQUIRED),
+        ("latitude", Range(-90.0, 90.0), REQUIRED),
+        ("longitude", Range(-180.0, 180.0), REQUIRED),
+        ("dwelling_type", Range(1, kind=int), REQUIRED),
         ("vegetation_note", str, ""),
         ("roof", "roof", REQUIRED),
         ("walls", ["wall"], ()),
@@ -382,40 +388,40 @@ BUILDING_FORMAT = {
         ("facade_pairs", ["facade_pair"], ()),
         ("water_heater", "water_heater", REQUIRED),
     )),
-    "roof": (bm.RoofSpec, (
+    "roof": (bm.RoofSpec, "roof", (
         ("color", bm.ColorClass, REQUIRED),
         ("attic", bm.AtticRegime, bm.AtticRegime.NONE),
-        ("area_m2", float, REQUIRED),
+        ("area_m2", POSITIVE, REQUIRED),
         ("insulation", "insulation", bm.NO_INSULATION),
     )),
-    "insulation": (bm.InsulationLayer, (
+    "insulation": (bm.InsulationLayer, None, (
         ("material", str, REQUIRED),
-        ("conductivity_w_mk", float, REQUIRED),
-        ("thickness_cm", float, REQUIRED),
+        ("conductivity_w_mk", POSITIVE, REQUIRED),
+        ("thickness_cm", NON_NEGATIVE, REQUIRED),
         ("humidity_protected", bool, False),
     )),
-    "wall": (bm.WallSpec, (
+    "wall": (bm.WallSpec, "wall {id}", (
         ("id", str, REQUIRED),
         ("construction", bm.WallConstruction, REQUIRED),
         ("color", bm.ColorClass, REQUIRED),
-        ("azimuth_deg", float, REQUIRED),
-        ("area_m2", float, REQUIRED),
-        ("overhang_depth_m", float, 0.0),
+        ("azimuth_deg", _AZIMUTH, REQUIRED),
+        ("area_m2", POSITIVE, REQUIRED),
+        ("overhang_depth_m", NON_NEGATIVE, 0.0),
         ("overhang_height_m", float, 0.0),
         ("insulation", "insulation", bm.NO_INSULATION),
         ("full_shading", bool, False),
     )),
-    "window": (bm.WindowSpec, (
+    "window": (bm.WindowSpec, "window {id}", (
         ("id", str, REQUIRED),
-        ("azimuth_deg", float, REQUIRED),
-        ("glazed_area_m2", float, REQUIRED),
-        ("height_m", float, REQUIRED),
+        ("azimuth_deg", _AZIMUTH, REQUIRED),
+        ("glazed_area_m2", POSITIVE, REQUIRED),
+        ("height_m", POSITIVE, REQUIRED),
         ("shading_case", bm.ShadingCase, bm.ShadingCase.CASE_2),
-        ("overhang_depth_m", float, 0.0),
-        ("overhang_offset_m", float, 0.0),
+        ("overhang_depth_m", NON_NEGATIVE, 0.0),
+        ("overhang_offset_m", NON_NEGATIVE, 0.0),
         ("mobile_shading", bool, False),
     )),
-    "room": (bm.Room, (
+    "room": (bm.Room, "room {id}", (
         ("id", str, REQUIRED),
         ("kind", bm.RoomKind, REQUIRED),
         ("floor_level", int, 0),
@@ -424,30 +430,30 @@ BUILDING_FORMAT = {
         ("external_openings", ["external_opening"], ()),
         ("internal_openings", ["internal_opening"], ()),
     )),
-    "facade": (bm.FacadeMembership, (
+    "facade": (bm.FacadeMembership, None, (
         ("facade_id", str, REQUIRED),
-        ("gross_area_m2", float, REQUIRED),
+        ("gross_area_m2", POSITIVE, REQUIRED),
     )),
-    "external_opening": (bm.Opening, (
+    "external_opening": (bm.Opening, "opening {id}", (
         ("id", str, REQUIRED),
-        ("net_area_m2", float, REQUIRED),
+        ("net_area_m2", NON_NEGATIVE, REQUIRED),
         ("facade_id", str, None),
     )),
-    "internal_opening": (bm.Opening, (
+    "internal_opening": (bm.Opening, "opening {id}", (
         ("id", str, REQUIRED),
-        ("net_area_m2", float, REQUIRED),
+        ("net_area_m2", NON_NEGATIVE, REQUIRED),
     )),
-    "facade_pair": (bm.FacadePair, (
+    "facade_pair": (bm.FacadePair, "facade pair {facade_1_id}/{facade_2_id}", (
         ("facade_1_id", str, REQUIRED),
         ("facade_2_id", str, REQUIRED),
-        ("facade_1_area_m2", float, REQUIRED),
-        ("facade_2_area_m2", float, REQUIRED),
+        ("facade_1_area_m2", POSITIVE, REQUIRED),
+        ("facade_2_area_m2", POSITIVE, REQUIRED),
     )),
-    "water_heater": (bm.WaterHeaterSpec, (
+    "water_heater": (bm.WaterHeaterSpec, "water heater", (
         ("kind", bm.WaterHeaterKind, REQUIRED),
-        ("collector_area_m2", float, 0.0),
-        ("tank_volume_l", float, 0.0),
-        ("annual_productivity_kwh_m2", float, 0.0),
+        ("collector_area_m2", NON_NEGATIVE, 0.0),
+        ("tank_volume_l", NON_NEGATIVE, 0.0),
+        ("annual_productivity_kwh_m2", NON_NEGATIVE, 0.0),
         ("certified", bool, False),
     )),
 }
@@ -455,13 +461,13 @@ BUILDING_FORMAT = {
 def _write(record, kind: str) -> dict:
     """The object of ``kind`` that describes ``record``."""
     doc = {}
-    for name, form, _ in BUILDING_FORMAT[kind][1]:
+    for name, form, _ in BUILDING_FORMAT[kind][2]:
         value = getattr(record, name)
         if isinstance(form, str):
             value = _write(value, form)
         elif isinstance(form, list):
             value = [_write(item, form[0]) for item in value]
-        elif form not in JSON_TYPES:
+        elif not (form in JSON_TYPES or isinstance(form, Range)):
             value = value.value
         doc[name] = value
     return doc
@@ -469,7 +475,8 @@ def _write(record, kind: str) -> dict:
 
 def building_from_dict(doc: dict) -> bm.BuildingDescription:
     """Construct a description from a parsed building file; a malformed or
-    unknown key raises SeriesFormatError.  Semantic problems are left to
+    unknown key, or a number out of its range, raises SeriesFormatError.
+    The rules across fields and the references are left to
     :func:`building.validate`."""
     doc = dict(doc)
     version = doc.pop("schema_version", None)

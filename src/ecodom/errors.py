@@ -1,7 +1,7 @@
 """The input boundary: one error type for bad input files, one strict
-JSON reader, one walker of the declared format of every JSON document
-and the bulk check of a column of floats.  A document's value rules run
-in its own reader, after the walk.
+JSON reader, one walker of the declared format of every JSON document,
+ranges included, and the bulk check of a column of floats.  A document's
+rules across fields run in its own reader, after the walk.
 
 Every loader raises a subclass of :class:`InputError`, and the CLI maps
 that one type to exit code 2.  This module imports nothing from ecodom,
@@ -12,6 +12,7 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 #: The ``default`` of a key that :func:`read_format` requires.
 REQUIRED = object()
@@ -77,6 +78,40 @@ def read_json(source, error: type[InputError] = InputError) -> dict:
     return doc
 
 
+class Range(NamedTuple):
+    """A format's form of a number held to a range (see
+    :func:`read_format`): a finite number, an integer when ``kind`` is
+    int, in [low, high], a ``high`` of None being open and a bound named
+    by ``low_open`` or ``high_open`` excluded."""
+
+    low: float
+    high: float | None = None
+    low_open: bool = False
+    high_open: bool = False
+    kind: type = float
+
+    def holds(self, value: float) -> bool:
+        high = self.high
+        return ((self.low < value if self.low_open else self.low <= value)
+                and (high is None or (value < high if self.high_open else value <= high)))
+
+    def rule(self, inside: str = "must be in") -> str:
+        """The one wording of a range, in every file: ``must be >= 0``,
+        ``must be > 0``, or, with both bounds, ``inside`` then the
+        interval, ``must be in [0, 360)``; bounds are written by ``%g``,
+        with no trailing ``.0``."""
+        low, high = self.low, self.high
+        if high is None:
+            return f"must be {'>' if self.low_open else '>='} {low:g}"
+        return (f"{inside} {'(' if self.low_open else '['}{low:g}, "
+                f"{high:g}{')' if self.high_open else ']'}")
+
+
+POSITIVE = Range(0.0, low_open=True)
+NON_NEGATIVE = Range(0.0)
+FRACTION = Range(0.0, 1.0)
+
+
 _KIND_NAMES = {float: "a finite number", int: "an integer", str: "a string",
                bool: "true or false", list: "a list", dict: "an object"}
 JSON_TYPES = (float, str, int, bool)
@@ -102,39 +137,51 @@ def within(column, low: float | None = None, high: float | None = None) -> bool:
 def read_format(doc: dict, kind: str, formats: dict, error: type[InputError]):
     """The record of ``kind`` that the JSON object ``doc`` describes.
 
-    ``formats`` maps each object kind to its record and its keys, each
-    ``(name, form, default)``, ``name`` a keyword of the record and
-    ``default`` REQUIRED for a key that must be present.  A form is a JSON
-    type (``float`` takes any finite number, as a float), an enum, an
-    object kind's name, a list of one form or a tuple of forms (a JSON
+    ``formats`` maps each object kind to its record, the name of its
+    entity and its keys, each ``(name, form, default)``, ``name`` a
+    keyword of the record and ``default`` REQUIRED for a key that must be
+    present.  A form is a JSON type (``float`` takes any finite number,
+    as a float), a :class:`Range` (a number held to its range), an enum,
+    an object kind's name, a list of one form or a tuple of forms (a JSON
     list, read to a tuple), a dict of forms (a table of exactly those
-    keys), ``{int: form}`` (a table keyed by dwelling type) or a frozenset
-    of a list form and one other (a JSON list read by the list form, any
-    other value by the other).  ``null`` reads as absent for an optional
-    object and for a key whose default is None.  A missing key or a wrong
-    type raises ``error`` at once, naming the key by its path; the paths
-    of the keys the format does not define are named together once the
-    walk ends.  The record's values are not checked here.
+    keys), ``{int: form}`` (a table keyed by dwelling type) or a
+    frozenset of a list form and one other (a JSON list read by the list
+    form, any other value by the other).  ``null`` reads as absent for an
+    optional object and for a key whose default is None.
+
+    A missing key or a wrong type raises ``error`` at once, naming the key
+    by its path.  Once the walk ends, the keys the format does not define
+    are named together, by path; then every number read out of its range,
+    as ``ENTITY.FIELD: RULE``: the entity is the name of the nearest
+    object around it that has one, filled from its record (``wall {id}``),
+    and the field the number's path within that object.
     """
     unknown: list[str] = []
+    faults: list[list[str | None]] = []  # [entity, path, rule], the entity named last
 
     def read(value, form, where: str, label: str | None = None):
         # ``value`` at path ``where``, as ``form``; an error names it by
         # ``label``, a key of an object kind by its quoted path, else by its path
         label = where if label is None else label
+        if isinstance(form, Range):
+            number = _typed(value, form.kind, label)
+            if not form.holds(number):
+                faults.append([None, where, form.rule()])
+            return number
         if isinstance(form, type):  # a JSON type or an enum
             if form in _KIND_NAMES:
                 return _typed(value, form, label)
             return form(_typed(value, str, label))  # an enum, read from its value
         if isinstance(form, frozenset):  # the list form for a list, else the other
-            form = next(f for f in form if isinstance(f, (list, tuple)) == isinstance(value, list))
+            form = next(f for f in form if (type(f) in (list, tuple)) == isinstance(value, list))
             return read(value, form, where, label)
         value = _typed(value, dict if isinstance(form, (str, dict)) else list, label)
         prefix = f"{where}." if where else ""
         if isinstance(form, str):  # an object kind
-            record, keys = formats[form]
+            record, entity, keys = formats[form]
             names = {name for name, _, _ in keys}
             unknown.extend(prefix + name for name in value if name not in names)
+            first = len(faults)
             values = {}
             for name, item, default in keys:
                 path = prefix + name
@@ -147,6 +194,11 @@ def read_format(doc: dict, kind: str, formats: dict, error: type[InputError]):
                     values[name] = _typed(value[name], item, repr(path))
                 else:
                     values[name] = read(value[name], item, path, repr(path))
+            if entity is not None:  # the faults within, not yet named, are this object's
+                entity = entity.format_map(values)
+                for fault in faults[first:]:
+                    if fault[0] is None:
+                        fault[0], fault[1] = entity, fault[1][len(prefix):]
             return record(**values)
         if isinstance(form, dict):  # a table
             by_type = int in form
@@ -171,6 +223,8 @@ def read_format(doc: dict, kind: str, formats: dict, error: type[InputError]):
         raise error(f"missing or malformed field: {exc}") from exc
     if unknown:
         raise error(f"unknown key {', '.join(unknown)}")
+    if faults:
+        raise error("; ".join(f"{entity}.{path}: {rule}" for entity, path, rule in faults))
     return record
 
 

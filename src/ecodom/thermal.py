@@ -25,14 +25,15 @@ only a finer step or the continuous solution shows.
    the sun-up mask, the sine and cosine of the altitude and the global
    horizontal irradiance.  Filled on first use, it also holds one beam
    irradiance column per (azimuth, tilt), one diffuse column per tilt,
-   one shading column per overhang geometry and, from the first export
-   of a result on it, each row's timestamp and outdoor temperature
-   text.  The series holds the track, per (latitude, longitude), so
-   every zone simulated on the same series object at the same site
-   shares all of these, a paired or repeated run computes them once,
-   and they die with the series.  The series' columns are taken as
-   fixed: a column changed in place after a run does not remake what
-   the track derived from it;
+   one shading column per overhang geometry, from the first zone with
+   a gains schedule each step's UTC hour and, from the first export of
+   a result on it, each row's timestamp and outdoor temperature text.
+   The series holds the track, per (latitude, longitude), so every zone
+   simulated on the same series object at the same site shares all of
+   these, a paired or repeated run computes them once, and they die
+   with the series.  The series' columns are taken as fixed: a column
+   changed in place after a run does not remake what the track derived
+   from it;
 2. per zone: from the shading each surface states (set by
    :func:`zone_from_building`), one effective-irradiance column per
    distinct (orientation, shading), which dies with the run, and one
@@ -68,7 +69,9 @@ from typing import NamedTuple, TextIO
 
 from .building import BuildingDescription, facade_porosities
 from .dataio import SeriesFormatError, WeatherSeries
-from .errors import InputError, is_number, load_json, read_format
+from .errors import (
+    FRACTION, NON_NEGATIVE, POSITIVE, InputError, Range, is_number, load_json, read_format,
+)
 from .solar import DEG, GROUND_ALBEDO, sun_positions
 
 AIR_DENSITY = 1.2          # kg/m3
@@ -270,7 +273,8 @@ class _SunTrack:
     cycle with it.  The beam column
     of an (azimuth, tilt), the diffuse column of a tilt and the shading
     column of an overhang geometry are filled the first time a zone on
-    the track needs them, and kept as long as the track.
+    the track needs them, and so is each step's UTC hour, which a gains
+    schedule indexes (:meth:`hours`); all are kept as long as the track.
 
     Two more tables are kept across runs.  ``sol_air`` holds the sol-air
     columns of the last zone run on the track, keyed by (orientation,
@@ -283,7 +287,7 @@ class _SunTrack:
 
     __slots__ = ("step_s", "timestamps", "t_out", "direct", "diffuse", "wind",
                  "altitude", "azimuth", "up", "sin_alt", "cos_alt", "global_horizontal",
-                 "irradiance", "tilted_diffuse", "shading", "sol_air", "row_heads")
+                 "irradiance", "tilted_diffuse", "shading", "sol_air", "row_heads", "utc_hours")
 
     def __init__(self, weather: WeatherSeries, latitude: float, longitude: float):
         self.timestamps = weather.timestamps
@@ -303,6 +307,7 @@ class _SunTrack:
         self.shading: dict[tuple[float, float, float, float], array] = {}
         self.sol_air: dict[tuple, array] = {}
         self.row_heads: list[str] | None = None
+        self.utc_hours: bytes | None = None
 
     def fill(self, orientations, geometries) -> None:
         """Compute the irradiance columns of ``orientations`` and the
@@ -359,6 +364,14 @@ class _SunTrack:
             shaded = 0.0 if 0.0 > shaded else shaded
             append((height if height < shaded else shaded) / height)
         return column
+
+    def hours(self) -> bytes:
+        """Each step's UTC hour, a naive timestamp being UTC, made on the
+        first call and kept as long as the track."""
+        if self.utc_hours is None:
+            self.utc_hours = bytes((ts.astimezone(timezone.utc) if ts.tzinfo else ts).hour
+                                   for ts in self.timestamps)
+        return self.utc_hours
 
     def heads(self) -> list[str]:
         """The export's row heads (:func:`_row_heads`) on this track, made
@@ -459,9 +472,7 @@ def simulate(zone: ZoneModel, weather: WeatherSeries) -> SimulationResult:
     if is_number(gains):
         internal = array("d", [float(gains)]) * n
     else:
-        # A naive timestamp is UTC, as in the sun position.
-        internal = array("d", [gains[(ts.astimezone(timezone.utc) if ts.tzinfo else ts).hour]
-                               for ts in timestamps])
+        internal = array("d", map(gains.__getitem__, track.hours()))
     gains_fixed = array("d", [q + g for q, g in zip(transmitted, internal)])
 
     # Stage 3, backward Euler:
@@ -573,36 +584,26 @@ class Scenario(NamedTuple):
 
 
 #: The scenario file format: every field of :class:`Scenario` with the
-#: record's default, a number but for three (see ``errors.read_format``);
-#: the gains are a number or a list of 24, one per UTC hour.
-_SCENARIO_FORMS = {"mass_class": str, "internal_gains_w": frozenset((float, (float,) * 24)),
-                   "roof_exposed": bool}
-SCENARIO_FORMAT = {"scenario": (Scenario, tuple(
-    (name, _SCENARIO_FORMS.get(name, float), default)
-    for name, default in Scenario._field_defaults.items()))}
-#: The scenario fields that must be > 0, and those in [0, 1], when given.
-_SCENARIO_POSITIVE = ("floor_area_m2", "volume_m3", "discharge_coefficient", "delta_cp",
-                      "exterior_film_w_m2k", "interior_film_w_m2k")
-_SCENARIO_FRACTIONS = ("window_transmittance", "window_shade_fraction")
+#: record's default and its form (see ``errors.read_format``); the gains
+#: are a number or a list of 24, one per UTC hour, each >= 0.
+_SCENARIO_FORMS = {
+    "floor_area_m2": POSITIVE, "volume_m3": POSITIVE, "mass_class": str,
+    "internal_gains_w": frozenset((NON_NEGATIVE, (NON_NEGATIVE,) * 24)),
+    "discharge_coefficient": Range(0.0, 1.0, low_open=True), "delta_cp": POSITIVE,
+    "exterior_film_w_m2k": POSITIVE, "interior_film_w_m2k": POSITIVE,
+    "window_transmittance": FRACTION, "window_shade_fraction": FRACTION, "roof_exposed": bool}
+SCENARIO_FORMAT = {"scenario": (Scenario, "scenario", tuple(
+    (name, _SCENARIO_FORMS[name], default) for name, default in Scenario._field_defaults.items()))}
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
     """The scenario that a scenario file holding ``doc`` describes.  A
-    malformed or unknown key raises ScenarioError, and so does a value out
-    of its rule, every such fault named in one message in field order."""
+    malformed or unknown key raises ScenarioError, then every number out
+    of its range, named together in field order, then a ``mass_class``
+    that names no preset."""
     scenario = read_format(doc, "scenario", SCENARIO_FORMAT, ScenarioError)
-    faults = []
-    for name, value in scenario._asdict().items():
-        if name == "mass_class" and value not in MASS_CLASS_CAPACITANCE:
-            faults.append("scenario.mass_class: must be 'light' or 'heavy'")
-        elif value is None:
-            continue
-        elif name in _SCENARIO_POSITIVE and value <= 0:
-            faults.append(f"scenario.{name}: must be > 0")
-        elif name in _SCENARIO_FRACTIONS and not 0.0 <= value <= 1.0:
-            faults.append(f"scenario.{name}: must be in [0, 1]")
-    if faults:
-        raise ScenarioError("; ".join(faults))
+    if scenario.mass_class not in MASS_CLASS_CAPACITANCE:
+        raise ScenarioError("scenario.mass_class: must be 'light' or 'heavy'")
     return scenario
 
 

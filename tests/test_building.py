@@ -17,6 +17,7 @@ from ecodom.building import (
     orientation_from_azimuth,
     validate,
 )
+from ecodom.dataio import SeriesFormatError, building_from_dict, building_to_dict
 
 
 class TestOrientation:
@@ -74,8 +75,8 @@ class TestColorAndMaterials:
         wall = WallSpec(id="w1", construction=WallConstruction.WOOD,
                         color=ColorClass.LIGHT, azimuth_deg=0.0, area_m2=10.0,
                         insulation=bad)
-        issues = validate(b._replace(roof=b.roof._replace(insulation=bad), walls=(wall,)))
-        assert [str(i) for i in issues] == [
+        faults = _range_faults(b._replace(roof=b.roof._replace(insulation=bad), walls=(wall,)))
+        assert faults == [
             "roof.insulation.conductivity_w_mk: must be > 0",
             "roof.insulation.thickness_cm: must be >= 0",
             "wall w1.insulation.conductivity_w_mk: must be > 0",
@@ -87,6 +88,16 @@ class TestColorAndMaterials:
         assert InsulationLayer("Mineral wool", 0.04, 5).is_mineral_wool
         assert InsulationLayer("laine de roche", 0.04, 5).is_mineral_wool
         assert not InsulationLayer("polystyrene", 0.041, 5).is_mineral_wool
+
+
+def _range_faults(building: BuildingDescription) -> list[str]:
+    """The range faults that reading the file of ``building`` reports,
+    one per rule broken; none when the file reads."""
+    try:
+        building_from_dict(building_to_dict(building))
+    except SeriesFormatError as exc:
+        return str(exc).split("; ")
+    return []
 
 
 def _simple_building(so1=2.0, so2=2.0, sp1=8.0, sp2=8.0, si=2.0):
@@ -225,8 +236,10 @@ class TestValidation:
 
     def test_dwelling_type_and_latitude(self):
         b = _simple_building()._replace(dwelling_type=0, latitude=99.0)
-        fields = {i.field for i in validate(b)}
-        assert fields == {"dwelling_type", "latitude"}
+        assert _range_faults(b) == ["building.latitude: must be in [-90, 90]",
+                                    "building.dwelling_type: must be >= 1"]
+        # a record built in code is not range-checked
+        assert validate(b) == []
 
     def test_azimuths_and_longitude_range_checked(self):
         from ecodom.building import WallSpec, WindowSpec
@@ -234,10 +247,18 @@ class TestValidation:
         wall = WallSpec(id="w1", construction=WallConstruction.WOOD,
                         color=ColorClass.LIGHT, azimuth_deg=360.0, area_m2=10.0)
         window = WindowSpec(id="g1", azimuth_deg=-1.0, glazed_area_m2=1.0, height_m=1.0)
-        issues = validate(b._replace(walls=(wall,), windows=(window,),
-                                     longitude=181.0))
-        assert {str(i).split(":")[0] for i in issues} == {
-            "wall w1.azimuth_deg", "window g1.azimuth_deg", "building.longitude"}
+        assert _range_faults(b._replace(walls=(wall,), windows=(window,), longitude=181.0)) == [
+            "building.longitude: must be in [-180, 180]",
+            "wall w1.azimuth_deg: must be in [0, 360)",
+            "window g1.azimuth_deg: must be in [0, 360)"]
+
+    @pytest.mark.parametrize("azimuth,faults", [
+        (0.0, []), (359.9, []), (360.0, ["wall w1.azimuth_deg: must be in [0, 360)"])])
+    def test_azimuth_edges(self, azimuth, faults):
+        from ecodom.building import WallSpec
+        wall = WallSpec(id="w1", construction=WallConstruction.WOOD,
+                        color=ColorClass.LIGHT, azimuth_deg=azimuth, area_m2=10.0)
+        assert _range_faults(_simple_building()._replace(walls=(wall,))) == faults
 
     def test_golden_fixtures_are_valid(self, initial_building, final_building):
         assert validate(initial_building) == []

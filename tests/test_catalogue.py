@@ -177,6 +177,9 @@ def test_bundled_catalogue_parsed_once(monkeypatch):
     assert load_catalogue() is default_catalogue()
 
 
+THRESHOLD_RULE = r"^catalogue\.tables\.porosity_threshold: must be in \(0, 1\]$"
+
+
 @pytest.mark.parametrize("edit,message", [
     (lambda t: t["roof_insulation_cm"]["simple"]["light"].update(polystyrene=None),
      "roof"),
@@ -185,22 +188,23 @@ def test_bundled_catalogue_parsed_once(monkeypatch):
      "polystyrene"),
     (lambda t: t["solar_collector_area_m2"].pop("3"), "collector"),
     (lambda t: t["tank_volume_per_collector_l_m2"].pop("max"), "max"),
-    (lambda t: t.update(porosity_threshold=-0.5), "porosity threshold"),
-    (lambda t: t.update(porosity_threshold=0.0), "porosity threshold"),
-    (lambda t: t.update(porosity_threshold=1.5), "porosity threshold"),
+    (lambda t: t.update(porosity_threshold=-0.5), THRESHOLD_RULE),
+    (lambda t: t.update(porosity_threshold=0.0), THRESHOLD_RULE),
+    (lambda t: t.update(porosity_threshold=1.5), THRESHOLD_RULE),
     (lambda t: t["tank_volume_per_collector_l_m2"].update(min=150, max=50),
      "tank volume bounds"),
-    (lambda t: t["tank_volume_per_collector_l_m2"].update(min=-10), "tank volume bounds"),
+    (lambda t: t["tank_volume_per_collector_l_m2"].update(min=-10),
+     "catalogue.tables.tank_volume_per_collector_l_m2.min: must be >= 0"),
     (lambda t: t.update(solar_productivity_floor_kwh_m2=-1),
-     "tables.solar_productivity_floor_kwh_m2 must be >= 0"),
+     "catalogue.tables.solar_productivity_floor_kwh_m2: must be >= 0"),
     (lambda t: t["roof_insulation_cm"]["simple"]["dark"].update(polyurethane=-8),
-     "tables.roof_insulation_cm.simple.dark.polyurethane must be >= 0"),
+     "catalogue.tables.roof_insulation_cm.simple.dark.polyurethane: must be >= 0"),
     (lambda t: t["wall_overhang_ratio"]["wood"]["medium"].update(west=-0.2),
-     "tables.wall_overhang_ratio.wood.medium.west must be >= 0"),
+     "catalogue.tables.wall_overhang_ratio.wood.medium.west: must be >= 0"),
     (lambda t: t["window_shading_ratio"].update(north=-0.6),
-     "tables.window_shading_ratio.north must be >= 0"),
+     "catalogue.tables.window_shading_ratio.north: must be >= 0"),
     (lambda t: t["solar_collector_area_m2"].update({"4": -2.5}),
-     "tables.solar_collector_area_m2.4 must be >= 0"),
+     "catalogue.tables.solar_collector_area_m2.4: must be >= 0"),
 ], ids=["null-cell", "list-row", "zero-conductivity", "collector-gap", "missing-bound",
         "negative-threshold", "zero-threshold", "threshold-above-one",
         "inverted-tank-bounds", "negative-tank-min", "negative-productivity-floor",
@@ -214,3 +218,19 @@ def test_malformed_tables_rejected(edit, message):
     doc["checksum"] = tables_checksum(doc["tables"])
     with pytest.raises(CatalogueError, match=message):
         catalogue_from_dict(doc)
+
+
+@pytest.mark.parametrize("threshold,accepted", [(0.0, False), (1e-9, True), (1.0, True),
+                                                (1.0000001, False)])
+def test_porosity_threshold_edges(threshold, accepted):
+    from ecodom.catalogue import _BUNDLED
+    from importlib import resources
+    doc = json.loads(resources.files("ecodom.data").joinpath(_BUNDLED).read_text())
+    doc["tables"]["porosity_threshold"] = threshold
+    doc["checksum"] = tables_checksum(doc["tables"])
+    if accepted:
+        assert catalogue_from_dict(doc).porosity_threshold == threshold
+    else:
+        with pytest.raises(CatalogueError) as caught:
+            catalogue_from_dict(doc)
+        assert str(caught.value) == "catalogue.tables.porosity_threshold: must be in (0, 1]"

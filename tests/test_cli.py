@@ -818,22 +818,32 @@ class TestInputBoundary:
         err = _assert_one_error_line(main(["check", str(building)]), capsys)
         assert err == f"error: {building}: {'; '.join(lines)}\n"
 
-    # A scenario or zone file's value faults are named together, in field
-    # order, as a building's are; a missing key or a wrong type keeps its
-    # label and stops the read at the first one
+    # A scenario or zone file's range faults are named together, in field
+    # order, as a building's are; the rules in code run only on a file
+    # with none; a missing key or a wrong type keeps its label and stops
+    # the read at the first one
     @pytest.mark.parametrize("kind,text,lines", [
-        ("scenario", '{"volume_m3": 0, "window_transmittance": 2, "mass_class": "medium"}',
-         ["scenario.volume_m3: must be > 0", "scenario.mass_class: must be 'light' or 'heavy'",
+        ("scenario", '{"volume_m3": 0, "window_transmittance": 2, "discharge_coefficient": 5}',
+         ["scenario.volume_m3: must be > 0", "scenario.discharge_coefficient: must be in (0, 1]",
           "scenario.window_transmittance: must be in [0, 1]"]),
         ("zone", '{"vertices": [[20, 3], [24, 3]], "extension_c_per_m_s": -1}',
-         ["zone.vertices: must hold at least 3 vertices",
-          "zone.extension_c_per_m_s: must be >= 0"]),
+         ["zone.extension_c_per_m_s: must be >= 0"]),
         ("scenario", '{"volume_m3": "x", "delta_cp": 0}',
          ["missing or malformed field: 'volume_m3' must be a finite number, got 'x'"]),
         ("zone", '{"extension_c_per_m_s": -1}',
          ["missing or malformed field: missing field 'vertices'"]),
+        ("scenario", '{"volume_m3": 0, "mass_class": "medium"}',
+         ["scenario.volume_m3: must be > 0"]),
+        ("scenario", '{"mass_class": "medium"}',
+         ["scenario.mass_class: must be 'light' or 'heavy'"]),
+        ("scenario", '{"internal_gains_w": -1e6}', ["scenario.internal_gains_w: must be >= 0"]),
+        ("scenario", '{"internal_gains_w": [100, 100, -1' + ', 100' * 21 + ']}',
+         ["scenario.internal_gains_w[2]: must be >= 0"]),
+        ("scenario", '{"discharge_coefficient": 5.0}',
+         ["scenario.discharge_coefficient: must be in (0, 1]"]),
     ], ids=["scenario-three-faults", "zone-two-faults", "scenario-wrong-type",
-            "zone-missing-key"])
+            "zone-missing-key", "scenario-range-before-mass-class", "scenario-mass-class",
+            "scenario-negative-gains", "scenario-negative-hour", "scenario-cd-above-one"])
     def test_document_faults_share_one_line(self, tmp_path, weather_csv, capsys,
                                             kind, text, lines):
         path = tmp_path / f"{kind}.json"

@@ -15,6 +15,7 @@ from ecodom.archetypes import compliant_zone, synthetic_weather
 from ecodom.building import BuildingValidationError, validate
 from ecodom.catalogue import CATALOGUE_FORMAT
 from ecodom.comfort import ZONE_FORMAT, humidity_ratio, logger_points
+from ecodom.errors import Range
 from ecodom.dataio import (
     BUILDING_FORMAT,
     INDOOR_COLUMNS,
@@ -475,6 +476,51 @@ class TestIndoorRecord:
         assert list(logger_points(twin).temperature_c) == [28.5, 28.0]
 
 
+JSON_FORMATS = {"building": BUILDING_FORMAT, "catalogue": CATALOGUE_FORMAT,
+                "scenario": SCENARIO_FORMAT, "zone": ZONE_FORMAT}
+FORMATS_MD = (pathlib.Path(__file__).parent.parent / "docs" / "formats.md").read_text("utf-8")
+#: The number keys held to no range, each with the reason.
+UNBOUNDED = {
+    ("building", "walls[].overhang_height_m"):
+        "its rule spans overhang_depth_m, so it stays in building.validate",
+    ("building", "rooms[].floor_level"): "a storey number; below ground is negative",
+    ("zone", "vertices[][]"): "the polygon rule of comfort_zone_from_dict holds them",
+    ("zone", "max_extended_temp_c"): "a cap at or below the warm edge just means no extension",
+}
+ANY = {float: "any finite number", int: "any integer"}
+
+
+def _number_keys(formats: dict, kind: str):
+    """The path and the rule (a ``Range``, or ``float`` or ``int`` for none)
+    of each number a document of ``kind`` holds, in the walk's order: an
+    item of a list written ``[]``, and a table whose cells share one form
+    written ``*``."""
+    found = {}
+
+    def walk(form, path):
+        prefix = f"{path}." if path else ""
+        if isinstance(form, str):
+            for name, item, _ in formats[form][2]:
+                walk(item, prefix + name)
+        elif isinstance(form, Range) or form in (float, int):
+            found.setdefault(path, form)
+        elif isinstance(form, frozenset):
+            for item in sorted(form, key=lambda f: type(f) in (list, tuple)):
+                walk(item, path)
+        elif type(form) in (list, tuple):
+            for item in form:
+                walk(item, f"{path}[]")
+        elif isinstance(form, dict):
+            if int in form or len(set(map(id, form.values()))) == 1:
+                walk(next(iter(form.values())), prefix + "*")
+            else:
+                for name, item in form.items():
+                    walk(item, prefix + name)
+
+    walk(kind, "")
+    return found.items()
+
+
 class TestBuildingIO:
     def test_fixture_parses_and_validates(self, initial_building):
         assert initial_building.name.startswith("La Decouverte")
@@ -515,7 +561,7 @@ class TestBuildingIO:
                     yield from named_kinds(item)
 
         for formats in (BUILDING_FORMAT, SCENARIO_FORMAT, ZONE_FORMAT, CATALOGUE_FORMAT):
-            for kind, (record, keys) in formats.items():
+            for kind, (record, _, keys) in formats.items():
                 names = [name for name, _, _ in keys]
                 # a record's fields, or the parameters of a function that builds it
                 parameters = (getattr(record, "_fields", None)
@@ -524,6 +570,18 @@ class TestBuildingIO:
                 assert sorted(names) == sorted(fields), kind
                 for name, form, _ in keys:
                     assert set(named_kinds(form)) <= set(formats), name
+
+    def test_every_number_key_has_a_range_or_is_unbounded_on_purpose(self):
+        unbounded = {(document, path) for document, formats in JSON_FORMATS.items()
+                     for path, rule in _number_keys(formats, document) if rule in ANY}
+        assert unbounded == set(UNBOUNDED)
+
+    @pytest.mark.parametrize("document", JSON_FORMATS)
+    def test_documented_ranges_are_the_tables(self, document):
+        rows = [f"| `{path}` | {ANY[rule] if rule in ANY else rule.rule()} |"
+                for path, rule in _number_keys(JSON_FORMATS[document], document)]
+        table = "\n".join(["| key | rule |", "| --- | --- |", *rows])
+        assert f"\n{table}\n\n" in FORMATS_MD
 
     def test_unknown_keys_reported_after_the_whole_document_is_read(self, final_building):
         doc = building_to_dict(final_building)

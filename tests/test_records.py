@@ -71,14 +71,15 @@ def _samples() -> dict[type, tuple]:
         building, building.roof, building.roof.insulation, building.walls[0],
         building.windows[0], room, room.facades[0], room.external_openings[0],
         building.facade_pairs[0], building.water_heater,
-        validate(building._replace(latitude=99.0))[0], facade_porosities(building)[0],
+        validate(building._replace(walls=building.walls[:1] * 2))[0],
+        facade_porosities(building)[0],
         default_catalogue(), report,
         next(f for f in report.findings if f.verdict is Verdict.FAIL),
         zone, zone.surfaces[0], zone.apertures, Scenario(),
         INDOOR, logger_points(INDOOR), DEFAULT_ZONE, paired_offset([1.0, 2.0], [0.5, 0.5]),
         discomfort_fraction(psychro_series([PsychroPoint(26.0, 11.7, 0.3),
                                             PsychroPoint(31.0, 18.0)])),
-        simulate(zone, synthetic_weather(days=1)),
+        simulate(zone, synthetic_weather(days=1)), errors.POSITIVE,
     )
     return {type(record): record for record in samples}
 

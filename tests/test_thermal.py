@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import io
+import json
 import math
 import weakref
 from array import array
@@ -361,6 +362,28 @@ class TestZoneFromBuilding:
         with pytest.raises(ScenarioError, match=key):
             _scenario({key: value})
 
+    # each bound holds its edge: Cd in (0, 1], gains >= 0, and -0.0 is 0
+    @pytest.mark.parametrize("key,value,fault", [
+        ("discharge_coefficient", 1.0, None),
+        ("discharge_coefficient", 1.0000001, "must be in (0, 1]"),
+        ("discharge_coefficient", 0.0, "must be in (0, 1]"),
+        ("internal_gains_w", 0.0, None),
+        ("internal_gains_w", -0.0, None),
+        ("internal_gains_w", -1e-300, "must be >= 0"),
+        ("internal_gains_w", [0.0] * 12 + [-0.0] * 12, None)],
+        ids=["cd-one", "cd-above-one", "cd-zero", "gains-zero", "gains-minus-zero",
+             "gains-below-zero", "signed-zero-schedule"])
+    def test_scenario_range_edges(self, tmp_path, key, value, fault):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({key: value}))
+        if fault is None:
+            assert getattr(load_scenario(path), key) == (
+                tuple(value) if isinstance(value, list) else value)
+        else:
+            with pytest.raises(ScenarioError) as caught:
+                load_scenario(path)
+            assert str(caught.value) == f"{path}: scenario.{key}: {fault}"
+
     def test_default_scenario_is_the_empty_file(self):
         # the in-code default passes the reader's rules unchanged
         assert Scenario() == _scenario({})
@@ -697,6 +720,26 @@ class TestPairedRun:
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
             "388042479c16d52c7c5391793c2328aa75470f52ccb22045e6bcd8dc9ac38339")
         assert sum(line.endswith(",-0.000000") for line in text.splitlines()) == 24
+
+    # a gains schedule indexes the track's UTC hours, made once per series
+    @pytest.mark.parametrize("stamp,digest", [
+        (lambda ts: ts.astimezone(timezone(timedelta(hours=4))),
+         "dbc92ab25327e7b42ab5b6644916699ace65fe352b04395f724b43a209a12547"),
+        (lambda ts: ts.replace(tzinfo=None),
+         "cf5d8c1e95c774c37ce97499b657d98f38f46c6634ccb1025ac43e3e47559a27")],
+        ids=["plus-four", "naive"])
+    def test_gains_schedule_export_bytes_pinned(self, stamp, digest):
+        utc = synthetic_weather(2)
+        weather = weather_series(tuple(r._replace(timestamp=stamp(r.timestamp))
+                                       for r in weather_records(utc)))
+        zone = compliant_zone()._replace(internal_gains_w=tuple(100.0 * h for h in range(24)))
+        text = _csv(simulate(zone, weather))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+        track = thermal._sun_track(weather, zone.latitude, zone.longitude)
+        hours = track.utc_hours
+        assert list(hours) == [ts.hour for ts in utc.timestamps]
+        simulate(zone._replace(name="second"), weather)
+        assert track.utc_hours is hours
 
     def test_results_on_one_weather_export_as_when_run_alone(self, initial_building,
                                                              final_building, monkeypatch):
